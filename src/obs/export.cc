@@ -145,14 +145,6 @@ prometheusText(const MetricsSnapshot &snapshot)
         out += "# TYPE " + n + " gauge\n";
         out += n + " " + promDouble(value) + "\n";
     }
-    for (const auto &[name, h] : snapshot.histograms) {
-        const std::string n = promName(name);
-        out += "# TYPE " + n + " summary\n";
-        out += n + "_sum " + std::to_string(h.sum) + "\n";
-        out += n + "_count " + std::to_string(h.count) + "\n";
-        if (h.underflow > 0)
-            out += n + "_underflow " + std::to_string(h.underflow) + "\n";
-    }
     for (const auto &[name, l] : snapshot.latencies) {
         const std::string n = promName(name);
         out += "# TYPE " + n + " summary\n";

@@ -34,9 +34,9 @@ void writeChromeTrace(const TraceRecorder &recorder,
  * Prometheus text exposition (version 0.0.4) of a metrics snapshot.
  * Metric names are sanitized to [a-zA-Z0-9_:] and prefixed with
  * "polymath_"; counters render as `counter`, gauges as `gauge`, and
- * both histogram flavors as `summary` (LatencyHistogram additionally
- * emits quantile{0.5,0.99,0.999} sample lines). Deterministic: maps
- * iterate sorted, numbers use locale-independent to_chars.
+ * latency histograms as `summary` with quantile{0.5,0.99,0.999} sample
+ * lines. Deterministic: maps iterate sorted, numbers use
+ * locale-independent to_chars.
  */
 std::string prometheusText(const MetricsSnapshot &snapshot);
 

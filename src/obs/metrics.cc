@@ -8,80 +8,6 @@
 
 namespace polymath::obs {
 
-namespace {
-
-/** Shared count/sum/min/max update for both histogram flavors. */
-void
-observeScalars(std::atomic<int64_t> &count, std::atomic<int64_t> &sum,
-               std::atomic<int64_t> &min, std::atomic<int64_t> &max,
-               int64_t value)
-{
-    count.fetch_add(1, std::memory_order_relaxed);
-    sum.fetch_add(value, std::memory_order_relaxed);
-    int64_t seen = min.load(std::memory_order_relaxed);
-    while (value < seen &&
-           !min.compare_exchange_weak(seen, value,
-                                      std::memory_order_relaxed)) {
-    }
-    seen = max.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !max.compare_exchange_weak(seen, value,
-                                      std::memory_order_relaxed)) {
-    }
-}
-
-} // namespace
-
-void
-Histogram::observe(int64_t value)
-{
-    observeScalars(count_, sum_, min_, max_, value);
-    if (value <= 0) {
-        // No positive bit width: an explicit underflow bucket instead
-        // of silently clamping into bucket 0 (which counts bit-width-0
-        // samples and would conflate "zero micros" with "negative").
-        underflow_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    const int bucket = std::bit_width(static_cast<uint64_t>(value));
-    buckets_[bucket < kBuckets ? bucket : kBuckets - 1].fetch_add(
-        1, std::memory_order_relaxed);
-}
-
-HistogramStats
-Histogram::stats() const
-{
-    HistogramStats s;
-    s.count = count_.load(std::memory_order_relaxed);
-    s.sum = sum_.load(std::memory_order_relaxed);
-    s.underflow = underflow_.load(std::memory_order_relaxed);
-    if (s.count > 0) {
-        s.min = min_.load(std::memory_order_relaxed);
-        s.max = max_.load(std::memory_order_relaxed);
-    }
-    return s;
-}
-
-int64_t
-Histogram::bucket(int index) const
-{
-    if (index < 0 || index >= kBuckets)
-        return 0;
-    return buckets_[index].load(std::memory_order_relaxed);
-}
-
-void
-Histogram::reset()
-{
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    min_.store(INT64_MAX, std::memory_order_relaxed);
-    max_.store(INT64_MIN, std::memory_order_relaxed);
-    underflow_.store(0, std::memory_order_relaxed);
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-}
-
 int
 LatencyHistogram::bucketIndex(int64_t value)
 {
@@ -113,7 +39,18 @@ LatencyHistogram::bucketValue(int index)
 void
 LatencyHistogram::observe(int64_t value)
 {
-    observeScalars(count_, sum_, min_, max_, value);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    int64_t seen = min_.load(std::memory_order_relaxed);
+    while (value < seen &&
+           !min_.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed)) {
+    }
+    seen = max_.load(std::memory_order_relaxed);
+    while (value > seen &&
+           !max_.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed)) {
+    }
     if (value <= 0) {
         underflow_.fetch_add(1, std::memory_order_relaxed);
         return;
@@ -206,21 +143,6 @@ MetricsSnapshot::str() const
     for (const auto &[name, value] : gauges)
         out += format("%-44s %s\n", name.c_str(),
                       doubleText(value).c_str());
-    for (const auto &[name, h] : histograms) {
-        out += format("%-44s count %lld  sum %lld  min %lld  max %lld  "
-                      "mean %s",
-                      name.c_str(), static_cast<long long>(h.count),
-                      static_cast<long long>(h.sum),
-                      static_cast<long long>(h.min),
-                      static_cast<long long>(h.max),
-                      doubleText(h.mean()).c_str());
-        // Only printed when present, so dumps of non-negative data keep
-        // their historical bytes.
-        if (h.underflow > 0)
-            out += format("  underflow %lld",
-                          static_cast<long long>(h.underflow));
-        out += "\n";
-    }
     for (const auto &[name, l] : latencies) {
         out += format("%-44s count %lld  p50 %s  p99 %s  p999 %s  "
                       "max %lld",
@@ -260,27 +182,6 @@ MetricsSnapshot::json() const
         out += name;
         out += "\":";
         out += doubleText(value);
-        first = false;
-    }
-    out += "},\"histograms\":{";
-    first = true;
-    for (const auto &[name, h] : histograms) {
-        out += first ? "" : ",";
-        out += '"';
-        out += name;
-        out += "\":{\"count\":";
-        out += std::to_string(h.count);
-        out += ",\"sum\":";
-        out += std::to_string(h.sum);
-        out += ",\"min\":";
-        out += std::to_string(h.min);
-        out += ",\"max\":";
-        out += std::to_string(h.max);
-        out += ",\"mean\":";
-        out += doubleText(h.mean());
-        out += ",\"underflow\":";
-        out += std::to_string(h.underflow);
-        out += '}';
         first = false;
     }
     out += "},\"latencies\":{";
@@ -332,16 +233,6 @@ MetricsRegistry::gauge(const std::string &name)
     return *slot;
 }
 
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = histograms_[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>();
-    return *slot;
-}
-
 LatencyHistogram &
 MetricsRegistry::latency(const std::string &name)
 {
@@ -361,8 +252,6 @@ MetricsRegistry::snapshot() const
         snap.counters[name] = c->value();
     for (const auto &[name, g] : gauges_)
         snap.gauges[name] = g->value();
-    for (const auto &[name, h] : histograms_)
-        snap.histograms[name] = h->stats();
     for (const auto &[name, l] : latencies_)
         snap.latencies[name] = l->stats();
     return snap;
@@ -376,8 +265,6 @@ MetricsRegistry::reset()
         c->reset();
     for (const auto &[name, g] : gauges_)
         g->reset();
-    for (const auto &[name, h] : histograms_)
-        h->reset();
     for (const auto &[name, l] : latencies_)
         l->reset();
 }

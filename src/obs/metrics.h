@@ -2,15 +2,16 @@
  * @file
  * Process-wide metrics registry (docs/OBSERVABILITY.md).
  *
- * Named counters, gauges, and histograms with lock-free updates: the
- * registry hands out stable references (instruments are never destroyed,
- * reset() only zeroes them), so hot paths pay one relaxed atomic op per
- * update and can cache the reference across calls. Unlike tracing, metrics
- * are always on — they never print unless a stats dump is requested, so
- * reports stay byte-identical — and they are how layers expose counts the
- * caller would otherwise re-derive: compile-cache hits/misses/coalesces,
- * per-pass change counts, SoC DMA bytes and partition counts, and the
- * fault-injection retry/fallback tallies of the resilience layer.
+ * Named counters, gauges, and latency histograms with lock-free updates:
+ * the registry hands out stable references (instruments are never
+ * destroyed, reset() only zeroes them), so hot paths pay one relaxed
+ * atomic op per update and can cache the reference across calls. Unlike
+ * tracing, metrics are always on — they never print unless a stats dump
+ * is requested, so reports stay byte-identical — and they are how layers
+ * expose counts the caller would otherwise re-derive: compile-cache
+ * hits/misses/coalesces, per-pass run, time and change counts, SoC DMA
+ * bytes and partition counts, and the fault-injection retry/fallback
+ * tallies of the resilience layer.
  */
 #ifndef POLYMATH_OBS_METRICS_H_
 #define POLYMATH_OBS_METRICS_H_
@@ -64,59 +65,6 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/** Aggregated view of a histogram at one point in time. */
-struct HistogramStats
-{
-    int64_t count = 0;
-    int64_t sum = 0;
-    int64_t min = 0; ///< 0 when count == 0
-    int64_t max = 0;
-    /** Samples <= 0, which have no power-of-two bucket. They still
-     *  count toward count/sum/min/max. */
-    int64_t underflow = 0;
-
-    double mean() const
-    {
-        return count > 0
-                   ? static_cast<double>(sum) / static_cast<double>(count)
-                   : 0.0;
-    }
-};
-
-/** Distribution of non-negative integer samples (e.g. pass micros,
- *  partition byte counts): count/sum/min/max plus power-of-two buckets.
- *  Zero and negative samples land in an explicit underflow bucket
- *  instead of being clamped into bucket 0. */
-class Histogram
-{
-  public:
-    /** Bucket i counts samples whose bit width is i (~[2^(i-1), 2^i)). */
-    static constexpr int kBuckets = 63;
-
-    void observe(int64_t value);
-
-    HistogramStats stats() const;
-
-    /** Samples in bucket @p index (see kBuckets). */
-    int64_t bucket(int index) const;
-
-    /** Samples <= 0 (no positive bit width). */
-    int64_t underflow() const
-    {
-        return underflow_.load(std::memory_order_relaxed);
-    }
-
-    void reset();
-
-  private:
-    std::atomic<int64_t> count_{0};
-    std::atomic<int64_t> sum_{0};
-    std::atomic<int64_t> min_{INT64_MAX};
-    std::atomic<int64_t> max_{INT64_MIN};
-    std::atomic<int64_t> underflow_{0};
-    std::atomic<int64_t> buckets_[kBuckets] = {};
-};
-
 /** Point-in-time view of a LatencyHistogram, including the bounded-
  *  error percentiles the log-linear buckets exist for. */
 struct LatencyStats
@@ -146,9 +94,10 @@ struct LatencyStats
  * width (< 0.4% relative error), values below 256 are exact, and the
  * whole structure is a fixed array of relaxed atomics (lock-free
  * observe, deterministic quantiles for a given sample multiset at any
- * thread count). This replaces both sorted-latency vectors (O(n)
- * memory, needs a barrier to sort) and the coarse power-of-two buckets
- * of Histogram wherever p50/p99/p999 matter.
+ * thread count). This replaces sorted-latency vectors (O(n) memory,
+ * needs a barrier to sort) wherever p50/p99/p999 matter. At about
+ * 57 KiB per instrument it is meant for a few hot latencies; a total
+ * that only needs a mean is a pair of counters.
  */
 class LatencyHistogram
 {
@@ -202,7 +151,6 @@ struct MetricsSnapshot
 {
     std::map<std::string, int64_t> counters;
     std::map<std::string, double> gauges;
-    std::map<std::string, HistogramStats> histograms;
     std::map<std::string, LatencyStats> latencies;
 
     /** Counter value, 0 when absent (snapshots are assert-friendly). */
@@ -211,7 +159,7 @@ struct MetricsSnapshot
     /** Flat `name value` text dump, sorted by name. */
     std::string str() const;
 
-    /** JSON object {"counters":{},"gauges":{},"histograms":{}}. */
+    /** JSON object {"counters":{},"gauges":{},"latencies":{}}. */
     std::string json() const;
 };
 
@@ -223,7 +171,6 @@ class MetricsRegistry
      *  registry's lifetime (instruments are never removed). */
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name);
     LatencyHistogram &latency(const std::string &name);
 
     MetricsSnapshot snapshot() const;
@@ -239,7 +186,6 @@ class MetricsRegistry
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
     std::map<std::string, std::unique_ptr<LatencyHistogram>> latencies_;
 };
 

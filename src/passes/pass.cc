@@ -52,7 +52,8 @@ PassManager::run(ir::Graph &graph) const
                 "pass:" + r.name, "pass", span_ts, r.micros,
                 {obs::TraceArg::num("changed", r.changed ? 1 : 0)});
         }
-        metrics.histogram("pass." + r.name + ".micros").observe(r.micros);
+        metrics.counter("pass." + r.name + ".runs").add(1);
+        metrics.counter("pass." + r.name + ".micros").add(r.micros);
         if (r.changed)
             metrics.counter("pass." + r.name + ".changed").add(1);
         results.push_back(std::move(r));
@@ -71,7 +72,8 @@ PassManager::run(ir::Graph &graph) const
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - vstart)
                 .count();
-        metrics.histogram("pass.validate.micros").observe(vmicros);
+        metrics.counter("pass.validate.runs").add(1);
+        metrics.counter("pass.validate.micros").add(vmicros);
     }
     return results;
 }

@@ -49,9 +49,10 @@ class PassManager
     /** Appends a pass to the pipeline. */
     void add(std::unique_ptr<Pass> pass);
 
-    /** Runs the pipeline once, validating the graph after each pass that
-     *  reports a change (unchanged passes skip validation; validation time
-     *  lands in the `pass.validate.micros` histogram).
+    /** Runs the pipeline once, then validates the graph if any pass
+     *  reported a change. Each pass bumps the `pass.<name>.runs` and
+     *  `pass.<name>.micros` counters; validation counts as the pass
+     *  `validate`.
      *  @return per-pass results, in order. */
     std::vector<PassResult> run(ir::Graph &graph) const;
 

@@ -506,7 +506,7 @@ Server::metricsSnapshot() const
 namespace {
 
 /**
- * Delta scrape: counters and histogram count/sum/underflow become
+ * Delta scrape: counters and latency count/sum/underflow become
  * since-last differences; gauges stay instantaneous and quantiles stay
  * cumulative (a log-linear histogram cannot be subtracted without the
  * full bucket arrays, and cumulative quantiles are what Prometheus
@@ -521,14 +521,6 @@ diffSnapshot(const obs::MetricsSnapshot &current,
         const auto it = last.counters.find(name);
         if (it != last.counters.end())
             value -= it->second;
-    }
-    for (auto &[name, h] : delta.histograms) {
-        const auto it = last.histograms.find(name);
-        if (it == last.histograms.end())
-            continue;
-        h.count -= it->second.count;
-        h.sum -= it->second.sum;
-        h.underflow -= it->second.underflow;
     }
     for (auto &[name, l] : delta.latencies) {
         const auto it = last.latencies.find(name);

@@ -45,8 +45,10 @@ FaultConfig::policyFor(FaultClass fault) const
 void
 FaultConfig::validate() const
 {
+    // Negated comparisons so NaN, which fails every comparison, is
+    // rejected instead of silently disabling a fault class.
     auto rate = [](const char *field, double value) {
-        if (value < 0.0 || value > 1.0) {
+        if (!(value >= 0.0 && value <= 1.0)) {
             fatal(format("FaultConfig.%s must be in [0, 1] (got %g)", field,
                          value));
         }
@@ -58,9 +60,9 @@ FaultConfig::validate() const
         fatal("FaultConfig.maxDmaRetries must be non-negative");
     if (maxReexecutions < 0)
         fatal("FaultConfig.maxReexecutions must be non-negative");
-    if (dmaRetryBackoffUs < 0.0)
+    if (!(dmaRetryBackoffUs >= 0.0))
         fatal("FaultConfig.dmaRetryBackoffUs must be non-negative");
-    if (maxBackoffUs < 0.0)
+    if (!(maxBackoffUs >= 0.0))
         fatal("FaultConfig.maxBackoffUs must be non-negative");
 }
 

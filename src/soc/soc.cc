@@ -36,20 +36,11 @@ SocRuntime::execute(const lower::CompiledProgram &program,
         span.arg("invocations", profile.invocations);
         span.arg("faults", faults_.enabled() ? int64_t{1} : int64_t{0});
     }
-    if (!faults_.enabled())
-        return executeInternal(program, profile, accelerated, host_eff,
-                               nullptr, /*primary=*/true);
-
-    SocResult result =
-        executeInternal(program, profile, accelerated, host_eff, &faults_,
-                        /*primary=*/true);
-    const SocResult fault_free =
-        executeInternal(program, profile, accelerated, host_eff, nullptr,
-                        /*primary=*/false);
-    result.reliability.actualSeconds = result.total.seconds;
-    result.reliability.actualJoules = result.total.joules;
-    result.reliability.faultFreeSeconds = fault_free.total.seconds;
-    result.reliability.faultFreeJoules = fault_free.total.joules;
+    SocResult result = executeInternal(program, profile, accelerated,
+                                       host_eff, faults_, /*primary=*/true);
+    if (faults_.enabled())
+        result.setFaultFreeBaseline(
+            estimate(program, profile, accelerated, host_eff).total);
     return result;
 }
 
@@ -80,13 +71,13 @@ SocRuntime::hostPartitionRun(const lower::Partition &partition,
 // SoC adds the DMA setup + transfer. Transfer *bandwidth* is already the
 // backend's DRAM model (memorySeconds); the host adds DMA setup latency
 // per invocation plus the one-time param/state placement.
-SocRuntime::AccelRun
+SocRuntime::PartitionRun
 SocRuntime::accelPartitionRun(const lower::Partition &partition,
                               const Backend &backend,
                               const WorkloadProfile &profile) const
 {
     const double invocations = static_cast<double>(profile.invocations);
-    AccelRun run;
+    PartitionRun run;
     run.part = backend.simulate(partition, profile);
     const auto dma = target::dmaBreakdown(partition);
     const double per_run_s = config_.perTransferUs * 1e-6;
@@ -112,6 +103,104 @@ SocRuntime::accelPartitionRun(const lower::Partition &partition,
         e.joules = run.transferJoules;
         e.bound = target::BoundClass::Memory;
     }
+    return run;
+}
+
+const char *
+SocRuntime::PartitionRun::abortText() const
+{
+    return aborted == FaultClass::DmaFailure ? "DMA transfer failed for"
+                                             : "watchdog timeout on";
+}
+
+SocRuntime::PartitionRun
+SocRuntime::runPartition(const lower::Partition &partition, int index,
+                         const Backend *backend,
+                         const WorkloadProfile &profile,
+                         const std::map<std::string, double> &host_eff,
+                         const FaultModel &faults, ReliabilityReport &rel,
+                         bool degraded) const
+{
+    PartitionRun run;
+    if (!backend || degraded) {
+        run.part = hostPartitionRun(partition, profile, host_eff, degraded);
+        return run;
+    }
+
+    // A disabled model never fires, so the fault-free run takes this path
+    // too and adds zero overhead.
+    const FaultConfig &fc = faults.config();
+    bool fall_back = false;
+    double overhead_s = 0.0;
+    double overhead_j = 0.0;
+
+    // One fault class's retry loop: draw attempts until the class stops
+    // firing, its policy aborts, or its budget runs out (then degrade).
+    // Every spent retry is charged through @p charge.
+    auto retry = [&](FaultClass fault, int64_t &count, int budget,
+                     auto fires, auto charge) {
+        const DegradationPolicy policy = fc.policyFor(fault);
+        int attempt = 0;
+        for (; fires(attempt); ++attempt) {
+            ++rel.faultsInjected;
+            ++count;
+            if (policy == DegradationPolicy::Abort) {
+                run.aborted = fault;
+                return;
+            }
+            if (policy == DegradationPolicy::HostFallback ||
+                attempt >= budget) {
+                fall_back = true;
+                break;
+            }
+            charge(attempt);
+            ++rel.retriesSpent;
+        }
+        if (attempt > 0 || fall_back) {
+            rel.addEvent(FaultEvent{fault, index, partition.accel, attempt,
+                                    fall_back});
+        }
+    };
+
+    // Transient DMA failures: the backoff is latency the host manager
+    // waits out before each retry.
+    retry(FaultClass::DmaFailure, rel.dmaFaults, fc.maxDmaRetries,
+          [&](int attempt) { return faults.dmaFails(index, attempt); },
+          [&](int attempt) { overhead_s += faults.backoffSeconds(attempt); });
+    if (run.aborted)
+        return run;
+
+    // Watchdog overruns: each re-execution repeats the whole partition
+    // (compute + DMA), so the wasted runs stay in the bill even if the
+    // partition ultimately degrades.
+    if (!fall_back) {
+        PartitionRun accel = accelPartitionRun(partition, *backend, profile);
+        auto waste = [&](int) {
+            overhead_s += accel.part.seconds;
+            overhead_j += accel.part.joules;
+        };
+        retry(FaultClass::WatchdogTimeout, rel.watchdogFaults,
+              fc.maxReexecutions,
+              [&](int attempt) {
+                  return faults.watchdogFires(index, attempt);
+              },
+              waste);
+        if (run.aborted)
+            return run;
+        if (fall_back)
+            waste(0); // the overrun that exhausted the budget
+        else
+            run = std::move(accel);
+    }
+
+    if (fall_back) {
+        ++rel.hostFallbacks;
+        run.part = hostPartitionRun(partition, profile, host_eff,
+                                    /*degraded=*/true);
+    }
+    run.part.seconds += overhead_s;
+    run.part.joules += overhead_j;
+    run.part.overheadSeconds += overhead_s;
     return run;
 }
 
@@ -144,7 +233,7 @@ SocRuntime::executeInternal(const lower::CompiledProgram &program,
                             const WorkloadProfile &profile,
                             const std::set<std::string> &accelerated,
                             const std::map<std::string, double> &host_eff,
-                            const FaultModel *faults, bool primary) const
+                            const FaultModel &faults, bool primary) const
 {
     SocResult result;
     ReliabilityReport &rel = result.reliability;
@@ -158,147 +247,48 @@ SocRuntime::executeInternal(const lower::CompiledProgram &program,
     double vclock = 0.0;
     int64_t dma_bytes = 0;
 
-    auto host_part = [&](const lower::Partition &partition, bool degraded) {
-        return hostPartitionRun(partition, profile, host_eff, degraded);
-    };
-    auto accel_part = [&](const lower::Partition &partition,
-                          const Backend *backend) {
-        AccelRun run = accelPartitionRun(partition, *backend, profile);
-        dma_bytes += run.movedBytes;
-        return run;
-    };
-
     bool any_offload = false;
     for (size_t pi = 0; pi < program.partitions.size(); ++pi) {
         const auto &partition = program.partitions[pi];
         const int p = static_cast<int>(pi);
-        const bool offload =
-            accelerated.empty() || accelerated.count(partition.accel) > 0;
+        const bool offload = offloads(partition, accelerated);
         any_offload = any_offload || offload;
         const Backend *backend =
             offload ? target::findBackend(backends_, partition.accel)
                     : nullptr;
 
         const size_t events_before = rel.events.size();
-        double part_transfer = 0.0;
-        PerfReport part;
-        if (backend && faults) {
+        bool degraded = false;
+        if (backend && faults.enabled()) {
             ++rel.offloadAttempts;
-            const FaultConfig &fc = faults->config();
-            bool fall_back = false;
-            double overhead_s = 0.0;
-            double overhead_j = 0.0;
-
             // Permanent accelerator loss. Retrying cannot help, so both
             // non-Abort policies degrade straight to the host.
-            if (faults->acceleratorUnavailable(p)) {
+            if (faults.acceleratorUnavailable(p)) {
                 ++rel.faultsInjected;
                 ++rel.accelFaults;
-                if (fc.accelPolicy == DegradationPolicy::Abort) {
+                if (faults.config().accelPolicy ==
+                    DegradationPolicy::Abort) {
                     fatal(format("SoC: accelerator '%s' unavailable for "
                                  "partition %d",
                                  partition.accel.c_str(), p));
                 }
-                fall_back = true;
+                ++rel.hostFallbacks;
                 rel.addEvent(FaultEvent{FaultClass::AcceleratorUnavailable,
                                         p, partition.accel, 0, true});
+                degraded = true;
             }
-
-            // Transient DMA failures: retry with exponential backoff until
-            // the budget runs out, then degrade.
-            if (!fall_back) {
-                int attempt = 0;
-                int retries = 0;
-                bool faulted = false;
-                while (faults->dmaFails(p, attempt)) {
-                    faulted = true;
-                    ++rel.faultsInjected;
-                    ++rel.dmaFaults;
-                    if (fc.dmaPolicy == DegradationPolicy::Abort) {
-                        fatal(format(
-                            "SoC: DMA transfer failed for partition %d "
-                            "(%s)",
-                            p, partition.accel.c_str()));
-                    }
-                    if (fc.dmaPolicy == DegradationPolicy::HostFallback ||
-                        attempt >= fc.maxDmaRetries) {
-                        fall_back = true;
-                        break;
-                    }
-                    overhead_s += faults->backoffSeconds(attempt);
-                    ++rel.retriesSpent;
-                    ++retries;
-                    ++attempt;
-                }
-                if (faulted) {
-                    rel.addEvent(FaultEvent{FaultClass::DmaFailure, p,
-                                            partition.accel, retries,
-                                            fall_back});
-                }
-            }
-
-            // Watchdog overruns: each re-execution repeats the whole
-            // partition (compute + DMA), so the wasted runs stay in the
-            // bill even if the partition ultimately degrades.
-            if (!fall_back) {
-                const AccelRun run = accel_part(partition, backend);
-                int attempt = 0;
-                int reruns = 0;
-                bool faulted = false;
-                while (faults->watchdogFires(p, attempt)) {
-                    faulted = true;
-                    ++rel.faultsInjected;
-                    ++rel.watchdogFaults;
-                    if (fc.watchdogPolicy == DegradationPolicy::Abort) {
-                        fatal(format("SoC: watchdog timeout on partition "
-                                     "%d (%s)",
-                                     p, partition.accel.c_str()));
-                    }
-                    if (fc.watchdogPolicy ==
-                            DegradationPolicy::HostFallback ||
-                        attempt >= fc.maxReexecutions) {
-                        fall_back = true;
-                        break;
-                    }
-                    overhead_s += run.part.seconds;
-                    overhead_j += run.part.joules;
-                    ++rel.retriesSpent;
-                    ++reruns;
-                    ++attempt;
-                }
-                if (faulted) {
-                    rel.addEvent(FaultEvent{FaultClass::WatchdogTimeout, p,
-                                            partition.accel, reruns,
-                                            fall_back});
-                }
-                if (!fall_back) {
-                    part = run.part;
-                    part_transfer = run.transferSeconds;
-                    result.transferSeconds += run.transferSeconds;
-                    result.transferJoules += run.transferJoules;
-                } else {
-                    // The overrun that exhausted the budget is wasted too.
-                    overhead_s += run.part.seconds;
-                    overhead_j += run.part.joules;
-                }
-            }
-
-            if (fall_back) {
-                ++rel.hostFallbacks;
-                part = host_part(partition, /*degraded=*/true);
-            }
-            part.seconds += overhead_s;
-            part.joules += overhead_j;
-            part.overheadSeconds += overhead_s;
-        } else if (backend) {
-            const AccelRun run = accel_part(partition, backend);
-            part_transfer = run.transferSeconds;
-            result.transferSeconds += run.transferSeconds;
-            result.transferJoules += run.transferJoules;
-            part = run.part;
-        } else {
-            part = host_part(partition, /*degraded=*/false);
         }
+        const PartitionRun run = runPartition(
+            partition, p, backend, profile, host_eff, faults, rel, degraded);
+        if (run.aborted) {
+            fatal(format("SoC: %s partition %d (%s)", run.abortText(), p,
+                         partition.accel.c_str()));
+        }
+        const PerfReport &part = run.part;
+        const double part_transfer = run.transferSeconds;
+        dma_bytes += run.movedBytes;
+        result.transferSeconds += run.transferSeconds;
+        result.transferJoules += run.transferJoules;
         result.partitions.push_back(part);
         result.total += part;
 
@@ -345,7 +335,7 @@ SocRuntime::executeInternal(const lower::CompiledProgram &program,
         metrics.counter("soc.partitions")
             .add(static_cast<int64_t>(program.partitions.size()));
         metrics.counter("soc.dma.bytes").add(dma_bytes);
-        if (faults) {
+        if (faults.enabled()) {
             metrics.counter("soc.faults.injected").add(rel.faultsInjected);
             metrics.counter("soc.faults.retries").add(rel.retriesSpent);
             metrics.counter("soc.faults.host_fallbacks")

@@ -14,6 +14,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -55,7 +56,27 @@ struct SocResult
     {
         return total.joules > 0 ? transferJoules / total.joules : 0.0;
     }
+
+    /** Records this result's totals as the reliability report's actual
+     *  run and @p fault_free as the fault-free reference it is priced
+     *  against. */
+    void setFaultFreeBaseline(const PerfReport &fault_free)
+    {
+        reliability.actualSeconds = total.seconds;
+        reliability.actualJoules = total.joules;
+        reliability.faultFreeSeconds = fault_free.seconds;
+        reliability.faultFreeJoules = fault_free.joules;
+    }
 };
+
+/** Whether @p partition runs on its accelerator when the kernels named in
+ *  @p accelerated are offloaded (an empty set offloads everything). */
+inline bool
+offloads(const lower::Partition &partition,
+         const std::set<std::string> &accelerated)
+{
+    return accelerated.empty() || accelerated.count(partition.accel) > 0;
+}
 
 /** The cascaded-accelerator system. */
 class SocRuntime
@@ -91,9 +112,12 @@ class SocRuntime
                       const std::map<std::string, double> &host_eff = {})
         const;
 
-    /** Fault-free reference execution that emits no observability output
-     *  (no spans, no metrics): the cost/deadline estimator used by the
-     *  streaming scheduler. Bit-identical to a fault-free execute(). */
+    /** Fault-free reference execution: the cost/deadline estimator used
+     *  by the streaming scheduler. Bit-identical to a fault-free
+     *  execute(). It adds no `soc:execute` span, no virtual timeline and
+     *  no `soc.*` metrics; the backends it prices still count their
+     *  `backend.<name>.simulate_calls` and open `backend:simulate`
+     *  spans. */
     SocResult estimate(const lower::CompiledProgram &program,
                        const WorkloadProfile &profile,
                        const std::set<std::string> &accelerated = {},
@@ -101,7 +125,7 @@ class SocRuntime
         const
     {
         return executeInternal(program, profile, accelerated, host_eff,
-                               nullptr, /*primary=*/false);
+                               FaultModel{}, /*primary=*/false);
     }
 
     const std::vector<std::unique_ptr<Backend>> &backends() const
@@ -111,33 +135,44 @@ class SocRuntime
 
     const target::SocConfig &config() const { return config_; }
 
-    // The per-partition pricing below is shared with soc::StreamScheduler:
-    // the streaming path must produce *bit-identical* per-job PerfReports
-    // to a sequential execute() when no faults fire, so both paths price
-    // host runs, accelerator runs, and the end-of-job tail through the
-    // same code in the same order.
+    // runPartition() and finalizeTotals() are the whole pricing model,
+    // shared by execute() and soc::StreamScheduler, so a stream job is
+    // bit-identical to a sequential execute() under the same fault draws.
+    // Only accelerator loss stays with each engine: execute() degrades
+    // the partition in place, the stream opens an outage and migrates.
 
-    /** Host execution of one partition's kernels. A *deliberate* host
-     *  placement runs the calibrated native library (host_eff); a
-     *  fault-triggered degradation runs the compiler's portable host
-     *  lowering instead, at SocConfig::hostFallbackEff of that
-     *  efficiency. */
-    PerfReport hostPartitionRun(
-        const lower::Partition &partition, const WorkloadProfile &profile,
-        const std::map<std::string, double> &host_eff, bool degraded) const;
-
-    /** Accelerator execution of one partition plus the serialized DMA
-     *  between DRAM and the accelerator's local memory. */
-    struct AccelRun
+    /** One partition's priced run. */
+    struct PartitionRun
     {
-        PerfReport part;
+        PerfReport part; ///< includes DMA, backoff and wasted re-runs
         double transferSeconds = 0.0;
         double transferJoules = 0.0;
         int64_t movedBytes = 0; ///< DRAM<->local traffic the SoC moved
+        /** Set when a DegradationPolicy::Abort fault fired; the run is
+         *  then unpriced and the caller fails the job. */
+        std::optional<FaultClass> aborted;
+
+        /** Abort message head: "DMA transfer failed for" or "watchdog
+         *  timeout on"; the caller appends where the fault hit. */
+        const char *abortText() const;
     };
-    AccelRun accelPartitionRun(const lower::Partition &partition,
-                               const Backend &backend,
-                               const WorkloadProfile &profile) const;
+
+    /**
+     * Prices partition @p index of a job on @p backend, DMA included; a
+     * null @p backend runs the host library, @p degraded the portable
+     * host fallback (SocConfig::hostFallbackEff). Under @p faults, DMA
+     * failures retry with capped exponential backoff and watchdog
+     * overruns re-execute, charging every wasted run, until a budget or
+     * a HostFallback policy degrades to the host. Faults, retries,
+     * fallbacks and FaultEvents land in @p rel; accelerator loss and
+     * offloadAttempts are the caller's.
+     */
+    PartitionRun runPartition(const lower::Partition &partition, int index,
+                              const Backend *backend,
+                              const WorkloadProfile &profile,
+                              const std::map<std::string, double> &host_eff,
+                              const FaultModel &faults,
+                              ReliabilityReport &rel, bool degraded) const;
 
     /** End-of-job tail accounting: per-invocation host glue and the host
      *  manager's energy while the job ran. */
@@ -154,7 +189,22 @@ class SocRuntime
         const WorkloadProfile &profile,
         const std::set<std::string> &accelerated,
         const std::map<std::string, double> &host_eff,
-        const FaultModel *faults, bool primary) const;
+        const FaultModel &faults, bool primary) const;
+
+    /** Host execution of one partition's kernels. A *deliberate* host
+     *  placement runs the calibrated native library (host_eff); a
+     *  fault-triggered degradation runs the compiler's portable host
+     *  lowering instead, at SocConfig::hostFallbackEff of that
+     *  efficiency. */
+    PerfReport hostPartitionRun(
+        const lower::Partition &partition, const WorkloadProfile &profile,
+        const std::map<std::string, double> &host_eff, bool degraded) const;
+
+    /** One accelerator run of a partition plus the serialized DMA between
+     *  DRAM and the accelerator's local memory. */
+    PartitionRun accelPartitionRun(const lower::Partition &partition,
+                                   const Backend &backend,
+                                   const WorkloadProfile &profile) const;
 
     std::vector<std::unique_ptr<Backend>> backends_;
     target::SocConfig config_;

@@ -62,7 +62,8 @@ StreamConfig::validate() const
                      "closed-loop arrivals (got %d)",
                      clients));
     }
-    if (thinkSeconds < 0.0) {
+    // `!(x >= 0.0)` rather than `x < 0.0`: NaN must fail the check too.
+    if (!(thinkSeconds >= 0.0)) {
         fatal(format("StreamConfig.thinkSeconds must be non-negative "
                      "(got %g)",
                      thinkSeconds));
@@ -72,7 +73,7 @@ StreamConfig::validate() const
                      "(got %d; 0 = SocConfig default)",
                      maxPending));
     }
-    if (deadlineSeconds < 0.0 || deadlineFactor < 0.0)
+    if (!(deadlineSeconds >= 0.0) || !(deadlineFactor >= 0.0))
         fatal("StreamConfig deadlines must be non-negative");
     if (workers < 0)
         fatal("StreamConfig.workers must be non-negative (0 = all cores)");
@@ -131,11 +132,9 @@ struct Service
 {
     QueueEntry entry;
     double start = 0.0;
-    double seconds = 0.0;
-    PerfReport part;
-    double transferSeconds = 0.0;
-    double transferJoules = 0.0;
-    int64_t movedBytes = 0;
+    SocRuntime::PartitionRun run;
+
+    double seconds() const { return run.part.seconds; }
 };
 
 struct JobState
@@ -147,8 +146,7 @@ struct JobState
     double deadline = 0.0; ///< absolute; 0 = none
     size_t next = 0;       ///< next partition to run
     bool anyOffload = false;
-    bool faultsOn = false;
-    FaultModel faults;
+    FaultModel faults;     ///< salted per job; disabled = fault-free
     StreamJobResult out;
 };
 
@@ -297,8 +295,7 @@ struct Sim
     {
         const StreamJob &tmpl = templates[static_cast<size_t>(job.tmpl)];
         const auto &partition = tmpl.program->partitions[job.next];
-        const bool offload = tmpl.accelerated.empty() ||
-                             tmpl.accelerated.count(partition.accel) > 0;
+        const bool offload = offloads(partition, tmpl.accelerated);
         QueueEntry entry;
         entry.job = job.index;
         int home = -1;
@@ -333,7 +330,7 @@ struct Sim
             return {static_cast<int>(ri), entry};
         }
         entry.degraded = true;
-        if (job.faultsOn)
+        if (job.faults.enabled())
             ++job.out.result.reliability.hostFallbacks;
         return {kHostResource, entry};
     }
@@ -345,13 +342,10 @@ struct Sim
     {
         const StreamJob &tmpl = templates[static_cast<size_t>(job.tmpl)];
         const auto &partition = tmpl.program->partitions[job.next];
-        const bool offload = tmpl.accelerated.empty() ||
-                             tmpl.accelerated.count(partition.accel) > 0;
+        const bool offload = offloads(partition, tmpl.accelerated);
         job.anyOffload = job.anyOffload || offload;
-        const Backend *home =
-            offload ? target::findBackend(rt.backends(), partition.accel)
-                    : nullptr;
-        if (home && job.faultsOn)
+        if (offload && job.faults.enabled() &&
+            target::findBackend(rt.backends(), partition.accel))
             ++job.out.result.reliability.offloadAttempts;
 
         if (job.deadline > 0.0 && t > job.deadline &&
@@ -373,12 +367,11 @@ struct Sim
     }
 
     /**
-     * Prices one service, mirroring executeInternal's per-partition fault
-     * handling (DMA retries with capped exponential backoff, watchdog
-     * re-executions, host fallback on exhausted budgets). The
-     * AcceleratorUnavailable class is handled by the caller as an outage.
-     * Returns false when a DegradationPolicy::Abort fault fired — the
-     * job aborts, the stream continues.
+     * Prices one service through SocRuntime::runPartition, the same
+     * pricing execute() uses. DMA backoff and watchdog re-runs are
+     * virtual time: they lengthen the service and count against the
+     * job's deadline. Returns false when a DegradationPolicy::Abort
+     * fault fired — the job aborts, the stream continues.
      */
     bool makeService(JobState &job, const QueueEntry &entry, Resource &r,
                      double t, Service &service, std::string &error)
@@ -388,123 +381,16 @@ struct Sim
         const int p = static_cast<int>(job.next);
         service.entry = entry;
         service.start = t;
-
-        if (!r.backend || entry.degraded) {
-            service.part = rt.hostPartitionRun(partition, tmpl.profile,
-                                               tmpl.hostEff,
-                                               entry.degraded);
-            service.seconds = service.part.seconds;
-            return true;
+        service.run = rt.runPartition(partition, p, r.backend, tmpl.profile,
+                                      tmpl.hostEff, job.faults,
+                                      job.out.result.reliability,
+                                      entry.degraded);
+        if (service.run.aborted) {
+            error = format("%s job %d partition %d (%s)",
+                           service.run.abortText(), job.index, p,
+                           partition.accel.c_str());
+            return false;
         }
-        if (!job.faultsOn) {
-            SocRuntime::AccelRun run =
-                rt.accelPartitionRun(partition, *r.backend, tmpl.profile);
-            service.part = run.part;
-            service.transferSeconds = run.transferSeconds;
-            service.transferJoules = run.transferJoules;
-            service.movedBytes = run.movedBytes;
-            service.seconds = service.part.seconds;
-            return true;
-        }
-
-        ReliabilityReport &rel = job.out.result.reliability;
-        const FaultConfig &fc = job.faults.config();
-        bool fall_back = false;
-        double overhead_s = 0.0;
-        double overhead_j = 0.0;
-
-        // Transient DMA failures: retry with (capped) exponential
-        // backoff until the budget runs out, then degrade. The backoff
-        // is virtual time — it lengthens the service and counts against
-        // the job's deadline.
-        {
-            int attempt = 0;
-            int retries = 0;
-            bool faulted = false;
-            while (job.faults.dmaFails(p, attempt)) {
-                faulted = true;
-                ++rel.faultsInjected;
-                ++rel.dmaFaults;
-                if (fc.dmaPolicy == DegradationPolicy::Abort) {
-                    error = format("DMA transfer failed for job %d "
-                                   "partition %d (%s)",
-                                   job.index, p, partition.accel.c_str());
-                    return false;
-                }
-                if (fc.dmaPolicy == DegradationPolicy::HostFallback ||
-                    attempt >= fc.maxDmaRetries) {
-                    fall_back = true;
-                    break;
-                }
-                overhead_s += job.faults.backoffSeconds(attempt);
-                ++rel.retriesSpent;
-                ++retries;
-                ++attempt;
-            }
-            if (faulted) {
-                rel.addEvent(FaultEvent{FaultClass::DmaFailure, p,
-                                        partition.accel, retries,
-                                        fall_back});
-            }
-        }
-
-        // Watchdog overruns: each re-execution repeats the whole
-        // partition (compute + DMA), so wasted runs stay in the bill
-        // even if the partition ultimately degrades.
-        if (!fall_back) {
-            const SocRuntime::AccelRun run =
-                rt.accelPartitionRun(partition, *r.backend, tmpl.profile);
-            int attempt = 0;
-            int reruns = 0;
-            bool faulted = false;
-            while (job.faults.watchdogFires(p, attempt)) {
-                faulted = true;
-                ++rel.faultsInjected;
-                ++rel.watchdogFaults;
-                if (fc.watchdogPolicy == DegradationPolicy::Abort) {
-                    error = format("watchdog timeout on job %d partition "
-                                   "%d (%s)",
-                                   job.index, p, partition.accel.c_str());
-                    return false;
-                }
-                if (fc.watchdogPolicy == DegradationPolicy::HostFallback ||
-                    attempt >= fc.maxReexecutions) {
-                    fall_back = true;
-                    break;
-                }
-                overhead_s += run.part.seconds;
-                overhead_j += run.part.joules;
-                ++rel.retriesSpent;
-                ++reruns;
-                ++attempt;
-            }
-            if (faulted) {
-                rel.addEvent(FaultEvent{FaultClass::WatchdogTimeout, p,
-                                        partition.accel, reruns,
-                                        fall_back});
-            }
-            if (!fall_back) {
-                service.part = run.part;
-                service.transferSeconds = run.transferSeconds;
-                service.transferJoules = run.transferJoules;
-                service.movedBytes = run.movedBytes;
-            } else {
-                // The overrun that exhausted the budget is wasted too.
-                overhead_s += run.part.seconds;
-                overhead_j += run.part.joules;
-            }
-        }
-
-        if (fall_back) {
-            ++rel.hostFallbacks;
-            service.part = rt.hostPartitionRun(partition, tmpl.profile,
-                                               tmpl.hostEff,
-                                               /*degraded=*/true);
-        }
-        service.part.seconds += overhead_s;
-        service.part.joules += overhead_j;
-        service.part.overheadSeconds += overhead_s;
-        service.seconds = service.part.seconds;
         return true;
     }
 
@@ -543,7 +429,7 @@ struct Sim
             // partition's home backend (migration targets and the host
             // do not re-fail for the same partition).
             if (r.backend && !entry.migrated && !entry.degraded &&
-                job.faultsOn && job.faults.acceleratorUnavailable(p)) {
+                job.faults.acceleratorUnavailable(p)) {
                 ReliabilityReport &rel = job.out.result.reliability;
                 ++rel.faultsInjected;
                 ++rel.accelFaults;
@@ -600,7 +486,7 @@ struct Sim
             r.queue.pop_front();
             r.busy = true;
             inService[static_cast<size_t>(ri)] = std::move(service);
-            schedule(t + inService[static_cast<size_t>(ri)].seconds,
+            schedule(t + inService[static_cast<size_t>(ri)].seconds(),
                      Event::Done, ri);
         }
     }
@@ -643,7 +529,6 @@ struct Sim
                       ((static_cast<uint64_t>(index) + 1) *
                        0x9e3779b97f4a7c15ull);
             job.faults = FaultModel(fc);
-            job.faultsOn = true;
         }
         if (cfg.deadlineSeconds > 0.0) {
             job.deadline = t + cfg.deadlineSeconds;
@@ -686,20 +571,20 @@ struct Sim
         Resource &r = resources[static_cast<size_t>(ri)];
         Service service = std::move(inService[static_cast<size_t>(ri)]);
         r.busy = false;
-        r.busySeconds += service.seconds;
+        r.busySeconds += service.seconds();
         JobState &job = states[static_cast<size_t>(service.entry.job)];
         const StreamJob &tmpl = templates[static_cast<size_t>(job.tmpl)];
 
-        job.out.result.partitions.push_back(service.part);
-        job.out.result.total += service.part;
-        job.out.result.transferSeconds += service.transferSeconds;
-        job.out.result.transferJoules += service.transferJoules;
-        dmaBytes += service.movedBytes;
+        job.out.result.partitions.push_back(service.run.part);
+        job.out.result.total += service.run.part;
+        job.out.result.transferSeconds += service.run.transferSeconds;
+        job.out.result.transferJoules += service.run.transferJoules;
+        dmaBytes += service.run.movedBytes;
         if (trace) {
             recorder.virtualSpan(
                 format("job%d/p%zu %s", job.index, job.next,
                        r.name.c_str()),
-                "stream", r.vtrack, service.start, service.seconds,
+                "stream", r.vtrack, service.start, service.seconds(),
                 {obs::TraceArg::num("job", job.index),
                  obs::TraceArg::num("partition",
                                     static_cast<int64_t>(job.next)),
@@ -716,14 +601,9 @@ struct Sim
         } else {
             rt.finalizeTotals(job.out.result, tmpl.profile,
                               job.anyOffload);
-            if (job.faultsOn) {
-                ReliabilityReport &rel = job.out.result.reliability;
-                rel.actualSeconds = job.out.result.total.seconds;
-                rel.actualJoules = job.out.result.total.joules;
-                const SocResult &est =
-                    estimates[static_cast<size_t>(job.tmpl)];
-                rel.faultFreeSeconds = est.total.seconds;
-                rel.faultFreeJoules = est.total.joules;
+            if (job.faults.enabled()) {
+                job.out.result.setFaultFreeBaseline(
+                    estimates[static_cast<size_t>(job.tmpl)].total);
             }
             // The host glue runs after the last partition, so the job
             // leaves the system glue-time later than the partition did.

@@ -12,22 +12,25 @@
  * bound are load-shed with full accounting), and each backend serves its
  * partition queue FIFO.
  *
- * The PR-1 fault model becomes *online rescheduling* here: an
+ * Every service is priced by SocRuntime::runPartition, the function
+ * SocRuntime::execute uses too, so DMA failures and watchdog timeouts get
+ * the same retry/backoff budgets and host fallback in both engines, with
+ * the backoff charged in virtual time against the job's deadline. Only
+ * accelerator loss differs: here it becomes *online rescheduling*. An
  * AcceleratorUnavailable draw takes the backend down for a bounded window
  * of virtual time and the affected partitions — the one that tripped the
  * fault and everything queued behind it — migrate mid-stream to a
  * compatible accelerator (AcceleratorSpec::supportsAll over the
- * partition's source ops) or degrade to the host CPU. DMA failures and
- * watchdog timeouts keep the sequential retry/backoff budgets, with the
- * backoff charged in virtual time against the job's deadline.
+ * partition's source ops) or degrade to the host CPU.
  *
  * Everything is deterministic: arrivals come from one seeded Rng, fault
  * draws are stateless per-job salted hashes, and the event loop is strict
  * serial with (time, sequence) ordering — the same seed and config
- * reproduce the same StreamReport byte-for-byte at any worker count. With
- * all fault rates zero, each job's PerfReport is bit-identical to a
- * sequential SocRuntime::execute: queueing and dispatch delay are charged
- * to the job's *stream latency* only, never to its PerfReport.
+ * reproduce the same StreamReport byte-for-byte at any worker count.
+ * Without accelerator loss, each job's PerfReport and ReliabilityReport
+ * are bit-identical to a sequential SocRuntime::execute under that job's
+ * salted FaultModel: queueing and dispatch delay are charged to the job's
+ * *stream latency* only, never to its PerfReport.
  */
 #ifndef POLYMATH_SOC_STREAM_H_
 #define POLYMATH_SOC_STREAM_H_

@@ -1,7 +1,7 @@
 /**
  * @file
  * Observability tests: span recording/nesting, the zero-cost disabled
- * path, counter/histogram atomicity under the thread pool, Chrome-trace
+ * path, counter atomicity under the thread pool, Chrome-trace
  * export structure, the virtual SoC timeline, fault metrics vs. the
  * ReliabilityReport, and -j1 == -jN span-count determinism over the
  * Table III suite (docs/OBSERVABILITY.md).
@@ -123,22 +123,6 @@ TEST(Metrics, CountersAreAtomicUnderThePool)
     EXPECT_EQ(counter.value(), 1000);
     // Lookup returns the same counter, not a new one.
     EXPECT_EQ(registry.counter("n").value(), 1000);
-}
-
-TEST(Metrics, HistogramTracksCountSumMinMaxUnderThePool)
-{
-    obs::MetricsRegistry registry;
-    auto &hist = registry.histogram("h");
-    core::parallelMap(8, 100, [&](int64_t i) {
-        hist.observe(i + 1); // 1..100
-        return 0;
-    });
-    const auto stats = registry.snapshot().histograms.at("h");
-    EXPECT_EQ(stats.count, 100);
-    EXPECT_EQ(stats.sum, 5050);
-    EXPECT_EQ(stats.min, 1);
-    EXPECT_EQ(stats.max, 100);
-    EXPECT_DOUBLE_EQ(stats.mean(), 50.5);
 }
 
 TEST(Metrics, SnapshotIsAssertFriendlyAndResettable)

@@ -2,7 +2,7 @@
  * @file
  * Tests for service-grade telemetry (docs/OBSERVABILITY.md §"Service
  * telemetry"): the log-linear LatencyHistogram's bounded-error
- * quantiles, the Histogram underflow bucket, the FlightRecorder ring,
+ * quantiles and underflow bucket, the FlightRecorder ring,
  * RateWindow sliding rates, Prometheus text rendering, request-scoped
  * span routing, and — over the real socket — request-id attribution,
  * the dump/metrics verbs, slow-trace retention, and concurrent-request
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/json.h"
+#include "core/strings.h"
 #include "lower/compile_cache.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -135,33 +136,6 @@ TEST(LatencyHistogram, UnderflowWalksAsZero)
 }
 
 // ---------------------------------------------------------------------
-// Histogram underflow bucket
-
-TEST(HistogramUnderflow, NonPositiveSamplesAreAccounted)
-{
-    obs::MetricsRegistry registry;
-    auto &hist = registry.histogram("test.samples");
-    hist.observe(0);
-    hist.observe(-3);
-    hist.observe(42);
-    const auto snapshot = registry.snapshot();
-    const auto &stats = snapshot.histograms.at("test.samples");
-    EXPECT_EQ(stats.count, 3);
-    EXPECT_EQ(stats.underflow, 2);
-    EXPECT_EQ(stats.min, -3);
-    EXPECT_EQ(stats.max, 42);
-    EXPECT_EQ(stats.sum, 39);
-    EXPECT_NE(snapshot.json().find("\"underflow\":2"), std::string::npos);
-    // The flat text dump only mentions underflow when it is non-zero,
-    // so underflow-free output stays byte-identical to before.
-    obs::MetricsRegistry clean;
-    clean.histogram("test.samples").observe(42);
-    EXPECT_EQ(clean.snapshot().str().find("underflow"),
-              std::string::npos);
-    EXPECT_NE(snapshot.str().find("underflow"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
 // FlightRecorder / RateWindow
 
 TEST(FlightRecorder, RingKeepsTheLastNOldestFirst)
@@ -169,7 +143,7 @@ TEST(FlightRecorder, RingKeepsTheLastNOldestFirst)
     obs::FlightRecorder recorder(4);
     for (int i = 0; i < 10; ++i) {
         obs::RequestRecord record;
-        record.requestId = "r" + std::to_string(i);
+        record.requestId = format("r%d", i);
         recorder.push(std::move(record));
     }
     EXPECT_EQ(recorder.totalPushed(), 10u);
@@ -212,7 +186,7 @@ TEST(PrometheusText, RendersEveryInstrumentKind)
     obs::MetricsRegistry registry;
     registry.counter("service.server.completed").add(3);
     registry.gauge("service.cache.hit_rate").set(0.5);
-    registry.histogram("soc.partitions").observe(7);
+    registry.latency("soc.partitions").observe(7);
     auto &lat = registry.latency("service.execute_us");
     lat.observe(100);
     lat.observe(200);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/diagnostics.h"
 #include "pmlang/parser.h"
@@ -189,6 +190,22 @@ TEST(FaultConfigValidate, RejectsBadRatesAndBudgets)
     EXPECT_THROW(FaultModel{fc}, UserError);
     fc.dmaFailureRate = -0.1;
     EXPECT_THROW(FaultModel{fc}, UserError);
+    // NaN fails every comparison; it must not pass as "no faults".
+    fc.dmaFailureRate = std::nan("");
+    EXPECT_THROW(FaultModel{fc}, UserError);
+    fc.dmaFailureRate = 0.0;
+    fc.accelUnavailableRate = std::nan("");
+    EXPECT_THROW(FaultModel{fc}, UserError);
+    fc.accelUnavailableRate = 0.0;
+    fc.watchdogRate = std::nan("");
+    EXPECT_THROW(FaultModel{fc}, UserError);
+    fc.watchdogRate = 0.0;
+    fc.dmaRetryBackoffUs = std::nan("");
+    EXPECT_THROW(FaultModel{fc}, UserError);
+    fc.dmaRetryBackoffUs = 50.0;
+    fc.maxBackoffUs = std::nan("");
+    EXPECT_THROW(FaultModel{fc}, UserError);
+    fc.maxBackoffUs = 10000.0;
     fc.dmaFailureRate = 0.5;
     fc.maxDmaRetries = -1;
     EXPECT_THROW(FaultModel{fc}, UserError);

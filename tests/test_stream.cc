@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/error.h"
 #include "obs/metrics.h"
@@ -125,6 +126,18 @@ TEST_F(StreamFixture, ConfigValidationRejectsBadFields)
     bad.deadlineFactor = -2.0;
     EXPECT_THROW(StreamScheduler(runtime, bad), UserError);
     bad = good;
+    bad.deadlineFactor = std::nan("");
+    EXPECT_THROW(StreamScheduler(runtime, bad), UserError);
+    bad = good;
+    bad.deadlineSeconds = std::nan("");
+    EXPECT_THROW(StreamScheduler(runtime, bad), UserError);
+    bad = good;
+    bad.thinkSeconds = std::nan("");
+    EXPECT_THROW(StreamScheduler(runtime, bad), UserError);
+    bad = good;
+    bad.faults.watchdogRate = std::nan("");
+    EXPECT_THROW(StreamScheduler(runtime, bad), UserError);
+    bad = good;
     bad.workers = -1;
     EXPECT_THROW(StreamScheduler(runtime, bad), UserError);
     bad = good;
@@ -180,6 +193,75 @@ TEST_F(StreamFixture, ZeroFaultJobsBitIdenticalToSequentialExecute)
         }
         // Stream latency still includes dispatch/queueing on top.
         EXPECT_GT(job.latencySeconds, job.result.total.seconds);
+    }
+}
+
+TEST_F(StreamFixture, FaultedJobsBitIdenticalToSequentialExecute)
+{
+    // DMA failures and watchdog timeouts go through the same pricing in
+    // both engines, so with accelerator loss off (the one class the
+    // engines handle differently) stream job i must equal execute()
+    // under job i's salted fault seed, counter for counter.
+    StreamConfig config;
+    config.arrival = ArrivalModel::ClosedLoop;
+    config.jobs = 8;
+    config.clients = 3;
+    config.faults.seed = 0xfa17;
+    config.faults.dmaFailureRate = 0.4;
+    config.faults.watchdogRate = 0.4;
+    config.faults.accelUnavailableRate = 0.0;
+    const SocRuntime runtime;
+    const auto report =
+        StreamScheduler(runtime, config).run({makeJob("brainstimul")});
+    ASSERT_EQ(report.completed, config.jobs);
+    EXPECT_GT(report.reliability.dmaFaults, 0);
+    EXPECT_GT(report.reliability.watchdogFaults, 0);
+    EXPECT_GT(report.reliability.hostFallbacks, 0);
+
+    for (const auto &job : report.jobs) {
+        FaultConfig fc = config.faults;
+        fc.seed = config.faults.seed ^
+                  ((static_cast<uint64_t>(job.jobIndex) + 1) *
+                   0x9e3779b97f4a7c15ull);
+        const SocRuntime sequential(target::standardBackends(),
+                                    target::socConfig(),
+                                    soc::FaultModel(fc));
+        const auto expected =
+            sequential.execute(compiled_, profile_, {}, hostEff_);
+        const auto &got = job.result;
+
+        EXPECT_EQ(got.total.seconds, expected.total.seconds);
+        EXPECT_EQ(got.total.joules, expected.total.joules);
+        EXPECT_EQ(got.total.overheadSeconds, expected.total.overheadSeconds);
+        EXPECT_EQ(got.transferSeconds, expected.transferSeconds);
+        EXPECT_EQ(got.transferJoules, expected.transferJoules);
+        ASSERT_EQ(got.partitions.size(), expected.partitions.size());
+        for (size_t p = 0; p < expected.partitions.size(); ++p) {
+            EXPECT_EQ(got.partitions[p].seconds,
+                      expected.partitions[p].seconds);
+            EXPECT_EQ(got.partitions[p].joules,
+                      expected.partitions[p].joules);
+            EXPECT_EQ(got.partitions[p].overheadSeconds,
+                      expected.partitions[p].overheadSeconds);
+            EXPECT_EQ(got.partitions[p].machine,
+                      expected.partitions[p].machine);
+        }
+
+        const auto &a = got.reliability;
+        const auto &b = expected.reliability;
+        EXPECT_EQ(a.faultsInjected, b.faultsInjected);
+        EXPECT_EQ(a.accelFaults, b.accelFaults);
+        EXPECT_EQ(a.dmaFaults, b.dmaFaults);
+        EXPECT_EQ(a.watchdogFaults, b.watchdogFaults);
+        EXPECT_EQ(a.retriesSpent, b.retriesSpent);
+        EXPECT_EQ(a.hostFallbacks, b.hostFallbacks);
+        EXPECT_EQ(a.offloadAttempts, b.offloadAttempts);
+        EXPECT_EQ(a.actualSeconds, b.actualSeconds);
+        EXPECT_EQ(a.faultFreeSeconds, b.faultFreeSeconds);
+        EXPECT_EQ(a.actualJoules, b.actualJoules);
+        EXPECT_EQ(a.faultFreeJoules, b.faultFreeJoules);
+        EXPECT_EQ(a.droppedEvents, b.droppedEvents);
+        EXPECT_EQ(a.str(), b.str()) << "job " << job.jobIndex;
     }
 }
 

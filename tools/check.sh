@@ -119,7 +119,7 @@ for preset in "${presets[@]}"; do
         # to bench/baselines/ when the change is intentional).
         echo "== [$preset] bench perf gate =="
         for bench in fig7_cpu_comparison fig9_optimal soc_throughput \
-                     dse; do
+                     dse resilience; do
             artifact="$(mktemp "/tmp/polymath-bench-$bench.XXXXXX.json")"
             "build/bench/bench_$bench" -j4 --json "$artifact" > /dev/null
             if ! build/tools/bench_compare \

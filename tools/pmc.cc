@@ -794,9 +794,9 @@ printCompileSummary()
                  static_cast<long long>(cache.misses()), cache.size());
     const auto snap = obs::MetricsRegistry::global().snapshot();
     const std::string prefix = "pass.";
-    const std::string suffix = ".micros";
+    const std::string suffix = ".runs";
     bool header = false;
-    for (const auto &[name, h] : snap.histograms) {
+    for (const auto &[name, runs] : snap.counters) {
         if (name.rfind(prefix, 0) != 0 ||
             name.size() <= prefix.size() + suffix.size() ||
             name.compare(name.size() - suffix.size(), suffix.size(),
@@ -809,11 +809,15 @@ printCompileSummary()
         }
         const std::string pass_name = name.substr(
             prefix.size(), name.size() - prefix.size() - suffix.size());
+        const int64_t micros = snap.counter(prefix + pass_name + ".micros");
+        const double mean = runs > 0 ? static_cast<double>(micros) /
+                                           static_cast<double>(runs)
+                                     : 0.0;
         const int64_t changed =
             snap.counter(prefix + pass_name + ".changed");
         std::fprintf(stderr, "pmc: %-24s %6lld %12lld %10.1f %8lld\n",
-                     pass_name.c_str(), static_cast<long long>(h.count),
-                     static_cast<long long>(h.sum), h.mean(),
+                     pass_name.c_str(), static_cast<long long>(runs),
+                     static_cast<long long>(micros), mean,
                      static_cast<long long>(changed));
     }
 }
