@@ -43,8 +43,27 @@ AccelProgram::totalFlops() const
 void
 AcceleratorRegistry::add(AcceleratorSpec spec)
 {
+    om_[spec.domain].merge(spec.supportedOps);
+    // Registration order matters (first spec per domain is the default),
+    // so the key text renders specs in order, each with its sorted op-set
+    // and preferred components. sortedNames() matches the old
+    // std::set<std::string> iteration order, so cache keys survive the
+    // interned-op migration.
+    keyText_ += spec.name;
+    keyText_ += '@';
+    keyText_ += lang::toString(spec.domain);
+    keyText_ += '[';
+    for (const auto &op : spec.supportedOps.sortedNames()) {
+        keyText_ += op;
+        keyText_ += ',';
+    }
+    keyText_ += "][";
+    for (const auto &comp : spec.preferredComponents) {
+        keyText_ += comp.str();
+        keyText_ += ',';
+    }
+    keyText_ += "];";
     specs_.push_back(std::move(spec));
-    omValid_ = false;
 }
 
 const AcceleratorSpec *
@@ -75,18 +94,6 @@ AcceleratorRegistry::byName(const std::string &name) const
             return &spec;
     }
     return nullptr;
-}
-
-const std::map<Domain, ir::OpSet> &
-AcceleratorRegistry::supportedOpsByDomain() const
-{
-    if (!omValid_) {
-        om_.clear();
-        for (const auto &spec : specs_)
-            om_[spec.domain].merge(spec.supportedOps);
-        omValid_ = true;
-    }
-    return om_;
 }
 
 IrFragment

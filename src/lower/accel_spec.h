@@ -112,7 +112,13 @@ struct AcceleratorSpec
     }
 };
 
-/** AccSpec of Algorithm 2: the accelerator chosen for each domain. */
+/**
+ * AccSpec of Algorithm 2: the accelerator chosen for each domain.
+ *
+ * Immutable after add(): every derived view (Om, the cache-key
+ * rendering) is built eagerly there, so the const interface fills no
+ * lazy state and one registry may be shared across threads.
+ */
 class AcceleratorRegistry
 {
   public:
@@ -130,16 +136,23 @@ class AcceleratorRegistry
     /** Spec by accelerator name; nullptr when absent. */
     const AcceleratorSpec *byName(const std::string &name) const;
 
-    /** The Om map of Algorithm 1: union of supported ops per domain.
-     *  Cached — rebuilt only after add(), not per compile. */
-    const std::map<Domain, ir::OpSet> &supportedOpsByDomain() const;
+    /** The Om map of Algorithm 1: union of supported ops per domain. */
+    const std::map<Domain, ir::OpSet> &supportedOpsByDomain() const
+    {
+        return om_;
+    }
+
+    /** Every spec rendered in registration order (name, domain, sorted
+     *  op-set, preferred components): the registry field of
+     *  compileCacheKey(). */
+    const std::string &keyText() const { return keyText_; }
 
     const std::vector<AcceleratorSpec> &specs() const { return specs_; }
 
   private:
     std::vector<AcceleratorSpec> specs_;
-    mutable std::map<Domain, ir::OpSet> om_;
-    mutable bool omValid_ = false;
+    std::map<Domain, ir::OpSet> om_;
+    std::string keyText_;
 };
 
 /** Builds the generic structural fragment for @p node (used when a spec

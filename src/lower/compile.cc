@@ -51,7 +51,7 @@ CompiledProgram::transferBytes() const
 }
 
 std::string
-CompiledProgram::str() const
+CompiledProgram::render() const
 {
     std::string out;
     for (const auto &[accel, prog] : programs) {
@@ -357,6 +357,9 @@ compileProgram(const Graph &graph, const AcceleratorRegistry &registry,
     compile_span.arg("partitions",
                      static_cast<int64_t>(out.partitions.size()));
     compile_span.arg("boundary_bytes", out.transferBytes());
+    // Cached programs are immutable, so every hit can share this one
+    // rendering instead of re-rendering the same listing.
+    out.listing = out.render();
     return out;
 }
 

@@ -65,11 +65,18 @@ struct CompiledProgram
     /** Execution schedule for the SoC host manager. */
     std::vector<Partition> partitions;
 
+    /** render() of the finished program, made once by compileProgram()
+     *  as its last step; empty on a default-constructed program. */
+    std::string listing;
+
     /** Total bytes moved across domain boundaries. */
     int64_t transferBytes() const;
 
-    /** Renders the programs and schedule. */
-    std::string str() const;
+    /** Renders the programs and schedule afresh. */
+    std::string render() const;
+
+    /** The listing: what render() printed when the program was built. */
+    const std::string &str() const { return listing; }
 };
 
 /**

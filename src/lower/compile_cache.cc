@@ -19,7 +19,7 @@ compileCacheKey(const std::string &source, const ir::BuildOptions &opts,
     // Field separators use '\x1f' (unit separator) so that no field can
     // run into its neighbor and alias another key.
     std::string key;
-    key.reserve(source.size() + 256);
+    key.reserve(source.size() + registry.keyText().size() + 256);
     key += "src\x1f";
     key += source;
     key += "\x1f""entry\x1f";
@@ -34,27 +34,7 @@ compileCacheKey(const std::string &source, const ir::BuildOptions &opts,
     key += "\x1f""domain\x1f";
     key += lang::toString(default_domain);
     key += "\x1f""registry\x1f";
-    // Registration order matters (first spec per domain is the default),
-    // so the key renders specs in order, each with its sorted op-set and
-    // preferred components.
-    for (const auto &spec : registry.specs()) {
-        key += spec.name;
-        key += '@';
-        key += lang::toString(spec.domain);
-        key += '[';
-        // sortedNames() matches the old std::set<std::string> iteration
-        // order, so cache keys survive the interned-op migration.
-        for (const auto &op : spec.supportedOps.sortedNames()) {
-            key += op;
-            key += ',';
-        }
-        key += "][";
-        for (const auto &comp : spec.preferredComponents) {
-            key += comp.str();
-            key += ',';
-        }
-        key += "];";
-    }
+    key += registry.keyText();
     if (!salt.empty()) {
         key += "\x1f""salt\x1f";
         key += salt;
@@ -81,40 +61,32 @@ CompileCache::getOrCompile(const std::string &key, const CompileFn &compile)
     Future future;
     uint64_t my_generation = 0;
     bool owner = false;
-    bool coalesced = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = entries_.find(key);
-        if (it == entries_.end()) {
+        if (it != entries_.end()) {
+            countHitLocked(it->second);
+            if (it->second.program)
+                return it->second.program;
+            ++coalesced_;
+            future = it->second.future;
+        } else {
             ++misses_;
             future = promise.get_future().share();
-            Entry entry;
-            entry.future = future;
-            entry.generation = nextGeneration_++;
-            lru_.push_front(key);
-            entry.lruPos = lru_.begin();
-            my_generation = entry.generation;
-            entries_.emplace(key, std::move(entry));
+            my_generation = nextGeneration_++;
+            it = entries_.emplace(key, Entry{future, my_generation, {}, {}})
+                     .first;
+            lru_.push_front(&it->first);
+            it->second.lruPos = lru_.begin();
             owner = true;
-        } else {
-            ++hits_;
-            lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-            future = it->second.future;
-            coalesced = !it->second.ready;
-            if (coalesced)
-                ++coalesced_;
         }
     }
     if (!owner) {
-        metrics.counter("compile_cache.hits").add(1);
-        if (coalesced) {
-            metrics.counter("compile_cache.coalesced").add(1);
-            // May block while the owning thread compiles; rethrows its
-            // error. The span makes the blocked wait visible on the
-            // worker's wall-clock track.
-            obs::Span span("cache:coalesced-wait", "cache");
-            return future.get();
-        }
+        metrics.counter("compile_cache.coalesced").add(1);
+        // May block while the owning thread compiles; rethrows its
+        // error. The span makes the blocked wait visible on the
+        // worker's wall-clock track.
+        obs::Span span("cache:coalesced-wait", "cache");
         return future.get();
     }
     metrics.counter("compile_cache.misses").add(1);
@@ -130,7 +102,7 @@ CompileCache::getOrCompile(const std::string &key, const CompileFn &compile)
             // own entry graduates to "finished" and joins the LRU pool.
             if (it != entries_.end() &&
                 it->second.generation == my_generation) {
-                it->second.ready = true;
+                it->second.program = program;
                 enforceCapacityLocked();
             }
         }
@@ -156,6 +128,25 @@ CompileCache::getOrCompile(const std::string &key, const CompileFn &compile)
     }
 }
 
+std::shared_ptr<const CompiledProgram>
+CompileCache::lookup(const std::string &key)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end() || !it->second.program)
+        return nullptr;
+    countHitLocked(it->second);
+    return it->second.program;
+}
+
+void
+CompileCache::countHitLocked(Entry &entry)
+{
+    ++hits_;
+    lru_.splice(lru_.begin(), lru_, entry.lruPos);
+    obs::MetricsRegistry::global().counter("compile_cache.hits").add(1);
+}
+
 void
 CompileCache::enforceCapacityLocked()
 {
@@ -166,13 +157,13 @@ CompileCache::enforceCapacityLocked()
     auto pos = lru_.end();
     while (entries_.size() > capacity_ && pos != lru_.begin()) {
         --pos;
-        auto it = entries_.find(*pos);
+        auto it = entries_.find(**pos);
         if (it == entries_.end())
             panic("compile cache LRU list references unknown key");
-        if (!it->second.ready)
+        if (!it->second.program)
             continue; // in-flight: coalescing point, never dropped
-        entries_.erase(it);
         pos = lru_.erase(pos);
+        entries_.erase(it);
         ++evictions_;
         evicted.add(1);
     }

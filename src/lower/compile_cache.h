@@ -32,10 +32,10 @@
 #include <functional>
 #include <future>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "lower/compile.h"
 #include "srdfg/builder.h"
@@ -79,6 +79,14 @@ class CompileCache
      */
     std::shared_ptr<const CompiledProgram> getOrCompile(
         const std::string &key, const CompileFn &compile);
+
+    /**
+     * The program of a *finished* entry for @p key, counting a hit and
+     * refreshing its LRU position exactly as a getOrCompile() hit does.
+     * nullptr, counting nothing, when the key is absent or its
+     * compilation is still in flight (its owner may yet fail).
+     */
+    std::shared_ptr<const CompiledProgram> lookup(const std::string &key);
 
     /** Requests served from the cache (including coalesced waits). */
     int64_t hits() const;
@@ -130,17 +138,24 @@ class CompileCache
          *  any later one re-inserted under the same key. */
         uint64_t generation = 0;
         /** Position in lru_ (most-recent at front). */
-        std::list<std::string>::iterator lruPos;
-        bool ready = false; ///< owner finished successfully
+        std::list<const std::string *>::iterator lruPos;
+        /** Set once the owner finished successfully; null in flight. */
+        std::shared_ptr<const CompiledProgram> program;
     };
+
+    /** Counts a hit on @p entry and makes it the most recently used
+     *  (caller holds mutex_). */
+    void countHitLocked(Entry &entry);
 
     /** Evicts LRU finished entries until size() <= capacity_ (caller
      *  holds mutex_). In-flight entries are skipped, never dropped. */
     void enforceCapacityLocked();
 
     mutable std::mutex mutex_;
-    std::map<std::string, Entry> entries_;
-    std::list<std::string> lru_; ///< keys, most recently used first
+    std::unordered_map<std::string, Entry> entries_;
+    /** Keys of entries_, most recently used first. Each points at the
+     *  key inside its entries_ node, which rehashing never moves. */
+    std::list<const std::string *> lru_;
     uint64_t nextGeneration_ = 1;
     size_t capacity_ = 0; ///< 0 = unbounded
     int64_t hits_ = 0;

@@ -15,14 +15,18 @@
 #include "pmlang/parser.h"
 #include "soc/soc.h"
 #include "srdfg/builder.h"
+#include "targets/common/backend.h"
 #include "targets/common/cost_ledger.h"
 #include "targets/deco/chain_mapper.h"
 #include "targets/tabla/scheduler.h"
 
 namespace polymath::service {
 
-lang::Domain
-domainFromKeyword(const std::string &word)
+namespace {
+
+/** The domain a --target keyword names; nullopt for anything else. */
+std::optional<lang::Domain>
+domainKeyword(const std::string &word)
 {
     if (word == "ALL") return lang::Domain::None; // per-statement tags
     if (word == "RBT") return lang::Domain::RBT;
@@ -30,62 +34,62 @@ domainFromKeyword(const std::string &word)
     if (word == "DSP") return lang::Domain::DSP;
     if (word == "DA") return lang::Domain::DA;
     if (word == "DL") return lang::Domain::DL;
-    fatal("unknown domain '" + word +
-          "' (expected RBT|GA|DSP|DA|DL or ALL)");
+    return std::nullopt;
 }
 
-bool
-preflightDiagnostics(const std::string &source, std::string &err)
+/** What a work request compiles, and the cache key it compiles under. */
+struct Compilation
 {
-    DiagnosticEngine diag;
-    lang::parseWithRecovery(source, diag);
-    if (!diag.empty())
-        err += diag.str();
-    if (diag.hasErrors()) {
-        err += format("pmc: %zu error(s)\n", diag.errorCount());
-        return true;
-    }
-    return false;
+    lang::Domain domain = lang::Domain::None;
+    ir::BuildOptions build;
+    std::string key;
+};
+
+Compilation
+compilationOf(const Request &req, lang::Domain domain)
+{
+    Compilation c;
+    c.domain = domain;
+    c.build.entry = req.entry;
+    c.build.paramConsts = req.params;
+    // The key covers (source, build options, domain, registry) but not
+    // the pass pipeline, so the optimize flag is salted in to keep
+    // optimized and unoptimized programs distinct.
+    c.key = lower::compileCacheKey(req.source, c.build, domain,
+                                   target::sharedStandardRegistry(),
+                                   req.optimize ? "optimize=1"
+                                                : "optimize=0");
+    return c;
 }
 
+/**
+ * runRequest() once the request is known to be well formed: compiles
+ * @p c through @p cache, unless @p hit already holds its program, then
+ * renders, simulates or searches it.
+ */
 ExecResult
-runRequest(const Request &req, lower::CompileCache &cache)
+runCompilation(const Request &req, const Compilation &c,
+               lower::CompileCache &cache,
+               std::shared_ptr<const lower::CompiledProgram> hit)
 {
-    if (!isWorkVerb(req.verb))
-        panic("runRequest called with non-work verb '" +
-              std::string(toString(req.verb)) + "'");
-    if (req.target.empty())
-        fatal("a " + std::string(toString(req.verb)) +
-              " request needs a target domain (RBT|GA|DSP|DA|DL|ALL)");
     const bool simulate =
         req.verb == Verb::Simulate || req.verb == Verb::Profile;
     const bool profile = req.verb == Verb::Profile;
     const bool want_doc = profile || req.profileDoc;
 
-    const auto domain = domainFromKeyword(req.target);
-    const auto registry = target::standardRegistry();
-    ir::BuildOptions build;
-    build.entry = req.entry;
-    build.paramConsts = req.params;
-
-    // Compile through the shared cache. The key covers (source, build
-    // options, domain, registry) but not the pass pipeline, so the
-    // optimize flag is salted in to keep optimized and unoptimized
-    // programs distinct.
-    const std::string key = lower::compileCacheKey(
-        req.source, build, domain, registry,
-        req.optimize ? "optimize=1" : "optimize=0");
     ExecResult result;
     bool compiled_here = false;
-    result.program = cache.getOrCompile(key, [&] {
-        compiled_here = true;
-        auto fresh = ir::compileToSrdfg(req.source, build);
-        if (req.optimize)
-            pass::standardPipeline().runToFixpoint(*fresh);
-        lower::lowerGraph(*fresh, registry.supportedOpsByDomain(),
-                          domain);
-        return lower::compileProgram(*fresh, registry, domain);
-    });
+    result.program =
+        hit ? std::move(hit) : cache.getOrCompile(c.key, [&] {
+            compiled_here = true;
+            const auto &registry = target::sharedStandardRegistry();
+            auto fresh = ir::compileToSrdfg(req.source, c.build);
+            if (req.optimize)
+                pass::standardPipeline().runToFixpoint(*fresh);
+            lower::lowerGraph(*fresh, registry.supportedOpsByDomain(),
+                              c.domain);
+            return lower::compileProgram(*fresh, registry, c.domain);
+        });
     result.cacheHit = !compiled_here;
     const lower::CompiledProgram &compiled = *result.program;
 
@@ -185,8 +189,6 @@ runRequest(const Request &req, lower::CompileCache &cache)
     return result;
 }
 
-namespace {
-
 /** Distinct accelerators of @p program in partition order, joined with
  *  commas — the "backend mix" a request record reports. */
 std::string
@@ -205,6 +207,43 @@ backendMix(const lower::CompiledProgram &program)
 }
 
 } // namespace
+
+lang::Domain
+domainFromKeyword(const std::string &word)
+{
+    if (const auto domain = domainKeyword(word))
+        return *domain;
+    fatal("unknown domain '" + word +
+          "' (expected RBT|GA|DSP|DA|DL or ALL)");
+}
+
+bool
+preflightDiagnostics(const std::string &source, std::string &err)
+{
+    DiagnosticEngine diag;
+    lang::parseWithRecovery(source, diag);
+    if (!diag.empty())
+        err += diag.str();
+    if (diag.hasErrors()) {
+        err += format("pmc: %zu error(s)\n", diag.errorCount());
+        return true;
+    }
+    return false;
+}
+
+ExecResult
+runRequest(const Request &req, lower::CompileCache &cache)
+{
+    if (!isWorkVerb(req.verb))
+        panic("runRequest called with non-work verb '" +
+              std::string(toString(req.verb)) + "'");
+    if (req.target.empty())
+        fatal("a " + std::string(toString(req.verb)) +
+              " request needs a target domain (RBT|GA|DSP|DA|DL|ALL)");
+    return runCompilation(
+        req, compilationOf(req, domainFromKeyword(req.target)), cache,
+        nullptr);
+}
 
 Response
 runRequestGuarded(const Request &req, lower::CompileCache &cache,
@@ -225,10 +264,24 @@ runRequestGuarded(const Request &req, lower::CompileCache &cache,
         telemetry != nullptr
             ? obs::TraceRecorder::global().nowMicros()
             : 0;
+    // Key and lookup come first: a *finished* entry proves its source
+    // preflights clean. Preflight reports only syntax errors, and the
+    // strict parse inside compileToSrdfg throws at the first of them, so
+    // such a source never finishes compiling. An in-flight entry proves
+    // nothing (its owner may still fail), and without a known target the
+    // syntax errors must still be reported first, so both fall through.
+    std::optional<Compilation> compilation;
+    std::shared_ptr<const lower::CompiledProgram> hit;
+    const auto domain = isWorkVerb(req.verb) ? domainKeyword(req.target)
+                                             : std::nullopt;
+    if (domain) {
+        compilation = compilationOf(req, *domain);
+        hit = cache.lookup(compilation->key);
+    }
     // Pre-flight syntax check with statement-level error recovery so
     // one response surfaces *every* syntax error, not just the first —
     // exactly the local pmc behavior.
-    if (preflightDiagnostics(req.source, resp.error)) {
+    if (!hit && preflightDiagnostics(req.source, resp.error)) {
         resp.ok = false;
         resp.code = 1;
         if (telemetry != nullptr) {
@@ -239,7 +292,10 @@ runRequestGuarded(const Request &req, lower::CompileCache &cache,
         return resp;
     }
     try {
-        ExecResult result = runRequest(req, cache);
+        ExecResult result =
+            compilation ? runCompilation(req, *compilation, cache,
+                                         std::move(hit))
+                        : runRequest(req, cache);
         if (telemetry != nullptr) {
             if (result.program)
                 telemetry->backends = backendMix(*result.program);

@@ -76,7 +76,9 @@ struct RequestTelemetry
  * The server-side wrapper: preflight diagnostics + runRequest with the
  * exception-to-exit-code policy of the pmc process applied, rendered
  * into a Response whose output/error fields carry exactly the bytes
- * local pmc would print. @p telemetry, when non-null, scopes the
+ * local pmc would print. A request whose key names a finished cache
+ * entry (CompileCache::lookup) skips preflight: that source compiled,
+ * so it has no syntax errors. @p telemetry, when non-null, scopes the
  * execution to that request id and reports what it did; with nullptr
  * the behavior (and cost) is exactly the pre-telemetry path.
  */

@@ -218,6 +218,13 @@ standardRegistry()
     return registry;
 }
 
+const lower::AcceleratorRegistry &
+sharedStandardRegistry()
+{
+    static const lower::AcceleratorRegistry registry = standardRegistry();
+    return registry;
+}
+
 const Backend *
 findBackend(const std::vector<std::unique_ptr<Backend>> &backends,
             const std::string &name)

@@ -157,6 +157,10 @@ std::unique_ptr<Backend> makeBackend(const std::string &name,
 /** AcceleratorRegistry assembled from standardBackends(). */
 lower::AcceleratorRegistry standardRegistry();
 
+/** One process-wide standardRegistry(), built on first use. Registries
+ *  are immutable after add(), so it is safe to share across threads. */
+const lower::AcceleratorRegistry &sharedStandardRegistry();
+
 /** Finds a backend by name in @p backends; nullptr when absent. */
 const Backend *findBackend(
     const std::vector<std::unique_ptr<Backend>> &backends,

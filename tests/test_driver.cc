@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <thread>
+#include <vector>
 
 #include "core/strings.h"
 #include "core/thread_pool.h"
@@ -141,6 +142,33 @@ TEST(CompileCache, KeyCapturesAllCompilationInputs)
         EXPECT_NE(key, base);
         EXPECT_NE(lower::contentHash(key), lower::contentHash(base));
     }
+}
+
+TEST(CompileCache, FreshRegistryIsSafeToShareAcrossThreads)
+{
+    // Om and the key text are built in add(); a lazily filled Om was
+    // written by whichever thread read it first (TSan preset races it).
+    const auto registry = target::standardRegistry();
+    const std::string src =
+        "main(input float x, output float y) { y = x + 1; }";
+    constexpr size_t kThreads = 8;
+    std::vector<std::string> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            std::string om;
+            for (const auto &[domain, ops] : registry.supportedOpsByDomain())
+                om += lang::toString(domain) + ":" +
+                      std::to_string(ops.sortedNames().size()) + ";";
+            seen[t] = om + lower::compileCacheKey(src, {}, lang::Domain::DA,
+                                                  registry);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    for (const auto &s : seen)
+        EXPECT_EQ(s, seen.front());
+    EXPECT_EQ(registry.supportedOpsByDomain().size(), 5u); // RBT GA DA DSP DL
 }
 
 TEST(CompileCache, SecondCompileReturnsMemoizedArtifact)

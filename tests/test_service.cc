@@ -6,7 +6,9 @@
  * for malformed request lines, round-robin fairness across client
  * connections, admission-control accounting (completed + rejected ==
  * offered), drain-before-shutdown, the failed-compile eviction race
- * regression, and the LRU bound (in-flight entries never dropped).
+ * regression, the LRU bound (in-flight entries never dropped), lookup()
+ * semantics, and the cache-hit path (byte-identical replies, syntax
+ * errors first and never cached).
  *
  * tools/check.sh runs this binary under ThreadSanitizer as well: the
  * server's reader threads, pool workers, and shutdown path all race
@@ -32,6 +34,7 @@
 #include "service/exec.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "workloads/suite.h"
 
 namespace polymath {
 namespace {
@@ -599,6 +602,148 @@ TEST(CompileCacheLru, InFlightEntriesAreNeverDropped)
     });
     EXPECT_FALSE(compiled);
     EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(CompileCacheLookup, FinishedEntryCountsOneHitAndRefreshesLru)
+{
+    lower::CompileCache cache;
+    cache.setCapacity(2);
+    EXPECT_EQ(cache.lookup("a"), nullptr); // absent: counts nothing
+    EXPECT_EQ(cache.hits() + cache.misses() + cache.coalesced(), 0);
+
+    const auto compile = [] { return lower::CompiledProgram{}; };
+    const auto a = cache.getOrCompile("a", compile);
+    cache.getOrCompile("b", compile);
+    EXPECT_EQ(cache.lookup("a"), a);
+    EXPECT_EQ(cache.hits(), 1);
+    EXPECT_EQ(cache.misses(), 2);
+    EXPECT_EQ(cache.coalesced(), 0);
+
+    // The lookup made "a" the most recent, so "c" evicts "b".
+    cache.getOrCompile("c", compile);
+    EXPECT_EQ(cache.evictions(), 1);
+    EXPECT_EQ(cache.lookup("b"), nullptr);
+    EXPECT_EQ(cache.lookup("a"), a);
+}
+
+TEST(CompileCacheLookup, InFlightEntryIsAMissThatCountsNothing)
+{
+    lower::CompileCache cache;
+    std::mutex m;
+    std::condition_variable cv;
+    bool entered = false, release = false;
+    std::thread owner([&] {
+        cache.getOrCompile("k", [&] {
+            std::unique_lock<std::mutex> lock(m);
+            entered = true;
+            cv.notify_all();
+            cv.wait(lock, [&] { return release; });
+            return lower::CompiledProgram{};
+        });
+    });
+    {
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&] { return entered; });
+    }
+
+    // Its owner may still fail, so an in-flight entry is not a hit.
+    EXPECT_EQ(cache.lookup("k"), nullptr);
+    EXPECT_EQ(cache.hits(), 0);
+    EXPECT_EQ(cache.misses(), 1);
+    EXPECT_EQ(cache.coalesced(), 0);
+
+    {
+        std::lock_guard<std::mutex> lock(m);
+        release = true;
+        cv.notify_all();
+    }
+    owner.join();
+    EXPECT_NE(cache.lookup("k"), nullptr);
+    EXPECT_EQ(cache.hits(), 1);
+}
+
+// ---------------------------------------------------------------------
+// The cache-hit path of runRequestGuarded
+
+/** compile, simulate and profile requests for every Table III/IV
+ *  program, shaped like the ones the pmcd clients send. */
+std::vector<service::Request>
+suiteRequests()
+{
+    std::vector<service::Request> out;
+    const auto add = [&](const std::string &id, const std::string &source,
+                         const ir::BuildOptions &build,
+                         const std::string &target) {
+        for (const auto verb : {service::Verb::Compile,
+                                service::Verb::Simulate,
+                                service::Verb::Profile}) {
+            service::Request req;
+            req.verb = verb;
+            req.file = id + ".pm";
+            req.source = source;
+            req.entry = build.entry;
+            req.params = build.paramConsts;
+            req.optimize = true;
+            req.target = target;
+            out.push_back(req);
+        }
+    };
+    for (const auto &bench : wl::tableIII())
+        add(bench.id, bench.source, bench.buildOpts,
+            lang::toString(bench.domain));
+    for (const auto &app : wl::tableIV())
+        add(app.id, app.source, app.buildOpts, "ALL");
+    return out;
+}
+
+TEST(ServiceHitPath, HitRepliesAreByteIdenticalToCompiledOnes)
+{
+    for (const auto &req : suiteRequests()) {
+        SCOPED_TRACE(req.file + " " +
+                     std::string(service::toString(req.verb)));
+        lower::CompileCache cache;
+        const auto miss = service::runRequestGuarded(req, cache);
+        const auto hit = service::runRequestGuarded(req, cache);
+        EXPECT_EQ(cache.misses(), 1);
+        EXPECT_EQ(cache.hits(), 1);
+        EXPECT_FALSE(miss.cacheHit);
+        EXPECT_TRUE(hit.cacheHit);
+
+        lower::CompileCache fresh;
+        const auto uncached = service::runRequest(req, fresh);
+        EXPECT_EQ(uncached.program->str(), uncached.program->render());
+        for (const auto *resp : {&miss, &hit}) {
+            EXPECT_EQ(resp->code, 0);
+            EXPECT_EQ(resp->error, "");
+            EXPECT_EQ(resp->output, uncached.out);
+            EXPECT_EQ(resp->profileJson, uncached.profileJson);
+        }
+    }
+}
+
+TEST(ServiceHitPath, SyntaxErrorsStayFirstAndNeverEnterTheCache)
+{
+    auto req = compileRequest("main( { broken", 0);
+    std::string diagnostics;
+    ASSERT_TRUE(service::preflightDiagnostics(req.source, diagnostics));
+
+    // An unknown target skips the lookup: the syntax errors still win.
+    req.target = "XX";
+    lower::CompileCache cache;
+    auto resp = service::runRequestGuarded(req, cache);
+    EXPECT_EQ(resp.code, 1);
+    EXPECT_EQ(resp.error, diagnostics);
+
+    // With a known target the lookup misses, preflight rejects the
+    // source, and nothing is compiled or cached — twice over.
+    req.target = "DA";
+    for (int i = 0; i < 2; ++i) {
+        resp = service::runRequestGuarded(req, cache);
+        EXPECT_EQ(resp.code, 1);
+        EXPECT_EQ(resp.error, diagnostics);
+    }
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.hits() + cache.misses(), 0);
 }
 
 } // namespace

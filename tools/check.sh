@@ -21,7 +21,8 @@
 #      clean and produce the same results as serial runs.
 #
 # The default pass additionally runs the bench perf gates, a telemetry
-# smoke (live pmcd scraped over the wire, docs/OBSERVABILITY.md), and a
+# smoke (live pmcd scraped over the wire, docs/OBSERVABILITY.md), the
+# stack benchmark's self-test (benchmark/run.sh --smoke), and a
 # repo-root cleanliness guard.
 #
 # The TSan pass builds only the concurrency-heavy binaries (test_obs,
@@ -218,6 +219,12 @@ assert stats["offered"] == stats["completed"] + stats["rejected"], stats
 '
         wait "$tele_pid"
         rm -f "$tele_sock" "$tele_log"
+        # Stack benchmark self-test: every workload briefly, with each
+        # served reply checked against benchmark/expected.json — the
+        # wire-level guard on the pmcd cache-hit path. Builds into the
+        # git-ignored .bench_build/.
+        echo "== [$preset] stack benchmark smoke =="
+        bash benchmark/run.sh --smoke
         # The telemetry smoke (and every other stage) must not leave
         # stray files — a misparsed `--socket` once left a Unix socket
         # literally named "--shutdown" at the repo root.
