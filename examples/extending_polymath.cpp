@@ -65,11 +65,16 @@ class Systolic256 : public target::Backend
         return s;
     }
 
+  protected:
+    // Pricing reads the partition and the machine-independent facts
+    // analyze() gathered about it; this model needs only the DMA split,
+    // which every analysis carries, so analysisNeeds() keeps its default.
     target::PerfReport simulateImpl(
         const lower::Partition &partition,
+        const target::PartitionAnalysis &analysis,
         const target::WorkloadProfile &profile) const override
     {
-        const auto m = machine();
+        const target::MachineConfig &m = machine();
         target::PerfReport r;
         r.machine = name();
         // Weight-stationary wavefront: rows stream through the array.
@@ -83,7 +88,7 @@ class Systolic256 : public target::Backend
         }
         const double inv = static_cast<double>(profile.invocations);
         r.computeSeconds = cycles / (m.freqGhz * 1e9) * inv;
-        const auto dma = target::dmaBreakdown(partition);
+        const target::DmaBreakdown &dma = analysis.dma;
         r.dramBytes =
             dma.oneTimeBytes +
             static_cast<int64_t>(static_cast<double>(dma.perRunBytes) *

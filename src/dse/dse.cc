@@ -51,18 +51,21 @@ WorkloadStudy::bestPpwGain() const
 
 namespace {
 
-/** Simulates @p partitions at one space point and attributes phases. */
+/** Prices @p partitions (with their @p analyses, made once per explore)
+ *  at one space point and attributes phases. */
 EvalPoint
 evaluatePoint(const ConfigSpace &space, int64_t index,
               const std::vector<const lower::Partition *> &partitions,
+              const std::vector<target::PartitionAnalysis> &analyses,
               const target::WorkloadProfile &profile)
 {
     const auto backend =
         target::makeBackend(space.backend(), space.machineAt(index));
     target::PerfReport total;
     bool first = true;
-    for (const lower::Partition *partition : partitions) {
-        auto report = backend->simulate(*partition, profile);
+    for (size_t i = 0; i < partitions.size(); ++i) {
+        auto report =
+            backend->simulate(*partitions[i], analyses[i], profile);
         if (first) {
             total = std::move(report);
             first = false;
@@ -177,6 +180,18 @@ explore(const std::string &workload_id, const std::string &backend,
     // process-wide, and all reports are byte-identical either way.
     target::setProfilingEnabled(true);
 
+    // Analyses are machine-independent: made once here under the factory
+    // config, then shared read-only by every point's pricing (and every
+    // parallelMap worker).
+    std::vector<target::PartitionAnalysis> analyses;
+    analyses.reserve(partitions.size());
+    {
+        const auto analyzer = target::makeBackend(
+            backend, space.machineAt(space.baseIndex()));
+        for (const lower::Partition *partition : partitions)
+            analyses.push_back(analyzer->analyze(*partition));
+    }
+
     auto driver = options.driver;
     if (driver == SearchOptions::Driver::Auto) {
         // Grid when the sampling budget would cover the space anyway.
@@ -198,7 +213,7 @@ explore(const std::string &workload_id, const std::string &backend,
             [&](int64_t i) {
                 return evaluatePoint(space,
                                      indices[static_cast<size_t>(i)],
-                                     partitions, profile);
+                                     partitions, analyses, profile);
             });
         for (auto &point : results) {
             seen.insert(point.index);

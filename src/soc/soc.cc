@@ -78,8 +78,9 @@ SocRuntime::accelPartitionRun(const lower::Partition &partition,
 {
     const double invocations = static_cast<double>(profile.invocations);
     PartitionRun run;
-    run.part = backend.simulate(partition, profile);
-    const auto dma = target::dmaBreakdown(partition);
+    const target::PartitionAnalysis analysis = backend.analyze(partition);
+    run.part = backend.simulate(partition, analysis, profile);
+    const target::DmaBreakdown &dma = analysis.dma;
     const double per_run_s = config_.perTransferUs * 1e-6;
     const double once_s =
         static_cast<double>(dma.oneTimeBytes) / (config_.dmaGBs * 1e9);

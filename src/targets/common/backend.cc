@@ -1,6 +1,8 @@
 #include "targets/common/backend.h"
 
-#include <map>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/error.h"
 #include "obs/metrics.h"
@@ -20,13 +22,80 @@ Backend::Backend(MachineConfig machine) : machine_(std::move(machine))
     machine_.validate();
 }
 
+obs::Counter &
+Backend::simulateCalls() const
+{
+    obs::Counter *counter = simulate_calls_.load(std::memory_order_acquire);
+    if (!counter) {
+        // Racing first calls resolve the same registry entry; counters
+        // are never destroyed, so the cached pointer stays valid.
+        counter = &obs::MetricsRegistry::global().counter(
+            "backend." + name() + ".simulate_calls");
+        simulate_calls_.store(counter, std::memory_order_release);
+    }
+    return *counter;
+}
+
+PartitionAnalysis
+Backend::analyze(const lower::Partition &partition) const
+{
+    PartitionAnalysis a;
+    a.needs = analysisNeeds();
+    a.ledger = profilingEnabled();
+    a.fragmentCount = partition.fragments.size();
+    a.dma = dmaBreakdown(partition);
+    if (a.needs.levels)
+        a.levels = fragmentLevels(partition);
+    if (!a.needs.work && !a.needs.invariance && !a.needs.reduce &&
+        !a.ledger)
+    {
+        return a;
+    }
+    a.fragments.resize(partition.fragments.size());
+    std::vector<bool> invariant;
+    if (a.needs.invariance)
+        invariant = invariantFragments(partition);
+    for (size_t i = 0; i < partition.fragments.size(); ++i) {
+        const lower::IrFragment &frag = partition.fragments[i];
+        PartitionAnalysis::Fragment &f = a.fragments[i];
+        f.move = frag.opcode == "tload" || frag.opcode == "tstore";
+        if (a.needs.work)
+            f.work = fragmentWork(frag);
+        if (a.needs.invariance)
+            f.invariant = invariant[i];
+        if (a.needs.reduce)
+            f.reduce = frag.attrs.count("reduce_extent") > 0;
+        if (a.ledger) {
+            f.label = frag.opcode;
+            if (!frag.outputs.empty())
+                f.label += "(" + frag.outputs.front().name + ")";
+            for (const auto &in : frag.inputs)
+                f.touchedBytes += static_cast<double>(in.accelBytes());
+            for (const auto &out : frag.outputs)
+                f.touchedBytes += static_cast<double>(out.accelBytes());
+        }
+    }
+    return a;
+}
+
 PerfReport
 Backend::simulate(const lower::Partition &partition,
+                  const PartitionAnalysis &analysis,
                   const WorkloadProfile &profile) const
 {
-    obs::MetricsRegistry::global()
-        .counter("backend." + name() + ".simulate_calls")
-        .add(1);
+    // Pricing indexes the analysis by fragment: refuse one built for
+    // another partition or a backend with fewer needs.
+    const AnalysisNeeds needs = analysisNeeds();
+    const AnalysisNeeds &have = analysis.needs;
+    if (analysis.fragmentCount != partition.fragments.size() ||
+        (needs.work && !have.work) ||
+        (needs.invariance && !have.invariance) ||
+        (needs.reduce && !have.reduce) || (needs.levels && !have.levels))
+    {
+        panic(name() + ": simulate() given an analysis of another "
+                       "partition or backend");
+    }
+    simulateCalls().add(1);
     obs::Span span("backend:simulate", "backend");
     if (span.active()) {
         span.arg("accel", name());
@@ -34,12 +103,19 @@ Backend::simulate(const lower::Partition &partition,
                  static_cast<int64_t>(partition.fragments.size()));
         span.arg("invocations", profile.invocations);
     }
-    PerfReport report = simulateImpl(partition, profile);
+    PerfReport report = simulateImpl(partition, analysis, profile);
     // Every profiled simulation must hand back a ledger whose column sums
     // reproduce the report totals — catch attribution bugs loudly here,
     // at the one point all six backends pass through.
     verifyLedger(report);
     return report;
+}
+
+PerfReport
+Backend::simulate(const lower::Partition &partition,
+                  const WorkloadProfile &profile) const
+{
+    return simulate(partition, analyze(partition), profile);
 }
 
 int64_t
@@ -125,7 +201,7 @@ invariantFragments(const lower::Partition &partition)
     // A tensor name is invariant when it is a read-only param or is
     // written only by invariant fragments. State is on-chip resident but
     // mutable across invocations, so it does not seed invariance.
-    std::set<std::string> invariant_names;
+    std::unordered_set<std::string_view> invariant_names;
     for (const auto &t : partition.loads) {
         if (t.kind == ir::EdgeKind::Param)
             invariant_names.insert(t.name);
@@ -148,14 +224,15 @@ invariantFragments(const lower::Partition &partition)
     return out;
 }
 
-std::vector<std::vector<const lower::IrFragment *>>
+std::vector<std::vector<int>>
 fragmentLevels(const lower::Partition &partition)
 {
     // Dataflow by tensor name: a fragment depends on the latest earlier
     // fragment writing any of its inputs.
-    std::map<std::string, size_t> last_writer_level;
-    std::vector<std::vector<const lower::IrFragment *>> levels;
-    for (const auto &frag : partition.fragments) {
+    std::unordered_map<std::string_view, size_t> last_writer_level;
+    std::vector<std::vector<int>> levels;
+    for (size_t i = 0; i < partition.fragments.size(); ++i) {
+        const lower::IrFragment &frag = partition.fragments[i];
         if (frag.opcode == "tload" || frag.opcode == "tstore")
             continue;
         size_t level = 0;
@@ -166,7 +243,7 @@ fragmentLevels(const lower::Partition &partition)
         }
         if (levels.size() <= level)
             levels.resize(level + 1);
-        levels[level].push_back(&frag);
+        levels[level].push_back(static_cast<int>(i));
         for (const auto &out : frag.outputs) {
             auto [it, inserted] = last_writer_level.emplace(out.name, level);
             if (!inserted)

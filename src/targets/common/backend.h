@@ -12,6 +12,7 @@
 #ifndef POLYMATH_TARGETS_COMMON_BACKEND_H_
 #define POLYMATH_TARGETS_COMMON_BACKEND_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +21,10 @@
 #include "targets/common/machine_config.h"
 #include "targets/common/perf_report.h"
 #include "targets/common/workload_cost.h"
+
+namespace polymath::obs {
+class Counter;
+} // namespace polymath::obs
 
 namespace polymath::target {
 
@@ -53,6 +58,80 @@ struct WorkloadProfile
     double hostGlueSeconds = 0.0;
 };
 
+/** DMA traffic of a partition split by type modifier: `param`/`state`
+ *  tensors are placed on-chip once (the language-level data semantics the
+ *  accelerators exploit — Section II-A), everything else moves every
+ *  invocation. */
+struct DmaBreakdown
+{
+    int64_t oneTimeBytes = 0; ///< param + state placement
+    int64_t perRunBytes = 0;  ///< input/output/intermediate traffic
+
+    bool operator==(const DmaBreakdown &) const = default;
+};
+
+DmaBreakdown dmaBreakdown(const lower::Partition &partition);
+
+/** The partition facts a backend's pricing reads; Backend::analyze()
+ *  computes these and nothing else (the DMA split is always computed:
+ *  the SoC runtime reads it for every backend). */
+struct AnalysisNeeds
+{
+    bool work = false;       ///< per-fragment move flag + fragmentWork()
+    bool invariance = false; ///< per-fragment invariantFragments() mark
+    bool reduce = false;     ///< per-fragment `reduce_extent` flag
+    bool levels = false;     ///< fragmentLevels()
+
+    bool operator==(const AnalysisNeeds &) const = default;
+};
+
+/**
+ * Machine-independent facts about one partition, computed once per
+ * (backend, partition) by Backend::analyze() and read by every pricing of
+ * that partition — the design-space autotuner prices one analysis under
+ * many MachineConfigs. Immutable once built, so concurrent pricings may
+ * share it.
+ */
+struct PartitionAnalysis
+{
+    struct Fragment
+    {
+        int64_t work = 0;       ///< fragmentWork()
+        bool move = false;      ///< tload/tstore: data movement, no compute
+        bool invariant = false; ///< invariantFragments()
+        bool reduce = false;    ///< carries a `reduce_extent` attribute
+        /** Ledger facts (only when `ledger`): the entry label
+         *  "opcode(first output)" and the accelerator-side operand plus
+         *  result footprint. */
+        std::string label;
+        double touchedBytes = 0.0;
+
+        bool operator==(const Fragment &) const = default;
+    };
+
+    /** What was computed; a pricing may read only these facts. */
+    AnalysisNeeds needs;
+
+    /** Whether profiling was on at analysis time: the fragment labels
+     *  and touched bytes are filled, and pricing opens a cost ledger
+     *  (beginLedger) if and only if this is set. */
+    bool ledger = false;
+
+    /** partition.fragments.size() at analysis time. */
+    size_t fragmentCount = 0;
+
+    /** Indexed like partition.fragments; empty when no per-fragment
+     *  fact was needed. */
+    std::vector<Fragment> fragments;
+
+    /** fragmentLevels(), as indices into partition.fragments. */
+    std::vector<std::vector<int>> levels;
+
+    DmaBreakdown dma;
+
+    bool operator==(const PartitionAnalysis &) const = default;
+};
+
 /**
  * One accelerator backend: spec + simulator.
  *
@@ -63,6 +142,10 @@ struct WorkloadProfile
  * sweeps. The constructor is the single config-ingest point — it
  * validates, so a degenerate config (zero frequency, no compute units)
  * fails loudly before any cost model divides by it.
+ *
+ * A cost model runs in two stages (docs/ADDING_A_BACKEND.md §2):
+ * analyze() reads only the partition, simulateImpl() prices that
+ * analysis under machine() and a WorkloadProfile.
  */
 class Backend
 {
@@ -71,6 +154,8 @@ class Backend
     explicit Backend(MachineConfig machine);
 
     virtual ~Backend() = default;
+    Backend(const Backend &) = delete;
+    Backend &operator=(const Backend &) = delete;
 
     virtual std::string name() const = 0;
     virtual lang::Domain domain() const = 0;
@@ -82,36 +167,50 @@ class Backend
     virtual lower::AcceleratorSpec spec() const = 0;
 
     /**
-     * Simulates one compiled partition under @p profile. Non-virtual so
-     * every scheduler/estimator invocation — from the SoC runtime, the
-     * benches, or tests — passes one choke point that feeds the
-     * observability layer (a `backend:simulate` span and per-accelerator
-     * call counter); backends implement simulateImpl().
+     * The machine-independent facts this backend's pricing reads about
+     * @p partition (analysisNeeds()). Never reads machine(), so one
+     * analysis prices correctly on every configuration of the same
+     * backend kind. Whether it carries ledger facts is decided here,
+     * from profilingEnabled().
      */
+    PartitionAnalysis analyze(const lower::Partition &partition) const;
+
+    /**
+     * Prices @p partition, analysed by analyze() on a backend of the same
+     * kind, under @p profile. Non-virtual so every scheduler/estimator
+     * invocation — from the SoC runtime, the autotuner, the benches, or
+     * tests — passes one choke point that feeds the observability layer
+     * (a `backend:simulate` span and per-accelerator call counter);
+     * backends implement simulateImpl().
+     */
+    PerfReport simulate(const lower::Partition &partition,
+                        const PartitionAnalysis &analysis,
+                        const WorkloadProfile &profile) const;
+
+    /** One-shot form: simulate(partition, analyze(partition), profile).*/
     PerfReport simulate(const lower::Partition &partition,
                         const WorkloadProfile &profile) const;
 
   protected:
-    /** The backend's scheduler/cost model (docs/ADDING_A_BACKEND.md). */
+    /** The facts simulateImpl() reads; analyze() computes only these. */
+    virtual AnalysisNeeds analysisNeeds() const { return {}; }
+
+    /** The backend's cost model (docs/ADDING_A_BACKEND.md): prices
+     *  @p analysis of @p partition under machine() and @p profile. */
     virtual PerfReport simulateImpl(const lower::Partition &partition,
+                                    const PartitionAnalysis &analysis,
                                     const WorkloadProfile &profile)
         const = 0;
 
   private:
+    /** `backend.<name>.simulate_calls`, resolved on first use (name() is
+     *  virtual, so not in the constructor) to keep the registry mutex
+     *  off the per-call path. */
+    obs::Counter &simulateCalls() const;
+
     MachineConfig machine_;
+    mutable std::atomic<obs::Counter *> simulate_calls_{nullptr};
 };
-
-/** DMA traffic of a partition split by type modifier: `param`/`state`
- *  tensors are placed on-chip once (the language-level data semantics the
- *  accelerators exploit — Section II-A), everything else moves every
- *  invocation. */
-struct DmaBreakdown
-{
-    int64_t oneTimeBytes = 0; ///< param + state placement
-    int64_t perRunBytes = 0;  ///< input/output/intermediate traffic
-};
-
-DmaBreakdown dmaBreakdown(const lower::Partition &partition);
 
 /**
  * Host-CPU view of one partition's deployed-scale cost, for partitions
@@ -136,10 +235,11 @@ int64_t fragmentWork(const lower::IrFragment &frag);
  *  themselves. Indexed like partition.fragments. */
 std::vector<bool> invariantFragments(const lower::Partition &partition);
 
-/** Dependency levels of a partition's fragments: fragments in the same
- *  level are independent (by tensor-name dataflow) and can run
- *  concurrently; levels run in order. tload/tstore fragments are skipped.*/
-std::vector<std::vector<const lower::IrFragment *>> fragmentLevels(
+/** Dependency levels of a partition's fragments, as indices into
+ *  partition.fragments: fragments in the same level are independent (by
+ *  tensor-name dataflow) and can run concurrently; levels run in order.
+ *  tload/tstore fragments are skipped. */
+std::vector<std::vector<int>> fragmentLevels(
     const lower::Partition &partition);
 
 /** All six DSA backends, in registration order matching Table V. */

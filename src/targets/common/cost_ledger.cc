@@ -9,6 +9,7 @@
 #include "core/json.h"
 #include "core/strings.h"
 #include "report/report.h"
+#include "targets/common/backend.h"
 
 namespace polymath::target {
 
@@ -62,19 +63,13 @@ CostLedger::add(std::string label, std::string phase, int fragment)
 }
 
 CostEntry &
-CostLedger::addFragment(int index, const lower::IrFragment &frag,
-                        double raw_seconds)
+CostLedger::addFragment(int index, const std::string &label, double flops,
+                        double touched_bytes, double raw_seconds)
 {
-    std::string label = frag.opcode;
-    if (!frag.outputs.empty())
-        label += "(" + frag.outputs.front().name + ")";
-    CostEntry &entry = add(std::move(label), "compute", index);
+    CostEntry &entry = add(label, "compute", index);
     entry.seconds = raw_seconds;
-    entry.flops = static_cast<double>(frag.flops);
-    for (const auto &in : frag.inputs)
-        entry.touchedBytes += static_cast<double>(in.accelBytes());
-    for (const auto &out : frag.outputs)
-        entry.touchedBytes += static_cast<double>(out.accelBytes());
+    entry.flops = flops;
+    entry.touchedBytes = touched_bytes;
     return entry;
 }
 
@@ -144,12 +139,12 @@ CostLedger::append(const CostLedger &other)
 }
 
 CostLedger *
-beginLedger(PerfReport &report, const std::string &machine)
+beginLedger(PerfReport &report, const PartitionAnalysis &analysis)
 {
-    if (!profilingEnabled())
+    if (!analysis.ledger)
         return nullptr;
     report.ledger = std::make_shared<CostLedger>();
-    report.ledger->machine = machine;
+    report.ledger->machine = report.machine;
     return report.ledger.get();
 }
 

@@ -21,9 +21,10 @@
  * Backend::simulate choke point (verifyLedger panics on violation).
  *
  * Profiling is off by default, exactly like obs::TraceRecorder: when
- * disabled, beginLedger() reads one relaxed atomic and returns nullptr,
- * every instrumentation site is behind one `if (ledger)` branch, and all
- * reports are byte-identical to a build without the subsystem.
+ * disabled, Backend::analyze() reads one relaxed atomic, beginLedger()
+ * returns nullptr, every instrumentation site is behind one
+ * `if (ledger)` branch, and all reports are byte-identical to a build
+ * without the subsystem.
  */
 #ifndef POLYMATH_TARGETS_COMMON_COST_LEDGER_H_
 #define POLYMATH_TARGETS_COMMON_COST_LEDGER_H_
@@ -32,11 +33,12 @@
 #include <string>
 #include <vector>
 
-#include "lower/accel_spec.h"
 #include "targets/common/machine_config.h"
 #include "targets/common/perf_report.h"
 
 namespace polymath::target {
+
+struct PartitionAnalysis;
 
 /** Global profiling switch (off by default; one relaxed atomic read on
  *  the hot path, mirroring obs::TraceRecorder::enabled). */
@@ -108,10 +110,12 @@ struct CostLedger
     /** Appends a raw entry (backend population API). */
     CostEntry &add(std::string label, std::string phase, int fragment = -1);
 
-    /** Raw-entry helper for one IR fragment: labels it opcode(first
-     *  output), seeds the flop weight from the fragment, and sums the
-     *  accelerator-side operand/result footprint into touchedBytes. */
-    CostEntry &addFragment(int index, const lower::IrFragment &frag,
+    /** Raw-entry helper for one IR fragment, from the facts
+     *  Backend::analyze() precomputed: its "opcode(first output)" label,
+     *  its flop weight, and its accelerator-side operand/result
+     *  footprint (touchedBytes). */
+    CostEntry &addFragment(int index, const std::string &label,
+                           double flops, double touched_bytes,
                            double raw_seconds);
 
     /** Adds a phase="compute" overhead entry (scheduler/pipeline cost not
@@ -145,11 +149,16 @@ struct CostLedger
 };
 
 /**
- * Attaches a fresh ledger to @p report when profiling is enabled and
- * returns it; returns nullptr (and leaves the report untouched) when
- * disabled. The single hot-path branch of the subsystem.
+ * Attaches a fresh ledger (labelled report.machine) to @p report when
+ * @p analysis carries ledger facts — i.e. profiling was enabled when the
+ * partition was analysed — and returns it; returns nullptr (and leaves
+ * the report untouched) otherwise. Deciding from the analysis, not the
+ * live switch, means a concurrent setProfilingEnabled(true) between
+ * analysis and pricing cannot produce a ledger without labels. The
+ * single hot-path branch of the subsystem.
  */
-CostLedger *beginLedger(PerfReport &report, const std::string &machine);
+CostLedger *beginLedger(PerfReport &report,
+                        const PartitionAnalysis &analysis);
 
 /**
  * Distributes @p report's totals across the ledger's raw entries

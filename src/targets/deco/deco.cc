@@ -27,16 +27,17 @@ DecoBackend::spec() const
 }
 
 double
-DecoBackend::stageImbalance(const lower::Partition &partition)
+DecoBackend::stageImbalance(const PartitionAnalysis &analysis)
 {
-    const auto levels = fragmentLevels(partition);
     double max_work = 0.0;
     double total = 0.0;
     int64_t stages = 0;
-    for (const auto &level : levels) {
+    for (const auto &level : analysis.levels) {
         double w = 0.0;
-        for (const auto *frag : level)
-            w += static_cast<double>(fragmentWork(*frag));
+        for (const int index : level) {
+            w += static_cast<double>(
+                analysis.fragments[static_cast<size_t>(index)].work);
+        }
         if (w <= 0)
             continue;
         max_work = std::max(max_work, w);
@@ -50,9 +51,10 @@ DecoBackend::stageImbalance(const lower::Partition &partition)
 
 PerfReport
 DecoBackend::simulateImpl(const lower::Partition &partition,
-                      const WorkloadProfile &profile) const
+                          const PartitionAnalysis &analysis,
+                          const WorkloadProfile &profile) const
 {
-    const MachineConfig m = machine();
+    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 
@@ -61,32 +63,25 @@ DecoBackend::simulateImpl(const lower::Partition &partition,
     // Stage-based execution: every dependence level streams its elements
     // through the DSP columns; the slowest stage bounds the pipeline, so
     // imbalance stretches total cycles.
-    const auto levels = fragmentLevels(partition);
-    const auto invariant = invariantFragments(partition);
-    std::map<const lower::IrFragment *, bool> invariant_of;
-    {
-        size_t i = 0;
-        for (const auto &frag : partition.fragments)
-            invariant_of[&frag] = invariant[i++];
-    }
     const double lanes = static_cast<double>(m.computeUnits);
     double cycles = 0.0;
     double fill_cycles = 0.0;
-    for (const auto &level : levels) {
+    for (const auto &level : analysis.levels) {
         double level_flops = 0.0;
-        for (const auto *frag : level) {
-            if (invariant_of[frag])
-                fill_cycles += std::ceil(
-                    static_cast<double>(fragmentWork(*frag)) / lanes);
+        for (const int index : level) {
+            const auto &f = analysis.fragments[static_cast<size_t>(index)];
+            if (f.invariant)
+                fill_cycles +=
+                    std::ceil(static_cast<double>(f.work) / lanes);
             else
-                level_flops += static_cast<double>(fragmentWork(*frag));
+                level_flops += static_cast<double>(f.work);
         }
         if (level_flops <= 0)
             continue;
         cycles += std::ceil(level_flops / lanes);
         fill_cycles += kPipelineDepth;
     }
-    const double imbalance = stageImbalance(partition);
+    const double imbalance = stageImbalance(analysis);
     // Stalls from unbalanced stages: linear penalty above balanced.
     cycles *= 1.0 + 0.3 * (std::min(imbalance, 3.0) - 1.0);
     cycles *= profile.scale;
@@ -97,7 +92,7 @@ DecoBackend::simulateImpl(const lower::Partition &partition,
     // the pipelines primed.
     r.computeSeconds = (cycles * invocations + fill_cycles) / hz;
 
-    const auto dma = dmaBreakdown(partition);
+    const DmaBreakdown &dma = analysis.dma;
     r.dramBytes = dma.oneTimeBytes +
                   static_cast<int64_t>(dma.perRunBytes * invocations);
     r.memorySeconds = static_cast<double>(r.dramBytes) / (m.dramGBs * 1e9);
@@ -114,22 +109,22 @@ DecoBackend::simulateImpl(const lower::Partition &partition,
             : 0.0;
     r.joules = m.watts * r.seconds;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, analysis)) {
         // Raw fragment weight: its DSP-column issue slots. The stage
         // imbalance penalty, the per-level ceil() rounding, and the
         // chain-fill latency are schedule-level costs -> one residual.
         double attributed = 0.0;
-        size_t i = 0;
-        for (const auto &frag : partition.fragments) {
-            const size_t index = i++;
-            if (frag.opcode == "tload" || frag.opcode == "tstore")
+        for (size_t i = 0; i < analysis.fragments.size(); ++i) {
+            const auto &f = analysis.fragments[i];
+            if (f.move)
                 continue;
-            const double slots =
-                static_cast<double>(fragmentWork(frag)) / lanes / hz;
+            const double slots = static_cast<double>(f.work) / lanes / hz;
             const double raw =
-                invariant[index] ? slots
-                                 : slots * profile.scale * invocations;
-            ledger->addFragment(static_cast<int>(index), frag, raw);
+                f.invariant ? slots : slots * profile.scale * invocations;
+            ledger->addFragment(
+                static_cast<int>(i), f.label,
+                static_cast<double>(partition.fragments[i].flops),
+                f.touchedBytes, raw);
             attributed += raw;
         }
         ledger->addComputeResidual("stage-imbalance+pipeline-fill",

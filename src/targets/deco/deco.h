@@ -28,12 +28,20 @@ class DecoBackend : public Backend
     std::string name() const override { return "DECO"; }
     lang::Domain domain() const override { return lang::Domain::DSP; }
     lower::AcceleratorSpec spec() const override;
-    PerfReport simulateImpl(const lower::Partition &partition,
-                        const WorkloadProfile &profile) const override;
 
     /** Stage imbalance of the compiled pipeline: max/mean level work
-     *  (1.0 = perfectly balanced). Exposed for the Fig. 9 analysis. */
-    static double stageImbalance(const lower::Partition &partition);
+     *  (1.0 = perfectly balanced), from an analysis made by a DECO
+     *  backend. Exposed for the Fig. 9 analysis. */
+    static double stageImbalance(const PartitionAnalysis &analysis);
+
+  protected:
+    AnalysisNeeds analysisNeeds() const override
+    {
+        return {.work = true, .invariance = true, .levels = true};
+    }
+    PerfReport simulateImpl(const lower::Partition &partition,
+                            const PartitionAnalysis &analysis,
+                            const WorkloadProfile &profile) const override;
 };
 
 } // namespace polymath::target

@@ -61,9 +61,10 @@ GraphicionadoBackend::spec() const
 
 PerfReport
 GraphicionadoBackend::simulateImpl(const lower::Partition &partition,
-                               const WorkloadProfile &profile) const
+                                   const PartitionAnalysis &analysis,
+                                   const WorkloadProfile &profile) const
 {
-    const MachineConfig m = machine();
+    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 
@@ -135,7 +136,7 @@ GraphicionadoBackend::simulateImpl(const lower::Partition &partition,
             : 0.0;
     r.joules = m.watts * r.seconds;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, analysis)) {
         // The model prices two phase pools (edge pipeline, vertex apply);
         // each fragment's raw weight is its ops-per-point share of its
         // phase's pool. Flop weights are re-derived on the deployed
@@ -157,9 +158,11 @@ GraphicionadoBackend::simulateImpl(const lower::Partition &partition,
                 raw = edge_pool * ops / ops_per_edge;
             else if (!edge_domain && ops_per_vertex > 0)
                 raw = vertex_pool * ops / ops_per_vertex;
-            CostEntry &e =
-                ledger->addFragment(static_cast<int>(index), frag, raw);
-            e.flops = ops * (edge_domain ? edges : vertices) * iters;
+            const auto &f = analysis.fragments[index];
+            ledger->addFragment(static_cast<int>(index), f.label,
+                                ops * (edge_domain ? edges : vertices) *
+                                    iters,
+                                f.touchedBytes, raw);
             (edge_domain ? edge_attr : vertex_attr) += raw;
         }
         // The max(ops, 1) pipeline floor leaves pool time no fragment

@@ -37,9 +37,10 @@ HyperstreamsBackend::spec() const
 
 PerfReport
 HyperstreamsBackend::simulateImpl(const lower::Partition &partition,
-                              const WorkloadProfile &profile) const
+                                  const PartitionAnalysis &analysis,
+                                  const WorkloadProfile &profile) const
 {
-    const MachineConfig m = machine();
+    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 
@@ -66,7 +67,7 @@ HyperstreamsBackend::simulateImpl(const lower::Partition &partition,
     const double invocations = static_cast<double>(profile.invocations);
     r.computeSeconds = cycles / hz * invocations;
 
-    const auto dma = dmaBreakdown(partition);
+    const DmaBreakdown &dma = analysis.dma;
     r.dramBytes = dma.oneTimeBytes +
                   static_cast<int64_t>(dma.perRunBytes * invocations);
     r.memorySeconds = static_cast<double>(r.dramBytes) / (m.dramGBs * 1e9);
@@ -83,7 +84,7 @@ HyperstreamsBackend::simulateImpl(const lower::Partition &partition,
             : 0.0;
     r.joules = m.watts * r.seconds;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, analysis)) {
         // Per-fragment cycles (elements + fill, or flops over stages)
         // are computed independently and summed, so attribution is exact.
         size_t i = 0;
@@ -103,7 +104,10 @@ HyperstreamsBackend::simulateImpl(const lower::Partition &partition,
             }
             const double raw =
                 frag_cycles * profile.scale * invocations / hz;
-            ledger->addFragment(static_cast<int>(index), frag, raw);
+            const auto &f = analysis.fragments[index];
+            ledger->addFragment(static_cast<int>(index), f.label,
+                                static_cast<double>(frag.flops),
+                                f.touchedBytes, raw);
         }
         ledger->addDma(static_cast<double>(dma.oneTimeBytes),
                        static_cast<double>(dma.perRunBytes) * invocations,

@@ -27,8 +27,11 @@ class HyperstreamsBackend : public Backend
     std::string name() const override { return "HyperStreams"; }
     lang::Domain domain() const override { return lang::Domain::DA; }
     lower::AcceleratorSpec spec() const override;
+
+  protected:
     PerfReport simulateImpl(const lower::Partition &partition,
-                        const WorkloadProfile &profile) const override;
+                            const PartitionAnalysis &analysis,
+                            const WorkloadProfile &profile) const override;
 };
 
 } // namespace polymath::target

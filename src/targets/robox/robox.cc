@@ -40,30 +40,26 @@ RoboxBackend::spec() const
 
 PerfReport
 RoboxBackend::simulateImpl(const lower::Partition &partition,
-                       const WorkloadProfile &profile) const
+                           const PartitionAnalysis &analysis,
+                           const WorkloadProfile &profile) const
 {
-    const MachineConfig m = machine();
+    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 
     // The macro-DFG sequencer issues one fragment (task op) at a time;
     // each spreads its elements across the 256 lanes.
     const double lanes = static_cast<double>(m.computeUnits);
-    const auto invariant = invariantFragments(partition);
     double cycles = 0.0;
     double once_cycles = 0.0;
-    for (size_t i = 0; i < partition.fragments.size(); ++i) {
-        const auto &frag = partition.fragments[i];
-        if (frag.opcode == "tload" || frag.opcode == "tstore")
-            continue;
-        const int64_t work = fragmentWork(frag);
-        if (work <= 0)
+    for (const auto &f : analysis.fragments) {
+        if (f.move || f.work <= 0)
             continue;
         const double c =
-            std::ceil(static_cast<double>(work) / lanes) + 8.0;
+            std::ceil(static_cast<double>(f.work) / lanes) + 8.0;
         // Param/state-derived fragments (e.g. hoisted concatenations of
         // cost matrices) run once and stay in local memory.
-        if (invariant[i])
+        if (f.invariant)
             once_cycles += c;
         else
             cycles += c;
@@ -74,7 +70,7 @@ RoboxBackend::simulateImpl(const lower::Partition &partition,
     const double invocations = static_cast<double>(profile.invocations);
     r.computeSeconds = (cycles * invocations + once_cycles) / hz;
 
-    const auto dma = dmaBreakdown(partition);
+    const DmaBreakdown &dma = analysis.dma;
     r.dramBytes = dma.oneTimeBytes +
                   static_cast<int64_t>(dma.perRunBytes * invocations);
     r.memorySeconds = static_cast<double>(r.dramBytes) / (m.dramGBs * 1e9);
@@ -91,21 +87,21 @@ RoboxBackend::simulateImpl(const lower::Partition &partition,
             : 0.0;
     r.joules = m.watts * r.seconds;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, analysis)) {
         // The sequencer is serial, so the per-fragment issue cost
         // (ceil(work/lanes) + 8 sequencer cycles) is exact — no residual.
-        for (size_t i = 0; i < partition.fragments.size(); ++i) {
-            const auto &frag = partition.fragments[i];
-            if (frag.opcode == "tload" || frag.opcode == "tstore")
-                continue;
-            const int64_t work = fragmentWork(frag);
-            if (work <= 0)
+        for (size_t i = 0; i < analysis.fragments.size(); ++i) {
+            const auto &f = analysis.fragments[i];
+            if (f.move || f.work <= 0)
                 continue;
             const double c =
-                std::ceil(static_cast<double>(work) / lanes) + 8.0;
+                std::ceil(static_cast<double>(f.work) / lanes) + 8.0;
             const double raw =
-                (invariant[i] ? c : c * profile.scale * invocations) / hz;
-            ledger->addFragment(static_cast<int>(i), frag, raw);
+                (f.invariant ? c : c * profile.scale * invocations) / hz;
+            ledger->addFragment(
+                static_cast<int>(i), f.label,
+                static_cast<double>(partition.fragments[i].flops),
+                f.touchedBytes, raw);
         }
         ledger->addDma(static_cast<double>(dma.oneTimeBytes),
                        static_cast<double>(dma.perRunBytes) * invocations,

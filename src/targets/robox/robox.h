@@ -27,8 +27,15 @@ class RoboxBackend : public Backend
     std::string name() const override { return "RoboX"; }
     lang::Domain domain() const override { return lang::Domain::RBT; }
     lower::AcceleratorSpec spec() const override;
+
+  protected:
+    AnalysisNeeds analysisNeeds() const override
+    {
+        return {.work = true, .invariance = true};
+    }
     PerfReport simulateImpl(const lower::Partition &partition,
-                        const WorkloadProfile &profile) const override;
+                            const PartitionAnalysis &analysis,
+                            const WorkloadProfile &profile) const override;
 };
 
 } // namespace polymath::target

@@ -27,9 +27,10 @@ TablaBackend::spec() const
 
 PerfReport
 TablaBackend::simulateImpl(const lower::Partition &partition,
-                       const WorkloadProfile &profile) const
+                           const PartitionAnalysis &analysis,
+                           const WorkloadProfile &profile) const
 {
-    const MachineConfig m = machine();
+    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 
@@ -37,27 +38,20 @@ TablaBackend::simulateImpl(const lower::Partition &partition,
     // the PE array; group reductions pay a log-depth tree latency.
     double cycles = 0.0;
     double once_cycles = 0.0;
-    const auto invariant = invariantFragments(partition);
-    std::map<const lower::IrFragment *, bool> invariant_of;
-    {
-        size_t i = 0;
-        for (const auto &frag : partition.fragments)
-            invariant_of[&frag] = invariant[i++];
-    }
-    const auto levels = fragmentLevels(partition);
     const double pes = static_cast<double>(m.computeUnits);
-    for (const auto &level : levels) {
+    for (const auto &level : analysis.levels) {
         double level_flops = 0.0;
         double level_once = 0.0;
         bool has_reduce = false;
-        for (const auto *frag : level) {
+        for (const int index : level) {
+            const auto &f = analysis.fragments[static_cast<size_t>(index)];
             // Param/state-derived fragments run once; their results stay
             // in the PEs' register files / on-chip buffers.
-            if (invariant_of[frag])
-                level_once += static_cast<double>(fragmentWork(*frag));
+            if (f.invariant)
+                level_once += static_cast<double>(f.work);
             else
-                level_flops += static_cast<double>(fragmentWork(*frag));
-            has_reduce |= frag->attrs.count("reduce_extent") > 0;
+                level_flops += static_cast<double>(f.work);
+            has_reduce |= f.reduce;
         }
         once_cycles += std::ceil(level_once / pes);
         if (level_flops <= 0)
@@ -76,7 +70,7 @@ TablaBackend::simulateImpl(const lower::Partition &partition,
     const double invocations = static_cast<double>(profile.invocations);
     r.computeSeconds = (cycles * invocations + once_cycles) / hz;
 
-    const auto dma = dmaBreakdown(partition);
+    const DmaBreakdown &dma = analysis.dma;
     r.dramBytes = dma.oneTimeBytes +
                   static_cast<int64_t>(dma.perRunBytes * invocations);
     r.memorySeconds = static_cast<double>(r.dramBytes) / (m.dramGBs * 1e9);
@@ -94,23 +88,23 @@ TablaBackend::simulateImpl(const lower::Partition &partition,
             : 0.0;
     r.joules = m.watts * r.seconds;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, analysis)) {
         // Raw per-fragment weight: its share of the PE array's issue
         // slots, in (pre-overlap) seconds. The ceil() rounding, the PU
         // reduction trees, and the inter-level bus turnarounds are level
         // costs, not fragment costs — they land in one residual entry.
         double attributed = 0.0;
-        size_t i = 0;
-        for (const auto &frag : partition.fragments) {
-            const size_t index = i++;
-            if (frag.opcode == "tload" || frag.opcode == "tstore")
+        for (size_t i = 0; i < analysis.fragments.size(); ++i) {
+            const auto &f = analysis.fragments[i];
+            if (f.move)
                 continue;
-            const double slots =
-                static_cast<double>(fragmentWork(frag)) / pes / hz;
+            const double slots = static_cast<double>(f.work) / pes / hz;
             const double raw =
-                invariant[index] ? slots
-                                 : slots * profile.scale * invocations;
-            ledger->addFragment(static_cast<int>(index), frag, raw);
+                f.invariant ? slots : slots * profile.scale * invocations;
+            ledger->addFragment(
+                static_cast<int>(i), f.label,
+                static_cast<double>(partition.fragments[i].flops),
+                f.touchedBytes, raw);
             attributed += raw;
         }
         ledger->addComputeResidual("reduce-tree+bus turnaround",

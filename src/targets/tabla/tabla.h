@@ -28,8 +28,16 @@ class TablaBackend : public Backend
     std::string name() const override { return "TABLA"; }
     lang::Domain domain() const override { return lang::Domain::DA; }
     lower::AcceleratorSpec spec() const override;
+
+  protected:
+    AnalysisNeeds analysisNeeds() const override
+    {
+        return {.work = true, .invariance = true, .reduce = true,
+                .levels = true};
+    }
     PerfReport simulateImpl(const lower::Partition &partition,
-                        const WorkloadProfile &profile) const override;
+                            const PartitionAnalysis &analysis,
+                            const WorkloadProfile &profile) const override;
 };
 
 } // namespace polymath::target

@@ -44,9 +44,10 @@ VtaBackend::spec() const
 
 PerfReport
 VtaBackend::simulateImpl(const lower::Partition &partition,
-                     const WorkloadProfile &profile) const
+                         const PartitionAnalysis &analysis,
+                         const WorkloadProfile &profile) const
 {
-    const MachineConfig m = machine();
+    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 
@@ -104,7 +105,7 @@ VtaBackend::simulateImpl(const lower::Partition &partition,
     r.joules = m.watts * r.seconds;
     (void)hz;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, analysis)) {
         // Layer time is a plain sum of flops/(peak*eff) terms, so the
         // per-layer attribution is exact. DMA splits by traffic class:
         // weights (resident or re-streamed) vs. activations.
@@ -116,7 +117,10 @@ VtaBackend::simulateImpl(const lower::Partition &partition,
             const double eff = isGemmLayer(frag.opcode) ? 0.35 : 0.10;
             const double raw = static_cast<double>(frag.flops) /
                                (peak * eff) * profile.scale * invocations;
-            ledger->addFragment(static_cast<int>(index), frag, raw);
+            const auto &f = analysis.fragments[index];
+            ledger->addFragment(static_cast<int>(index), f.label,
+                                static_cast<double>(frag.flops),
+                                f.touchedBytes, raw);
         }
         const double bw = m.dramGBs * 1e9;
         if (weight_stream > 0) {

@@ -28,8 +28,11 @@ class VtaBackend : public Backend
     std::string name() const override { return "TVM-VTA"; }
     lang::Domain domain() const override { return lang::Domain::DL; }
     lower::AcceleratorSpec spec() const override;
+
+  protected:
     PerfReport simulateImpl(const lower::Partition &partition,
-                        const WorkloadProfile &profile) const override;
+                            const PartitionAnalysis &analysis,
+                            const WorkloadProfile &profile) const override;
 };
 
 } // namespace polymath::target

@@ -4,8 +4,10 @@
  * design spaces pivot around), Pareto-front correctness on hand-built
  * points, config-space indexing/neighborhoods, degenerate-config
  * rejection, seeded search determinism across jobs counts (byte-equal
- * polymath-dse/1 artifacts at -j1 vs -j4), and artifact round-trip
- * through the bench_compare flattening.
+ * polymath-dse/1 artifacts at -j1 vs -j4), staged pricing (one
+ * analysis per partition, priced per point) equal to one-shot
+ * simulation, and artifact round-trip through the bench_compare
+ * flattening.
  */
 #include <gtest/gtest.h>
 
@@ -22,7 +24,9 @@
 #include "lower/compile.h"
 #include "report/artifact.h"
 #include "targets/common/backend.h"
+#include "targets/common/cost_ledger.h"
 #include "targets/common/machine_config.h"
+#include "workloads/suite.h"
 
 namespace polymath::dse {
 namespace {
@@ -406,6 +410,84 @@ TEST(Explore, RejectsEmptyPartitionsAndUnknownBackends)
     EXPECT_THROW(
         explore("w", "Xeon E-2176G", {&partition}, profile, opts),
         UserError);
+}
+
+// ---------------------------------------------------------------------------
+// Staged pricing: explore() analyses each partition once and prices that
+// analysis at every point; it must equal a one-shot simulate bit for bit.
+// ---------------------------------------------------------------------------
+
+void
+expectSameReport(const target::PerfReport &staged,
+                 const target::PerfReport &one_shot)
+{
+    EXPECT_EQ(staged.machine, one_shot.machine);
+    EXPECT_EQ(staged.seconds, one_shot.seconds);
+    EXPECT_EQ(staged.joules, one_shot.joules);
+    EXPECT_EQ(staged.computeSeconds, one_shot.computeSeconds);
+    EXPECT_EQ(staged.memorySeconds, one_shot.memorySeconds);
+    EXPECT_EQ(staged.overheadSeconds, one_shot.overheadSeconds);
+    EXPECT_EQ(staged.flops, one_shot.flops);
+    EXPECT_EQ(staged.dramBytes, one_shot.dramBytes);
+    EXPECT_EQ(staged.utilization, one_shot.utilization);
+    ASSERT_NE(staged.ledger, nullptr);
+    ASSERT_NE(one_shot.ledger, nullptr);
+    const auto &a = staged.ledger->entries;
+    const auto &b = one_shot.ledger->entries;
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].label, b[i].label);
+        EXPECT_EQ(a[i].phase, b[i].phase);
+        EXPECT_EQ(a[i].fragment, b[i].fragment);
+        EXPECT_EQ(a[i].seconds, b[i].seconds) << a[i].label;
+        EXPECT_EQ(a[i].joules, b[i].joules) << a[i].label;
+        EXPECT_EQ(a[i].dramBytes, b[i].dramBytes) << a[i].label;
+        EXPECT_EQ(a[i].flops, b[i].flops) << a[i].label;
+        EXPECT_EQ(a[i].touchedBytes, b[i].touchedBytes) << a[i].label;
+        EXPECT_EQ(a[i].bound, b[i].bound) << a[i].label;
+    }
+}
+
+TEST(StagedPricing, EqualsOneShotOnTableIIIOverTheSmallSpace)
+{
+    // Profiling on, so the ledgers are compared too (explore() turns it
+    // on the same way).
+    target::setProfilingEnabled(true);
+    const auto registry = target::standardRegistry();
+    int64_t priced = 0;
+    for (const auto &bench : wl::tableIII()) {
+        const auto compiled = wl::compileBenchmark(
+            bench.source, bench.buildOpts, registry, bench.domain);
+        for (const auto &partition : compiled.partitions) {
+            if (!ConfigSpace::searchable(partition.accel))
+                continue;
+            SCOPED_TRACE(bench.id + " on " + partition.accel);
+            const auto space = ConfigSpace::forBackend(
+                partition.accel, ConfigSpace::Kind::Small);
+            const auto base = target::makeBackend(
+                partition.accel, space.machineAt(space.baseIndex()));
+            const target::PartitionAnalysis analysis =
+                base->analyze(partition);
+
+            // Machine independence: another config of the same backend
+            // analyses the partition identically.
+            const auto scaled = target::makeBackend(
+                partition.accel, space.machineAt(space.size() - 1));
+            ASSERT_NE(scaled->machine().signature(),
+                      base->machine().signature());
+            EXPECT_TRUE(scaled->analyze(partition) == analysis);
+
+            for (int64_t i = 0; i < space.size(); ++i) {
+                const auto backend =
+                    target::makeBackend(partition.accel, space.machineAt(i));
+                expectSameReport(
+                    backend->simulate(partition, analysis, bench.profile),
+                    backend->simulate(partition, bench.profile));
+                ++priced;
+            }
+        }
+    }
+    EXPECT_GT(priced, 0);
 }
 
 TEST(Artifact, RoundTripsAndFlattensForBenchCompare)

@@ -143,6 +143,43 @@ TEST_P(LedgerInvariant, DisabledProfilingLeavesReportUntouched)
     EXPECT_EQ(plain.dramBytes, profiled.dramBytes);
 }
 
+TEST_P(LedgerInvariant, AnalysisDecidesWhetherToLedger)
+{
+    // In pmcd a concurrent dse/profile request can switch profiling on
+    // between analyze() and pricing. The analysis made with it off
+    // carries no labels, so pricing it must not open a ledger at all.
+    const auto backends = target::standardBackends();
+    const auto *b = target::findBackend(backends, GetParam());
+    ASSERT_NE(b, nullptr);
+    target::WorkloadProfile prof;
+    prof.vertices = 1000;
+    prof.edges = 8000;
+    const auto p = syntheticPartition(b->name(), 3, 20000);
+
+    const target::PartitionAnalysis unprofiled = b->analyze(p);
+    EXPECT_FALSE(unprofiled.ledger);
+    const ProfilingGuard profiling;
+    const auto late = b->simulate(p, unprofiled, prof);
+    EXPECT_EQ(late.ledger, nullptr);
+
+    // Analysed with profiling on: a ledger whose fragment entries carry
+    // their "opcode(output)" labels.
+    const auto profiled = b->simulate(p, b->analyze(p), prof);
+    ASSERT_NE(profiled.ledger, nullptr);
+    int fragments = 0;
+    for (const auto &e : profiled.ledger->entries) {
+        EXPECT_FALSE(e.label.empty());
+        if (e.fragment < 0)
+            continue;
+        const auto &frag = p.fragments[static_cast<size_t>(e.fragment)];
+        EXPECT_EQ(e.label,
+                  frag.opcode + "(" + frag.outputs.front().name + ")");
+        ++fragments;
+    }
+    EXPECT_GT(fragments, 0);
+    EXPECT_EQ(late.str(), profiled.str());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, LedgerInvariant,
                          ::testing::Values("RoboX", "TABLA", "DECO",
                                            "TVM-VTA", "HyperStreams",

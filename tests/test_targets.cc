@@ -4,10 +4,14 @@
  * (monotonicity in work, profile scaling, DMA classification), and
  * per-target behaviors (TABLA level scheduling, DECO imbalance,
  * Graphicionado dataset scaling, VTA weight streaming, HyperStreams II=1,
- * CPU/GPU baseline properties).
+ * CPU/GPU baseline properties), and the simulate-call counter under
+ * concurrent callers.
  */
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "obs/metrics.h"
 #include "targets/common/backend.h"
 #include "targets/cpu/cpu_model.h"
 #include "targets/deco/deco.h"
@@ -190,6 +194,33 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendInvariants,
                                            "TVM-VTA", "HyperStreams",
                                            "Graphicionado"));
 
+TEST(BackendSimulate, CallCounterCountsEveryConcurrentCall)
+{
+    // A fresh instance, so the threads also race the counter's
+    // first-use resolution.
+    const auto backends = standardBackends();
+    const Backend *tabla = findBackend(backends, "TABLA");
+    ASSERT_NE(tabla, nullptr);
+    const auto p = syntheticPartition("TABLA", 4, 1000);
+    const WorkloadProfile prof;
+    const obs::Counter &calls = obs::MetricsRegistry::global().counter(
+        "backend.TABLA.simulate_calls");
+    const int64_t before = calls.value();
+
+    constexpr int kThreads = 4;
+    constexpr int kCallsEach = 200;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            for (int i = 0; i < kCallsEach; ++i)
+                tabla->simulate(p, prof);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(calls.value() - before, int64_t{kThreads} * kCallsEach);
+}
+
 TEST(FragmentWork, CountsFlopsPlusMoveElements)
 {
     lower::IrFragment frag;
@@ -284,8 +315,9 @@ TEST(Deco, ImbalancePenalizesLopsidedStages)
     lopsided.fragments[1].flops = 20000;
     lopsided.fragments[2].flops = 150000;
     lopsided.fragments[3].flops = 20000;
-    EXPECT_NEAR(DecoBackend::stageImbalance(balanced), 1.0, 1e-9);
-    EXPECT_GT(DecoBackend::stageImbalance(lopsided), 2.0);
+    EXPECT_NEAR(DecoBackend::stageImbalance(deco.analyze(balanced)), 1.0,
+                1e-9);
+    EXPECT_GT(DecoBackend::stageImbalance(deco.analyze(lopsided)), 2.0);
     const auto tb = deco.simulate(balanced, prof);
     const auto tl = deco.simulate(lopsided, prof);
     EXPECT_GT(tl.computeSeconds, tb.computeSeconds);

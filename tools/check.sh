@@ -26,11 +26,11 @@
 # repo-root cleanliness guard.
 #
 # The TSan pass builds only the concurrency-heavy binaries (test_obs,
-# test_obs_service, test_driver, test_service, pmc), runs those tests
-# with POLYMATH_JOBS=4
-# so the pool, compile cache, service server, and trace recorder race
-# under the sanitizer, and smoke-checks that `pmc --trace` emits
-# loadable Chrome-trace JSON.
+# test_obs_service, test_driver, test_service, test_dse, test_targets,
+# pmc), runs those tests with POLYMATH_JOBS=4 so the pool, compile
+# cache, service server, trace recorder, and the backends' shared
+# simulate-call counters race under the sanitizer, and smoke-checks
+# that `pmc --trace` emits loadable Chrome-trace JSON.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -91,14 +91,14 @@ for preset in "${presets[@]}"; do
     fi
     if [ "$preset" = tsan ]; then
         echo "== [$preset] build (test_obs test_obs_service test_driver" \
-             "test_service test_dse pmc) =="
+             "test_service test_dse test_targets pmc) =="
         cmake --build --preset tsan -j "$jobs" \
             --target test_obs test_obs_service test_driver test_service \
-            test_dse pmc
+            test_dse test_targets pmc
         echo "== [$preset] test (POLYMATH_JOBS=4) =="
         POLYMATH_JOBS=4 ctest --test-dir build-tsan -j "$jobs" \
             --output-on-failure \
-            -R '^(test_obs|test_obs_service|test_driver|test_service|test_dse)$'
+            -R '^(test_obs|test_obs_service|test_driver|test_service|test_dse|test_targets)$'
         echo "== [$preset] pmc --trace smoke =="
         trace_json="$(mktemp /tmp/polymath-trace.XXXXXX.json)"
         build-tsan/tools/pmc --trace "$trace_json" \
