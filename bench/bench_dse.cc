@@ -30,7 +30,6 @@ main(int argc, char **argv)
     dse::SearchOptions opts;
     opts.space = dse::ConfigSpace::Kind::Small;
     opts.driver = dse::SearchOptions::Driver::Grid;
-    opts.jobs = 1; // the driver already fans out across workloads
 
     auto studies = driver.mapTableIII(
         registry,

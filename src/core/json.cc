@@ -103,10 +103,16 @@ class Parser
     Value parseValue()
     {
         const char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            // Each level recurses, so bound the depth before descending.
+            if (depth_ == kMaxDepth)
+                fatal(format("json: nesting deeper than %d at offset %zu",
+                             kMaxDepth, pos_));
+            ++depth_;
+            Value nested = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return nested;
+        }
         if (c == '"')
             return Value{parseString()};
         if (c == 't') {
@@ -274,6 +280,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    int depth_ = 0; ///< arrays/objects open around pos_
 };
 
 } // namespace

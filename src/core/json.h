@@ -46,8 +46,17 @@ struct Value
     bool has(const std::string &key) const;
 };
 
+/** Deepest array/object nesting parse() accepts. The parser recurses
+ *  once per level, so this bounds its stack use on hostile input. The
+ *  deepest documents the stack writes are srDFG graphs, whose index
+ *  expressions nest two levels per operator (38 for
+ *  examples/pmlang/brain_stimulation.pm); artifacts and wire lines stay
+ *  under 5. */
+inline constexpr int kMaxDepth = 512;
+
 /** Parses @p text as one JSON document. @throws UserError on malformed
- *  input (including trailing characters). */
+ *  input (including trailing characters) and on nesting deeper than
+ *  kMaxDepth. */
 Value parse(const std::string &text);
 
 /**

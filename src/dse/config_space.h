@@ -45,7 +45,7 @@ class ConfigSpace
     enum class Kind
     {
         Small, ///< units x freq — 6 points, the CI/bench grid
-        Full,  ///< units x freq x dram x knob — the pmdse default
+        Full,  ///< units x freq x dram x knob — `--dse-space full`
     };
 
     /** @throws UserError on anything but "small"|"full". */

@@ -7,7 +7,6 @@
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/strings.h"
-#include "core/thread_pool.h"
 #include "dse/pareto.h"
 #include "report/report.h"
 #include "targets/common/cost_ledger.h"
@@ -181,8 +180,7 @@ explore(const std::string &workload_id, const std::string &backend,
     target::setProfilingEnabled(true);
 
     // Analyses are machine-independent: made once here under the factory
-    // config, then shared read-only by every point's pricing (and every
-    // parallelMap worker).
+    // config, then shared read-only by every point's pricing.
     std::vector<target::PartitionAnalysis> analyses;
     analyses.reserve(partitions.size());
     {
@@ -205,19 +203,11 @@ explore(const std::string &workload_id, const std::string &backend,
     study.backend = backend;
     study.spaceSize = space.size();
 
-    std::set<int64_t> seen;
     std::map<int64_t, EvalPoint> evaluated;
     const auto evaluateRound = [&](const std::vector<int64_t> &indices) {
-        auto results = core::parallelMap(
-            options.jobs, static_cast<int64_t>(indices.size()),
-            [&](int64_t i) {
-                return evaluatePoint(space,
-                                     indices[static_cast<size_t>(i)],
-                                     partitions, analyses, profile);
-            });
-        for (auto &point : results) {
-            seen.insert(point.index);
-            evaluated.emplace(point.index, std::move(point));
+        for (const int64_t index : indices) {
+            evaluated.emplace(index, evaluatePoint(space, index, partitions,
+                                                   analyses, profile));
         }
     };
 
@@ -253,7 +243,7 @@ explore(const std::string &workload_id, const std::string &backend,
                 for (const int64_t n :
                      space.neighbors(ranked[i]->index))
                 {
-                    if (!seen.count(n))
+                    if (!evaluated.count(n))
                         next.insert(n);
                 }
             }

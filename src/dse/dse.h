@@ -12,10 +12,14 @@
  *
  * Search is deterministic by construction: the grid driver enumerates
  * indices in order; the random driver draws from a seeded core::Rng and
- * refines survivors by ascending neighbor index; evaluation fans out
- * through core::parallelMap, whose results are index-ordered regardless
- * of the jobs count. Same seed => same evaluations => byte-identical
- * artifacts at any -jN.
+ * refines survivors by ascending neighbor index; points are evaluated
+ * serially and keep no state outside the call. Same seed => same
+ * evaluations => byte-identical tables, however many searches run
+ * concurrently (the pmcd `dse` verb runs one per request).
+ *
+ * Entry points: `pmc --dse` and the pmcd `dse` verb (one path, through
+ * service::runRequest) search one program; bench_dse sweeps the Table
+ * III suite and is the check.sh gate.
  */
 #ifndef POLYMATH_DSE_DSE_H_
 #define POLYMATH_DSE_DSE_H_
@@ -49,7 +53,10 @@ struct SearchOptions
     int64_t samples = 48; ///< random driver: first-round sample budget
     int64_t rounds = 3;   ///< random driver: halving/refinement rounds
     uint64_t seed = 0x5eed;
-    int jobs = 1; ///< evaluation fan-out (deterministic at any value)
+    /** Ignored: points are evaluated serially. Kept only because the
+     *  stack benchmark's sources (benchmark/layers.cc) still set it;
+     *  remove it together with that assignment. */
+    int jobs = 1;
 };
 
 /** One evaluated configuration. */
@@ -125,7 +132,7 @@ std::vector<const lower::Partition *> partitionsFor(
     const lower::CompiledProgram &program, const std::string &backend);
 
 // ---------------------------------------------------------------------------
-// Rendering (pmdse, `pmc --dse`, the pmcd `dse` verb).
+// Rendering (`pmc --dse`, the pmcd `dse` verb, bench_dse).
 // ---------------------------------------------------------------------------
 
 /** Pareto-front table of one study ('*' = best, '=' = baseline). */

@@ -357,9 +357,6 @@ compileProgram(const Graph &graph, const AcceleratorRegistry &registry,
     compile_span.arg("partitions",
                      static_cast<int64_t>(out.partitions.size()));
     compile_span.arg("boundary_bytes", out.transferBytes());
-    // Cached programs are immutable, so every hit can share this one
-    // rendering instead of re-rendering the same listing.
-    out.listing = out.render();
     return out;
 }
 

@@ -15,6 +15,9 @@
 #ifndef POLYMATH_LOWER_COMPILE_H_
 #define POLYMATH_LOWER_COMPILE_H_
 
+#include <memory>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/diagnostics.h"
@@ -55,6 +58,36 @@ struct Partition
     int64_t flops() const;
 };
 
+/** A string made by the first get() and shared by every later one, across
+ *  threads. A copy or an assignment starts empty, so a program copied and
+ *  then edited never shows the original's text. */
+class RenderOnce
+{
+  public:
+    RenderOnce() = default;
+    RenderOnce(const RenderOnce &) {}
+    RenderOnce &operator=(const RenderOnce &)
+    {
+        state_ = std::make_unique<State>();
+        return *this;
+    }
+
+    template <typename Render>
+    const std::string &get(Render &&render) const
+    {
+        std::call_once(state_->once, [&] { state_->text = render(); });
+        return state_->text;
+    }
+
+  private:
+    struct State
+    {
+        std::once_flag once;
+        std::string text;
+    };
+    std::unique_ptr<State> state_ = std::make_unique<State>();
+};
+
 /** The compiled multi-accelerator program: πd1 ... πdn plus schedule. */
 struct CompiledProgram
 {
@@ -65,9 +98,8 @@ struct CompiledProgram
     /** Execution schedule for the SoC host manager. */
     std::vector<Partition> partitions;
 
-    /** render() of the finished program, made once by compileProgram()
-     *  as its last step; empty on a default-constructed program. */
-    std::string listing;
+    /** str()'s rendering, made on its first call. */
+    RenderOnce listing;
 
     /** Total bytes moved across domain boundaries. */
     int64_t transferBytes() const;
@@ -75,8 +107,13 @@ struct CompiledProgram
     /** Renders the programs and schedule afresh. */
     std::string render() const;
 
-    /** The listing: what render() printed when the program was built. */
-    const std::string &str() const { return listing; }
+    /** The listing: render() on the first call, then the same string for
+     *  every caller, so a cached program renders once however many hits
+     *  print it, and callers that never print never pay for it. */
+    const std::string &str() const
+    {
+        return listing.get([this] { return render(); });
+    }
 };
 
 /**

@@ -8,7 +8,6 @@
 #include "core/error.h"
 #include "core/json.h"
 #include "core/strings.h"
-#include "dse/artifact.h"
 #include "dse/dse.h"
 #include "lower/lower.h"
 #include "passes/pass.h"
@@ -95,9 +94,8 @@ runCompilation(const Request &req, const Compilation &c,
 
     if (req.verb == Verb::Dse) {
         // Design-space search over every searchable accelerator among
-        // the compiled partitions (docs/DSE.md). Single-threaded per
-        // request: the server's fairness unit is the request, and the
-        // search is deterministic at any fan-out anyway.
+        // the compiled partitions (docs/DSE.md). Serial per request: the
+        // server's fairness unit is the request.
         dse::SearchOptions opts;
         opts.space = dse::ConfigSpace::kindFromString(req.dseSpace);
         opts.driver =
@@ -105,7 +103,6 @@ runCompilation(const Request &req, const Compilation &c,
         opts.samples = req.dseSamples;
         opts.rounds = req.dseRounds;
         opts.seed = req.dseSeed;
-        opts.jobs = 1;
         target::WorkloadProfile workload;
         workload.invocations = req.invocations;
         std::vector<dse::WorkloadStudy> studies;

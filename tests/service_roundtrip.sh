@@ -2,8 +2,8 @@
 # stdout/stderr bytes and exit code whether they run locally or through a
 # pmcd daemon (`pmc --connect`). Exercises the full lifecycle: start the
 # daemon, wait for the socket, round-trip several flag shapes (compile,
-# simulate, faults, schedule, profile, multi-file, and a user error),
-# then stop it with `pmcd --shutdown`.
+# simulate, faults, schedule, profile, dse, multi-file, and a user
+# error), then stop it with `pmcd --shutdown`.
 #
 # usage: service_roundtrip.sh <pmc> <pmcd> <examples-dir>
 set -u
@@ -57,6 +57,8 @@ check optimize --optimize --target RBT --simulate "$EXAMPLES/mobile_robot.pm"
 check faults --target DA --simulate --fault-rate 0.1 --fault-seed 7 "$EXAMPLES/affine.pm"
 check schedule --target DA --schedule "$EXAMPLES/affine.pm"
 check profile --target DA --profile --profile-top 5 "$EXAMPLES/affine.pm"
+check dse_small --target RBT --dse --dse-space small "$EXAMPLES/mobile_robot.pm"
+check dse_random --target RBT --dse --dse-space full --dse-search random --dse-seed 7 "$EXAMPLES/mobile_robot.pm"
 check multifile --target GA "$EXAMPLES/bfs.pm" "$EXAMPLES/pagerank.pm"
 check cross_domain --optimize --target ALL --simulate "$EXAMPLES/brain_stimulation.pm"
 

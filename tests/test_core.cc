@@ -6,6 +6,7 @@
 
 #include "core/dtype.h"
 #include "core/error.h"
+#include "core/json.h"
 #include "core/logging.h"
 #include "core/rng.h"
 #include "core/shape.h"
@@ -264,6 +265,40 @@ TEST(Errors, FatalCarriesLocation)
         EXPECT_EQ(e.loc().line, 2);
         EXPECT_NE(std::string(e.what()).find("2:5"), std::string::npos);
     }
+}
+
+TEST(Json, NestingIsBoundedWithAPositionedError)
+{
+    const auto nested = [](int depth) {
+        return std::string(static_cast<size_t>(depth), '[') +
+               std::string(static_cast<size_t>(depth), ']');
+    };
+    EXPECT_EQ(json::parse(nested(json::kMaxDepth)).arr().size(), 1u);
+    EXPECT_NO_THROW(json::parse("{\"a\":" + nested(json::kMaxDepth - 1) +
+                                "}"));
+    // One level past the bound fails at the '[' that opens it, whether
+    // the document is shallow overall or a hostile 200k-deep line that
+    // would otherwise overflow the stack.
+    const std::string expected =
+        format("json: nesting deeper than %d at offset %d", json::kMaxDepth,
+               json::kMaxDepth);
+    for (const std::string &text :
+         {nested(json::kMaxDepth + 1), std::string(200000, '[')}) {
+        try {
+            json::parse(text);
+            FAIL() << "expected UserError";
+        } catch (const UserError &e) {
+            EXPECT_EQ(e.message(), expected);
+        }
+    }
+    // Siblings do not accumulate depth.
+    std::string wide = "[";
+    for (int i = 0; i < 4 * json::kMaxDepth; ++i) {
+        if (i > 0)
+            wide += ',';
+        wide += nested(8);
+    }
+    EXPECT_NO_THROW(json::parse(wide + "]"));
 }
 
 } // namespace

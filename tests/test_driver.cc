@@ -171,6 +171,28 @@ TEST(CompileCache, FreshRegistryIsSafeToShareAcrossThreads)
     EXPECT_EQ(registry.supportedOpsByDomain().size(), 5u); // RBT GA DA DSP DL
 }
 
+TEST(CompileCache, SharedProgramRendersItsListingOnceAcrossThreads)
+{
+    // Cache hits hand every request the same program; the first str()
+    // renders the listing and every thread must get those same bytes
+    // (TSan preset races the lazy render).
+    lower::CompileCache cache;
+    const auto registry = target::standardRegistry();
+    const auto &bench = wl::tableIII().front();
+    const auto program = wl::compileBenchmarkCached(
+        bench.source, bench.buildOpts, registry, bench.domain, cache);
+    constexpr size_t kThreads = 8;
+    std::vector<const std::string *> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] { seen[t] = &program->str(); });
+    for (auto &thread : threads)
+        thread.join();
+    for (const auto *listing : seen)
+        EXPECT_EQ(listing, seen.front()); // one shared string
+    EXPECT_EQ(*seen.front(), program->render());
+}
+
 TEST(CompileCache, SecondCompileReturnsMemoizedArtifact)
 {
     lower::CompileCache cache;

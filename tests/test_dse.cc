@@ -3,26 +3,24 @@
  * Autotuner tests: Table VI factory pins (the calibration surface the
  * design spaces pivot around), Pareto-front correctness on hand-built
  * points, config-space indexing/neighborhoods, degenerate-config
- * rejection, seeded search determinism across jobs counts (byte-equal
- * polymath-dse/1 artifacts at -j1 vs -j4), staged pricing (one
- * analysis per partition, priced per point) equal to one-shot
- * simulation, and artifact round-trip through the bench_compare
- * flattening.
+ * rejection, seeded search determinism (two concurrent searches with
+ * one seed agree point for point, as concurrent pmcd `dse` requests
+ * must), and staged pricing (one analysis per partition, priced per
+ * point) equal to one-shot simulation.
  */
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/error.h"
-#include "dse/artifact.h"
 #include "dse/config_space.h"
 #include "dse/dse.h"
 #include "dse/pareto.h"
 #include "lower/accel_spec.h"
 #include "lower/compile.h"
-#include "report/artifact.h"
 #include "targets/common/backend.h"
 #include "targets/common/cost_ledger.h"
 #include "targets/common/machine_config.h"
@@ -309,22 +307,6 @@ syntheticPartition(const std::string &accel)
     return p;
 }
 
-DseArtifact
-artifactFor(const WorkloadStudy &study, const SearchOptions &opts)
-{
-    DseArtifact artifact;
-    artifact.name = "test";
-    artifact.git = "test-git";
-    artifact.config = "test-config";
-    artifact.space = ConfigSpace::toString(opts.space);
-    artifact.search = SearchOptions::toString(opts.driver);
-    artifact.seed = opts.seed;
-    artifact.samples = opts.samples;
-    artifact.rounds = opts.rounds;
-    artifact.workloads.push_back(toStudy(study));
-    return artifact;
-}
-
 TEST(Explore, GridCoversTheSpaceAndFindsTheBaseline)
 {
     const auto partition = syntheticPartition("TABLA");
@@ -359,7 +341,7 @@ TEST(Explore, GridCoversTheSpaceAndFindsTheBaseline)
     EXPECT_FALSE(study.baseline().topCost.empty());
 }
 
-TEST(Explore, SameSeedIsByteIdenticalAtAnyJobsCount)
+TEST(Explore, SameSeedIsIdenticalAcrossConcurrentSearches)
 {
     const auto partition = syntheticPartition("Graphicionado");
     target::WorkloadProfile profile;
@@ -374,22 +356,31 @@ TEST(Explore, SameSeedIsByteIdenticalAtAnyJobsCount)
     opts.rounds = 3;
     opts.seed = 0xfeedbeef;
 
-    SearchOptions serial = opts;
-    serial.jobs = 1;
-    SearchOptions parallel = opts;
-    parallel.jobs = 4;
-
-    const auto a = explore("synthetic", "Graphicionado", {&partition},
-                           profile, serial);
-    const auto b = explore("synthetic", "Graphicionado", {&partition},
-                           profile, parallel);
-    EXPECT_EQ(artifactFor(a, serial).json(),
-              artifactFor(b, parallel).json());
+    // The pmcd `dse` verb's traffic: independent requests searching the
+    // same program at once. Both must see exactly the same points.
+    WorkloadStudy a, b;
+    std::thread ta([&] {
+        a = explore("synthetic", "Graphicionado", {&partition}, profile,
+                    opts);
+    });
+    std::thread tb([&] {
+        b = explore("synthetic", "Graphicionado", {&partition}, profile,
+                    opts);
+    });
+    ta.join();
+    tb.join();
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (size_t i = 0; i < a.points.size(); ++i) {
+        EXPECT_EQ(a.points[i].index, b.points[i].index);
+        EXPECT_EQ(a.points[i].seconds, b.points[i].seconds);
+        EXPECT_EQ(a.points[i].joules, b.points[i].joules);
+        EXPECT_EQ(a.points[i].perfPerWatt, b.points[i].perfPerWatt);
+    }
     EXPECT_EQ(frontTable(a), frontTable(b));
 
     // A different seed explores a different subset (the space is far
     // larger than the budget, so a collision would be a seeding bug).
-    SearchOptions reseeded = serial;
+    SearchOptions reseeded = opts;
     reseeded.seed = 0x5eed;
     const auto c = explore("synthetic", "Graphicionado", {&partition},
                            profile, reseeded);
@@ -488,38 +479,6 @@ TEST(StagedPricing, EqualsOneShotOnTableIIIOverTheSmallSpace)
         }
     }
     EXPECT_GT(priced, 0);
-}
-
-TEST(Artifact, RoundTripsAndFlattensForBenchCompare)
-{
-    const auto partition = syntheticPartition("TABLA");
-    target::WorkloadProfile profile;
-    profile.invocations = 10;
-    SearchOptions opts;
-    opts.space = ConfigSpace::Kind::Small;
-    opts.driver = SearchOptions::Driver::Grid;
-    const auto study =
-        explore("synthetic", "TABLA", {&partition}, profile, opts);
-
-    const DseArtifact artifact = artifactFor(study, opts);
-    const std::string text = artifact.json();
-    const DseArtifact parsed = DseArtifact::fromJson(text);
-    EXPECT_EQ(parsed.json(), text);
-    EXPECT_EQ(parsed.seed, artifact.seed);
-    EXPECT_EQ(parsed.workloads.size(), 1u);
-    EXPECT_EQ(parsed.workloads[0].front.size(), study.front.size());
-
-    // The bench_compare path: flatten both sides and diff at zero
-    // tolerance — identical artifacts must gate clean.
-    const auto flat = artifact.toBenchArtifact();
-    const auto reflat = parsed.toBenchArtifact();
-    EXPECT_TRUE(report::compareArtifacts(flat, reflat).ok());
-    EXPECT_FALSE(flat.metrics.empty());
-
-    // Foreign schemas are rejected, not misread.
-    EXPECT_THROW(DseArtifact::fromJson(
-                     "{\"schema\":\"polymath-bench/1\"}"),
-                 UserError);
 }
 
 } // namespace

@@ -3,9 +3,9 @@
  * Tests for the pmcd compile service (src/service/, docs/SERVICE.md) and
  * the CompileCache behaviors it depends on: wire-protocol round-trips,
  * server responses byte-identical to direct execution, structured errors
- * for malformed request lines, round-robin fairness across client
- * connections, admission-control accounting (completed + rejected ==
- * offered), drain-before-shutdown, the failed-compile eviction race
+ * for malformed (and too deeply nested) request lines, round-robin
+ * fairness across client connections, admission-control accounting
+ * (completed + rejected == offered), drain-before-shutdown, the failed-compile eviction race
  * regression, the LRU bound (in-flight entries never dropped), lookup()
  * semantics, and the cache-hit path (byte-identical replies, syntax
  * errors first and never cached).
@@ -288,6 +288,37 @@ TEST(ServiceServer, MalformedLinesGetStructuredErrors)
     }
     const auto after = client.call(compileRequest(tinySource(1), 10));
     EXPECT_TRUE(after.ok);
+
+    server.requestStop();
+    server.wait();
+}
+
+TEST(ServiceServer, DeeplyNestedLineGetsAnErrorAndTheConnectionLives)
+{
+    service::ServerConfig config;
+    config.socketPath = testSocket("deep");
+    config.jobs = 1;
+    service::Server server(config);
+    server.start();
+
+    // 200k nested arrays once overflowed the reader thread's stack and
+    // took the daemon down with every client.
+    service::Client client(config.socketPath);
+    ASSERT_TRUE(
+        core::writeAll(client.fd(), std::string(200000, '[') + "\n"));
+    service::Response resp;
+    ASSERT_TRUE(client.recv(resp));
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.code, 2);
+    EXPECT_NE(resp.error.find("json: nesting deeper than"),
+              std::string::npos)
+        << resp.error;
+
+    service::Request stats;
+    stats.verb = service::Verb::Stats;
+    const auto snap = client.call(stats);
+    EXPECT_TRUE(snap.ok);
+    EXPECT_DOUBLE_EQ(snap.stats.at("malformed"), 1.0);
 
     server.requestStop();
     server.wait();

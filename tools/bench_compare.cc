@@ -6,23 +6,16 @@
  *
  * Exit codes: 0 all metrics within tolerance, 1 regression (any metric
  * out of tolerance or present on only one side), 2 usage / IO error.
- * check.sh runs this against the checked-in baselines in bench/baselines/.
- *
- * `polymath-dse/1` artifacts (the autotuner's output, dse/artifact.h)
- * are detected by schema and flattened to bench rows, so the same
- * tolerance machinery gates DSE sweeps.
+ * check.sh runs this against the checked-in baselines in bench/baselines/,
+ * the DSE sweep (bench_dse) included.
  */
 #include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/error.h"
-#include "core/json.h"
-#include "dse/artifact.h"
 #include "report/artifact.h"
 
 namespace {
@@ -61,26 +54,6 @@ parseTolValue(const char *text, const char *flag)
                         " expects a non-negative number (got '" + text +
                         "')");
     return value;
-}
-
-// Loads either artifact flavor: polymath-dse/1 files are flattened
-// through toBenchArtifact() so both sides diff as bench rows.
-BenchArtifact
-loadArtifact(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        polymath::fatal("cannot read artifact '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
-    const polymath::json::Value root = polymath::json::parse(text);
-    const std::string schema =
-        root.has("schema") ? root.at("schema").str() : "";
-    if (schema == polymath::dse::DseArtifact::kSchema)
-        return polymath::dse::DseArtifact::fromJson(text)
-            .toBenchArtifact();
-    return BenchArtifact::fromJson(text);
 }
 
 } // namespace
@@ -123,8 +96,8 @@ main(int argc, char **argv)
             return 2;
         }
 
-        const BenchArtifact baseline = loadArtifact(paths[0]);
-        const BenchArtifact current = loadArtifact(paths[1]);
+        const BenchArtifact baseline = BenchArtifact::read(paths[0]);
+        const BenchArtifact current = BenchArtifact::read(paths[1]);
         const CompareResult result =
             polymath::report::compareArtifacts(baseline, current, options);
 

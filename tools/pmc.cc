@@ -125,8 +125,7 @@ usage()
         "                        only\n"
         "  --dse                 with --target: autotune the machine\n"
         "                        configs of the compiled accelerators and\n"
-        "                        print the Pareto fronts (docs/DSE.md;\n"
-        "                        pmdse is the full-featured driver)\n"
+        "                        print the Pareto fronts (docs/DSE.md)\n"
         "  --dse-space <kind>    with --dse: small|full (default small)\n"
         "  --dse-search <drv>    with --dse: auto|grid|random\n"
         "  --dse-samples <n>     with --dse: random-search sample budget\n"
