@@ -32,14 +32,13 @@ evalKernel(const lang::Expr &e, double a, double b,
         return e.name == red.paramA ? a : b;
       case ExprKind::Unary: {
         const double x = evalKernel(*e.lhs, a, b, red);
-        return lang::resolveUnaryOp(e.op) == lang::UnaryOp::Neg
-                   ? -x
-                   : (x == 0.0 ? 1.0 : 0.0);
+        return e.unaryOp == lang::UnaryOp::Neg ? -x
+                                               : (x == 0.0 ? 1.0 : 0.0);
       }
       case ExprKind::Binary: {
         const double l = evalKernel(*e.lhs, a, b, red);
         const double r = evalKernel(*e.rhs, a, b, red);
-        return lang::applyBinaryOp(lang::resolveBinaryOp(e.op), l, r);
+        return lang::applyBinaryOp(e.binaryOp, l, r);
       }
       case ExprKind::Ternary:
         return evalKernel(*e.lhs, a, b, red) != 0.0

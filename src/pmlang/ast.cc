@@ -2,6 +2,55 @@
 
 namespace polymath::lang {
 
+namespace {
+
+/** The binary-operator table, tightest-binding first. Every level binds
+ *  looser than the prefix operators and tighter than '?:'. */
+constexpr BinaryOpInfo kBinaryOps[] = {
+    {Tok::Caret, BinaryOp::Pow, "^", 7, Assoc::Right},
+    {Tok::Star, BinaryOp::Mul, "*", 6, Assoc::Left},
+    {Tok::Slash, BinaryOp::Div, "/", 6, Assoc::Left},
+    {Tok::Percent, BinaryOp::Mod, "%", 6, Assoc::Left},
+    {Tok::Plus, BinaryOp::Add, "+", 5, Assoc::Left},
+    {Tok::Minus, BinaryOp::Sub, "-", 5, Assoc::Left},
+    {Tok::Lt, BinaryOp::Lt, "<", 4, Assoc::None},
+    {Tok::Le, BinaryOp::Le, "<=", 4, Assoc::None},
+    {Tok::Gt, BinaryOp::Gt, ">", 4, Assoc::None},
+    {Tok::Ge, BinaryOp::Ge, ">=", 4, Assoc::None},
+    {Tok::EqEq, BinaryOp::Eq, "==", 4, Assoc::None},
+    {Tok::NotEq, BinaryOp::Ne, "!=", 4, Assoc::None},
+    {Tok::AndAnd, BinaryOp::And, "&&", 3, Assoc::Left},
+    {Tok::OrOr, BinaryOp::Or, "||", 2, Assoc::Left},
+};
+
+} // namespace
+
+const BinaryOpInfo *
+binaryOpFor(Tok kind)
+{
+    for (const auto &row : kBinaryOps) {
+        if (row.token == kind)
+            return &row;
+    }
+    return nullptr;
+}
+
+std::string
+toString(BinaryOp op)
+{
+    for (const auto &row : kBinaryOps) {
+        if (row.op == op)
+            return row.spelling;
+    }
+    panic("unhandled BinaryOp");
+}
+
+std::string
+toString(UnaryOp op)
+{
+    return op == UnaryOp::Neg ? "-" : "!";
+}
+
 std::string
 toString(Modifier m)
 {
@@ -57,7 +106,8 @@ cloneExpr(const Expr &e)
     out->value = e.value;
     out->isIntLit = e.isIntLit;
     out->name = e.name;
-    out->op = e.op;
+    out->unaryOp = e.unaryOp;
+    out->binaryOp = e.binaryOp;
     for (const auto &a : e.args)
         out->args.push_back(cloneExpr(*a));
     if (e.lhs)
@@ -94,10 +144,10 @@ exprToString(const Expr &e)
         return out;
       }
       case ExprKind::Unary:
-        return (e.op == "neg" ? "-" : e.op) + exprToString(*e.lhs);
+        return toString(e.unaryOp) + exprToString(*e.lhs);
       case ExprKind::Binary:
-        return "(" + exprToString(*e.lhs) + " " + e.op + " " +
-               exprToString(*e.rhs) + ")";
+        return "(" + exprToString(*e.lhs) + " " + toString(e.binaryOp) +
+               " " + exprToString(*e.rhs) + ")";
       case ExprKind::Ternary:
         return "(" + exprToString(*e.lhs) + " ? " + exprToString(*e.rhs) +
                " : " + exprToString(*e.third) + ")";

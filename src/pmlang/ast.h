@@ -17,6 +17,7 @@
 
 #include "core/dtype.h"
 #include "core/error.h"
+#include "pmlang/token.h"
 
 namespace polymath::lang {
 
@@ -31,6 +32,38 @@ std::string toString(Modifier m);
 
 /** Returns the annotation keyword for @p d ("RBT", ...; "" for None). */
 std::string toString(Domain d);
+
+/** Binary operators (Section II-B). */
+enum class BinaryOp : uint8_t {
+    Add, Sub, Mul, Div, Mod, Pow,
+    Lt, Le, Gt, Ge, Eq, Ne, And, Or,
+};
+
+/** Prefix operators: arithmetic negation (-x) and logical not (!x). */
+enum class UnaryOp : uint8_t { Neg, Not };
+
+/** How a chain of one precedence level groups: a-b-c is (a-b)-c (Left),
+ *  a^b^c is a^(b^c) (Right), a<b<c is a syntax error (None). */
+enum class Assoc : uint8_t { Left, Right, None };
+
+/** One row of the PMLang binary-operator table. */
+struct BinaryOpInfo
+{
+    Tok token;
+    BinaryOp op;
+    const char *spelling;
+    int prec; ///< binding power: higher binds tighter
+    Assoc assoc;
+};
+
+/** The table row whose token is @p kind; nullptr for non-operators. */
+const BinaryOpInfo *binaryOpFor(Tok kind);
+
+/** Returns the source spelling of @p op ("+", "<=", "&&", ...). */
+std::string toString(BinaryOp op);
+
+/** Returns the source spelling of @p op ("-" or "!"). */
+std::string toString(UnaryOp op);
 
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
@@ -74,9 +107,9 @@ struct Expr
     // Ref: index expressions; Call: arguments
     std::vector<ExprPtr> args;
 
-    // Unary/Binary: operator spelling ("+", "-", "*", "/", "%", "^", "<",
-    // "<=", ">", ">=", "==", "!=", "&&", "||", "!", "neg")
-    std::string op;
+    // Unary/Binary: operator (lhs is the operand of a unary node)
+    UnaryOp unaryOp = UnaryOp::Neg;
+    BinaryOp binaryOp = BinaryOp::Add;
     ExprPtr lhs;
     ExprPtr rhs;
     ExprPtr third; ///< Ternary else-branch (lhs=cond, rhs=then)

@@ -124,34 +124,6 @@ applyBuiltinReduction(const std::string &name, double acc, double x)
     panic("applyBuiltinReduction(): unknown reduction " + name);
 }
 
-BinaryOp
-resolveBinaryOp(const std::string &op)
-{
-    static const std::unordered_map<std::string, BinaryOp> table = {
-        {"+", BinaryOp::Add},  {"-", BinaryOp::Sub},
-        {"*", BinaryOp::Mul},  {"/", BinaryOp::Div},
-        {"%", BinaryOp::Mod},  {"^", BinaryOp::Pow},
-        {"<", BinaryOp::Lt},   {"<=", BinaryOp::Le},
-        {">", BinaryOp::Gt},   {">=", BinaryOp::Ge},
-        {"==", BinaryOp::Eq},  {"!=", BinaryOp::Ne},
-        {"&&", BinaryOp::And}, {"||", BinaryOp::Or},
-    };
-    auto it = table.find(op);
-    if (it == table.end())
-        panic("unknown binary operator " + op);
-    return it->second;
-}
-
-UnaryOp
-resolveUnaryOp(const std::string &op)
-{
-    if (op == "neg")
-        return UnaryOp::Neg;
-    if (op == "!" || op == "not")
-        return UnaryOp::Not;
-    panic("unknown unary operator " + op);
-}
-
 double
 applyBinaryOp(BinaryOp op, double l, double r)
 {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "pmlang/ast.h"
+
 namespace polymath::lang {
 
 /** True when @p name is a built-in scalar function usable in expressions. */
@@ -42,25 +44,7 @@ double reductionIdentity(const std::string &name);
 /** Applies a built-in reduction combiner. */
 double applyBuiltinReduction(const std::string &name, double acc, double x);
 
-/** Resolved PMLang binary-operator spellings ("+", "<=", "&&", ...), for
- *  dispatch without per-use string comparison. */
-enum class BinaryOp : uint8_t {
-    Add, Sub, Mul, Div, Mod, Pow,
-    Lt, Le, Gt, Ge, Eq, Ne, And, Or,
-};
-
-/** Resolves an Expr::Binary operator spelling.
- *  @throws InternalError on unknown spellings. */
-BinaryOp resolveBinaryOp(const std::string &op);
-
-/** Resolved Expr::Unary operator spellings ("neg", "!"). */
-enum class UnaryOp : uint8_t { Neg, Not };
-
-/** Resolves an Expr::Unary operator spelling.
- *  @throws InternalError on unknown spellings. */
-UnaryOp resolveUnaryOp(const std::string &op);
-
-/** Applies a resolved binary operator to real scalars (logic ops treat
+/** Applies a binary operator to real scalars (logic ops treat
  *  non-zero as true and return 0/1). */
 double applyBinaryOp(BinaryOp op, double l, double r);
 

@@ -1,6 +1,8 @@
 #include "pmlang/parser.h"
 
+#include <algorithm>
 #include <charconv>
+#include <limits>
 #include <utility>
 
 #include "obs/trace.h"
@@ -38,16 +40,14 @@ typeFor(Tok kind)
     }
 }
 
-ExprPtr
-makeBinary(std::string op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc)
+/** Binding power of '?:', looser than every row of the operator table. */
+constexpr int kTernaryPrec = 1;
+
+[[noreturn]] void
+tooDeep(SourceLoc loc)
 {
-    auto e = std::make_unique<Expr>();
-    e->kind = ExprKind::Binary;
-    e->loc = loc;
-    e->op = std::move(op);
-    e->lhs = std::move(lhs);
-    e->rhs = std::move(rhs);
-    return e;
+    fatal("expression nested deeper than " + std::to_string(kMaxExprDepth),
+          loc);
 }
 
 } // namespace
@@ -375,138 +375,74 @@ Parser::parseStandaloneExpr()
 ExprPtr
 Parser::parseExpr()
 {
-    return parseTernary();
+    return parseOperators(0).expr;
 }
 
-ExprPtr
-Parser::parseTernary()
+Parser::Subtree
+Parser::parseOperators(int nesting, int minPrec)
 {
-    auto cond = parseOr();
-    if (!match(Tok::Question))
-        return cond;
+    Subtree lhs = parseOperand(nesting);
+    // After a node of precedence p only looser operators may follow, and
+    // p itself only when it is left-associative: comparisons do not chain.
+    int maxPrec = std::numeric_limits<int>::max();
+    for (;;) {
+        const bool ternary = check(Tok::Question);
+        const BinaryOpInfo *row = binaryOpFor(peek().kind);
+        if (!ternary && !row)
+            break;
+        const int prec = ternary ? kTernaryPrec : row->prec;
+        const Assoc assoc = ternary ? Assoc::Right : row->assoc;
+        if (prec < minPrec || prec > maxPrec)
+            break;
+        // The new node pushes every level of lhs one further down.
+        if (nesting + 1 + lhs.depth > kMaxExprDepth)
+            tooDeep(peek().loc);
+        auto e = std::make_unique<Expr>();
+        e->loc = ternary ? lhs.expr->loc : peek().loc;
+        advance();
+        e->lhs = std::move(lhs.expr);
+        int deepest = lhs.depth;
+        if (ternary) {
+            e->kind = ExprKind::Ternary;
+            Subtree then = parseOperators(nesting + 1);
+            expect(Tok::Colon, "in conditional expression");
+            Subtree other = parseOperators(nesting + 1);
+            e->rhs = std::move(then.expr);
+            e->third = std::move(other.expr);
+            deepest = std::max({deepest, then.depth, other.depth});
+        } else {
+            e->kind = ExprKind::Binary;
+            e->binaryOp = row->op;
+            Subtree rhs = parseOperators(
+                nesting + 1, assoc == Assoc::Right ? prec : prec + 1);
+            e->rhs = std::move(rhs.expr);
+            deepest = std::max(deepest, rhs.depth);
+        }
+        lhs = {std::move(e), deepest + 1};
+        maxPrec = assoc == Assoc::Left ? prec : prec - 1;
+    }
+    return lhs;
+}
+
+Parser::Subtree
+Parser::parseOperand(int nesting)
+{
+    if (nesting >= kMaxExprDepth)
+        tooDeep(peek().loc);
+    if (!check(Tok::Minus) && !check(Tok::Not))
+        return parsePrimary(nesting);
     auto e = std::make_unique<Expr>();
-    e->kind = ExprKind::Ternary;
-    e->loc = cond->loc;
-    e->lhs = std::move(cond);
-    e->rhs = parseExpr();
-    expect(Tok::Colon, "in conditional expression");
-    e->third = parseExpr();
-    return e;
-}
-
-ExprPtr
-Parser::parseOr()
-{
-    auto lhs = parseAnd();
-    while (check(Tok::OrOr)) {
-        const SourceLoc loc = peek().loc;
-        advance();
-        lhs = makeBinary("||", std::move(lhs), parseAnd(), loc);
-    }
-    return lhs;
-}
-
-ExprPtr
-Parser::parseAnd()
-{
-    auto lhs = parseComparison();
-    while (check(Tok::AndAnd)) {
-        const SourceLoc loc = peek().loc;
-        advance();
-        lhs = makeBinary("&&", std::move(lhs), parseComparison(), loc);
-    }
-    return lhs;
-}
-
-ExprPtr
-Parser::parseComparison()
-{
-    auto lhs = parseAdditive();
-    std::string op;
-    switch (peek().kind) {
-      case Tok::Lt: op = "<"; break;
-      case Tok::Gt: op = ">"; break;
-      case Tok::Le: op = "<="; break;
-      case Tok::Ge: op = ">="; break;
-      case Tok::EqEq: op = "=="; break;
-      case Tok::NotEq: op = "!="; break;
-      default: return lhs;
-    }
-    const SourceLoc loc = peek().loc;
+    e->kind = ExprKind::Unary;
+    e->loc = peek().loc;
+    e->unaryOp = check(Tok::Minus) ? UnaryOp::Neg : UnaryOp::Not;
     advance();
-    return makeBinary(std::move(op), std::move(lhs), parseAdditive(), loc);
+    Subtree operand = parseOperand(nesting + 1);
+    e->lhs = std::move(operand.expr);
+    return {std::move(e), operand.depth + 1};
 }
 
-ExprPtr
-Parser::parseAdditive()
-{
-    auto lhs = parseMultiplicative();
-    while (check(Tok::Plus) || check(Tok::Minus)) {
-        const std::string op = peek().is(Tok::Plus) ? "+" : "-";
-        const SourceLoc loc = peek().loc;
-        advance();
-        lhs = makeBinary(op, std::move(lhs), parseMultiplicative(), loc);
-    }
-    return lhs;
-}
-
-ExprPtr
-Parser::parseMultiplicative()
-{
-    auto lhs = parsePower();
-    while (check(Tok::Star) || check(Tok::Slash) || check(Tok::Percent)) {
-        std::string op = "*";
-        if (peek().is(Tok::Slash))
-            op = "/";
-        else if (peek().is(Tok::Percent))
-            op = "%";
-        const SourceLoc loc = peek().loc;
-        advance();
-        lhs = makeBinary(std::move(op), std::move(lhs), parsePower(), loc);
-    }
-    return lhs;
-}
-
-ExprPtr
-Parser::parsePower()
-{
-    auto base = parseUnary();
-    if (!check(Tok::Caret))
-        return base;
-    const SourceLoc loc = peek().loc;
-    advance();
-    // right-associative
-    return makeBinary("^", std::move(base), parsePower(), loc);
-}
-
-ExprPtr
-Parser::parseUnary()
-{
-    if (check(Tok::Minus)) {
-        const SourceLoc loc = peek().loc;
-        advance();
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::Unary;
-        e->loc = loc;
-        e->op = "neg";
-        e->lhs = parseUnary();
-        return e;
-    }
-    if (check(Tok::Not)) {
-        const SourceLoc loc = peek().loc;
-        advance();
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::Unary;
-        e->loc = loc;
-        e->op = "!";
-        e->lhs = parseUnary();
-        return e;
-    }
-    return parsePrimary();
-}
-
-ExprPtr
-Parser::parsePrimary()
+Parser::Subtree
+Parser::parsePrimary(int nesting)
 {
     if (check(Tok::IntLit) || check(Tok::FloatLit)) {
         auto e = std::make_unique<Expr>();
@@ -525,24 +461,30 @@ Parser::parsePrimary()
         if (ec != std::errc{} || ptr != end)
             errorHere("malformed number literal: " + text);
         advance();
-        return e;
+        return {std::move(e), 1};
     }
     if (match(Tok::LParen)) {
-        auto e = parseExpr();
+        Subtree inner = parseOperators(nesting + 1);
         expect(Tok::RParen, "after parenthesized expression");
-        return e;
+        return {std::move(inner.expr), inner.depth + 1};
     }
     if (check(Tok::Ident))
-        return parseIdentExpr();
+        return parseIdentExpr(nesting);
     errorHere("expected expression");
 }
 
-ExprPtr
-Parser::parseIdentExpr()
+Parser::Subtree
+Parser::parseIdentExpr(int nesting)
 {
     auto e = std::make_unique<Expr>();
     e->loc = peek().loc;
     e->name = expect(Tok::Ident, "in expression").text;
+    int deepest = 0;
+    auto child = [&] {
+        Subtree sub = parseOperators(nesting + 1);
+        deepest = std::max(deepest, sub.depth);
+        return std::move(sub.expr);
+    };
 
     // Bracket groups: either subscripts (A[i][j]) or reduce axes
     // (sum[i][j: j != i]). Disambiguated by a trailing '(' — subscripted
@@ -557,9 +499,9 @@ Parser::parseIdentExpr()
     while (match(Tok::LBracket)) {
         Group g;
         g.loc = peek().loc;
-        g.expr = parseExpr();
+        g.expr = child();
         if (match(Tok::Colon))
-            g.cond = parseExpr();
+            g.cond = child();
         expect(Tok::RBracket, "after subscript");
         groups.push_back(std::move(g));
     }
@@ -570,12 +512,12 @@ Parser::parseIdentExpr()
             // Built-in function application: sigmoid(x), pow(a, b), ...
             e->kind = ExprKind::Call;
             if (!check(Tok::RParen)) {
-                e->args.push_back(parseExpr());
+                e->args.push_back(child());
                 while (match(Tok::Comma))
-                    e->args.push_back(parseExpr());
+                    e->args.push_back(child());
             }
             expect(Tok::RParen, "after function arguments");
-            return e;
+            return {std::move(e), deepest + 1};
         }
         // Group reduction: every bracket group must be a bare index name.
         e->kind = ExprKind::Reduce;
@@ -590,9 +532,9 @@ Parser::parseIdentExpr()
             axis.loc = g.loc;
             e->axes.push_back(std::move(axis));
         }
-        e->body = parseExpr();
+        e->body = child();
         expect(Tok::RParen, "after reduction body");
-        return e;
+        return {std::move(e), deepest + 1};
     }
 
     // Plain (possibly subscripted) reference.
@@ -605,7 +547,7 @@ Parser::parseIdentExpr()
         }
         e->args.push_back(std::move(g.expr));
     }
-    return e;
+    return {std::move(e), deepest + 1};
 }
 
 } // namespace polymath::lang

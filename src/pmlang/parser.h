@@ -1,6 +1,8 @@
 /**
  * @file
- * Recursive-descent parser for PMLang.
+ * Parser for PMLang: recursive descent for declarations and statements,
+ * one precedence-climbing loop over the operator table in ast.h for
+ * expressions. Expressions nest at most kMaxExprDepth levels deep.
  */
 #ifndef POLYMATH_PMLANG_PARSER_H_
 #define POLYMATH_PMLANG_PARSER_H_
@@ -13,6 +15,12 @@
 #include "pmlang/token.h"
 
 namespace polymath::lang {
+
+/** Deepest expression the parser accepts. Every operator node,
+ *  parenthesis pair, subscript, call and reduction on the deepest path
+ *  is one level; a lone name or literal is depth 1. Deeper input is a
+ *  positioned UserError, so later tree walks cannot run out of stack. */
+constexpr int kMaxExprDepth = 512;
 
 /**
  * Parses PMLang source text into a Program.
@@ -70,17 +78,25 @@ class Parser
     StmtPtr parseAssignOrCall(Domain domain);
     std::vector<ExprPtr> parseDims();
 
+    /** A parsed expression and its depth (see kMaxExprDepth). */
+    struct Subtree
+    {
+        ExprPtr expr;
+        int depth = 1;
+    };
+
+    /** Parses a whole expression that is not nested in another one. */
     ExprPtr parseExpr();
-    ExprPtr parseTernary();
-    ExprPtr parseOr();
-    ExprPtr parseAnd();
-    ExprPtr parseComparison();
-    ExprPtr parseAdditive();
-    ExprPtr parseMultiplicative();
-    ExprPtr parsePower();
-    ExprPtr parseUnary();
-    ExprPtr parsePrimary();
-    ExprPtr parseIdentExpr();
+
+    /** Parses operators binding at least as tight as @p minPrec (0 takes
+     *  every operator, '?:' included) into a subtree @p nesting levels
+     *  below the root of its expression. */
+    Subtree parseOperators(int nesting, int minPrec = 0);
+
+    /** Parses prefix operators and a primary. */
+    Subtree parseOperand(int nesting);
+    Subtree parsePrimary(int nesting);
+    Subtree parseIdentExpr(int nesting);
 
     std::vector<Token> toks_;
     size_t pos_ = 0;

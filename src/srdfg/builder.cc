@@ -250,11 +250,11 @@ instantiationKey(const ComponentDecl &comp,
     return key;
 }
 
-/** Maps PMLang binary operator spellings to srDFG op codes. */
+/** Maps a PMLang binary operator to its srDFG op code. */
 OpCode
-mapBinaryOp(const std::string &op)
+mapBinaryOp(lang::BinaryOp op)
 {
-    switch (lang::resolveBinaryOp(op)) {
+    switch (op) {
       case lang::BinaryOp::Add: return OpCode::Add;
       case lang::BinaryOp::Sub: return OpCode::Sub;
       case lang::BinaryOp::Mul: return OpCode::Mul;
@@ -270,7 +270,7 @@ mapBinaryOp(const std::string &op)
       case lang::BinaryOp::And: return OpCode::And;
       case lang::BinaryOp::Or: return OpCode::Or;
     }
-    panic("unknown binary operator " + op);
+    panic("unhandled BinaryOp");
 }
 
 bool
@@ -776,8 +776,7 @@ GraphBuilder::emitExpr(Frame &frame, const Expr &e, const VarContext &ctx)
         usedVars(frame, e, &used);
         std::vector<Operand> operands;
         operands.push_back(emitExpr(frame, *e.lhs, ctx));
-        const bool is_neg =
-            lang::resolveUnaryOp(e.op) == lang::UnaryOp::Neg;
+        const bool is_neg = e.unaryOp == lang::UnaryOp::Neg;
         const OpCode op = is_neg ? OpCode::Neg : OpCode::Not;
         DType dt = is_neg ? operands[0].dtype : DType::Bin;
         return emitMapOp(frame, op, std::move(operands), dt, ctx, used);
@@ -788,7 +787,7 @@ GraphBuilder::emitExpr(Frame &frame, const Expr &e, const VarContext &ctx)
         std::vector<Operand> operands;
         operands.push_back(emitExpr(frame, *e.lhs, ctx));
         operands.push_back(emitExpr(frame, *e.rhs, ctx));
-        const OpCode op = mapBinaryOp(e.op);
+        const OpCode op = mapBinaryOp(e.binaryOp);
         DType dt;
         if (isComparison(op)) {
             dt = DType::Bin;
@@ -1019,15 +1018,14 @@ GraphBuilder::translateIndex(const Frame &frame, const Expr &e,
         return IndexExpr::constant(static_cast<int64_t>(it->second.cval));
       }
       case ExprKind::Unary: {
-        const auto kind =
-            lang::resolveUnaryOp(e.op) == lang::UnaryOp::Neg
-                ? IndexExpr::Kind::Neg
-                : IndexExpr::Kind::Not;
+        const auto kind = e.unaryOp == lang::UnaryOp::Neg
+                              ? IndexExpr::Kind::Neg
+                              : IndexExpr::Kind::Not;
         return IndexExpr::unary(kind, translateIndex(frame, *e.lhs, ctx));
       }
       case ExprKind::Binary: {
         IndexExpr::Kind kind;
-        switch (lang::resolveBinaryOp(e.op)) {
+        switch (e.binaryOp) {
           case lang::BinaryOp::Add: kind = IndexExpr::Kind::Add; break;
           case lang::BinaryOp::Sub: kind = IndexExpr::Kind::Sub; break;
           case lang::BinaryOp::Mul: kind = IndexExpr::Kind::Mul; break;
@@ -1042,7 +1040,7 @@ GraphBuilder::translateIndex(const Frame &frame, const Expr &e,
           case lang::BinaryOp::And: kind = IndexExpr::Kind::And; break;
           case lang::BinaryOp::Or: kind = IndexExpr::Kind::Or; break;
           default:
-            fatal("operator '" + e.op +
+            fatal("operator '" + lang::toString(e.binaryOp) +
                       "' not allowed in index arithmetic",
                   e.loc);
         }
@@ -1084,13 +1082,13 @@ GraphBuilder::evalConstScalar(const Frame &frame, const Expr &e) const
         return it->second.cval;
       }
       case ExprKind::Unary:
-        if (lang::resolveUnaryOp(e.op) == lang::UnaryOp::Neg)
+        if (e.unaryOp == lang::UnaryOp::Neg)
             return -evalConstScalar(frame, *e.lhs);
         return evalConstScalar(frame, *e.lhs) == 0.0 ? 1.0 : 0.0;
       case ExprKind::Binary: {
         const double a = evalConstScalar(frame, *e.lhs);
         const double b = evalConstScalar(frame, *e.rhs);
-        switch (lang::resolveBinaryOp(e.op)) {
+        switch (e.binaryOp) {
           case lang::BinaryOp::Add: return a + b;
           case lang::BinaryOp::Sub: return a - b;
           case lang::BinaryOp::Mul: return a * b;
@@ -1108,7 +1106,7 @@ GraphBuilder::evalConstScalar(const Frame &frame, const Expr &e) const
                                        static_cast<int64_t>(b));
           case lang::BinaryOp::Pow: return std::pow(a, b);
           default:
-            fatal("operator '" + e.op +
+            fatal("operator '" + lang::toString(e.binaryOp) +
                       "' not allowed in constant expression",
                   e.loc);
         }

@@ -2,8 +2,8 @@
 # stdout/stderr bytes and exit code whether they run locally or through a
 # pmcd daemon (`pmc --connect`). Exercises the full lifecycle: start the
 # daemon, wait for the socket, round-trip several flag shapes (compile,
-# simulate, faults, schedule, profile, dse, multi-file, and a user
-# error), then stop it with `pmcd --shutdown`.
+# simulate, faults, schedule, profile, dse, multi-file, a user error and
+# an expression too deep to compile), then stop it with `pmcd --shutdown`.
 #
 # usage: service_roundtrip.sh <pmc> <pmcd> <examples-dir>
 set -u
@@ -65,6 +65,20 @@ check cross_domain --optimize --target ALL --simulate "$EXAMPLES/brain_stimulati
 # A user error (unknown entry) must render identically and exit 1 on
 # both paths.
 check bad_entry --target DA --entry nosuch "$EXAMPLES/affine.pm"
+
+# A 200k-term flat sum is a positioned error (exit 1), not a crash (139),
+# on both paths; the cases after it show the daemon survived.
+awk 'BEGIN {
+    printf "main(input float x, output float y) {\n    y = x"
+    for (i = 1; i < 200000; i++)
+        printf "+x"
+    print ";\n}"
+}' >"$WORK/deep_chain.pm"
+check deep_chain --target DA "$WORK/deep_chain.pm"
+if [ "$local_code" != 1 ]; then
+    echo "FAIL: deep_chain: exit $local_code, expected 1"
+    fail=1
+fi
 
 # --profile-json must write the same document bytes through either path.
 check profile_json --target DA --profile-json "$WORK/p.json" "$EXAMPLES/affine.pm"

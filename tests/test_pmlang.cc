@@ -9,6 +9,7 @@
 #include "pmlang/lexer.h"
 #include "pmlang/parser.h"
 #include "pmlang/sema.h"
+#include "srdfg/builder.h"
 
 namespace polymath::lang {
 namespace {
@@ -90,32 +91,110 @@ parseExprText(const std::string &text)
     return parser.parseStandaloneExpr();
 }
 
-TEST(Parser, PrecedenceMulOverAdd)
+/** One row of the precedence table: source text and its bracketed form. */
+struct PrecedenceCase
 {
-    EXPECT_EQ(exprToString(*parseExprText("a + b*c")), "(a + (b * c))");
-    EXPECT_EQ(exprToString(*parseExprText("(a + b)*c")), "((a + b) * c)");
-}
+    const char *src;
+    const char *bracketed;
+};
 
-TEST(Parser, ComparisonBindsLooserThanArithmetic)
+TEST(Parser, PrecedenceTable)
 {
-    EXPECT_EQ(exprToString(*parseExprText("a + 1 < b*2")),
-              "((a + 1) < (b * 2))");
-}
+    // Levels, loosest first: ?:, ||, &&, comparisons, + -, * / %, ^, then
+    // the prefix operators - and !. Every adjacent pair appears in both
+    // orders, plus each level's associativity.
+    const PrecedenceCase cases[] = {
+        // ?: against ||; ?: is right-associative in both branches
+        {"a || b ? c : d", "((a || b) ? c : d)"},
+        {"a && b || c ? x : y", "(((a && b) || c) ? x : y)"},
+        {"a ? b || c : d || e", "(a ? (b || c) : (d || e))"},
+        {"a ? b : c ? d : e", "(a ? b : (c ? d : e))"},
+        {"a ? b ? c : d : e", "(a ? (b ? c : d) : e)"},
+        // || against &&; both left-associative
+        {"a || b && c", "(a || (b && c))"},
+        {"a && b || c", "((a && b) || c)"},
+        {"a || b || c", "((a || b) || c)"},
+        {"a && b && c", "((a && b) && c)"},
+        // && against comparisons
+        {"a && b < c", "(a && (b < c))"},
+        {"a == b && c != d", "((a == b) && (c != d))"},
+        // comparisons against + -
+        {"a + b < c", "((a + b) < c)"},
+        {"a + 1 < b*2", "((a + 1) < (b * 2))"},
+        {"a <= b - c", "(a <= (b - c))"},
+        {"a - b > c + d", "((a - b) > (c + d))"},
+        {"a >= b", "(a >= b)"},
+        // + - against * / %; all left-associative
+        {"a + b*c", "(a + (b * c))"},
+        {"a * b - c", "((a * b) - c)"},
+        {"a - b / c % d", "(a - ((b / c) % d))"},
+        {"a - b - c", "((a - b) - c)"},
+        {"a - b + c", "((a - b) + c)"},
+        {"a / b % c", "((a / b) % c)"},
+        {"a % b * c", "((a % b) * c)"},
+        // * / % against ^; ^ is right-associative
+        {"a * b ^ c", "(a * (b ^ c))"},
+        {"a ^ b / c", "((a ^ b) / c)"},
+        {"a ^ b ^ c", "(a ^ (b ^ c))"},
+        // prefix operators bind tighter than ^
+        {"-a * b", "(-a * b)"},
+        {"-a ^ b", "(-a ^ b)"},
+        {"a ^ -b", "(a ^ -b)"},
+        {"a ^ -b ^ c", "(a ^ (-b ^ c))"},
+        {"!a && b", "(!a && b)"},
+        {"--a", "--a"},
+        {"-!a * b", "(-!a * b)"},
+        {"-(a + b)", "-(a + b)"},
+        // parentheses and brackets reset the level
+        {"(a + b)*c", "((a + b) * c)"},
+        {"(a ? b : c) + d", "((a ? b : c) + d)"},
+        {"A[i < j ? i : j] * 2", "(A[((i < j) ? i : j)] * 2)"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.src);
+        EXPECT_EQ(exprToString(*parseExprText(c.src)), c.bracketed);
+    }
 
-TEST(Parser, TernaryAndLogical)
-{
-    EXPECT_EQ(exprToString(*parseExprText("a && b || c ? x : y")),
-              "(((a && b) || c) ? x : y)");
-}
+    // Comparisons do not chain: the expression ends before the second
+    // comparison and the statement reports the stray operator.
+    struct Chain
+    {
+        const char *expr;
+        const char *found;
+        int column;
+    };
+    const Chain chains[] = {{"a < b < c", "'<'", 13},
+                            {"a == b != c", "'!='", 14}};
+    for (const auto &c : chains) {
+        SCOPED_TRACE(c.expr);
+        const std::string src =
+            "main(input float a, input float b, input float c, "
+            "output float y) {\n  y = " +
+            std::string(c.expr) + ";\n}\n";
+        try {
+            parse(src);
+            FAIL() << "expected a syntax error";
+        } catch (const UserError &e) {
+            EXPECT_EQ(e.message(),
+                      std::string("expected ';' after assignment, found ") +
+                          c.found);
+            EXPECT_EQ(e.loc().str(), "2:" + std::to_string(c.column));
+        }
+    }
 
-TEST(Parser, PowerIsRightAssociative)
-{
-    EXPECT_EQ(exprToString(*parseExprText("a ^ b ^ c")), "(a ^ (b ^ c))");
-}
-
-TEST(Parser, UnaryMinus)
-{
-    EXPECT_EQ(exprToString(*parseExprText("-a * b")), "(-a * b)");
+    // A binary or unary node sits at its operator token; a ternary at
+    // its condition node (so at the condition's operator when it has one).
+    const auto bin = parseExprText("a  +  b");
+    EXPECT_EQ(bin->loc.column, 4);
+    const auto un = parseExprText("b * !a");
+    ASSERT_EQ(un->rhs->kind, ExprKind::Unary);
+    EXPECT_EQ(un->rhs->loc.column, 5);
+    const auto tern = parseExprText("x ? y : z");
+    ASSERT_EQ(tern->kind, ExprKind::Ternary);
+    EXPECT_EQ(tern->loc.column, 1);
+    const auto cond = parseExprText("(p) < q ? y : z");
+    ASSERT_EQ(cond->kind, ExprKind::Ternary);
+    EXPECT_EQ(cond->loc.column, 5);
 }
 
 TEST(Parser, SubscriptedReference)
@@ -247,6 +326,104 @@ TEST(Parser, ExtremeButFiniteLiteralsParseExactly)
     EXPECT_EQ(e->value, 1e308);
     EXPECT_EQ(parseExprText("5e-324")->value, 5e-324);
     EXPECT_EQ(parseExprText("0.1")->value, 0.1);
+}
+
+// --- expression depth -----------------------------------------------------
+
+/** The four ways to nest an expression deeply. */
+enum class Shape { Parens, FlatChain, PrefixChain, PowerChain };
+
+/** An expression of @p shape that is @p depth levels deep. */
+std::string
+deepExpr(Shape shape, int depth)
+{
+    const size_t n = static_cast<size_t>(depth - 1);
+    switch (shape) {
+      case Shape::Parens:
+        return std::string(n, '(') + "x" + std::string(n, ')');
+      case Shape::FlatChain: {
+        std::string out = "x";
+        for (size_t i = 0; i < n; ++i)
+            out += "+x";
+        return out;
+      }
+      case Shape::PrefixChain: return std::string(n, '-') + "x";
+      case Shape::PowerChain: {
+        std::string out = "x";
+        for (size_t i = 0; i < n; ++i)
+            out += "^x";
+        return out;
+      }
+    }
+    return "";
+}
+
+/** A program assigning @p expr on line 2, then one more statement. */
+std::string
+assignProgram(const std::string &expr)
+{
+    return "main(input float x, output float y, output float z) {\n"
+           "  y = " +
+           expr + ";\n  z = x;\n}\n";
+}
+
+constexpr Shape kShapes[] = {Shape::Parens, Shape::FlatChain,
+                             Shape::PrefixChain, Shape::PowerChain};
+
+TEST(Parser, DeepExpressionsAreAPositionedError)
+{
+    const std::string message =
+        "expression nested deeper than " + std::to_string(kMaxExprDepth);
+    for (const Shape shape : kShapes) {
+        SCOPED_TRACE(static_cast<int>(shape));
+        const std::string src = assignProgram(deepExpr(shape, 200000));
+        try {
+            parse(src);
+            FAIL() << "expected a depth error";
+        } catch (const UserError &e) {
+            EXPECT_EQ(e.message(), message);
+            EXPECT_EQ(e.loc().line, 2);
+        }
+
+        DiagnosticEngine diag;
+        const auto prog = parseWithRecovery(src, diag);
+        ASSERT_EQ(diag.errorCount(), 1u) << diag.str();
+        EXPECT_EQ(diag.diagnostics().front().message, message);
+        ASSERT_EQ(prog.components.size(), 1u);
+        ASSERT_EQ(prog.components[0].body.size(), 1u);
+        EXPECT_EQ(prog.components[0].body[0]->target, "z");
+    }
+
+    // The left spine counts: the error sits at the first '+' that would
+    // push the leading x below the limit.
+    try {
+        parse(assignProgram(deepExpr(Shape::FlatChain, kMaxExprDepth + 1)));
+        FAIL() << "expected a depth error";
+    } catch (const UserError &e) {
+        EXPECT_EQ(e.loc().column, 6 + 2 * kMaxExprDepth);
+    }
+}
+
+TEST(Parser, ExpressionAtTheDepthLimitCompiles)
+{
+    for (const Shape shape : kShapes) {
+        SCOPED_TRACE(static_cast<int>(shape));
+        EXPECT_THROW(
+            parse(assignProgram(deepExpr(shape, kMaxExprDepth + 1))),
+            UserError);
+        const std::string src =
+            assignProgram(deepExpr(shape, kMaxExprDepth));
+        const Program prog = parse(src);
+        EXPECT_NO_THROW(analyze(prog));
+        EXPECT_NE(ir::compileToSrdfg(src), nullptr);
+    }
+
+    // Nesting inside subscripts, calls and reductions counts too.
+    const std::string inner = deepExpr(Shape::FlatChain, kMaxExprDepth - 1);
+    EXPECT_NO_THROW(parseExprText("A[" + inner + "]"));
+    EXPECT_NO_THROW(parseExprText("sigmoid(" + inner + ")"));
+    EXPECT_THROW(parseExprText("A[(" + inner + ")]"), UserError);
+    EXPECT_THROW(parseExprText("sum[i](" + inner + " + 1)"), UserError);
 }
 
 // --- semantic analysis ----------------------------------------------------

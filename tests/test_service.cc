@@ -3,8 +3,9 @@
  * Tests for the pmcd compile service (src/service/, docs/SERVICE.md) and
  * the CompileCache behaviors it depends on: wire-protocol round-trips,
  * server responses byte-identical to direct execution, structured errors
- * for malformed (and too deeply nested) request lines, round-robin
- * fairness across client connections, admission-control accounting
+ * for malformed (and too deeply nested) request lines and too deep
+ * expressions, round-robin fairness across client connections,
+ * admission-control accounting
  * (completed + rejected == offered), drain-before-shutdown, the failed-compile eviction race
  * regression, the LRU bound (in-flight entries never dropped), lookup()
  * semantics, and the cache-hit path (byte-identical replies, syntax
@@ -30,6 +31,7 @@
 #include "core/json.h"
 #include "core/net.h"
 #include "lower/compile_cache.h"
+#include "pmlang/parser.h"
 #include "service/client.h"
 #include "service/exec.h"
 #include "service/protocol.h"
@@ -319,6 +321,42 @@ TEST(ServiceServer, DeeplyNestedLineGetsAnErrorAndTheConnectionLives)
     const auto snap = client.call(stats);
     EXPECT_TRUE(snap.ok);
     EXPECT_DOUBLE_EQ(snap.stats.at("malformed"), 1.0);
+
+    server.requestStop();
+    server.wait();
+}
+
+TEST(ServiceServer, DeepExpressionGetsAnErrorAndTheConnectionLives)
+{
+    service::ServerConfig config;
+    config.socketPath = testSocket("deepexpr");
+    config.jobs = 1;
+    service::Server server(config);
+    server.start();
+
+    // A flat sum of n terms is a left spine n levels deep. 200k terms
+    // once took the daemon down in the first tree walk after parsing.
+    const auto flatSum = [](int terms) {
+        std::string expr = "x";
+        for (int i = 1; i < terms; ++i)
+            expr += "+x";
+        return "main(input float x, output float y) { y = " + expr + "; }";
+    };
+    service::Client client(config.socketPath);
+    const auto resp = client.call(compileRequest(flatSum(200000), 1));
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.code, 1);
+    EXPECT_NE(resp.error.find("expression nested deeper than"),
+              std::string::npos)
+        << resp.error;
+    EXPECT_TRUE(
+        client.call(compileRequest(flatSum(lang::kMaxExprDepth), 2)).ok);
+
+    service::Request stats;
+    stats.verb = service::Verb::Stats;
+    const auto snap = client.call(stats);
+    EXPECT_TRUE(snap.ok);
+    EXPECT_DOUBLE_EQ(snap.stats.at("malformed"), 0.0);
 
     server.requestStop();
     server.wait();

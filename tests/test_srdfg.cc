@@ -218,6 +218,42 @@ main(input float A[2][3], input float x[4], output float y[2]) {
                  UserError);
 }
 
+/** Compiles @p source and returns the UserError it must raise. */
+UserError
+builderError(const std::string &source)
+{
+    try {
+        compileToSrdfg(source);
+    } catch (const UserError &e) {
+        return e;
+    }
+    ADD_FAILURE() << "expected a UserError";
+    return UserError("");
+}
+
+TEST(Builder, IndexArithmeticNamesTheRejectedOperator)
+{
+    const UserError e = builderError(
+        "main(input float A[16], output float y[4]) {\n"
+        "    index i[0:3];\n"
+        "    y[i] = A[i ^ 2];\n"
+        "}\n");
+    EXPECT_EQ(e.message(), "operator '^' not allowed in index arithmetic");
+    EXPECT_EQ(e.loc().str(), "3:16");
+}
+
+TEST(Builder, ConstantExpressionNamesTheRejectedOperator)
+{
+    const UserError e = builderError(
+        "main(input float x[4], output float y[4]) {\n"
+        "    index i[0:(3 < 4)];\n"
+        "    y[i] = x[i];\n"
+        "}\n");
+    EXPECT_EQ(e.message(),
+              "operator '<' not allowed in constant expression");
+    EXPECT_EQ(e.loc().str(), "2:18");
+}
+
 TEST(Builder, EachInstantiationGetsItsOwnSubgraph)
 {
     auto g = compileToSrdfg(R"(
