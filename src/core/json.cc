@@ -1,8 +1,10 @@
 #include "core/json.h"
 
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "core/error.h"
@@ -16,6 +18,19 @@ Value::num() const
     if (!std::holds_alternative<double>(data))
         fatal("json: expected number");
     return std::get<double>(data);
+}
+
+int64_t
+Value::asInt() const
+{
+    const double d = num();
+    // The range test comes first and is false for NaN, so the cast
+    // below only ever sees an exactly representable integer.
+    constexpr auto kLimit = static_cast<double>(kMaxExactInt);
+    if (!(std::fabs(d) <= kLimit) || d != std::floor(d))
+        fatal("json: expected an integer within +/-2^53, got " +
+              numberToJson(d));
+    return static_cast<int64_t>(d);
 }
 
 const std::string &
@@ -62,6 +77,62 @@ Value::has(const std::string &key) const
 
 namespace {
 
+/** Strings are scanned eight bytes at a time where the first byte in
+ *  memory is the lowest lane of a loaded word; elsewhere byte by byte. */
+constexpr bool kWordScan = std::endian::native == std::endian::little;
+constexpr uint64_t kOnes = 0x0101010101010101ull;
+
+/**
+ * The high bit of each byte lane of @p w whose byte is below @p k, for
+ * k <= 0x80. It is exact for the lowest such lane; a borrow can only
+ * mark lanes above it, so std::countr_zero finds the first such byte.
+ */
+constexpr uint64_t
+bytesBelow(uint64_t w, uint64_t k)
+{
+    return (w - kOnes * k) & ~w & (kOnes * 0x80);
+}
+
+/** True for the bytes that end a run of literal string bytes: '"' and
+ *  '\\', and with @p controls also the control characters, which
+ *  appendQuoted() escapes and the parser takes as they are. */
+bool
+endsRun(char c, bool controls)
+{
+    return c == '"' || c == '\\' ||
+           (controls && static_cast<unsigned char>(c) < 0x20);
+}
+
+/** Index of the first byte of @p s at or after @p i that endsRun(), or
+ *  s.size(). Both string codecs copy the bytes before it in one go. */
+size_t
+runEnd(std::string_view s, size_t i, bool controls)
+{
+    if constexpr (kWordScan) {
+        for (; i + 8 <= s.size(); i += 8) {
+            uint64_t w;
+            std::memcpy(&w, s.data() + i, sizeof w);
+            uint64_t hits = bytesBelow(w ^ (kOnes * '"'), 1) |
+                            bytesBelow(w ^ (kOnes * '\\'), 1);
+            if (controls)
+                hits |= bytesBelow(w, 0x20);
+            if (hits != 0)
+                return i + static_cast<size_t>(std::countr_zero(hits)) / 8;
+        }
+    }
+    while (i < s.size() && !endsRun(s[i], controls))
+        ++i;
+    return i;
+}
+
+/** JSON's four whitespace bytes plus '\v' and '\f', which std::isspace
+ *  in the "C" locale also accepts, without consulting the locale. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 class Parser
 {
   public:
@@ -70,19 +141,36 @@ class Parser
     Value parse()
     {
         auto v = parseValue();
-        skipWs();
-        if (pos_ != text_.size())
-            fatal("json: trailing characters");
+        expectEnd();
         return v;
     }
 
+    /** parse() for a document that must be an object, handing each
+     *  member to @p member instead of collecting them. */
+    void parseMembers(const MemberFn &member)
+    {
+        if (peek() != '{') {
+            parse(); // its syntax errors come first, as in parse()
+            fatal("json: expected object");
+        }
+        ++depth_;
+        forEachMember(member);
+        --depth_;
+        expectEnd();
+    }
+
   private:
+    void expectEnd()
+    {
+        skipWs();
+        if (pos_ != text_.size())
+            fatal("json: trailing characters");
+    }
+
     void skipWs()
     {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+        while (pos_ < text_.size() && isSpace(text_[pos_]))
             ++pos_;
-        }
     }
 
     char peek()
@@ -143,33 +231,37 @@ class Parser
     std::string parseString()
     {
         expect('"');
+        // Reserve up to the next '"', the end of the string unless it
+        // holds an escaped quote: decoding never lengthens the text.
         std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fatal("json: bad escape");
-                const char esc = text_[pos_++];
-                switch (esc) {
-                  case 'n': c = '\n'; break;
-                  case 't': c = '\t'; break;
-                  case 'r': c = '\r'; break;
-                  case 'b': c = '\b'; break;
-                  case 'f': c = '\f'; break;
-                  case '/': c = '/'; break;
-                  case '"': c = '"'; break;
-                  case '\\': c = '\\'; break;
-                  case 'u': {
-                      out += parseUnicodeEscape();
-                      continue;
-                  }
-                  default: fatal("json: unsupported escape");
-                }
+        if (const void *q = std::memchr(text_.data() + pos_, '"',
+                                        text_.size() - pos_))
+            out.reserve(static_cast<size_t>(static_cast<const char *>(q) -
+                                            (text_.data() + pos_)));
+        while (true) {
+            const size_t end = runEnd(text_, pos_, false);
+            out.append(text_, pos_, end - pos_);
+            pos_ = end;
+            if (pos_ == text_.size())
+                fatal("json: unterminated string");
+            if (text_[pos_] == '"')
+                break;
+            ++pos_; // the backslash
+            if (pos_ == text_.size())
+                fatal("json: bad escape");
+            switch (text_[pos_++]) {
+              case 'n': out += '\n'; break;
+              case 't': out += '\t'; break;
+              case 'r': out += '\r'; break;
+              case 'b': out += '\b'; break;
+              case 'f': out += '\f'; break;
+              case '/': out += '/'; break;
+              case '"': out += '"'; break;
+              case '\\': out += '\\'; break;
+              case 'u': out += parseUnicodeEscape(); break;
+              default: fatal("json: unsupported escape");
             }
-            out += c;
         }
-        if (pos_ >= text_.size())
-            fatal("json: unterminated string");
         ++pos_; // closing quote
         return out;
     }
@@ -257,25 +349,37 @@ class Parser
         }
     }
 
-    Value parseObject()
+    /** Parses an object's members, calling @p member(key, value) for
+     *  each in document order. */
+    template <typename Member>
+    void forEachMember(Member &&member)
     {
         expect('{');
-        Object out;
         if (peek() == '}') {
             ++pos_;
-            return Value{std::move(out)};
+            return;
         }
         while (true) {
-            const std::string key = parseString();
+            std::string key = parseString();
             expect(':');
-            out.emplace(key, parseValue());
+            Value value = parseValue();
+            member(key, value);
             if (peek() == ',') {
                 ++pos_;
                 continue;
             }
             expect('}');
-            return Value{std::move(out)};
+            return;
         }
+    }
+
+    Value parseObject()
+    {
+        Object out;
+        forEachMember([&out](std::string &key, Value &value) {
+            out.emplace(std::move(key), std::move(value));
+        });
+        return Value{std::move(out)};
     }
 
     const std::string &text_;
@@ -289,6 +393,12 @@ Value
 parse(const std::string &text)
 {
     return Parser(text).parse();
+}
+
+void
+parseMembers(const std::string &text, const MemberFn &member)
+{
+    Parser(text).parseMembers(member);
 }
 
 std::string
@@ -322,33 +432,50 @@ numberFromJson(const Value &v)
     return v.num();
 }
 
-std::string
-quote(const std::string &s)
+namespace {
+
+void
+appendEscape(std::string &out, char c)
 {
-    // Every control character is escaped, so quoted strings never
-    // contain a raw newline — the invariant the JSON-line service
-    // protocol's framing depends on (docs/SERVICE.md).
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; continue;
-          case '\\': out += "\\\\"; continue;
-          case '\n': out += "\\n"; continue;
-          case '\t': out += "\\t"; continue;
-          case '\r': out += "\\r"; continue;
-          default: break;
-        }
-        const auto uc = static_cast<unsigned char>(c);
-        if (uc < 0x20) {
-            static const char hex[] = "0123456789abcdef";
-            out += "\\u00";
-            out += hex[uc >> 4];
-            out += hex[uc & 0xf];
-            continue;
-        }
-        out += c;
+    switch (c) {
+      case '"': out += "\\\""; return;
+      case '\\': out += "\\\\"; return;
+      case '\n': out += "\\n"; return;
+      case '\t': out += "\\t"; return;
+      case '\r': out += "\\r"; return;
+      default: break;
     }
-    return out + "\"";
+    static const char hex[] = "0123456789abcdef";
+    const auto uc = static_cast<unsigned char>(c);
+    const char escape[] = {'\\', 'u', '0', '0', hex[uc >> 4], hex[uc & 0xf]};
+    out.append(escape, sizeof(escape));
+}
+
+} // namespace
+
+void
+appendQuoted(std::string &out, std::string_view s)
+{
+    out.reserve(out.size() + s.size() + s.size() / 8 + 2);
+    out += '"';
+    size_t i = 0;
+    while (true) {
+        const size_t next = runEnd(s, i, true);
+        out.append(s.data() + i, next - i);
+        if (next == s.size())
+            break;
+        appendEscape(out, s[next]);
+        i = next + 1;
+    }
+    out += '"';
+}
+
+std::string
+quote(std::string_view s)
+{
+    std::string out;
+    appendQuoted(out, s);
+    return out;
 }
 
 } // namespace polymath::json

@@ -17,7 +17,9 @@ Client::~Client()
 void
 Client::send(const Request &request)
 {
-    if (!core::writeAll(fd_, request.json() + "\n"))
+    std::string line = request.json();
+    line += '\n';
+    if (!core::writeAll(fd_, line))
         fatal("service: connection lost while sending request");
 }
 

@@ -1,7 +1,11 @@
 #include "service/protocol.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
-#include <cmath>
+#include <initializer_list>
+#include <string_view>
+#include <utility>
 
 #include "core/error.h"
 #include "core/json.h"
@@ -10,65 +14,141 @@ namespace polymath::service {
 
 namespace {
 
-bool
-asBool(const json::Value &v, const std::string &key)
-{
-    if (!std::holds_alternative<bool>(v.data))
-        fatal("service: field '" + key + "' must be a boolean");
-    return std::get<bool>(v.data);
-}
-
-/** Integer field: JSON doubles are exact up to 2^53, far beyond any
- *  id/count the protocol carries. */
+/** @p v as an integer; the error names it as @p kind '@p name'. JSON
+ *  doubles are exact up to 2^53, far beyond any id/count the protocol
+ *  carries, and json::Value::asInt() rejects anything else. */
 int64_t
-getInt(const json::Object &obj, const std::string &key, int64_t dflt)
+checkedInt(const json::Value &v, const char *kind, std::string_view name)
 {
-    auto it = obj.find(key);
-    if (it == obj.end())
-        return dflt;
-    const double d = it->second.num();
-    if (!std::isfinite(d) || d != std::floor(d))
-        fatal("service: field '" + key + "' must be an integer");
-    return static_cast<int64_t>(d);
+    try {
+        return v.asInt();
+    } catch (const UserError &) {
+        fatal(std::string("service: ") + kind + " '" + std::string(name) +
+              "' must be an integer within +/-2^53");
+    }
 }
 
-double
-getNum(const json::Object &obj, const std::string &key, double dflt)
+/**
+ * The members of one wire line that a decoder reads, parsed straight
+ * into place by json::parseMembers(), so decoding a line builds and
+ * tears down no json::Object (a map node per member).
+ * As in json::parse(), the first of a repeated key counts; keys outside
+ * @p keys are skipped. Getters move their member out, so each field is
+ * read once, after the whole line has parsed.
+ */
+class Fields
 {
-    auto it = obj.find(key);
-    return it == obj.end() ? dflt : it->second.num();
-}
+  public:
+    /** Parses @p line, keeping the members named in @p keys (list them
+     *  in the encoder's order). */
+    Fields(const std::string &line,
+           std::initializer_list<std::string_view> keys)
+        : count_(keys.size())
+    {
+        if (count_ > kMaxKeys)
+            panic("service: too many wire fields");
+        std::copy(keys.begin(), keys.end(), keys_.begin());
+        json::parseMembers(line, [this](std::string &key, json::Value &v) {
+            const size_t i = indexOf(key);
+            if (i < count_ && !present_[i]) {
+                values_[i] = std::move(v);
+                present_[i] = true;
+            }
+        });
+        next_ = 0;
+    }
 
-bool
-getBool(const json::Object &obj, const std::string &key, bool dflt)
-{
-    auto it = obj.find(key);
-    return it == obj.end() ? dflt : asBool(it->second, key);
-}
+    /** Member @p key, or nullptr when the line lacks it. */
+    json::Value *find(std::string_view key)
+    {
+        const size_t i = indexOf(key);
+        if (i == count_)
+            panic("service: wire field '" + std::string(key) +
+                  "' is not among the decoded keys");
+        return present_[i] ? &values_[i] : nullptr;
+    }
 
-std::string
-getString(const json::Object &obj, const std::string &key,
-          const std::string &dflt)
-{
-    auto it = obj.find(key);
-    return it == obj.end() ? dflt : it->second.str();
-}
+    int64_t getInt(std::string_view key, int64_t dflt)
+    {
+        const json::Value *v = find(key);
+        return v ? checkedInt(*v, "field", key) : dflt;
+    }
 
-/** Seed field: full uint64 carried as a decimal string (a JSON double
- *  truncates past 2^53). */
-uint64_t
-getSeed(const json::Object &obj, const std::string &key, uint64_t dflt)
+    double getNum(std::string_view key, double dflt)
+    {
+        const json::Value *v = find(key);
+        return v ? v->num() : dflt;
+    }
+
+    bool getBool(std::string_view key, bool dflt)
+    {
+        const json::Value *v = find(key);
+        if (!v)
+            return dflt;
+        if (!std::holds_alternative<bool>(v->data))
+            fatal("service: field '" + std::string(key) +
+                  "' must be a boolean");
+        return std::get<bool>(v->data);
+    }
+
+    std::string getString(std::string_view key, std::string dflt)
+    {
+        json::Value *v = find(key);
+        if (!v)
+            return dflt;
+        v->str(); // type check
+        return std::move(std::get<std::string>(v->data));
+    }
+
+    /** Seed field: full uint64 carried as a decimal string (a JSON
+     *  double truncates past 2^53). */
+    uint64_t getSeed(std::string_view key, uint64_t dflt)
+    {
+        const std::string seed = getString(key, std::to_string(dflt));
+        uint64_t value = 0;
+        const char *begin = seed.data();
+        const char *end = begin + seed.size();
+        const auto [ptr, ec] = std::from_chars(begin, end, value);
+        if (ec != std::errc{} || ptr != end)
+            fatal("service: field '" + std::string(key) +
+                  "' must be a decimal unsigned integer string (got '" +
+                  seed + "')");
+        return value;
+    }
+
+  private:
+    static constexpr size_t kMaxKeys = 24;
+
+    /** Index of @p key in keys_, or count_. The search starts after the
+     *  last key found and wraps, so members met in the order of keys_ —
+     *  the encoder's order, and the getters' — cost one comparison. */
+    size_t indexOf(std::string_view key)
+    {
+        for (size_t n = 0; n < count_; ++n) {
+            const size_t i = (next_ + n) % count_;
+            if (keys_[i] == key) {
+                next_ = i + 1;
+                return i;
+            }
+        }
+        return count_;
+    }
+
+    size_t count_;
+    size_t next_ = 0; ///< where indexOf() starts
+    std::array<std::string_view, kMaxKeys> keys_{};
+    std::array<json::Value, kMaxKeys> values_{};
+    std::array<bool, kMaxKeys> present_{};
+};
+
+/** Appends `,"key":"value"` to the document being rendered. */
+void
+appendString(std::string &doc, std::string_view key, std::string_view value)
 {
-    const std::string seed = getString(obj, key, std::to_string(dflt));
-    uint64_t value = 0;
-    const char *begin = seed.data();
-    const char *end = begin + seed.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc{} || ptr != end)
-        fatal("service: field '" + key +
-              "' must be a decimal unsigned integer string (got '" +
-              seed + "')");
-    return value;
+    doc += ",\"";
+    doc += key;
+    doc += "\":";
+    json::appendQuoted(doc, value);
 }
 
 } // namespace
@@ -119,15 +199,17 @@ verbFromString(const std::string &word)
 std::string
 Request::json() const
 {
-    std::string doc = "{\"id\":" + std::to_string(id);
-    doc += ",\"verb\":" + json::quote(toString(verb));
+    std::string doc;
+    doc.reserve(256 + source.size() + source.size() / 8);
+    doc += "{\"id\":" + std::to_string(id);
+    appendString(doc, "verb", toString(verb));
     if (!requestId.empty())
-        doc += ",\"requestId\":" + json::quote(requestId);
+        appendString(doc, "requestId", requestId);
     if (metricsDelta)
         doc += ",\"metricsDelta\":true";
-    doc += ",\"file\":" + json::quote(file);
-    doc += ",\"source\":" + json::quote(source);
-    doc += ",\"entry\":" + json::quote(entry);
+    appendString(doc, "file", file);
+    appendString(doc, "source", source);
+    appendString(doc, "entry", entry);
     if (!params.empty()) {
         doc += ",\"params\":{";
         bool first = true;
@@ -135,14 +217,15 @@ Request::json() const
             if (!first)
                 doc += ",";
             first = false;
-            doc += json::quote(name) + ":" + std::to_string(value);
+            json::appendQuoted(doc, name);
+            doc += ":" + std::to_string(value);
         }
         doc += "}";
     }
     if (optimize)
         doc += ",\"optimize\":true";
     if (!target.empty())
-        doc += ",\"target\":" + json::quote(target);
+        appendString(doc, "target", target);
     if (schedule)
         doc += ",\"schedule\":true";
     doc += ",\"invocations\":" + std::to_string(invocations);
@@ -150,17 +233,17 @@ Request::json() const
         doc += ",\"faultRate\":" + json::numberToJson(faultRate);
     // Seeds are full uint64s; a JSON double would truncate past 2^53,
     // so the seed travels as a decimal string.
-    doc += ",\"faultSeed\":" + json::quote(std::to_string(faultSeed));
+    appendString(doc, "faultSeed", std::to_string(faultSeed));
     doc += ",\"profileTop\":" + std::to_string(profileTop);
     if (profileDoc)
         doc += ",\"profileDoc\":true";
     if (verb == Verb::Dse) {
-        doc += ",\"dseSpace\":" + json::quote(dseSpace);
-        doc += ",\"dseSearch\":" + json::quote(dseSearch);
+        appendString(doc, "dseSpace", dseSpace);
+        appendString(doc, "dseSearch", dseSearch);
         doc += ",\"dseSamples\":" + std::to_string(dseSamples);
         doc += ",\"dseRounds\":" + std::to_string(dseRounds);
         // Same uint64-as-decimal-string convention as faultSeed.
-        doc += ",\"dseSeed\":" + json::quote(std::to_string(dseSeed));
+        appendString(doc, "dseSeed", std::to_string(dseSeed));
     }
     doc += "}";
     return doc;
@@ -169,42 +252,40 @@ Request::json() const
 Request
 Request::fromJson(const std::string &line)
 {
-    const json::Value doc = json::parse(line);
-    const json::Object &obj = doc.obj();
+    Fields fields(line,
+                  {"id", "verb", "requestId", "metricsDelta", "file",
+                   "source", "entry", "params", "optimize", "target",
+                   "schedule", "invocations", "faultRate", "faultSeed",
+                   "profileTop", "profileDoc", "dseSpace", "dseSearch",
+                   "dseSamples", "dseRounds", "dseSeed"});
     Request req;
-    auto verb_it = obj.find("verb");
-    if (verb_it == obj.end())
+    const json::Value *verb = fields.find("verb");
+    if (!verb)
         fatal("service: request has no 'verb'");
-    req.verb = verbFromString(verb_it->second.str());
-    req.id = getInt(obj, "id", 0);
-    req.requestId = getString(obj, "requestId", "");
-    req.metricsDelta = getBool(obj, "metricsDelta", false);
-    req.file = getString(obj, "file", req.file);
-    req.source = getString(obj, "source", "");
-    req.entry = getString(obj, "entry", req.entry);
-    auto params_it = obj.find("params");
-    if (params_it != obj.end()) {
-        for (const auto &[name, value] : params_it->second.obj()) {
-            const double d = value.num();
-            if (!std::isfinite(d) || d != std::floor(d))
-                fatal("service: param '" + name +
-                      "' must be an integer");
-            req.params[name] = static_cast<int64_t>(d);
-        }
+    req.verb = verbFromString(verb->str());
+    req.id = fields.getInt("id", 0);
+    req.requestId = fields.getString("requestId", "");
+    req.metricsDelta = fields.getBool("metricsDelta", false);
+    req.file = fields.getString("file", req.file);
+    req.source = fields.getString("source", "");
+    req.entry = fields.getString("entry", req.entry);
+    if (const json::Value *params = fields.find("params")) {
+        for (const auto &[name, value] : params->obj())
+            req.params[name] = checkedInt(value, "param", name);
     }
-    req.optimize = getBool(obj, "optimize", false);
-    req.target = getString(obj, "target", "");
-    req.schedule = getBool(obj, "schedule", false);
-    req.invocations = getInt(obj, "invocations", 1);
-    req.faultRate = getNum(obj, "faultRate", 0.0);
-    req.faultSeed = getSeed(obj, "faultSeed", req.faultSeed);
-    req.profileTop = getInt(obj, "profileTop", 10);
-    req.profileDoc = getBool(obj, "profileDoc", false);
-    req.dseSpace = getString(obj, "dseSpace", req.dseSpace);
-    req.dseSearch = getString(obj, "dseSearch", req.dseSearch);
-    req.dseSamples = getInt(obj, "dseSamples", req.dseSamples);
-    req.dseRounds = getInt(obj, "dseRounds", req.dseRounds);
-    req.dseSeed = getSeed(obj, "dseSeed", req.dseSeed);
+    req.optimize = fields.getBool("optimize", false);
+    req.target = fields.getString("target", "");
+    req.schedule = fields.getBool("schedule", false);
+    req.invocations = fields.getInt("invocations", 1);
+    req.faultRate = fields.getNum("faultRate", 0.0);
+    req.faultSeed = fields.getSeed("faultSeed", req.faultSeed);
+    req.profileTop = fields.getInt("profileTop", 10);
+    req.profileDoc = fields.getBool("profileDoc", false);
+    req.dseSpace = fields.getString("dseSpace", req.dseSpace);
+    req.dseSearch = fields.getString("dseSearch", req.dseSearch);
+    req.dseSamples = fields.getInt("dseSamples", req.dseSamples);
+    req.dseRounds = fields.getInt("dseRounds", req.dseRounds);
+    req.dseSeed = fields.getSeed("dseSeed", req.dseSeed);
     if (req.profileTop < 1)
         fatal("service: field 'profileTop' must be positive");
     if (req.invocations < 1)
@@ -219,7 +300,16 @@ Request::fromJson(const std::string &line)
 std::string
 Response::json() const
 {
-    std::string doc = "{\"id\":" + std::to_string(id);
+    // One buffer for the whole line, its trailing newline included
+    // (the server appends it): the large string fields are escaped
+    // straight into it.
+    size_t bytes = 128 + stats.size() * 48;
+    for (const std::string *field :
+         {&requestId, &output, &error, &profileJson, &metricsJson})
+        bytes += field->size() + field->size() / 8 + 16;
+    std::string doc;
+    doc.reserve(bytes);
+    doc += "{\"id\":" + std::to_string(id);
     doc += ",\"ok\":";
     doc += ok ? "true" : "false";
     if (rejected)
@@ -228,15 +318,15 @@ Response::json() const
     if (cacheHit)
         doc += ",\"cacheHit\":true";
     if (!requestId.empty())
-        doc += ",\"requestId\":" + json::quote(requestId);
+        appendString(doc, "requestId", requestId);
     if (!output.empty())
-        doc += ",\"output\":" + json::quote(output);
+        appendString(doc, "output", output);
     if (!error.empty())
-        doc += ",\"error\":" + json::quote(error);
+        appendString(doc, "error", error);
     if (!profileJson.empty())
-        doc += ",\"profileJson\":" + json::quote(profileJson);
+        appendString(doc, "profileJson", profileJson);
     if (!metricsJson.empty())
-        doc += ",\"metricsJson\":" + json::quote(metricsJson);
+        appendString(doc, "metricsJson", metricsJson);
     if (!stats.empty()) {
         doc += ",\"stats\":{";
         bool first = true;
@@ -244,7 +334,8 @@ Response::json() const
             if (!first)
                 doc += ",";
             first = false;
-            doc += json::quote(name) + ":" + json::numberToJson(value);
+            json::appendQuoted(doc, name);
+            doc += ":" + json::numberToJson(value);
         }
         doc += "}";
     }
@@ -255,22 +346,22 @@ Response::json() const
 Response
 Response::fromJson(const std::string &line)
 {
-    const json::Value doc = json::parse(line);
-    const json::Object &obj = doc.obj();
+    Fields fields(line, {"id", "ok", "rejected", "code", "cacheHit",
+                         "requestId", "output", "error", "profileJson",
+                         "metricsJson", "stats"});
     Response resp;
-    resp.id = getInt(obj, "id", 0);
-    resp.ok = getBool(obj, "ok", false);
-    resp.rejected = getBool(obj, "rejected", false);
-    resp.code = static_cast<int>(getInt(obj, "code", 0));
-    resp.cacheHit = getBool(obj, "cacheHit", false);
-    resp.requestId = getString(obj, "requestId", "");
-    resp.output = getString(obj, "output", "");
-    resp.error = getString(obj, "error", "");
-    resp.profileJson = getString(obj, "profileJson", "");
-    resp.metricsJson = getString(obj, "metricsJson", "");
-    auto stats_it = obj.find("stats");
-    if (stats_it != obj.end()) {
-        for (const auto &[name, value] : stats_it->second.obj())
+    resp.id = fields.getInt("id", 0);
+    resp.ok = fields.getBool("ok", false);
+    resp.rejected = fields.getBool("rejected", false);
+    resp.code = static_cast<int>(fields.getInt("code", 0));
+    resp.cacheHit = fields.getBool("cacheHit", false);
+    resp.requestId = fields.getString("requestId", "");
+    resp.output = fields.getString("output", "");
+    resp.error = fields.getString("error", "");
+    resp.profileJson = fields.getString("profileJson", "");
+    resp.metricsJson = fields.getString("metricsJson", "");
+    if (const json::Value *stats = fields.find("stats")) {
+        for (const auto &[name, value] : stats->obj())
             resp.stats[name] = json::numberFromJson(value);
     }
     return resp;

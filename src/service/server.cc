@@ -268,7 +268,8 @@ Server::slotTask()
         // reader thread — must already see this request's record and
         // counters (read-your-own-writes attribution). The line is
         // rendered first so bytesOut is exact.
-        const std::string line = resp.json() + "\n";
+        std::string line = resp.json();
+        line += '\n';
         const auto bytes_out = static_cast<int64_t>(line.size());
         auto &registry = obs::MetricsRegistry::global();
         registry.latency("service.queue_wait_us").observe(queue_wait_us);
@@ -561,7 +562,8 @@ Server::metricsResponse(const Request &req)
 size_t
 Server::writeResponse(Conn &conn, const Response &resp)
 {
-    const std::string line = resp.json() + "\n";
+    std::string line = resp.json();
+    line += '\n';
     sendLine(conn, line);
     return line.size();
 }

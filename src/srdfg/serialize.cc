@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -23,7 +24,7 @@ using JsonArray = json::Array;
 using JsonObject = json::Object;
 using json::numberFromJson;
 using json::numberToJson;
-using json::quote;
+using json::appendQuoted;
 
 // --------------------------------------------------------------------------
 // Emission.
@@ -76,11 +77,19 @@ exprKindFromName(const std::string &name)
     return it->second;
 }
 
+/** Appends @p prefix, the punctuation and key before a string value,
+ *  then @p value as a JSON string. */
+void
+emitString(std::string *out, const char *prefix, std::string_view value)
+{
+    *out += prefix;
+    appendQuoted(*out, value);
+}
+
 void
 emitIndexExpr(const IndexExpr &e, std::string *out)
 {
-    *out += "{\"k\":";
-    *out += quote(exprKindName(e.kind()));
+    emitString(out, "{\"k\":", exprKindName(e.kind()));
     if (e.kind() == IndexExpr::Kind::Const) {
         *out += format(",\"v\":%lld",
                        static_cast<long long>(e.constValue()));
@@ -194,16 +203,16 @@ edgeKindFromName(const std::string &name)
 void
 emitGraph(const Graph &graph, std::string *out)
 {
-    *out += "{\"name\":" + quote(graph.name);
-    *out += ",\"domain\":" + quote(lang::toString(graph.domain));
+    emitString(out, "{\"name\":", graph.name);
+    emitString(out, ",\"domain\":", lang::toString(graph.domain));
     *out += ",\"values\":[";
     for (size_t i = 0; i < graph.values.size(); ++i) {
         const auto &v = graph.values[i];
         if (i)
             *out += ",";
-        *out += "{\"dtype\":" + quote(toString(v.md.dtype));
-        *out += ",\"kind\":" + quote(edgeKindName(v.md.kind));
-        *out += ",\"name\":" + quote(v.md.name);
+        emitString(out, "{\"dtype\":", toString(v.md.dtype));
+        emitString(out, ",\"kind\":", edgeKindName(v.md.kind));
+        emitString(out, ",\"name\":", v.md.name);
         *out += format(",\"producer\":%d", v.producer);
         *out += ",\"shape\":[";
         for (int d = 0; d < v.md.shape.rank(); ++d) {
@@ -236,16 +245,16 @@ emitGraph(const Graph &graph, std::string *out)
             *out += "null";
             continue;
         }
-        *out += "{\"kind\":" + quote(nodeKindName(node.kind));
-        *out += ",\"op\":" + quote(node.op.str());
-        *out += ",\"domain\":" + quote(lang::toString(node.domain));
+        emitString(out, "{\"kind\":", nodeKindName(node.kind));
+        emitString(out, ",\"op\":", node.op.str());
+        emitString(out, ",\"domain\":", lang::toString(node.domain));
         *out += ",\"vars\":[";
         const auto dvars = graph.domainVars(node);
         for (size_t d = 0; d < dvars.size(); ++d) {
             const auto &var = dvars[d];
             if (d)
                 *out += ",";
-            *out += "{\"name\":" + quote(var.name);
+            emitString(out, "{\"name\":", var.name);
             *out += format(",\"extent\":%lld,\"reduced\":%s",
                            static_cast<long long>(var.extent),
                            var.reduced ? "true" : "false");

@@ -4,6 +4,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "core/dtype.h"
 #include "core/error.h"
 #include "core/json.h"
@@ -12,6 +16,7 @@
 #include "core/shape.h"
 #include "core/strings.h"
 #include "core/tensor.h"
+#include "workloads/suite.h"
 
 namespace polymath {
 namespace {
@@ -265,6 +270,204 @@ TEST(Errors, FatalCarriesLocation)
         EXPECT_EQ(e.loc().line, 2);
         EXPECT_NE(std::string(e.what()).find("2:5"), std::string::npos);
     }
+}
+
+/** The one-character-at-a-time quote() the codec shipped with, kept as
+ *  the byte-for-byte reference for the run-copying one. */
+std::string
+referenceQuote(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; continue;
+          case '\\': out += "\\\\"; continue;
+          case '\n': out += "\\n"; continue;
+          case '\t': out += "\\t"; continue;
+          case '\r': out += "\\r"; continue;
+          default: break;
+        }
+        const auto uc = static_cast<unsigned char>(c);
+        if (uc < 0x20) {
+            static const char hex[] = "0123456789abcdef";
+            out += "\\u00";
+            out += hex[uc >> 4];
+            out += hex[uc & 0xf];
+            continue;
+        }
+        out += c;
+    }
+    return out + "\"";
+}
+
+std::string
+jsonError(const std::string &text)
+{
+    try {
+        json::parse(text);
+    } catch (const UserError &e) {
+        return e.message();
+    }
+    return "<parsed>";
+}
+
+TEST(Json, QuoteMatchesReference)
+{
+    std::vector<std::string> inputs;
+    for (int b = 0; b < 256; ++b)
+        inputs.emplace_back(1, static_cast<char>(b));
+    // One special byte at every position of every length up to 40, so
+    // each alignment of a word-sized scan and its tail is exercised.
+    for (size_t len = 0; len <= 40; ++len) {
+        inputs.emplace_back(len, 'a');
+        for (size_t at = 0; at < len; ++at) {
+            for (char special : {'"', '\\', '\n', '\x01', '\x1f', '\x7f',
+                                 '\x80', '\xff'}) {
+                std::string s(len, 'a');
+                s[at] = special;
+                inputs.push_back(s);
+            }
+        }
+    }
+    Rng rng(20260401);
+    for (int i = 0; i < 500; ++i) {
+        std::string s(static_cast<size_t>(rng.uniformInt(300)), '\0');
+        // Mostly printable text with some control and high bytes.
+        for (char &c : s) {
+            const int64_t pick = rng.uniformInt(16);
+            c = static_cast<char>(pick == 0   ? rng.uniformInt(0x20)
+                                  : pick == 1 ? rng.uniformInt(256)
+                                              : 0x20 + rng.uniformInt(0x5f));
+        }
+        inputs.push_back(s);
+    }
+    for (const auto &bench : wl::tableIII())
+        inputs.push_back(bench.source);
+    for (const auto &app : wl::tableIV())
+        inputs.push_back(app.source);
+
+    for (const std::string &s : inputs) {
+        const std::string quoted = json::quote(s);
+        ASSERT_EQ(quoted, referenceQuote(s)) << "input size " << s.size();
+        ASSERT_EQ(json::parse(quoted).str(), s);
+    }
+}
+
+TEST(Json, StringEscapesDecodeAndMalformedStringsKeepTheirMessages)
+{
+    EXPECT_EQ(json::parse(R"("a\bb\fc\/d\"e\\f\ng\rh\ti")").str(),
+              "a\bb\fc/d\"e\\f\ng\rh\ti");
+    EXPECT_EQ(json::parse(R"("\u0000\u001f\u0041\u00e9\u20ac")").str(),
+              std::string("\0\x1f" "A\xc3\xa9\xe2\x82\xac", 8));
+    EXPECT_EQ(json::parse(R"("\u00C9")").str(), "\xc3\x89");
+    // Random mixes of literal runs and every escape form, with the
+    // decoded bytes built alongside the text.
+    Rng rng(7);
+    for (int i = 0; i < 2000; ++i) {
+        std::string text = "\"";
+        std::string decoded;
+        const int64_t pieces = rng.uniformInt(12);
+        for (int64_t p = 0; p < pieces; ++p) {
+            switch (rng.uniformInt(4)) {
+              case 0: { // a literal run, raw control bytes included
+                  const int64_t n = rng.uniformInt(20);
+                  for (int64_t k = 0; k < n; ++k) {
+                      char c = static_cast<char>(1 + rng.uniformInt(255));
+                      if (c == '"' || c == '\\')
+                          c = 'x';
+                      text += c;
+                      decoded += c;
+                  }
+                  break;
+              }
+              case 1: {
+                  static const char *const kShort[][2] = {
+                      {"\\n", "\n"}, {"\\t", "\t"}, {"\\r", "\r"},
+                      {"\\b", "\b"}, {"\\f", "\f"}, {"\\/", "/"},
+                      {"\\\"", "\""}, {"\\\\", "\\"}};
+                  const auto &e = kShort[rng.uniformInt(8)];
+                  text += e[0];
+                  decoded += e[1];
+                  break;
+              }
+              case 2:
+                  text += "\\u00e9";
+                  decoded += "\xc3\xa9";
+                  break;
+              default:
+                  text += "\\u0022";
+                  decoded += '"';
+                  break;
+            }
+        }
+        text += '"';
+        ASSERT_EQ(json::parse(text).str(), decoded) << text;
+        ASSERT_EQ(json::parse("[" + text + ",1]").arr()[0].str(), decoded);
+    }
+
+    EXPECT_EQ(jsonError(R"("abc)"), "json: unterminated string");
+    EXPECT_EQ(jsonError(R"("abc\)"), "json: bad escape");
+    EXPECT_EQ(jsonError(R"("a\qb")"), "json: unsupported escape");
+    EXPECT_EQ(jsonError(R"("\u12")"), "json: bad \\u escape");
+    EXPECT_EQ(jsonError(R"("\u12g4")"), "json: bad \\u escape");
+    EXPECT_EQ(jsonError(R"({"k":"v)"), "json: unterminated string");
+}
+
+TEST(Json, AsIntAcceptsOnlyExactIntegers)
+{
+    EXPECT_EQ(json::parse("9007199254740992").asInt(), json::kMaxExactInt);
+    EXPECT_EQ(json::parse("-9007199254740992").asInt(), -json::kMaxExactInt);
+    EXPECT_EQ(json::parse("-0").asInt(), 0);
+    EXPECT_EQ(json::parse("1e3").asInt(), 1000);
+    for (const char *text :
+         {"9007199254740994", "1e300", "-1e19", "0.5", "-2.25"})
+        EXPECT_THROW(json::parse(text).asInt(), UserError) << text;
+    json::Value nan{std::nan("")};
+    EXPECT_THROW(nan.asInt(), UserError);
+}
+
+TEST(Json, ParseMembersVisitsEachMemberInDocumentOrder)
+{
+    std::vector<std::string> keys;
+    std::vector<std::string> values;
+    json::parseMembers(
+        R"( {"b":"x\ny", "a":[1,{"c":2}], "b":true, "e":{}} )",
+        [&](std::string &key, json::Value &value) {
+            keys.push_back(key);
+            values.push_back(value.isNull() ? "null"
+                              : std::holds_alternative<std::string>(value.data)
+                                  ? value.str()
+                                  : "other");
+        });
+    // A repeated key reaches the callback each time.
+    EXPECT_EQ(keys, (std::vector<std::string>{"b", "a", "b", "e"}));
+    EXPECT_EQ(values[0], "x\ny");
+    int calls = 0;
+    json::parseMembers("{}", [&](std::string &, json::Value &) { ++calls; });
+    EXPECT_EQ(calls, 0);
+
+    // The errors parse() gives, plus one for a document that is not an
+    // object (after any syntax error in it).
+    const auto membersError = [](const std::string &text) {
+        try {
+            json::parseMembers(text, [](std::string &, json::Value &) {});
+        } catch (const UserError &e) {
+            return e.message();
+        }
+        return std::string("<parsed>");
+    };
+    EXPECT_EQ(membersError("[1,2]"), "json: expected object");
+    EXPECT_EQ(membersError("\"s\""), "json: expected object");
+    EXPECT_EQ(membersError("[1,"), jsonError("[1,"));
+    EXPECT_EQ(membersError("{\"a\":1} x"), "json: trailing characters");
+    EXPECT_EQ(membersError("{\"a\" 1}"), jsonError("{\"a\" 1}"));
+    EXPECT_EQ(membersError("{\"a\":\"1}"), "json: unterminated string");
+    const std::string deep = "{\"a\":" +
+                             std::string(json::kMaxDepth, '[') +
+                             std::string(json::kMaxDepth, ']') + "}";
+    EXPECT_EQ(membersError(deep), jsonError(deep));
+    EXPECT_NE(membersError(deep).find("nesting deeper than"),
+              std::string::npos);
 }
 
 TEST(Json, NestingIsBoundedWithAPositionedError)

@@ -192,6 +192,59 @@ TEST(ServiceProtocol, RejectsBadRequests)
         UserError);
 }
 
+TEST(ServiceProtocol, RepeatedKeysKeepTheFirstAndUnknownKeysAreIgnored)
+{
+    const auto req = service::Request::fromJson(
+        R"({"source":"a","verb":"simulate","future":[1,{"x":2}],)"
+        R"("source":"b","id":4,"verb":"bogus","id":"five"})");
+    EXPECT_EQ(req.source, "a");
+    EXPECT_EQ(req.verb, service::Verb::Simulate);
+    EXPECT_EQ(req.id, 4);
+    const auto resp = service::Response::fromJson(
+        R"({"output":"x","ok":true,"output":"y","extra":null})");
+    EXPECT_EQ(resp.output, "x");
+    EXPECT_TRUE(resp.ok);
+    // A syntax error anywhere wins over a bad field before it.
+    try {
+        service::Request::fromJson(R"({"verb":"bogus","id":1,)");
+        FAIL() << "expected UserError";
+    } catch (const UserError &e) {
+        EXPECT_EQ(std::string(e.what()).find("json:"), 0u) << e.what();
+    }
+}
+
+TEST(ServiceProtocol, OutOfRangeNumbersAreRejected)
+{
+    // A double past int64 used to be cast anyway (undefined behaviour;
+    // 1e300 echoed as id -9223372036854775808).
+    for (const std::string &line :
+         {std::string(R"({"verb":"compile","id":1e300})"),
+          std::string(R"({"verb":"compile","id":-9007199254740994})"),
+          std::string(R"({"verb":"compile","invocations":1e19})"),
+          std::string(R"({"verb":"compile","params":{"n":1e30}})"),
+          std::string(R"({"verb":"compile","params":{"n":0.5}})")}) {
+        EXPECT_THROW(service::Request::fromJson(line), UserError) << line;
+    }
+    EXPECT_THROW(service::Response::fromJson(R"({"id":1e300})"), UserError);
+
+    // The ends of the exact range round-trip.
+    for (const int64_t id : {json::kMaxExactInt, -json::kMaxExactInt}) {
+        service::Request req;
+        req.id = id;
+        req.params = {{"n", id}};
+        const auto back = service::Request::fromJson(req.json());
+        EXPECT_EQ(back.id, id);
+        EXPECT_EQ(back.params, req.params);
+        service::Response resp;
+        resp.id = id;
+        EXPECT_EQ(service::Response::fromJson(resp.json()).id, id);
+    }
+    EXPECT_EQ(service::Request::fromJson(
+                  R"({"verb":"compile","id":9007199254740992})")
+                  .id,
+              int64_t{1} << 53);
+}
+
 // ---------------------------------------------------------------------
 // Server behavior over the real socket
 
