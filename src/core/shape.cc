@@ -1,6 +1,7 @@
 #include "core/shape.h"
 
 #include "core/error.h"
+#include "core/strings.h"
 
 namespace polymath {
 
@@ -93,12 +94,23 @@ Shape::unflatten(int64_t offset) const
 std::string
 Shape::str() const
 {
-    if (isScalar())
-        return "scalar";
     std::string out;
-    for (int64_t d : dims())
-        out += "[" + std::to_string(d) + "]";
+    appendTo(out);
     return out;
+}
+
+void
+Shape::appendTo(std::string &out) const
+{
+    if (isScalar()) {
+        out += "scalar";
+        return;
+    }
+    for (const int64_t d : dims()) {
+        out += '[';
+        appendInt(out, d);
+        out += ']';
+    }
 }
 
 } // namespace polymath

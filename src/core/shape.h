@@ -58,6 +58,9 @@ class Shape
     /** "[a][b][c]" rendering; "scalar" for rank 0. */
     std::string str() const;
 
+    /** Appends str()'s rendering to @p out without a temporary. */
+    void appendTo(std::string &out) const;
+
     bool operator==(const Shape &other) const
     {
         return dims_ == other.dims_ || dims() == other.dims();

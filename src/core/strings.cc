@@ -60,6 +60,13 @@ formatF(double value, int precision)
     return toCharsFloat(value, std::chars_format::fixed, precision);
 }
 
+void
+appendInt(std::string &out, int64_t value)
+{
+    char buf[24]; // "-9223372036854775808" is 20 bytes
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
 std::vector<std::string>
 split(const std::string &s, char sep)
 {

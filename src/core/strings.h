@@ -25,6 +25,10 @@ std::string formatG(double value, int precision);
 /** Locale-independent `%.<precision>f` via std::to_chars. */
 std::string formatF(double value, int precision);
 
+/** Appends @p value in decimal, the bytes std::to_string would make,
+ *  without building a temporary string. */
+void appendInt(std::string &out, int64_t value);
+
 /** Splits @p s on @p sep; keeps empty fields. */
 std::vector<std::string> split(const std::string &s, char sep);
 

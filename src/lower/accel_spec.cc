@@ -4,30 +4,48 @@
 
 namespace polymath::lower {
 
+namespace {
+
+/** Appends "name[shape], name[shape], ..." for @p args. */
+void
+appendArgs(std::string &out, const std::vector<TensorArg> &args)
+{
+    for (size_t i = 0; i < args.size(); ++i) {
+        if (i)
+            out += ", ";
+        out += args[i].name;
+        args[i].shape.appendTo(out);
+    }
+}
+
+} // namespace
+
+void
+IrFragment::appendTo(std::string &out) const
+{
+    out += opcode;
+    out += '(';
+    appendArgs(out, inputs);
+    out += " -> ";
+    appendArgs(out, outputs);
+    out += ')';
+    for (const auto &[k, v] : attrs) {
+        out += ' ';
+        out += k;
+        out += '=';
+        appendInt(out, v);
+    }
+    if (flops) {
+        out += " flops=";
+        appendInt(out, flops);
+    }
+}
+
 std::string
 IrFragment::str() const
 {
-    std::string out = opcode + "(";
-    bool first = true;
-    for (const auto &in : inputs) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += in.name + in.shape.str();
-    }
-    out += " -> ";
-    first = true;
-    for (const auto &o : outputs) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += o.name + o.shape.str();
-    }
-    out += ")";
-    for (const auto &[k, v] : attrs)
-        out += " " + k + "=" + std::to_string(v);
-    if (flops)
-        out += format(" flops=%lld", static_cast<long long>(flops));
+    std::string out;
+    appendTo(out);
     return out;
 }
 

@@ -59,7 +59,14 @@ struct IrFragment
     /** Scalar-op work this fragment represents (from the srDFG node). */
     int64_t flops = 0;
 
-    /** Renders "opcode(in: a[..], out: b[..]) {attr=v}". */
+    /** Appends "opcode(a[..], b[..] -> c[..]) attr=v flops=n" to @p out:
+     *  operands as name plus Shape::str(), attrs in key order, and flops
+     *  only when non-zero. Integers go through appendInt(), so a listing
+     *  of many fragments grows one buffer instead of a temporary per
+     *  operand and attribute. */
+    void appendTo(std::string &out) const;
+
+    /** appendTo() into a fresh string. */
     std::string str() const;
 };
 

@@ -55,26 +55,44 @@ CompiledProgram::render() const
 {
     std::string out;
     for (const auto &[accel, prog] : programs) {
-        out += "program " + lang::toString(prog.domain) + " on " + accel +
-               " (" + std::to_string(prog.fragments.size()) +
-               " fragments)\n";
-        for (const auto &f : prog.fragments)
-            out += "  " + f.str() + "\n";
+        out += "program ";
+        out += lang::toString(prog.domain);
+        out += " on ";
+        out += accel;
+        out += " (";
+        appendInt(out, static_cast<int64_t>(prog.fragments.size()));
+        out += " fragments)\n";
+        for (const auto &f : prog.fragments) {
+            out += "  ";
+            f.appendTo(out);
+            out += '\n';
+        }
     }
-    out += format("schedule: %zu partitions, %lld boundary bytes\n",
-                  partitions.size(),
-                  static_cast<long long>(transferBytes()));
+    out += "schedule: ";
+    appendInt(out, static_cast<int64_t>(partitions.size()));
+    out += " partitions, ";
+    appendInt(out, transferBytes());
+    out += " boundary bytes\n";
     for (size_t i = 0; i < partitions.size(); ++i) {
         const auto &p = partitions[i];
-        out += format("  [%zu] %s %s: %zu frags, load %lld B, store %lld B,"
-                      " deps:",
-                      i, lang::toString(p.domain).c_str(), p.accel.c_str(),
-                      p.fragments.size(),
-                      static_cast<long long>(p.loadBytes()),
-                      static_cast<long long>(p.storeBytes()));
-        for (int d : p.deps)
-            out += " " + std::to_string(d);
-        out += "\n";
+        out += "  [";
+        appendInt(out, static_cast<int64_t>(i));
+        out += "] ";
+        out += lang::toString(p.domain);
+        out += ' ';
+        out += p.accel;
+        out += ": ";
+        appendInt(out, static_cast<int64_t>(p.fragments.size()));
+        out += " frags, load ";
+        appendInt(out, p.loadBytes());
+        out += " B, store ";
+        appendInt(out, p.storeBytes());
+        out += " B, deps:";
+        for (const int d : p.deps) {
+            out += ' ';
+            appendInt(out, d);
+        }
+        out += '\n';
     }
     return out;
 }

@@ -94,6 +94,7 @@ CompileCache::getOrCompile(const std::string &key, const CompileFn &compile)
         auto program =
             std::make_shared<const CompiledProgram>(compile());
         promise.set_value(program);
+        Evicted evicted; // freed after the lock below is released
         {
             std::lock_guard<std::mutex> lock(mutex_);
             auto it = entries_.find(key);
@@ -103,7 +104,7 @@ CompileCache::getOrCompile(const std::string &key, const CompileFn &compile)
             if (it != entries_.end() &&
                 it->second.generation == my_generation) {
                 it->second.program = program;
-                enforceCapacityLocked();
+                enforceCapacityLocked(evicted);
             }
         }
         return program;
@@ -148,11 +149,11 @@ CompileCache::countHitLocked(Entry &entry)
 }
 
 void
-CompileCache::enforceCapacityLocked()
+CompileCache::enforceCapacityLocked(Evicted &evicted)
 {
     if (capacity_ == 0)
         return;
-    auto &evicted = obs::MetricsRegistry::global().counter(
+    auto &evictions = obs::MetricsRegistry::global().counter(
         "compile_cache.evictions");
     auto pos = lru_.end();
     while (entries_.size() > capacity_ && pos != lru_.begin()) {
@@ -163,9 +164,10 @@ CompileCache::enforceCapacityLocked()
         if (!it->second.program)
             continue; // in-flight: coalescing point, never dropped
         pos = lru_.erase(pos);
+        evicted.push_back(std::move(it->second.program));
         entries_.erase(it);
         ++evictions_;
-        evicted.add(1);
+        evictions.add(1);
     }
 }
 
@@ -217,9 +219,10 @@ CompileCache::size() const
 void
 CompileCache::setCapacity(size_t entries)
 {
+    Evicted evicted; // declared first, so freed after the lock is released
     std::lock_guard<std::mutex> lock(mutex_);
     capacity_ = entries;
-    enforceCapacityLocked();
+    enforceCapacityLocked(evicted);
 }
 
 size_t

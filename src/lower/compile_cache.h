@@ -36,6 +36,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "lower/compile.h"
 #include "srdfg/builder.h"
@@ -147,9 +148,15 @@ class CompileCache
      *  (caller holds mutex_). */
     void countHitLocked(Entry &entry);
 
-    /** Evicts LRU finished entries until size() <= capacity_ (caller
-     *  holds mutex_). In-flight entries are skipped, never dropped. */
-    void enforceCapacityLocked();
+    /** Programs of evicted entries, freed by the caller once mutex_ is
+     *  released: a large CompiledProgram takes microseconds to destroy,
+     *  and every other lookup would wait behind it. */
+    using Evicted = std::vector<std::shared_ptr<const CompiledProgram>>;
+
+    /** Evicts LRU finished entries until size() <= capacity_, moving
+     *  their programs into @p evicted (caller holds mutex_). In-flight
+     *  entries are skipped, never dropped. */
+    void enforceCapacityLocked(Evicted &evicted);
 
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Entry> entries_;

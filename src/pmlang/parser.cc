@@ -65,6 +65,8 @@ parse(const std::string &source)
 Program
 parseWithRecovery(const std::string &source, DiagnosticEngine &diag)
 {
+    obs::Span span("pmlang:parse", "frontend");
+    span.arg("bytes", static_cast<int64_t>(source.size()));
     std::vector<Token> tokens;
     try {
         Lexer lexer(source);

@@ -34,7 +34,8 @@ Program parse(const std::string &source);
  * in one pass. Returns the (possibly partial) program of the statements
  * that did parse; callers must check diag.hasErrors() before using it.
  * Lexical errors are unrecoverable and yield an empty program with one
- * diagnostic.
+ * diagnostic. With no errors it builds the same Program parse() would:
+ * the recovery handlers are the only place the two paths differ.
  */
 Program parseWithRecovery(const std::string &source, DiagnosticEngine &diag);
 

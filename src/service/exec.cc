@@ -64,12 +64,14 @@ compilationOf(const Request &req, lang::Domain domain)
 /**
  * runRequest() once the request is known to be well formed: compiles
  * @p c through @p cache, unless @p hit already holds its program, then
- * renders, simulates or searches it.
+ * renders, simulates or searches it. A miss compiles @p parsed when it
+ * is non-null, and parses the source otherwise.
  */
 ExecResult
 runCompilation(const Request &req, const Compilation &c,
                lower::CompileCache &cache,
-               std::shared_ptr<const lower::CompiledProgram> hit)
+               std::shared_ptr<const lower::CompiledProgram> hit,
+               std::shared_ptr<const lang::Program> parsed)
 {
     const bool simulate =
         req.verb == Verb::Simulate || req.verb == Verb::Profile;
@@ -82,7 +84,8 @@ runCompilation(const Request &req, const Compilation &c,
         hit ? std::move(hit) : cache.getOrCompile(c.key, [&] {
             compiled_here = true;
             const auto &registry = target::sharedStandardRegistry();
-            auto fresh = ir::compileToSrdfg(req.source, c.build);
+            auto fresh = parsed ? ir::compileToSrdfg(parsed, c.build)
+                                : ir::compileToSrdfg(req.source, c.build);
             if (req.optimize)
                 pass::standardPipeline().runToFixpoint(*fresh);
             lower::lowerGraph(*fresh, registry.supportedOpsByDomain(),
@@ -215,21 +218,25 @@ domainFromKeyword(const std::string &word)
 }
 
 bool
-preflightDiagnostics(const std::string &source, std::string &err)
+preflightDiagnostics(const std::string &source, std::string &err,
+                     std::shared_ptr<const lang::Program> *parsed)
 {
     DiagnosticEngine diag;
-    lang::parseWithRecovery(source, diag);
+    auto program = lang::parseWithRecovery(source, diag);
     if (!diag.empty())
         err += diag.str();
     if (diag.hasErrors()) {
         err += format("pmc: %zu error(s)\n", diag.errorCount());
         return true;
     }
+    if (parsed != nullptr)
+        *parsed = std::make_shared<const lang::Program>(std::move(program));
     return false;
 }
 
 ExecResult
-runRequest(const Request &req, lower::CompileCache &cache)
+runRequest(const Request &req, lower::CompileCache &cache,
+           std::shared_ptr<const lang::Program> parsed)
 {
     if (!isWorkVerb(req.verb))
         panic("runRequest called with non-work verb '" +
@@ -239,7 +246,7 @@ runRequest(const Request &req, lower::CompileCache &cache)
               " request needs a target domain (RBT|GA|DSP|DA|DL|ALL)");
     return runCompilation(
         req, compilationOf(req, domainFromKeyword(req.target)), cache,
-        nullptr);
+        nullptr, std::move(parsed));
 }
 
 Response
@@ -262,9 +269,10 @@ runRequestGuarded(const Request &req, lower::CompileCache &cache,
             ? obs::TraceRecorder::global().nowMicros()
             : 0;
     // Key and lookup come first: a *finished* entry proves its source
-    // preflights clean. Preflight reports only syntax errors, and the
-    // strict parse inside compileToSrdfg throws at the first of them, so
-    // such a source never finishes compiling. An in-flight entry proves
+    // preflights clean. Preflight reports only syntax errors, and an
+    // entry compiles either from a clean preflight's program or through
+    // the strict parse, which throws at the first syntax error, so a
+    // source with one never finishes compiling. An in-flight entry proves
     // nothing (its owner may still fail), and without a known target the
     // syntax errors must still be reported first, so both fall through.
     std::optional<Compilation> compilation;
@@ -277,8 +285,10 @@ runRequestGuarded(const Request &req, lower::CompileCache &cache,
     }
     // Pre-flight syntax check with statement-level error recovery so
     // one response surfaces *every* syntax error, not just the first —
-    // exactly the local pmc behavior.
-    if (!hit && preflightDiagnostics(req.source, resp.error)) {
+    // exactly the local pmc behavior. A clean preflight hands over its
+    // program, so a miss compiles it instead of parsing the source again.
+    std::shared_ptr<const lang::Program> parsed;
+    if (!hit && preflightDiagnostics(req.source, resp.error, &parsed)) {
         resp.ok = false;
         resp.code = 1;
         if (telemetry != nullptr) {
@@ -291,8 +301,8 @@ runRequestGuarded(const Request &req, lower::CompileCache &cache,
     try {
         ExecResult result =
             compilation ? runCompilation(req, *compilation, cache,
-                                         std::move(hit))
-                        : runRequest(req, cache);
+                                         std::move(hit), std::move(parsed))
+                        : runRequest(req, cache, std::move(parsed));
         if (telemetry != nullptr) {
             if (result.program)
                 telemetry->backends = backendMix(*result.program);

@@ -19,6 +19,7 @@
 
 #include "lower/compile_cache.h"
 #include "obs/trace.h"
+#include "pmlang/ast.h"
 #include "service/protocol.h"
 
 namespace polymath::service {
@@ -31,9 +32,14 @@ lang::Domain domainFromKeyword(const std::string &word);
  * Statement-level recovery parse of @p source, appending the
  * pmc-canonical diagnostic rendering (every error, not just the first)
  * to @p err. Returns true when errors were found — the caller stops
- * with exit code 1.
+ * with exit code 1. Otherwise, when @p parsed is non-null, it receives
+ * the parsed program: with no errors the recovery parse builds the same
+ * AST as lang::parse(), so the caller can compile it instead of parsing
+ * @p source again.
  */
-bool preflightDiagnostics(const std::string &source, std::string &err);
+bool preflightDiagnostics(const std::string &source, std::string &err,
+                          std::shared_ptr<const lang::Program> *parsed =
+                              nullptr);
 
 /** What runRequest() produced for one work request. */
 struct ExecResult
@@ -48,9 +54,13 @@ struct ExecResult
  * Executes one compile/simulate/profile request through @p cache.
  * Exceptions (UserError/InternalError) propagate to the caller — the
  * CLI's existing guard and the server's runRequestGuarded() render them
- * identically. @p req.verb must be a work verb.
+ * identically. @p req.verb must be a work verb. @p parsed, when
+ * non-null, is @p req.source as a clean preflightDiagnostics() parsed
+ * it; a cache miss compiles that program instead of parsing the source
+ * again.
  */
-ExecResult runRequest(const Request &req, lower::CompileCache &cache);
+ExecResult runRequest(const Request &req, lower::CompileCache &cache,
+                      std::shared_ptr<const lang::Program> parsed = nullptr);
 
 /**
  * Per-request telemetry contract of runRequestGuarded (docs/
@@ -78,9 +88,10 @@ struct RequestTelemetry
  * into a Response whose output/error fields carry exactly the bytes
  * local pmc would print. A request whose key names a finished cache
  * entry (CompileCache::lookup) skips preflight: that source compiled,
- * so it has no syntax errors. @p telemetry, when non-null, scopes the
- * execution to that request id and reports what it did; with nullptr
- * the behavior (and cost) is exactly the pre-telemetry path.
+ * so it has no syntax errors. A miss compiles the program preflight
+ * parsed, so its source is parsed once. @p telemetry, when non-null,
+ * scopes the execution to that request id and reports what it did; with
+ * nullptr the behavior (and cost) is exactly the pre-telemetry path.
  */
 Response runRequestGuarded(const Request &req, lower::CompileCache &cache,
                            RequestTelemetry *telemetry = nullptr);

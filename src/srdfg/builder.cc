@@ -1185,12 +1185,19 @@ buildSrdfg(std::shared_ptr<const lang::Program> program,
 }
 
 std::unique_ptr<Graph>
-compileToSrdfg(const std::string &source, const BuildOptions &options)
+compileToSrdfg(std::shared_ptr<const lang::Program> program,
+               const BuildOptions &options)
 {
-    auto program =
-        std::make_shared<const lang::Program>(lang::parse(source));
     lang::analyze(*program, options.entry);
     return buildSrdfg(std::move(program), options);
+}
+
+std::unique_ptr<Graph>
+compileToSrdfg(const std::string &source, const BuildOptions &options)
+{
+    return compileToSrdfg(
+        std::make_shared<const lang::Program>(lang::parse(source)),
+        options);
 }
 
 } // namespace polymath::ir

@@ -42,6 +42,11 @@ std::unique_ptr<Graph> buildSrdfg(
     std::shared_ptr<const lang::Program> program,
     const BuildOptions &options = {});
 
+/** Convenience: analyze + build of an already parsed @p program. */
+std::unique_ptr<Graph> compileToSrdfg(
+    std::shared_ptr<const lang::Program> program,
+    const BuildOptions &options = {});
+
 /** Convenience: parse + analyze + build in one call. */
 std::unique_ptr<Graph> compileToSrdfg(const std::string &source,
                                       const BuildOptions &options = {});

@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "core/strings.h"
 #include "interp/interpreter.h"
 #include "lower/compile.h"
 #include "lower/lower.h"
@@ -262,6 +265,119 @@ TEST(Compile, ProgramRenderingIsStable)
     EXPECT_NE(text.find("DECO"), std::string::npos);
     EXPECT_NE(text.find("tload"), std::string::npos);
     EXPECT_NE(text.find("tstore"), std::string::npos);
+}
+
+
+// The listing renderer as it was written before it appended in place:
+// one temporary per operand, attribute and line. Kept as the byte-level
+// reference for IrFragment::str() and CompiledProgram::render().
+std::string
+referenceFragmentStr(const lower::IrFragment &f)
+{
+    std::string out = f.opcode + "(";
+    bool first = true;
+    for (const auto &in : f.inputs) {
+        if (!first)
+            out += ", ";
+        first = false;
+        out += in.name + in.shape.str();
+    }
+    out += " -> ";
+    first = true;
+    for (const auto &o : f.outputs) {
+        if (!first)
+            out += ", ";
+        first = false;
+        out += o.name + o.shape.str();
+    }
+    out += ")";
+    for (const auto &[k, v] : f.attrs)
+        out += " " + k + "=" + std::to_string(v);
+    if (f.flops)
+        out += format(" flops=%lld", static_cast<long long>(f.flops));
+    return out;
+}
+
+std::string
+referenceRender(const lower::CompiledProgram &cp)
+{
+    std::string out;
+    for (const auto &[accel, prog] : cp.programs) {
+        out += "program " + lang::toString(prog.domain) + " on " + accel +
+               " (" + std::to_string(prog.fragments.size()) +
+               " fragments)\n";
+        for (const auto &f : prog.fragments)
+            out += "  " + referenceFragmentStr(f) + "\n";
+    }
+    out += format("schedule: %zu partitions, %lld boundary bytes\n",
+                  cp.partitions.size(),
+                  static_cast<long long>(cp.transferBytes()));
+    for (size_t i = 0; i < cp.partitions.size(); ++i) {
+        const auto &p = cp.partitions[i];
+        out += format("  [%zu] %s %s: %zu frags, load %lld B, store %lld B,"
+                      " deps:",
+                      i, lang::toString(p.domain).c_str(), p.accel.c_str(),
+                      p.fragments.size(),
+                      static_cast<long long>(p.loadBytes()),
+                      static_cast<long long>(p.storeBytes()));
+        for (int d : p.deps) {
+            out += ' '; // `" " + to_string` trips GCC 12's -Wrestrict
+            out += std::to_string(d);
+        }
+        out += "\n";
+    }
+    return out;
+}
+
+TEST(CompiledProgram, RenderMatchesReference)
+{
+    const auto registry = target::standardRegistry();
+    for (const auto &bench : wl::tableIII()) {
+        SCOPED_TRACE(bench.id);
+        const auto compiled = wl::compileBenchmark(
+            bench.source, bench.buildOpts, registry, bench.domain);
+        EXPECT_EQ(compiled.render(), referenceRender(compiled));
+        EXPECT_EQ(compiled.str(), referenceRender(compiled));
+    }
+    for (const auto &app : wl::tableIV()) {
+        SCOPED_TRACE(app.id);
+        const auto compiled = wl::compileBenchmark(
+            app.source, app.buildOpts, registry, Domain::None);
+        EXPECT_EQ(compiled.render(), referenceRender(compiled));
+    }
+
+    // Hand-built fragments over the corners the suite may not reach.
+    lower::IrFragment none;
+    none.opcode = "const";
+    none.outputs.push_back({"c", Shape(), DType::Float, {}});
+    lower::IrFragment rank3;
+    rank3.opcode = "tload";
+    rank3.inputs.push_back({"base", Shape({2, 30, 400}), DType::Int, {}});
+    rank3.inputs.push_back({"s", Shape(), DType::Float, {}});
+    rank3.outputs.push_back({"%17", Shape({2, 30, 400}), DType::Int, {}});
+    rank3.outputs.push_back({"t", Shape({0}), DType::Complex, {}});
+    rank3.attrs = {{"axis", 2}, {"neg", -7}, {"min", INT64_MIN},
+                   {"max", INT64_MAX}, {"zero", 0}};
+    rank3.flops = int64_t{1} << 40;
+    lower::IrFragment empty;
+    empty.flops = -3;
+    for (const auto *f : {&none, &rank3, &empty})
+        EXPECT_EQ(f->str(), referenceFragmentStr(*f));
+
+    lower::CompiledProgram cp;
+    cp.programs["X"].domain = Domain::DSP;
+    cp.programs["X"].fragments = {none, rank3, empty};
+    cp.programs["Y"].domain = Domain::None;
+    cp.partitions.resize(2);
+    cp.partitions[0].accel = "X";
+    cp.partitions[0].domain = Domain::DSP;
+    cp.partitions[0].fragments = {rank3};
+    cp.partitions[0].loads = rank3.inputs;
+    cp.partitions[1].accel = lower::kHostAccel;
+    cp.partitions[1].stores = rank3.outputs;
+    cp.partitions[1].deps = {0, 0};
+    EXPECT_EQ(cp.render(), referenceRender(cp));
+    EXPECT_EQ(cp.str(), referenceRender(cp));
 }
 
 } // namespace

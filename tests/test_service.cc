@@ -8,8 +8,9 @@
  * admission-control accounting
  * (completed + rejected == offered), drain-before-shutdown, the failed-compile eviction race
  * regression, the LRU bound (in-flight entries never dropped), lookup()
- * semantics, and the cache-hit path (byte-identical replies, syntax
- * errors first and never cached).
+ * semantics, the cache-hit path (byte-identical replies, syntax errors
+ * first and never cached), and the one-parse miss (the program preflight
+ * parsed compiles to the same graph and reply).
  *
  * tools/check.sh runs this binary under ThreadSanitizer as well: the
  * server's reader threads, pool workers, and shutdown path all race
@@ -21,6 +22,8 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -36,6 +39,8 @@
 #include "service/exec.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "srdfg/builder.h"
+#include "srdfg/serialize.h"
 #include "workloads/suite.h"
 
 namespace polymath {
@@ -429,6 +434,7 @@ TEST(ServiceServer, RoundRobinKeepsSmallClientsAhead)
     constexpr int kBacklog = 48;
     Clock::time_point heavy_done;
     Clock::time_point light_done;
+    std::promise<void> draining;
 
     std::thread heavy([&] {
         service::Client client(config.socketPath);
@@ -436,17 +442,22 @@ TEST(ServiceServer, RoundRobinKeepsSmallClientsAhead)
             client.send(compileRequest(wideSource(i), i));
         for (int i = 0; i < kBacklog; ++i) {
             service::Response resp;
-            ASSERT_TRUE(client.recv(resp));
+            const bool received = client.recv(resp);
+            if (i == 0)
+                draining.set_value();
+            ASSERT_TRUE(received);
             EXPECT_TRUE(resp.ok) << resp.error;
         }
         heavy_done = Clock::now();
     });
 
-    // The light client connects while the heavy backlog drains. With
-    // FIFO dispatch its lone request would wait behind all of the
-    // backlog; round-robin pulls it within ~one slot.
+    // The light client connects once the heavy backlog has started to
+    // drain (its first reply is in), so the check does not depend on how
+    // fast a compile is. With FIFO dispatch its lone request would wait
+    // behind the rest of the backlog; round-robin pulls it within ~one
+    // slot.
     std::thread light([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        draining.get_future().wait();
         service::Client client(config.socketPath);
         const auto resp =
             client.call(compileRequest(wideSource(1000), 0));
@@ -841,6 +852,45 @@ TEST(ServiceHitPath, HitRepliesAreByteIdenticalToCompiledOnes)
             EXPECT_EQ(resp->profileJson, uncached.profileJson);
         }
     }
+}
+
+TEST(ServiceHitPath, MissCompilesThePreflightProgram)
+{
+    for (const auto &req : suiteRequests()) {
+        SCOPED_TRACE(req.file + " " +
+                     std::string(service::toString(req.verb)));
+        std::string diagnostics;
+        std::shared_ptr<const lang::Program> parsed;
+        ASSERT_FALSE(
+            service::preflightDiagnostics(req.source, diagnostics, &parsed));
+        EXPECT_EQ(diagnostics, "");
+        ASSERT_NE(parsed, nullptr);
+        if (req.verb == service::Verb::Compile) {
+            ir::BuildOptions build;
+            build.entry = req.entry;
+            build.paramConsts = req.params;
+            EXPECT_EQ(ir::toJson(*ir::compileToSrdfg(parsed, build)),
+                      ir::toJson(*ir::compileToSrdfg(req.source, build)));
+        }
+
+        lower::CompileCache cache;
+        const auto miss = service::runRequestGuarded(req, cache);
+        lower::CompileCache fresh;
+        const auto uncached = service::runRequest(req, fresh);
+        EXPECT_EQ(cache.misses(), 1);
+        EXPECT_FALSE(miss.cacheHit);
+        EXPECT_EQ(miss.code, 0);
+        EXPECT_EQ(miss.error, "");
+        EXPECT_EQ(miss.output, uncached.out);
+        EXPECT_EQ(miss.profileJson, uncached.profileJson);
+    }
+
+    // A source with errors hands back no program.
+    std::string diagnostics;
+    std::shared_ptr<const lang::Program> parsed;
+    EXPECT_TRUE(service::preflightDiagnostics("main( { broken", diagnostics,
+                                              &parsed));
+    EXPECT_EQ(parsed, nullptr);
 }
 
 TEST(ServiceHitPath, SyntaxErrorsStayFirstAndNeverEnterTheCache)

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,7 +36,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pmlang/format.h"
-#include "pmlang/parser.h"
 #include "pmlang/sema.h"
 #include "passes/pass.h"
 #include "service/client.h"
@@ -506,14 +506,15 @@ requestFromOptions(const Options &opts, const std::string &file,
  * observable behavior.
  */
 void
-traceShadowRun(const Options &opts, const std::string &source)
+traceShadowRun(const Options &opts,
+               const std::shared_ptr<const lang::Program> &program)
 {
     const auto try_domain = [&](lang::Domain domain) {
         try {
             ir::BuildOptions build;
             build.entry = opts.entry;
             build.paramConsts = opts.params;
-            auto graph = ir::compileToSrdfg(source, build);
+            auto graph = ir::compileToSrdfg(program, build);
             pass::standardPipeline().runToFixpoint(*graph);
             const auto registry = target::standardRegistry();
             lower::lowerGraph(*graph, registry.supportedOpsByDomain(),
@@ -557,14 +558,16 @@ runFile(const Options &opts, const std::string &file, std::string &out,
     const std::string source = readInput(file);
 
     // Pre-flight syntax check with statement-level error recovery so one
-    // run surfaces *every* syntax error, not just the first.
-    if (service::preflightDiagnostics(source, err))
+    // run surfaces *every* syntax error, not just the first. A clean
+    // preflight's program is what every later stage consumes, so the
+    // source is parsed once.
+    std::shared_ptr<const lang::Program> parsed;
+    if (service::preflightDiagnostics(source, err, &parsed))
         return 1;
 
     if (opts.formatSource) {
-        const auto program = lang::parse(source);
-        lang::analyze(program, opts.entry);
-        out += lang::formatProgram(program);
+        lang::analyze(*parsed, opts.entry);
+        out += lang::formatProgram(*parsed);
         return 0;
     }
 
@@ -579,7 +582,7 @@ runFile(const Options &opts, const std::string &file, std::string &out,
         ir::BuildOptions build;
         build.entry = opts.entry;
         build.paramConsts = opts.params;
-        graph = ir::compileToSrdfg(source, build);
+        graph = ir::compileToSrdfg(parsed, build);
         if (opts.optimize) {
             auto pipeline = pass::standardPipeline();
             for (const auto &result : pipeline.runToFixpoint(*graph)) {
@@ -610,7 +613,7 @@ runFile(const Options &opts, const std::string &file, std::string &out,
     if (!opts.target.empty()) {
         const auto req = requestFromOptions(opts, file, source);
         const auto exec = service::runRequest(
-            req, lower::CompileCache::global());
+            req, lower::CompileCache::global(), parsed);
         out += exec.out;
         if (!opts.profileJsonPath.empty() && opts.streamJobs == 0)
             writeProfileDoc(opts.profileJsonPath, exec.profileJson);
@@ -657,7 +660,7 @@ runFile(const Options &opts, const std::string &file, std::string &out,
     if (!did_something)
         out += ir::printGraph(*graph);
     if (opts.target.empty() && obs::TraceRecorder::global().enabled())
-        traceShadowRun(opts, source);
+        traceShadowRun(opts, parsed);
     return 0;
 }
 
