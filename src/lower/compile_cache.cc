@@ -56,7 +56,6 @@ contentHash(const std::string &key)
 std::shared_ptr<const CompiledProgram>
 CompileCache::getOrCompile(const std::string &key, const CompileFn &compile)
 {
-    auto &metrics = obs::MetricsRegistry::global();
     std::promise<std::shared_ptr<const CompiledProgram>> promise;
     Future future;
     uint64_t my_generation = 0;
@@ -82,14 +81,18 @@ CompileCache::getOrCompile(const std::string &key, const CompileFn &compile)
         }
     }
     if (!owner) {
-        metrics.counter("compile_cache.coalesced").add(1);
+        static obs::Counter &coalesced =
+            obs::MetricsRegistry::global().counter("compile_cache.coalesced");
+        coalesced.add(1);
         // May block while the owning thread compiles; rethrows its
         // error. The span makes the blocked wait visible on the
         // worker's wall-clock track.
         obs::Span span("cache:coalesced-wait", "cache");
         return future.get();
     }
-    metrics.counter("compile_cache.misses").add(1);
+    static obs::Counter &misses =
+        obs::MetricsRegistry::global().counter("compile_cache.misses");
+    misses.add(1);
     try {
         auto program =
             std::make_shared<const CompiledProgram>(compile());
@@ -143,9 +146,13 @@ CompileCache::lookup(const std::string &key)
 void
 CompileCache::countHitLocked(Entry &entry)
 {
+    // Resolved once: a hit holds mutex_, and the registry lookup would
+    // build a string and take the registry's own mutex under it.
+    static obs::Counter &hits =
+        obs::MetricsRegistry::global().counter("compile_cache.hits");
     ++hits_;
     lru_.splice(lru_.begin(), lru_, entry.lruPos);
-    obs::MetricsRegistry::global().counter("compile_cache.hits").add(1);
+    hits.add(1);
 }
 
 void
@@ -153,8 +160,8 @@ CompileCache::enforceCapacityLocked(Evicted &evicted)
 {
     if (capacity_ == 0)
         return;
-    auto &evictions = obs::MetricsRegistry::global().counter(
-        "compile_cache.evictions");
+    static obs::Counter &evictions =
+        obs::MetricsRegistry::global().counter("compile_cache.evictions");
     auto pos = lru_.end();
     while (entries_.size() > capacity_ && pos != lru_.begin()) {
         --pos;

@@ -36,14 +36,6 @@ domainKeyword(const std::string &word)
     return std::nullopt;
 }
 
-/** What a work request compiles, and the cache key it compiles under. */
-struct Compilation
-{
-    lang::Domain domain = lang::Domain::None;
-    ir::BuildOptions build;
-    std::string key;
-};
-
 Compilation
 compilationOf(const Request &req, lang::Domain domain)
 {
@@ -249,9 +241,34 @@ runRequest(const Request &req, lower::CompileCache &cache,
         nullptr, std::move(parsed));
 }
 
+RequestLookup
+lookupRequest(const Request &req, lower::CompileCache &cache)
+{
+    // A *finished* entry proves its source preflights clean. Preflight
+    // reports only syntax errors, and an entry compiles either from a
+    // clean preflight's program or through the strict parse, which
+    // throws at the first syntax error, so a source with one never
+    // finishes compiling. Without a known target the syntax errors must
+    // still be reported first, so such a request is not keyed at all.
+    RequestLookup lookup;
+    const auto domain = isWorkVerb(req.verb) ? domainKeyword(req.target)
+                                             : std::nullopt;
+    if (domain) {
+        lookup.compilation = compilationOf(req, *domain);
+        lookup.hit = cache.lookup(lookup.compilation->key);
+    }
+    return lookup;
+}
+
+Response
+runRequestGuarded(const Request &req, lower::CompileCache &cache)
+{
+    return runRequestGuarded(req, cache, lookupRequest(req, cache));
+}
+
 Response
 runRequestGuarded(const Request &req, lower::CompileCache &cache,
-                  RequestTelemetry *telemetry)
+                  RequestLookup lookup, RequestTelemetry *telemetry)
 {
     Response resp;
     resp.id = req.id;
@@ -268,27 +285,15 @@ runRequestGuarded(const Request &req, lower::CompileCache &cache,
         telemetry != nullptr
             ? obs::TraceRecorder::global().nowMicros()
             : 0;
-    // Key and lookup come first: a *finished* entry proves its source
-    // preflights clean. Preflight reports only syntax errors, and an
-    // entry compiles either from a clean preflight's program or through
-    // the strict parse, which throws at the first syntax error, so a
-    // source with one never finishes compiling. An in-flight entry proves
-    // nothing (its owner may still fail), and without a known target the
-    // syntax errors must still be reported first, so both fall through.
-    std::optional<Compilation> compilation;
-    std::shared_ptr<const lower::CompiledProgram> hit;
-    const auto domain = isWorkVerb(req.verb) ? domainKeyword(req.target)
-                                             : std::nullopt;
-    if (domain) {
-        compilation = compilationOf(req, *domain);
-        hit = cache.lookup(compilation->key);
-    }
     // Pre-flight syntax check with statement-level error recovery so
     // one response surfaces *every* syntax error, not just the first —
-    // exactly the local pmc behavior. A clean preflight hands over its
-    // program, so a miss compiles it instead of parsing the source again.
+    // exactly the local pmc behavior. A hit skips it (lookupRequest says
+    // why), and an in-flight entry or an unkeyed request falls through.
+    // A clean preflight hands over its program, so a miss compiles it
+    // instead of parsing the source again.
     std::shared_ptr<const lang::Program> parsed;
-    if (!hit && preflightDiagnostics(req.source, resp.error, &parsed)) {
+    if (!lookup.hit &&
+        preflightDiagnostics(req.source, resp.error, &parsed)) {
         resp.ok = false;
         resp.code = 1;
         if (telemetry != nullptr) {
@@ -300,9 +305,10 @@ runRequestGuarded(const Request &req, lower::CompileCache &cache,
     }
     try {
         ExecResult result =
-            compilation ? runCompilation(req, *compilation, cache,
-                                         std::move(hit), std::move(parsed))
-                        : runRequest(req, cache, std::move(parsed));
+            lookup.compilation
+                ? runCompilation(req, *lookup.compilation, cache,
+                                 std::move(lookup.hit), std::move(parsed))
+                : runRequest(req, cache, std::move(parsed));
         if (telemetry != nullptr) {
             if (result.program)
                 telemetry->backends = backendMix(*result.program);

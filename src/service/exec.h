@@ -14,6 +14,7 @@
 #define POLYMATH_SERVICE_EXEC_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "obs/trace.h"
 #include "pmlang/ast.h"
 #include "service/protocol.h"
+#include "srdfg/builder.h"
 
 namespace polymath::service {
 
@@ -82,19 +84,55 @@ struct RequestTelemetry
     std::vector<obs::TraceEvent> trace; ///< out (captureTrace only)
 };
 
+/** What a work request compiles, and the cache key it compiles under. */
+struct Compilation
+{
+    lang::Domain domain = lang::Domain::None;
+    ir::BuildOptions build;
+    std::string key;
+};
+
+/**
+ * The cache step of one work request: its key, built once, and the
+ * program of the finished entry it names. pmcd runs this step on the
+ * connection's reader, after admission, and decides from `hit` and the
+ * verb whether the request runs there or goes to the worker pool
+ * (docs/SERVICE.md, "The hit path").
+ */
+struct RequestLookup
+{
+    /** nullopt when the request is not a work verb or its target names
+     *  no domain: nothing is keyed and runRequestGuarded reports why. */
+    std::optional<Compilation> compilation;
+    /** CompileCache::lookup's program; null on a miss or an in-flight
+     *  entry, which proves nothing because its owner may still fail. */
+    std::shared_ptr<const lower::CompiledProgram> hit;
+};
+
+/**
+ * Builds @p req's key and looks it up in @p cache. A hit counts one
+ * cache hit, exactly as getOrCompile() would; a miss counts nothing, so
+ * the request's later compile is what counts it.
+ */
+RequestLookup lookupRequest(const Request &req, lower::CompileCache &cache);
+
 /**
  * The server-side wrapper: preflight diagnostics + runRequest with the
  * exception-to-exit-code policy of the pmc process applied, rendered
  * into a Response whose output/error fields carry exactly the bytes
- * local pmc would print. A request whose key names a finished cache
- * entry (CompileCache::lookup) skips preflight: that source compiled,
- * so it has no syntax errors. A miss compiles the program preflight
- * parsed, so its source is parsed once. @p telemetry, when non-null,
+ * local pmc would print. @p lookup is lookupRequest(req, cache). A hit
+ * skips preflight: that source compiled, so it has no syntax errors. A
+ * miss compiles the program preflight parsed, so its source is parsed
+ * once, under the key @p lookup built. @p telemetry, when non-null,
  * scopes the execution to that request id and reports what it did; with
  * nullptr the behavior (and cost) is exactly the pre-telemetry path.
  */
 Response runRequestGuarded(const Request &req, lower::CompileCache &cache,
+                           RequestLookup lookup,
                            RequestTelemetry *telemetry = nullptr);
+
+/** runRequestGuarded with the lookup done here and no telemetry. */
+Response runRequestGuarded(const Request &req, lower::CompileCache &cache);
 
 } // namespace polymath::service
 

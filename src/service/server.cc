@@ -6,7 +6,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "service/exec.h"
 
 namespace polymath::service {
 
@@ -172,9 +171,10 @@ Server::readerLoop(const std::shared_ptr<Conn> &conn)
             handleShutdown(*conn, req);
             break;
         }
-        // Work verb: admission control, then hand to the pool. The
-        // rejection response is written inline by this reader — cheap,
-        // and it keeps the pool free for admitted work.
+        // Work verb: admission control first, so a rejected request
+        // touches no cache counter. The rejection response is written
+        // inline by this reader — cheap, and it keeps the pool free for
+        // admitted work.
         const int64_t request_id = req.id;
         req.requestId = assignRequestId(req.requestId);
         const std::string attribution = req.requestId;
@@ -193,18 +193,15 @@ Server::readerLoop(const std::shared_ptr<Conn> &conn)
                 reject_reason = "admission queue full";
             } else {
                 ++accepted_;
-                ++pending_;
-                conn->queue.push_back(
-                    Pending{std::move(req), now_us,
-                            static_cast<int64_t>(line.size()) + 1});
+                ++pending_; // until it runs here or leaves the queue
             }
             if (reject_reason != nullptr)
                 ++rejected_;
         }
         if (reject_reason != nullptr) {
-            obs::MetricsRegistry::global()
-                .counter("service.rejected")
-                .add(1);
+            static obs::Counter &rejected =
+                obs::MetricsRegistry::global().counter("service.rejected");
+            rejected.add(1);
             if (telemetryEnabled())
                 rejectedRate_.mark(now_us);
             Response resp;
@@ -215,9 +212,39 @@ Server::readerLoop(const std::shared_ptr<Conn> &conn)
             resp.code = 3;
             resp.error = std::string(reject_reason) + "\n";
             writeResponse(*conn, resp);
-        } else {
-            pool_->submit([this] { slotTask(); });
+            continue;
         }
+        // The request's one cache step. A compile that hits a finished
+        // entry, on a connection with nothing queued or in flight, runs
+        // right here, as stats does: it only renders the cached
+        // listing, it cannot overtake an earlier request of its own
+        // connection, and it skips the pool hand-off. Everything that
+        // still computes goes to the pool, whose workers bound it:
+        // misses, in-flight entries, and simulate, profile and dse
+        // requests even on a hit. That also keeps throughput steady
+        // (docs/SERVICE.md, "The hit path").
+        Pending item{std::move(req), {}, now_us,
+                     static_cast<int64_t>(line.size()) + 1};
+        item.lookup = lookupRequest(item.req, *cache_);
+        const bool compile_hit =
+            item.lookup.hit && item.req.verb == Verb::Compile;
+        bool run_here = false;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (compile_hit && conn->queue.empty() &&
+                conn->inFlight == 0) {
+                --pending_;
+                ++executing_;
+                ++conn->inFlight;
+                run_here = true;
+            } else {
+                conn->queue.push_back(std::move(item));
+            }
+        }
+        if (run_here)
+            execute(*conn, item);
+        else
+            pool_->submit([this] { slotTask(); });
     }
     std::lock_guard<std::mutex> lock(mutex_);
     conn->open = false;
@@ -226,7 +253,7 @@ Server::readerLoop(const std::shared_ptr<Conn> &conn)
 void
 Server::slotTask()
 {
-    // One slot is submitted per admitted request, but a slot does not
+    // One slot is submitted per queued request, but a slot does not
     // execute "its" request: it pulls the next request round-robin
     // across connections, which is what keeps one chatty client from
     // starving the others — backlog depth costs only its own latency.
@@ -250,10 +277,26 @@ Server::slotTask()
         }
     }
     if (!conn)
-        return; // admitted == slots, so this only races a drain
+        return; // queued == slots, so this only races a drain
+    execute(*conn, item);
+}
+
+void
+Server::execute(Conn &conn, Pending &item)
+{
+    static obs::Counter &completed =
+        obs::MetricsRegistry::global().counter("service.completed");
     Response resp;
     bool accounted = false; // completed_ already counted pre-send?
     if (telemetryEnabled()) {
+        static obs::LatencyHistogram &queue_wait =
+            obs::MetricsRegistry::global().latency("service.queue_wait_us");
+        static obs::LatencyHistogram &execute_us =
+            obs::MetricsRegistry::global().latency("service.execute_us");
+        static obs::Counter &bytes_in =
+            obs::MetricsRegistry::global().counter("service.bytes_in");
+        static obs::Counter &bytes_out =
+            obs::MetricsRegistry::global().counter("service.bytes_out");
         RequestTelemetry telem;
         telem.requestId = item.req.requestId;
         telem.captureTrace = true;
@@ -261,7 +304,8 @@ Server::slotTask()
             obs::TraceRecorder::global().nowMicros();
         const int64_t queue_wait_us =
             dispatched_us - item.enqueuedAtMicros;
-        resp = runRequestGuarded(item.req, *cache_, &telem);
+        resp = runRequestGuarded(item.req, *cache_, std::move(item.lookup),
+                                 &telem);
         resp.requestId = item.req.requestId;
         // Account *before* the response leaves: once a client holds
         // its response, a dump/metrics request — answered inline on a
@@ -270,13 +314,11 @@ Server::slotTask()
         // rendered first so bytesOut is exact.
         std::string line = resp.json();
         line += '\n';
-        const auto bytes_out = static_cast<int64_t>(line.size());
-        auto &registry = obs::MetricsRegistry::global();
-        registry.latency("service.queue_wait_us").observe(queue_wait_us);
-        registry.latency("service.execute_us")
-            .observe(telem.executeMicros);
-        registry.counter("service.bytes_in").add(item.bytesIn);
-        registry.counter("service.bytes_out").add(bytes_out);
+        const auto line_bytes = static_cast<int64_t>(line.size());
+        queue_wait.observe(queue_wait_us);
+        execute_us.observe(telem.executeMicros);
+        bytes_in.add(item.bytesIn);
+        bytes_out.add(line_bytes);
         const int64_t finished_us =
             obs::TraceRecorder::global().nowMicros();
         obs::RequestRecord record;
@@ -289,7 +331,7 @@ Server::slotTask()
         record.queueWaitMicros = queue_wait_us;
         record.executeMicros = telem.executeMicros;
         record.bytesIn = item.bytesIn;
-        record.bytesOut = bytes_out;
+        record.bytesOut = line_bytes;
         record.finishedAtMicros = finished_us;
         if (config_.slowTraceUs > 0 &&
             telem.executeMicros >= config_.slowTraceUs)
@@ -303,26 +345,24 @@ Server::slotTask()
             std::lock_guard<std::mutex> lock(mutex_);
             ++completed_;
         }
-        obs::MetricsRegistry::global()
-            .counter("service.completed")
-            .add(1);
+        completed.add(1);
         accounted = true;
-        sendLine(*conn, line);
+        sendLine(conn, line);
     } else {
-        resp = runRequestGuarded(item.req, *cache_);
-        writeResponse(*conn, resp);
+        resp = runRequestGuarded(item.req, *cache_, std::move(item.lookup));
+        writeResponse(conn, resp);
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (!accounted)
             ++completed_;
         --executing_;
-        --conn->inFlight;
+        --conn.inFlight;
         if (pending_ == 0 && executing_ == 0)
             drained_.notify_all();
     }
     if (!accounted)
-        obs::MetricsRegistry::global().counter("service.completed").add(1);
+        completed.add(1);
 }
 
 void

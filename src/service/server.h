@@ -7,17 +7,25 @@
  *
  *   accept thread ── one reader thread per connection ── worker pool
  *
- * Readers parse JSON-line requests and either answer inline (stats,
- * malformed lines, admission rejections — all cheap) or enqueue onto
- * their connection's queue. Work is executed on the PR-2 ThreadPool;
- * each enqueue submits one pool task, and the task pulls the *next
- * request round-robin across connections*, so a chatty client that
- * pipelines thousands of requests cannot starve a neighbor: queue
- * depth costs only its own latency.
+ * Readers parse JSON-line requests and answer some inline (stats,
+ * malformed lines, admission rejections — all cheap). An admitted work
+ * request is keyed and looked up once, on its reader
+ * (lookupRequest). A compile that hits a *finished* cache entry, on a
+ * connection with nothing queued or in flight, runs right there on the
+ * reader: no hand-off, no worker wake-up. Everything else — misses,
+ * in-flight entries, simulate/profile/dse requests (which compute even
+ * on a hit), and requests behind queued work on their own connection —
+ * is enqueued onto its connection's queue and executed on the
+ * core::ThreadPool. Each enqueue submits one pool task,
+ * and the task pulls the *next request round-robin across
+ * connections*, so a chatty client that pipelines thousands of
+ * requests cannot starve a neighbor: queue depth costs only its own
+ * latency. Inline and pooled requests share one execute() body.
  *
- * Admission control bounds the total queued backlog (maxPending); past
- * it, requests are rejected immediately with an accounted, structured
- * response. The conservation law
+ * Admission control bounds the total queued backlog (maxPending) and
+ * is decided before the lookup, so it treats a hit like any other
+ * request; past the bound, requests are rejected immediately with an
+ * accounted, structured response. The conservation law
  *
  *     completed + rejected == offered        (after drain)
  *
@@ -44,6 +52,7 @@
 #include "lower/compile_cache.h"
 #include "obs/metrics.h"
 #include "obs/request.h"
+#include "service/exec.h"
 #include "service/protocol.h"
 
 namespace polymath::service {
@@ -54,7 +63,9 @@ struct ServerConfig
     std::string socketPath;
 
     /** Worker threads (core::resolveJobs semantics: 0 = all hardware
-     *  threads). In-flight work is bounded by this. */
+     *  threads). They bound everything that computes: misses,
+     *  simulations, profiles and dse searches. A compile that hits the
+     *  cache runs on its connection's reader instead. */
     int jobs = 1;
 
     /** Admission bound on the total queued (not yet executing) request
@@ -94,7 +105,7 @@ struct ServerStats
     int64_t completed = 0; ///< executed and answered
     int64_t malformed = 0; ///< unparsable or unknown-verb lines
     int64_t pending = 0;   ///< queued right now
-    int64_t executing = 0; ///< running on the pool right now
+    int64_t executing = 0; ///< running right now (pool or reader)
     int64_t connections = 0; ///< currently open connections
 
     /** Flat map for the stats response (includes cache counters). */
@@ -150,10 +161,12 @@ class Server
     std::string flightDumpJson() const;
 
   private:
-    /** One queued work request with its admission-time telemetry. */
+    /** One admitted work request with its cache step and its
+     *  admission-time telemetry. */
     struct Pending
     {
         Request req;
+        RequestLookup lookup;         ///< key + lookup, done on the reader
         int64_t enqueuedAtMicros = 0; ///< 0 when telemetry is off
         int64_t bytesIn = 0;          ///< request line bytes
     };
@@ -173,6 +186,10 @@ class Server
     void acceptLoop();
     void readerLoop(const std::shared_ptr<Conn> &conn);
     void slotTask();
+    /** Runs @p item, answers it on @p conn, and accounts it; the caller
+     *  has already moved it from pending_ to executing_ and bumped
+     *  conn.inFlight. */
+    void execute(Conn &conn, Pending &item);
     void handleShutdown(Conn &conn, const Request &req);
     void beginStop();
     /** Joins and erases finished connections (caller holds mutex_). */

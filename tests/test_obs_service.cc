@@ -5,9 +5,10 @@
  * quantiles and underflow bucket, the FlightRecorder ring,
  * RateWindow sliding rates, Prometheus text rendering, request-scoped
  * span routing, and — over the real socket — request-id attribution,
- * the dump/metrics verbs, slow-trace retention, and concurrent-request
- * span isolation (each retained trace holds exactly its own spans, with
- * deterministic span counts at any worker count).
+ * the dump/metrics verbs, one record and one count per cache hit
+ * answered on its reader thread, slow-trace retention, and
+ * concurrent-request span isolation (each retained trace holds exactly
+ * its own spans, with deterministic span counts at any worker count).
  *
  * tools/check.sh runs this binary under ThreadSanitizer too: the
  * per-request thread-local trace sinks, the shared flight recorder, and
@@ -431,6 +432,70 @@ TEST(ServiceTelemetry, FastRequestsKeepOnlyTheScalarSummary)
     EXPECT_GT(records[0].at("execute_us").num(), 0.0);
     EXPECT_GT(records[0].at("bytes_out").num(), 0.0);
     EXPECT_EQ(records[0].at("backends").str(), "TABLA");
+
+    server.requestStop();
+    server.wait();
+}
+
+TEST(ServiceTelemetry, InlineHitsKeepTheirRecordsAndCounters)
+{
+    lower::CompileCache server_cache;
+    service::ServerConfig config;
+    config.socketPath = testSocket("inline_hits");
+    config.jobs = 1;
+    config.cache = &server_cache;
+    config.flightEntries = 64;
+    service::Server server(config);
+    server.start();
+
+    auto &registry = obs::MetricsRegistry::global();
+    const int64_t completed_before =
+        registry.counter("service.completed").value();
+    const int64_t executed_before =
+        registry.latency("service.execute_us").count();
+
+    // One miss warms the cache; every later request on this idle
+    // connection is a finished-entry hit its reader answers itself.
+    constexpr int kHits = 8;
+    service::Client client(config.socketPath);
+    auto warm = compileRequest(tinySource(0), 0);
+    warm.requestId = "warm";
+    EXPECT_FALSE(client.call(warm).cacheHit);
+    for (int i = 0; i < kHits; ++i) {
+        auto req = compileRequest(tinySource(0), i + 1);
+        req.requestId = "hit" + std::to_string(i);
+        const auto resp = client.call(req);
+        EXPECT_TRUE(resp.ok) << resp.error;
+        EXPECT_TRUE(resp.cacheHit);
+        EXPECT_EQ(resp.requestId, req.requestId);
+    }
+
+    EXPECT_EQ(registry.counter("service.completed").value() -
+                  completed_before,
+              kHits + 1);
+    EXPECT_EQ(registry.latency("service.execute_us").count() -
+                  executed_before,
+              kHits + 1);
+
+    service::Request dump_req;
+    dump_req.verb = service::Verb::Dump;
+    const auto dump = json::parse(client.call(dump_req).output);
+    EXPECT_EQ(dump.at("recorded").num(), kHits + 1.0);
+    std::map<std::string, int> records;
+    for (const auto &record : dump.at("records").arr()) {
+        const std::string id = record.at("id").str();
+        ++records[id];
+        EXPECT_EQ(record.at("exit").num(), 0.0) << id;
+        EXPECT_EQ(record.at("backends").str(), "TABLA") << id;
+        if (id != "warm") {
+            EXPECT_EQ(record.at("cache_hits").num(), 1.0) << id;
+            EXPECT_EQ(record.at("cache_misses").num(), 0.0) << id;
+        }
+    }
+    EXPECT_EQ(records["warm"], 1);
+    for (int i = 0; i < kHits; ++i)
+        EXPECT_EQ(records["hit" + std::to_string(i)], 1) << i;
+    EXPECT_EQ(records.size(), static_cast<size_t>(kHits + 1));
 
     server.requestStop();
     server.wait();

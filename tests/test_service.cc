@@ -5,8 +5,12 @@
  * server responses byte-identical to direct execution, structured errors
  * for malformed (and too deeply nested) request lines and too deep
  * expressions, round-robin fairness across client connections,
- * admission-control accounting
- * (completed + rejected == offered), drain-before-shutdown, the failed-compile eviction race
+ * admission-control accounting with hits in the mix
+ * (completed + rejected == offered, one cache count per completed
+ * request), compile hits answered on their reader while the pool is
+ * busy but never ahead of their own connection's earlier work,
+ * simulate hits kept on the pool,
+ * drain-before-shutdown, the failed-compile eviction race
  * regression, the LRU bound (in-flight entries never dropped), lookup()
  * semantics, the cache-hit path (byte-identical replies, syntax errors
  * first and never cached), and the one-parse miss (the program preflight
@@ -18,6 +22,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -63,17 +68,25 @@ tinySource(int k)
 }
 
 /**
- * A wider program (one statement, many scalar ops), distinct per @p k —
- * heavy enough that compiling it dominates the microseconds it takes a
- * reader thread to enqueue a burst of requests.
+ * A wider program (@p statements statements of many scalar ops each),
+ * distinct per @p k — heavy enough that compiling it dominates the
+ * microseconds it takes a reader thread to enqueue a burst of requests.
  */
 std::string
-wideSource(int k)
+wideSource(int k, int statements = 1)
 {
-    std::string expr = "x*" + std::to_string(k + 2);
-    for (int i = 0; i < 80; ++i)
-        expr += " + x*" + std::to_string(k * 100 + i + 3);
-    return "main(input float x, output float y) { y = " + expr + "; }";
+    std::string outputs = "output float y";
+    std::string body;
+    for (int s = 0; s < statements; ++s) {
+        const std::string y = s == 0 ? "y" : "y" + std::to_string(s);
+        if (s > 0)
+            outputs += ", output float " + y;
+        std::string expr = "x*" + std::to_string(k + 2);
+        for (int i = 0; i < 80; ++i)
+            expr += " + x*" + std::to_string(k * 100 + i + 3 + s);
+        body += " " + y + " = " + expr + ";";
+    }
+    return "main(input float x, " + outputs + ") {" + body + " }";
 }
 
 service::Request
@@ -487,47 +500,230 @@ TEST(ServiceServer, AdmissionRejectionIsAccounted)
     service::Server server(config);
     server.start();
 
-    constexpr int kBurst = 32;
-    int64_t rejected = 0;
-    int64_t completed = 0;
+    // One warm source, so the burst mixes hits into its misses.
+    const auto warm = compileRequest(tinySource(7), 1000);
     {
         service::Client client(config.socketPath);
-        for (int i = 0; i < kBurst; ++i)
-            client.send(compileRequest(wideSource(i), i));
+        const auto resp = client.call(warm);
+        ASSERT_TRUE(resp.ok) << resp.error;
+        EXPECT_FALSE(resp.cacheHit);
+    }
+
+    // Connection A pipelines misses with a hit every fourth request;
+    // its hits sit behind A's own queued work, so they queue too.
+    // Connection B meanwhile sends hits one at a time, which its idle
+    // connection may run inline. Both face the same admission bound.
+    constexpr int kBurst = 32;
+    constexpr int kSideHits = 16;
+    int64_t rejected = 0;
+    int64_t completed = 0;
+    std::mutex tally_mutex;
+    const auto tally = [&](const service::Response &resp) {
+        std::lock_guard<std::mutex> lock(tally_mutex);
+        if (resp.rejected) {
+            ++rejected;
+            EXPECT_EQ(resp.code, 3);
+            EXPECT_FALSE(resp.ok);
+            EXPECT_FALSE(resp.error.empty());
+        } else {
+            ++completed;
+            EXPECT_TRUE(resp.ok) << resp.error;
+        }
+    };
+    std::thread side([&] {
+        service::Client client(config.socketPath);
+        for (int i = 0; i < kSideHits; ++i) {
+            auto req = warm;
+            req.id = 2000 + i;
+            const auto resp = client.call(req);
+            EXPECT_EQ(resp.id, req.id);
+            EXPECT_TRUE(resp.rejected || resp.cacheHit);
+            tally(resp);
+        }
+    });
+    {
+        service::Client client(config.socketPath);
         for (int i = 0; i < kBurst; ++i) {
-            service::Response resp;
-            ASSERT_TRUE(client.recv(resp));
-            if (resp.rejected) {
-                ++rejected;
-                EXPECT_EQ(resp.code, 3);
-                EXPECT_FALSE(resp.ok);
-                EXPECT_FALSE(resp.error.empty());
+            if (i % 4 == 3) {
+                auto req = warm;
+                req.id = i;
+                client.send(req);
             } else {
-                ++completed;
-                EXPECT_TRUE(resp.ok) << resp.error;
+                client.send(compileRequest(wideSource(i), i));
             }
         }
+        for (int i = 0; i < kBurst; ++i) {
+            service::Response resp;
+            if (!client.recv(resp)) {
+                ADD_FAILURE() << "connection closed after " << i
+                              << " replies";
+                break;
+            }
+            tally(resp);
+        }
     }
+    side.join();
     // A burst of 32 against an admission bound of 1 must shed load...
     EXPECT_GT(rejected, 0);
-    EXPECT_EQ(rejected + completed, kBurst);
+    EXPECT_EQ(rejected + completed, kBurst + kSideHits);
 
     // ...and the server's books must agree exactly with the client's:
     // conservation (completed + rejected == offered), checked on the
-    // post-drain shutdown stats.
+    // post-drain shutdown stats. Each admitted request was looked up
+    // once and a rejected one touched no cache counter, so the cache's
+    // hits and misses add up to exactly the completed requests.
     service::Client control(config.socketPath);
     service::Request shutdown_req;
     shutdown_req.verb = service::Verb::Shutdown;
     const auto bye = control.call(shutdown_req);
     EXPECT_TRUE(bye.ok);
     EXPECT_DOUBLE_EQ(bye.stats.at("offered"),
-                     static_cast<double>(kBurst));
+                     static_cast<double>(1 + kBurst + kSideHits));
     EXPECT_DOUBLE_EQ(bye.stats.at("rejected"),
                      static_cast<double>(rejected));
     EXPECT_DOUBLE_EQ(bye.stats.at("completed"),
-                     static_cast<double>(completed));
+                     static_cast<double>(1 + completed));
+    EXPECT_DOUBLE_EQ(bye.stats.at("offered"),
+                     bye.stats.at("completed") + bye.stats.at("rejected"));
+    EXPECT_DOUBLE_EQ(bye.stats.at("cacheHits") + bye.stats.at("cacheMisses"),
+                     bye.stats.at("completed"));
     EXPECT_DOUBLE_EQ(bye.stats.at("pending"), 0.0);
     EXPECT_DOUBLE_EQ(bye.stats.at("executing"), 0.0);
+    server.wait();
+}
+
+TEST(ServiceServer, HitIsAnsweredWhileThePoolIsBusy)
+{
+    using Clock = std::chrono::steady_clock;
+    lower::CompileCache cache;
+    service::ServerConfig config;
+    config.socketPath = testSocket("busy_pool");
+    config.jobs = 1; // the one worker is what the slow miss occupies
+    config.cache = &cache;
+    service::Server server(config);
+    server.start();
+
+    const auto warm = compileRequest(tinySource(3), 1);
+    service::Client hitter(config.socketPath);
+    ASSERT_TRUE(hitter.call(warm).ok);
+
+    // Connection A's slow miss takes the only worker...
+    Clock::time_point miss_done;
+    service::Client slow(config.socketPath);
+    slow.send(compileRequest(wideSource(42, 32), 2));
+    std::thread waiter([&] {
+        // Stamped at the reply's first byte: parsing the long listing
+        // must not count against the miss.
+        char first = 0;
+        ASSERT_EQ(::recv(slow.fd(), &first, 1, MSG_PEEK), 1);
+        miss_done = Clock::now();
+        service::Response resp;
+        ASSERT_TRUE(slow.recv(resp));
+        EXPECT_TRUE(resp.ok) << resp.error;
+        EXPECT_FALSE(resp.cacheHit);
+    });
+    // Admitted, dequeued, and the only thing running: the warm-up may
+    // still hold `executing` for a moment after its reply went out.
+    for (;;) {
+        const auto stats = server.stats();
+        if (stats.accepted == 2 && stats.pending == 0 &&
+            stats.executing == 1)
+            break;
+        std::this_thread::yield();
+    }
+
+    // ...and connection B's hit does not wait for it: its reader
+    // answers it without the pool.
+    const auto hit = hitter.call(warm);
+    const Clock::time_point hit_done = Clock::now();
+    EXPECT_TRUE(hit.ok) << hit.error;
+    EXPECT_TRUE(hit.cacheHit);
+    waiter.join();
+    EXPECT_LT(hit_done.time_since_epoch().count(),
+              miss_done.time_since_epoch().count())
+        << "a cache hit waited behind another connection's miss";
+
+    server.requestStop();
+    server.wait();
+}
+
+TEST(ServiceServer, PipelinedHitNeverOvertakesItsConnection)
+{
+    lower::CompileCache cache;
+    service::ServerConfig config;
+    config.socketPath = testSocket("no_overtake");
+    config.jobs = 1;
+    config.cache = &cache;
+    service::Server server(config);
+    server.start();
+
+    const auto warm = compileRequest(tinySource(5), 1);
+    service::Client client(config.socketPath);
+    ASSERT_TRUE(client.call(warm).ok);
+
+    // A hit pipelined behind a miss on the same connection is answered
+    // after that miss, never before it.
+    client.send(compileRequest(wideSource(43), 2));
+    auto again = warm;
+    again.id = 3;
+    client.send(again);
+    service::Response first;
+    service::Response second;
+    ASSERT_TRUE(client.recv(first));
+    ASSERT_TRUE(client.recv(second));
+    EXPECT_EQ(first.id, 2);
+    EXPECT_FALSE(first.cacheHit);
+    EXPECT_EQ(second.id, 3);
+    EXPECT_TRUE(second.cacheHit);
+
+    server.requestStop();
+    server.wait();
+}
+
+TEST(ServiceServer, SimulateHitTakesThePool)
+{
+    lower::CompileCache cache;
+    service::ServerConfig config;
+    config.socketPath = testSocket("simulate_pool");
+    config.jobs = 1; // the one worker is what the slow miss occupies
+    config.cache = &cache;
+    service::Server server(config);
+    server.start();
+
+    auto simulate = compileRequest(tinySource(4), 1);
+    simulate.verb = service::Verb::Simulate;
+    simulate.invocations = 10;
+    service::Client hitter(config.socketPath);
+    const auto warm = hitter.call(simulate);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    EXPECT_FALSE(warm.cacheHit);
+
+    service::Client slow(config.socketPath);
+    slow.send(compileRequest(wideSource(44, 16), 2));
+    for (;;) {
+        const auto stats = server.stats();
+        if (stats.accepted == 2 && stats.pending == 0 &&
+            stats.executing == 1)
+            break;
+        std::this_thread::yield();
+    }
+
+    // A simulation computes even on a hit, so it is not run on its
+    // reader: it waits for the one worker, which answers the miss
+    // first.
+    simulate.id = 3;
+    const auto hit = hitter.call(simulate);
+    EXPECT_TRUE(hit.ok) << hit.error;
+    EXPECT_TRUE(hit.cacheHit);
+    char first = 0;
+    EXPECT_EQ(::recv(slow.fd(), &first, 1, MSG_PEEK | MSG_DONTWAIT), 1)
+        << "a simulate hit ran while the miss held the only worker";
+    service::Response resp;
+    ASSERT_TRUE(slow.recv(resp));
+    EXPECT_TRUE(resp.ok) << resp.error;
+    EXPECT_FALSE(resp.cacheHit);
+
+    server.requestStop();
     server.wait();
 }
 

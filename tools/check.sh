@@ -196,6 +196,10 @@ for preset in "${presets[@]}"; do
             examples/pmlang/affine.pm > /dev/null
         build/tools/pmc --connect "$tele_sock" --target DA \
             examples/pmlang/black_scholes.pm > /dev/null
+        # A repeat is a cache hit, answered on its reader thread; it
+        # must leave a flight record like the pooled requests do.
+        build/tools/pmc --connect "$tele_sock" --target DA \
+            examples/pmlang/affine.pm > /dev/null
         build/tools/pmc --connect "$tele_sock" --metrics \
             | grep -q '^# TYPE polymath_service_server_completed counter$'
         build/tools/pmc --connect "$tele_sock" --metrics-json \
@@ -203,7 +207,7 @@ for preset in "${presets[@]}"; do
         build/tools/pmc --connect "$tele_sock" --dump | python3 -c '
 import json, sys
 d = json.load(sys.stdin)
-assert d["recorded"] >= 1, d
+assert d["recorded"] >= 3, d
 assert all(r["id"] for r in d["records"]), d
 assert any(r["trace"] for r in d["records"]), "no retained trace"
 '

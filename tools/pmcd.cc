@@ -45,7 +45,10 @@ usage()
         "\n"
         "  --socket <path>       Unix-domain socket to listen on\n"
         "                        (required)\n"
-        "  -j, --jobs <n>        worker threads executing requests\n"
+        "  -j, --jobs <n>        worker threads executing misses,\n"
+        "                        simulations, profiles and dse searches;\n"
+        "                        a compile that hits the cache runs on\n"
+        "                        its connection's reader instead\n"
         "                        (0 = all hardware threads; default\n"
         "                        POLYMATH_JOBS or 1)\n"
         "  --max-pending <n>     admission bound on the queued request\n"
