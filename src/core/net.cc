@@ -166,16 +166,15 @@ UnixListener::accept()
             return conn;
         if (errno == EINTR)
             continue;
-        return -1; // listener closed (EBADF after close()) or fatal
+        return -1;
     }
 }
 
 void
 UnixListener::close()
 {
-    if (fd_ < 0 || closed_)
+    if (fd_ < 0 || closed_.exchange(true))
         return;
-    closed_ = true;
     // shutdown() wakes a blocked accept() (it returns EINVAL on Linux);
     // the fd stays open until destruction so the acceptor can never
     // race against a recycled descriptor number.

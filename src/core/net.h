@@ -13,6 +13,7 @@
 #ifndef POLYMATH_CORE_NET_H_
 #define POLYMATH_CORE_NET_H_
 
+#include <atomic>
 #include <cstddef>
 #include <string>
 
@@ -83,9 +84,11 @@ class UnixListener
     void listen(const std::string &path, int backlog = 64);
 
     /**
-     * Accepts one connection (blocking). Returns the connection fd, or
-     * -1 once the listener has been closed (the shutdown path) or on a
-     * non-retryable accept error.
+     * Accepts one connection (blocking), retrying EINTR. Returns the
+     * connection fd, or -1 with errno set: after close() (the shutdown
+     * path, when listening() is false), and on any other accept error,
+     * such as EMFILE while the process is out of descriptors, after
+     * which the listener still works.
      */
     int accept();
 
@@ -103,7 +106,8 @@ class UnixListener
 
   private:
     int fd_ = -1;
-    bool closed_ = false;
+    /** Set by close(), which another thread may call during accept(). */
+    std::atomic<bool> closed_{false};
     std::string path_;
 };
 

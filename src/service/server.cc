@@ -2,12 +2,22 @@
 
 #include <sys/socket.h>
 
+#include <chrono>
+
 #include "core/error.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace polymath::service {
+
+namespace {
+
+/** Wait after a failed accept: a freed descriptor is used within this,
+ *  and a lasting shortage costs 100 retries a second, not a busy loop. */
+constexpr std::chrono::milliseconds kAcceptBackoff{10};
+
+} // namespace
 
 std::map<std::string, double>
 ServerStats::toMap(const lower::CompileCache &cache) const
@@ -69,10 +79,25 @@ Server::start()
 void
 Server::acceptLoop()
 {
+    static obs::Counter &accept_errors =
+        obs::MetricsRegistry::global().counter("service.accept_errors");
     for (;;) {
         const int fd = listener_.accept();
-        if (fd < 0)
-            return; // listener closed: shutdown path
+        if (fd < 0) {
+            if (!listener_.listening())
+                return; // listener closed: shutdown path
+            // The listener still works; the process is short of
+            // descriptors or buffers (EMFILE, ENFILE, ENOBUFS, ENOMEM)
+            // or a client left before its accept (ECONNABORTED). Free
+            // the descriptors of finished connections, which are
+            // otherwise closed only after a successful accept, then
+            // wait briefly and retry: returning would leave the daemon
+            // running but deaf.
+            accept_errors.add(1);
+            reapConnections();
+            std::this_thread::sleep_for(kAcceptBackoff);
+            continue;
+        }
         auto conn = std::make_shared<Conn>();
         conn->fd = fd;
         bool admit = false;
@@ -90,37 +115,36 @@ Server::acceptLoop()
         conn->reader = std::thread([this, conn] { readerLoop(conn); });
         // Opportunistic cleanup of finished connections so a long-lived
         // daemon's connection table does not grow without bound.
-        std::vector<std::shared_ptr<Conn>> dead;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            reapConnectionsLocked();
-            dead.swap(reaped_);
-        }
-        for (auto &c : dead) {
-            if (c->reader.joinable())
-                c->reader.join();
-            core::closeFd(c->fd);
-        }
+        reapConnections();
     }
 }
 
 void
-Server::reapConnectionsLocked()
+Server::reapConnections()
 {
     // A connection is dead once its reader exited, its queue drained,
     // and no worker still holds it for a response write. The join and
     // fd close happen outside the lock (the reader's last act is to
     // take mutex_ and mark itself closed — joining under the lock
     // would deadlock against that).
-    auto it = conns_.begin();
-    while (it != conns_.end()) {
-        auto &c = *it;
-        if (!c->open && c->queue.empty() && c->inFlight == 0) {
-            reaped_.push_back(c);
-            it = conns_.erase(it);
-        } else {
-            ++it;
+    std::vector<std::shared_ptr<Conn>> dead;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = conns_.begin();
+        while (it != conns_.end()) {
+            auto &c = *it;
+            if (!c->open && c->queue.empty() && c->inFlight == 0) {
+                dead.push_back(c);
+                it = conns_.erase(it);
+            } else {
+                ++it;
+            }
         }
+    }
+    for (auto &c : dead) {
+        if (c->reader.joinable())
+            c->reader.join();
+        core::closeFd(c->fd);
     }
 }
 
@@ -433,8 +457,6 @@ Server::wait()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         conns.swap(conns_);
-        conns.insert(conns.end(), reaped_.begin(), reaped_.end());
-        reaped_.clear();
     }
     for (auto &c : conns) {
         if (c->reader.joinable())

@@ -192,8 +192,9 @@ class Server
     void execute(Conn &conn, Pending &item);
     void handleShutdown(Conn &conn, const Request &req);
     void beginStop();
-    /** Joins and erases finished connections (caller holds mutex_). */
-    void reapConnectionsLocked();
+    /** Erases finished connections, then joins their readers and
+     *  closes their fds outside mutex_. Accept thread only. */
+    void reapConnections();
     /** Writes one response line; returns the bytes written. */
     size_t writeResponse(Conn &conn, const Response &resp);
     void sendLine(Conn &conn, const std::string &line);
@@ -212,9 +213,6 @@ class Server
     mutable std::mutex mutex_;
     std::condition_variable drained_;
     std::vector<std::shared_ptr<Conn>> conns_;
-    /** Dead connections collected by reapConnectionsLocked(), awaiting
-     *  an out-of-lock join + close (see that function's comment). */
-    std::vector<std::shared_ptr<Conn>> reaped_;
     size_t rrCursor_ = 0;
     bool started_ = false;
     bool stopping_ = false; ///< no longer admitting work

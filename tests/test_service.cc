@@ -10,7 +10,8 @@
  * request), compile hits answered on their reader while the pool is
  * busy but never ahead of their own connection's earlier work,
  * simulate hits kept on the pool,
- * drain-before-shutdown, the failed-compile eviction race
+ * drain-before-shutdown, accepting again after descriptor exhaustion,
+ * the failed-compile eviction race
  * regression, the LRU bound (in-flight entries never dropped), lookup()
  * semantics, the cache-hit path (byte-identical replies, syntax errors
  * first and never cached), and the one-parse miss (the program preflight
@@ -22,7 +23,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -39,6 +43,7 @@
 #include "core/json.h"
 #include "core/net.h"
 #include "lower/compile_cache.h"
+#include "obs/metrics.h"
 #include "pmlang/parser.h"
 #include "service/client.h"
 #include "service/exec.h"
@@ -770,6 +775,136 @@ TEST(ServiceServer, ShutdownDrainsQueuedWorkFirst)
     server.wait();
     // Fully stopped: the socket is gone, new connections fail.
     EXPECT_THROW(service::Client{config.socketPath}, UserError);
+}
+
+/** Polls @p done every millisecond for up to five seconds. */
+template <typename Pred>
+bool
+eventually(Pred done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+/** Lowers this process's RLIMIT_NOFILE soft limit; restores it on
+ *  destruction. */
+class FdLimit
+{
+  public:
+    explicit FdLimit(rlim_t soft)
+    {
+        ok_ = ::getrlimit(RLIMIT_NOFILE, &saved_) == 0;
+        rlimit low = saved_;
+        low.rlim_cur = soft;
+        ok_ = ok_ && ::setrlimit(RLIMIT_NOFILE, &low) == 0;
+    }
+    ~FdLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+    FdLimit(const FdLimit &) = delete;
+    FdLimit &operator=(const FdLimit &) = delete;
+
+    bool ok() const { return ok_; }
+
+  private:
+    rlimit saved_{};
+    bool ok_ = false;
+};
+
+/** Descriptor numbers below @p limit that are not open. */
+int
+freeFdsBelow(int limit)
+{
+    int free = 0;
+    for (int fd = 0; fd < limit; ++fd)
+        free += ::fcntl(fd, F_GETFD) == -1 ? 1 : 0;
+    return free;
+}
+
+TEST(ServiceServer, AcceptsAgainAfterDescriptorExhaustion)
+{
+    service::ServerConfig config;
+    config.socketPath = testSocket("emfile");
+    config.jobs = 1;
+    service::Server server(config);
+    server.start();
+    const obs::Counter &accept_errors =
+        obs::MetricsRegistry::global().counter("service.accept_errors");
+    const int64_t errors_before = accept_errors.value();
+
+    // The clients share the server's descriptor table; a low limit lets
+    // a few of them fill it. Linux's accept() takes a descriptor before
+    // it waits, so a server blocked in accept holds one. With an even
+    // number of free slots, each client and its accepted connection
+    // take two, and the server's next accept finds none: EMFILE. (With
+    // an odd number the server could hold the last slot and the client
+    // fail first.)
+    const int lowest_free = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    int limit = lowest_free + 24;
+    while (freeFdsBelow(limit) % 2 != 0)
+        ++limit;
+    std::vector<std::unique_ptr<service::Client>> clients;
+    {
+        FdLimit low(static_cast<rlim_t>(limit));
+        ASSERT_TRUE(low.ok());
+        for (int i = 0; i < limit; ++i) {
+            try {
+                clients.push_back(
+                    std::make_unique<service::Client>(config.socketPath));
+            } catch (const UserError &) {
+                break; // EMFILE in the client: the table is full
+            }
+            ASSERT_TRUE(eventually([&] {
+                return server.stats().connections ==
+                           static_cast<int64_t>(clients.size()) ||
+                       accept_errors.value() > errors_before;
+            }));
+        }
+        ASSERT_LT(clients.size(), static_cast<size_t>(limit));
+        ASSERT_TRUE(eventually(
+            [&] { return accept_errors.value() > errors_before; }));
+        // Connections already accepted are served meanwhile.
+        EXPECT_TRUE(
+            clients.back()->call(compileRequest(tinySource(1), 2)).ok);
+
+        // A client in another process frees only its own descriptor when
+        // it leaves. Model that with dup2, which closes the oldest
+        // client's socket and fills its slot in one step: the server
+        // must close the dead connection's descriptor itself, though it
+        // cannot accept.
+        ASSERT_GE(clients.size(), 2u);
+        ASSERT_EQ(::dup2(clients[1]->fd(), clients[0]->fd()),
+                  clients[0]->fd());
+        EXPECT_EQ(freeFdsBelow(limit), 0);
+        EXPECT_TRUE(eventually([&] { return freeFdsBelow(limit) > 0; }));
+
+        clients.clear();
+        service::Client fresh(config.socketPath);
+        const timeval timeout{5, 0};
+        ASSERT_EQ(::setsockopt(fresh.fd(), SOL_SOCKET, SO_RCVTIMEO,
+                               &timeout, sizeof(timeout)),
+                  0);
+        service::Request stats;
+        stats.verb = service::Verb::Stats;
+        fresh.send(stats);
+        service::Response resp;
+        ASSERT_TRUE(fresh.recv(resp)) << "no reply within 5 s";
+        EXPECT_DOUBLE_EQ(resp.stats.at("offered"),
+                         resp.stats.at("completed") +
+                             resp.stats.at("rejected"));
+    }
+
+    // Back at the old limit, the daemon still serves.
+    service::Client client(config.socketPath);
+    EXPECT_TRUE(client.call(compileRequest(tinySource(0), 1)).ok);
+    server.requestStop();
+    server.wait();
 }
 
 // ---------------------------------------------------------------------

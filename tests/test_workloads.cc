@@ -3,7 +3,8 @@
  * Functional validation of every workload: the PMLang program executed by
  * the interpreter must match the hand-written native reference
  * element-for-element (at test scale), for all five domains and the
- * end-to-end application kernels.
+ * end-to-end application kernels; and the Table III/IV programs' scalar
+ * op counts from build through partition compile.
  */
 #include <cmath>
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "workloads/programs.h"
 #include "targets/common/backend.h"
 #include "lower/lower.h"
+#include "passes/pass.h"
 #include "srdfg/traversal.h"
 #include "workloads/reference.h"
 #include "workloads/suite.h"
@@ -579,6 +581,78 @@ TEST(BrainStimul, ClosedLoopRunsAndClassifierRespondsToSignal)
     EXPECT_GT(with_signal, silent);
     EXPECT_NEAR(silent, 0.5, 1e-9); // sigmoid(0)
     EXPECT_EQ(it.output("stim_sgnl").numel(), 2);
+}
+
+// --- work conservation -------------------------------------------------------
+
+/** Scalar ops of one Table III/IV program as built and after the
+ *  standard pipeline; lowering keeps the optimised count. The passes
+ *  remove work on nine of the seventeen, while the CPU/GPU baselines
+ *  are charged the built count (suite.cc). */
+struct WorkCounts
+{
+    const char *id;
+    int64_t built;
+    int64_t optimised;
+};
+
+constexpr WorkCounts kWork[] = {
+    {"MobileRobot", 3379, 3379},
+    {"Hexacopter", 378589, 378576},
+    {"Twitter-BFS", 7008, 7008},
+    {"Wiki-BFS", 7008, 7008},
+    {"LiveJourn-SSP", 9264, 9264},
+    {"MovieL-20M", 1464098800, 1464098800},
+    {"MovieL-100K", 6006500, 6006500},
+    {"DigitCluster", 5650560000, 4709760000},
+    {"ElecUse", 718039614, 618427182},
+    {"FFT-8192", 212992, 159744},
+    {"FFT-16384", 458752, 344064},
+    {"DCT-1024", 31457280, 31457280},
+    {"DCT-2048", 125829120, 125829120},
+    {"ResNet-18", 3634970625, 3634970624},
+    {"MobileNet", 1147616257, 1147616256},
+    {"BrainStimul", 170823, 146247},
+    {"OptionPricing", 25266730, 25233959},
+};
+
+TEST(WorkConservation, LoweringAndTranslationKeepEveryOp)
+{
+    struct Program
+    {
+        std::string id;
+        const std::string *source;
+        const ir::BuildOptions *opts;
+        lang::Domain domain;
+    };
+    std::vector<Program> programs;
+    for (const auto &b : tableIII())
+        programs.push_back({b.id, &b.source, &b.buildOpts, b.domain});
+    for (const auto &a : tableIV())
+        programs.push_back(
+            {a.id, &a.source, &a.buildOpts, lang::Domain::None});
+    ASSERT_EQ(programs.size(), std::size(kWork));
+
+    const auto registry = target::standardRegistry();
+    const auto pipeline = pass::standardPipeline();
+    for (size_t i = 0; i < programs.size(); ++i) {
+        const Program &p = programs[i];
+        ASSERT_EQ(p.id, kWork[i].id);
+        auto graph = buildGraph(*p.source, *p.opts);
+        EXPECT_EQ(graph->scalarOpCount(), kWork[i].built) << p.id;
+        pipeline.runToFixpoint(*graph);
+        EXPECT_EQ(graph->scalarOpCount(), kWork[i].optimised) << p.id;
+        lower::lowerGraph(*graph, registry.supportedOpsByDomain(),
+                          p.domain);
+        EXPECT_EQ(graph->scalarOpCount(), kWork[i].optimised) << p.id;
+        const auto compiled =
+            lower::compileProgram(*graph, registry, p.domain);
+        int64_t partition_flops = 0;
+        for (const auto &part : compiled.partitions)
+            partition_flops += part.flops();
+        // A miscompile that drops or duplicates work breaks this.
+        EXPECT_EQ(partition_flops, graph->scalarOpCount()) << p.id;
+    }
 }
 
 } // namespace
