@@ -51,12 +51,13 @@ WorkloadStudy::bestPpwGain() const
 namespace {
 
 /** Prices @p partitions (with their @p analyses, made once per explore)
- *  at one space point and attributes phases. */
-EvalPoint
-evaluatePoint(const ConfigSpace &space, int64_t index,
-              const std::vector<const lower::Partition *> &partitions,
-              const std::vector<target::PartitionAnalysis> &analyses,
-              const target::WorkloadProfile &profile)
+ *  at one space point. The total carries a merged cost ledger when the
+ *  analyses do. */
+target::PerfReport
+pricePoint(const ConfigSpace &space, int64_t index,
+           const std::vector<const lower::Partition *> &partitions,
+           const std::vector<target::PartitionAnalysis> &analyses,
+           const target::WorkloadProfile &profile)
 {
     const auto backend =
         target::makeBackend(space.backend(), space.machineAt(index));
@@ -72,41 +73,54 @@ evaluatePoint(const ConfigSpace &space, int64_t index,
             total += report;
         }
     }
+    return total;
+}
 
+/** The search's view of one point: what halving, refinement, the
+ *  Pareto front and the best pick read. */
+EvalPoint
+searchPoint(int64_t index, const target::PerfReport &total)
+{
     EvalPoint point;
     point.index = index;
-    point.label = space.label(index);
     point.seconds = total.seconds;
     point.joules = total.joules;
     point.perfPerWatt = total.joules > 0.0
                             ? static_cast<double>(total.flops) /
                                   total.joules
                             : 0.0;
-    if (total.ledger) {
-        const target::CostEntry *top = nullptr;
-        for (const auto &entry : total.ledger->entries) {
-            if (entry.phase == "compute")
-                point.computeSeconds += entry.seconds;
-            else if (entry.phase == "dma")
-                point.dmaSeconds += entry.seconds;
-            else
-                point.overheadSeconds += entry.seconds;
-            if (!top || entry.seconds > top->seconds)
-                top = &entry;
-        }
-        // Fixed comparison order makes phase ties deterministic.
-        point.dominantPhase = "compute";
-        double dominant = point.computeSeconds;
-        if (point.dmaSeconds > dominant) {
-            point.dominantPhase = "dma";
-            dominant = point.dmaSeconds;
-        }
-        if (point.overheadSeconds > dominant)
-            point.dominantPhase = "overhead";
-        if (top)
-            point.topCost = top->label;
-    }
     return point;
+}
+
+/** Fills @p point's label and phase attribution from @p ledger, the
+ *  merged cost ledger of a re-pricing of that point. */
+void
+attribute(EvalPoint &point, const ConfigSpace &space,
+          const target::CostLedger &ledger)
+{
+    point.label = space.label(point.index);
+    const target::CostEntry *top = nullptr;
+    for (const auto &entry : ledger.entries) {
+        if (entry.phase == "compute")
+            point.computeSeconds += entry.seconds;
+        else if (entry.phase == "dma")
+            point.dmaSeconds += entry.seconds;
+        else
+            point.overheadSeconds += entry.seconds;
+        if (!top || entry.seconds > top->seconds)
+            top = &entry;
+    }
+    // Fixed comparison order makes phase ties deterministic.
+    point.dominantPhase = "compute";
+    double dominant = point.computeSeconds;
+    if (point.dmaSeconds > dominant) {
+        point.dominantPhase = "dma";
+        dominant = point.dmaSeconds;
+    }
+    if (point.overheadSeconds > dominant)
+        point.dominantPhase = "overhead";
+    if (top)
+        point.topCost = top->label;
 }
 
 /** Survivor ranking score for successive halving: the energy-delay
@@ -175,20 +189,23 @@ explore(const std::string &workload_id, const std::string &backend,
     if (options.rounds < 1)
         fatal("dse: rounds must be positive");
 
-    // Phase attribution needs cost ledgers; the switch is sticky and
-    // process-wide, and all reports are byte-identical either way.
-    target::setProfilingEnabled(true);
-
     // Analyses are machine-independent: made once here under the factory
-    // config, then shared read-only by every point's pricing.
-    std::vector<target::PartitionAnalysis> analyses;
-    analyses.reserve(partitions.size());
+    // config, then shared read-only by every point's pricing. The search
+    // prices every point from a ledger-free copy; only the printed points
+    // are priced again with the ledger-carrying originals, for their
+    // phase attribution. Ledgers never change report totals.
+    std::vector<target::PartitionAnalysis> ledgered;
+    ledgered.reserve(partitions.size());
     {
+        const target::ProfilingScope profiling;
         const auto analyzer = target::makeBackend(
             backend, space.machineAt(space.baseIndex()));
         for (const lower::Partition *partition : partitions)
-            analyses.push_back(analyzer->analyze(*partition));
+            ledgered.push_back(analyzer->analyze(*partition));
     }
+    std::vector<target::PartitionAnalysis> analyses = ledgered;
+    for (auto &analysis : analyses)
+        analysis.ledger = false;
 
     auto driver = options.driver;
     if (driver == SearchOptions::Driver::Auto) {
@@ -206,8 +223,10 @@ explore(const std::string &workload_id, const std::string &backend,
     std::map<int64_t, EvalPoint> evaluated;
     const auto evaluateRound = [&](const std::vector<int64_t> &indices) {
         for (const int64_t index : indices) {
-            evaluated.emplace(index, evaluatePoint(space, index, partitions,
-                                                   analyses, profile));
+            evaluated.emplace(
+                index, searchPoint(index, pricePoint(space, index,
+                                                     partitions, analyses,
+                                                     profile)));
         }
     };
 
@@ -294,6 +313,23 @@ explore(const std::string &workload_id, const std::string &backend,
             best_gain = gain;
             study.bestPos = pos;
         }
+    }
+
+    // Attribution of the printed points: the front (which holds the
+    // best) and the baseline.
+    std::set<size_t> printed(study.front.begin(), study.front.end());
+    printed.insert(study.baselinePos);
+    for (const size_t pos : printed) {
+        EvalPoint &point = study.points[pos];
+        const target::PerfReport total =
+            pricePoint(space, point.index, partitions, ledgered, profile);
+        if (!total.ledger || total.seconds != point.seconds ||
+            total.joules != point.joules)
+        {
+            panic("dse: attribution re-priced " + space.label(point.index) +
+                  " differently from the search");
+        }
+        attribute(point, space, *total.ledger);
     }
     return study;
 }

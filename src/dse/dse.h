@@ -5,10 +5,12 @@
  * explore() evaluates points of a backend's ConfigSpace against one
  * compiled workload: each point instantiates the backend under that
  * machine config (target::makeBackend), simulates the workload's
- * partitions, and records runtime, energy, performance per watt, and a
- * CostLedger phase attribution explaining *why* the point performs as
- * it does ("DMA-bound past 512 PEs" is visible as dominantPhase
- * flipping from compute to dma along the units axis).
+ * partitions, and records runtime, energy and performance per watt.
+ * The points the tables print (the Pareto front and the baseline) are
+ * then priced again with cost ledgers for a phase attribution
+ * explaining *why* the point performs as it does ("DMA-bound past 512
+ * PEs" is visible as dominantPhase flipping from compute to dma along
+ * the units axis).
  *
  * Search is deterministic by construction: the grid driver enumerates
  * indices in order; the random driver draws from a seeded core::Rng and
@@ -59,15 +61,19 @@ struct SearchOptions
     int jobs = 1;
 };
 
-/** One evaluated configuration. */
+/** One evaluated configuration. index, seconds, joules and perfPerWatt
+ *  are filled for every point; label and the attribution fields only
+ *  for printed points (WorkloadStudy::front and the baseline), and are
+ *  empty/zero elsewhere. */
 struct EvalPoint
 {
-    int64_t index = -1;  ///< position in the ConfigSpace
-    std::string label;   ///< ConfigSpace::label(index)
+    int64_t index = -1; ///< position in the ConfigSpace
     double seconds = 0.0;
     double joules = 0.0;
     double perfPerWatt = 0.0; ///< flops / joules
 
+    // Printed points only.
+    std::string label; ///< ConfigSpace::label(index)
     // CostLedger phase attribution (why this point wins or loses).
     double computeSeconds = 0.0;
     double dmaSeconds = 0.0;
@@ -114,9 +120,10 @@ struct WorkloadStudy
 /**
  * Autotunes @p backend over its ConfigSpace for one workload: simulates
  * @p partitions (the workload's partitions compiled for that backend)
- * under @p profile at every searched point. Enables cost-ledger
- * profiling for the phase attribution (sticky process-wide switch;
- * reports are byte-identical either way).
+ * under @p profile at every searched point, without cost ledgers.
+ * Then prices the printed points (front and baseline) again with
+ * ledgers, under a ProfilingScope of its own, to fill their label and
+ * phase attribution; it leaves the global profiling switch alone.
  * @throws UserError when @p backend has no design space or
  * @p partitions is empty.
  */

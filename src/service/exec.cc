@@ -136,12 +136,11 @@ runCompilation(const Request &req, const Compilation &c,
     if (!simulate)
         return result;
 
-    if (want_doc) {
-        // Sticky process-wide switch (one relaxed-atomic branch when
-        // off); reports stay byte-identical either way, so leaving it
-        // on after the first profile request is safe for neighbors.
-        target::setProfilingEnabled(true);
-    }
+    // Ledgers for this request's thread only: later requests, and those
+    // running beside it, price without them.
+    std::optional<target::ProfilingScope> profiling;
+    if (want_doc)
+        profiling.emplace();
     soc::SocRuntime runtime;
     if (req.faultRate != 0) { // negative => validation error
         soc::FaultConfig faults;

@@ -242,31 +242,43 @@ Server::readerLoop(const std::shared_ptr<Conn> &conn)
         // entry, on a connection with nothing queued or in flight, runs
         // right here, as stats does: it only renders the cached
         // listing, it cannot overtake an earlier request of its own
-        // connection, and it skips the pool hand-off. Everything that
-        // still computes goes to the pool, whose workers bound it:
-        // misses, in-flight entries, and simulate, profile and dse
-        // requests even on a hit. That also keeps throughput steady
-        // (docs/SERVICE.md, "The hit path").
+        // connection, and it skips the pool hand-off. So does a dse
+        // request on such a connection, under a compute slot, when one
+        // is free and nothing waits in any queue (so it overtakes
+        // nobody): its search is long enough that which CPU this reader
+        // and its client share hardly matters, while through the pool
+        // each run of them took seconds to reach full rate. Everything
+        // else that computes goes to the pool: misses, in-flight
+        // entries, and simulate and profile requests even on a hit,
+        // which also keeps their throughput steady (docs/SERVICE.md,
+        // "The hit path").
         Pending item{std::move(req), {}, now_us,
                      static_cast<int64_t>(line.size()) + 1};
         item.lookup = lookupRequest(item.req, *cache_);
         const bool compile_hit =
             item.lookup.hit && item.req.verb == Verb::Compile;
         bool run_here = false;
+        bool slot = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (compile_hit && conn->queue.empty() &&
-                conn->inFlight == 0) {
+            if (conn->queue.empty() && conn->inFlight == 0) {
+                slot = item.req.verb == Verb::Dse && queued_ == 0 &&
+                       computing_ < config_.jobs;
+                run_here = compile_hit || slot;
+            }
+            if (run_here) {
                 --pending_;
                 ++executing_;
                 ++conn->inFlight;
-                run_here = true;
+                if (slot)
+                    ++computing_;
             } else {
                 conn->queue.push_back(std::move(item));
+                ++queued_;
             }
         }
         if (run_here)
-            execute(*conn, item);
+            execute(*conn, item, slot);
         else
             pool_->submit([this] { slotTask(); });
     }
@@ -284,7 +296,11 @@ Server::slotTask()
     std::shared_ptr<Conn> conn;
     Pending item;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        // Readers running dse requests hold compute slots too, so a
+        // worker may have to wait for one of theirs.
+        std::unique_lock<std::mutex> lock(mutex_);
+        slotFreed_.wait(lock,
+                        [this] { return computing_ < config_.jobs; });
         const size_t n = conns_.size();
         for (size_t k = 0; k < n; ++k) {
             auto &c = conns_[(rrCursor_ + k) % n];
@@ -292,8 +308,10 @@ Server::slotTask()
                 continue;
             item = std::move(c->queue.front());
             c->queue.pop_front();
+            --queued_;
             --pending_;
             ++executing_;
+            ++computing_;
             ++c->inFlight;
             conn = c;
             rrCursor_ = (rrCursor_ + k + 1) % n;
@@ -302,11 +320,11 @@ Server::slotTask()
     }
     if (!conn)
         return; // queued == slots, so this only races a drain
-    execute(*conn, item);
+    execute(*conn, item, true);
 }
 
 void
-Server::execute(Conn &conn, Pending &item)
+Server::execute(Conn &conn, Pending &item, bool slot)
 {
     static obs::Counter &completed =
         obs::MetricsRegistry::global().counter("service.completed");
@@ -382,6 +400,10 @@ Server::execute(Conn &conn, Pending &item)
             ++completed_;
         --executing_;
         --conn.inFlight;
+        if (slot) {
+            --computing_;
+            slotFreed_.notify_one();
+        }
         if (pending_ == 0 && executing_ == 0)
             drained_.notify_all();
     }

@@ -12,12 +12,15 @@
  * request is keyed and looked up once, on its reader
  * (lookupRequest). A compile that hits a *finished* cache entry, on a
  * connection with nothing queued or in flight, runs right there on the
- * reader: no hand-off, no worker wake-up. Everything else — misses,
- * in-flight entries, simulate/profile/dse requests (which compute even
- * on a hit), and requests behind queued work on their own connection —
- * is enqueued onto its connection's queue and executed on the
- * core::ThreadPool. Each enqueue submits one pool task,
- * and the task pulls the *next request round-robin across
+ * reader: no hand-off, no worker wake-up. A dse request on such a
+ * connection also runs on its reader, if nothing is queued anywhere and
+ * one of the `jobs` compute slots is free; it holds that slot while it
+ * searches. Everything else — misses, in-flight entries,
+ * simulate/profile requests (which compute even on a hit), dse requests
+ * that find no free slot, and requests behind queued work on their own
+ * connection — is enqueued onto its connection's queue and executed on
+ * the core::ThreadPool, each under a compute slot. Each enqueue submits
+ * one pool task, and the task pulls the *next request round-robin across
  * connections*, so a chatty client that pipelines thousands of
  * requests cannot starve a neighbor: queue depth costs only its own
  * latency. Inline and pooled requests share one execute() body.
@@ -62,10 +65,11 @@ struct ServerConfig
 {
     std::string socketPath;
 
-    /** Worker threads (core::resolveJobs semantics: 0 = all hardware
-     *  threads). They bound everything that computes: misses,
-     *  simulations, profiles and dse searches. A compile that hits the
-     *  cache runs on its connection's reader instead. */
+    /** Compute slots and worker threads (core::resolveJobs semantics:
+     *  0 = all hardware threads). They bound everything that computes:
+     *  misses, simulations, profiles and dse searches, whether a worker
+     *  or a reader runs it. A compile that hits the cache runs on its
+     *  connection's reader without a slot. */
     int jobs = 1;
 
     /** Admission bound on the total queued (not yet executing) request
@@ -188,8 +192,9 @@ class Server
     void slotTask();
     /** Runs @p item, answers it on @p conn, and accounts it; the caller
      *  has already moved it from pending_ to executing_ and bumped
-     *  conn.inFlight. */
-    void execute(Conn &conn, Pending &item);
+     *  conn.inFlight. @p slot: the caller took a compute slot
+     *  (computing_) for it, which this frees. */
+    void execute(Conn &conn, Pending &item, bool slot);
     void handleShutdown(Conn &conn, const Request &req);
     void beginStop();
     /** Erases finished connections, then joins their readers and
@@ -212,6 +217,7 @@ class Server
 
     mutable std::mutex mutex_;
     std::condition_variable drained_;
+    std::condition_variable slotFreed_; ///< computing_ fell below jobs
     std::vector<std::shared_ptr<Conn>> conns_;
     size_t rrCursor_ = 0;
     bool started_ = false;
@@ -225,6 +231,8 @@ class Server
     int64_t malformed_ = 0;
     int64_t pending_ = 0;
     int64_t executing_ = 0;
+    int64_t queued_ = 0;    ///< requests in the connections' queues
+    int64_t computing_ = 0; ///< compute slots taken, at most jobs
 
     core::UnixListener listener_;
     std::unique_ptr<core::ThreadPool> pool_;

@@ -29,11 +29,17 @@ Backend::simulateCalls() const
     if (!counter) {
         // Racing first calls resolve the same registry entry; counters
         // are never destroyed, so the cached pointer stays valid.
-        counter = &obs::MetricsRegistry::global().counter(
-            "backend." + name() + ".simulate_calls");
+        counter = &simulateCallsCounter(name());
         simulate_calls_.store(counter, std::memory_order_release);
     }
     return *counter;
+}
+
+obs::Counter &
+Backend::simulateCallsCounter(const std::string &name)
+{
+    return obs::MetricsRegistry::global().counter(
+        "backend." + name + ".simulate_calls");
 }
 
 PartitionAnalysis
@@ -41,7 +47,7 @@ Backend::analyze(const lower::Partition &partition) const
 {
     PartitionAnalysis a;
     a.needs = analysisNeeds();
-    a.ledger = profilingEnabled();
+    a.ledger = profilingEnabled() || ProfilingScope::active();
     a.fragmentCount = partition.fragments.size();
     a.dma = dmaBreakdown(partition);
     if (a.needs.levels)

@@ -171,7 +171,7 @@ class Backend
      * @p partition (analysisNeeds()). Never reads machine(), so one
      * analysis prices correctly on every configuration of the same
      * backend kind. Whether it carries ledger facts is decided here,
-     * from profilingEnabled().
+     * from profilingEnabled() or a ProfilingScope on the calling thread.
      */
     PartitionAnalysis analyze(const lower::Partition &partition) const;
 
@@ -192,6 +192,19 @@ class Backend
                         const WorkloadProfile &profile) const;
 
   protected:
+    /** `backend.<name>.simulate_calls`, bumped once per simulate(). The
+     *  default resolves it on an instance's first call (name() is
+     *  virtual, so not in the constructor) and caches it there. A
+     *  backend built per design point, as the autotuner does, would take
+     *  the registry mutex once per point that way, so the standard
+     *  backends override this with a function-local static: one lookup
+     *  per backend kind and process. */
+    virtual obs::Counter &simulateCalls() const;
+
+    /** The registry's `backend.<name>.simulate_calls` counter (created on
+     *  first request; takes the registry mutex). */
+    static obs::Counter &simulateCallsCounter(const std::string &name);
+
     /** The facts simulateImpl() reads; analyze() computes only these. */
     virtual AnalysisNeeds analysisNeeds() const { return {}; }
 
@@ -203,11 +216,6 @@ class Backend
         const = 0;
 
   private:
-    /** `backend.<name>.simulate_calls`, resolved on first use (name() is
-     *  virtual, so not in the constructor) to keep the registry mutex
-     *  off the per-call path. */
-    obs::Counter &simulateCalls() const;
-
     MachineConfig machine_;
     mutable std::atomic<obs::Counter *> simulate_calls_{nullptr};
 };

@@ -17,6 +17,9 @@ namespace {
 
 std::atomic<bool> g_profiling{false};
 
+/** Open ProfilingScopes on this thread. */
+thread_local int t_profiling_scopes = 0;
+
 } // namespace
 
 bool
@@ -29,6 +32,22 @@ void
 setProfilingEnabled(bool on)
 {
     g_profiling.store(on, std::memory_order_relaxed);
+}
+
+ProfilingScope::ProfilingScope()
+{
+    ++t_profiling_scopes;
+}
+
+ProfilingScope::~ProfilingScope()
+{
+    --t_profiling_scopes;
+}
+
+bool
+ProfilingScope::active()
+{
+    return t_profiling_scopes > 0;
 }
 
 const char *

@@ -21,10 +21,10 @@
  * Backend::simulate choke point (verifyLedger panics on violation).
  *
  * Profiling is off by default, exactly like obs::TraceRecorder: when
- * disabled, Backend::analyze() reads one relaxed atomic, beginLedger()
- * returns nullptr, every instrumentation site is behind one
- * `if (ledger)` branch, and all reports are byte-identical to a build
- * without the subsystem.
+ * disabled, Backend::analyze() reads one relaxed atomic and one
+ * thread-local, beginLedger() returns nullptr, every instrumentation
+ * site is behind one `if (ledger)` branch, and all reports are
+ * byte-identical to a build without the subsystem.
  */
 #ifndef POLYMATH_TARGETS_COMMON_COST_LEDGER_H_
 #define POLYMATH_TARGETS_COMMON_COST_LEDGER_H_
@@ -41,9 +41,30 @@ namespace polymath::target {
 struct PartitionAnalysis;
 
 /** Global profiling switch (off by default; one relaxed atomic read on
- *  the hot path, mirroring obs::TraceRecorder::enabled). */
+ *  the hot path, mirroring obs::TraceRecorder::enabled). Process-wide
+ *  and sticky: for `pmc --profile` and tests. A request that wants
+ *  ledgers opens a ProfilingScope instead. */
 bool profilingEnabled();
 void setProfilingEnabled(bool on);
+
+/**
+ * Turns cost ledgers on for the calling thread only, while alive
+ * (scopes nest). Backend::analyze() treats profiling as on when either
+ * the global switch or a scope on its thread is. The pmcd `profile` and
+ * `dse` requests use it, so neither leaves ledgers on for the requests
+ * that follow it or that run beside it on other threads.
+ */
+class ProfilingScope
+{
+  public:
+    ProfilingScope();
+    ~ProfilingScope();
+    ProfilingScope(const ProfilingScope &) = delete;
+    ProfilingScope &operator=(const ProfilingScope &) = delete;
+
+    /** Whether the calling thread is inside a scope. */
+    static bool active();
+};
 
 /** Roofline classification of one ledger entry. */
 enum class BoundClass

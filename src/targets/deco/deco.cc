@@ -49,6 +49,13 @@ DecoBackend::stageImbalance(const PartitionAnalysis &analysis)
     return max_work / (total / static_cast<double>(stages));
 }
 
+obs::Counter &
+DecoBackend::simulateCalls() const
+{
+    static obs::Counter &calls = simulateCallsCounter(name());
+    return calls;
+}
+
 PerfReport
 DecoBackend::simulateImpl(const lower::Partition &partition,
                           const PartitionAnalysis &analysis,

@@ -35,6 +35,7 @@ class DecoBackend : public Backend
     static double stageImbalance(const PartitionAnalysis &analysis);
 
   protected:
+    obs::Counter &simulateCalls() const override;
     AnalysisNeeds analysisNeeds() const override
     {
         return {.work = true, .invariance = true, .levels = true};

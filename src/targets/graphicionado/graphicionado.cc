@@ -59,6 +59,13 @@ GraphicionadoBackend::spec() const
     return s;
 }
 
+obs::Counter &
+GraphicionadoBackend::simulateCalls() const
+{
+    static obs::Counter &calls = simulateCallsCounter(name());
+    return calls;
+}
+
 PerfReport
 GraphicionadoBackend::simulateImpl(const lower::Partition &partition,
                                    const PartitionAnalysis &analysis,

@@ -30,6 +30,7 @@ class GraphicionadoBackend : public Backend
     lower::AcceleratorSpec spec() const override;
 
   protected:
+    obs::Counter &simulateCalls() const override;
     PerfReport simulateImpl(const lower::Partition &partition,
                             const PartitionAnalysis &analysis,
                             const WorkloadProfile &profile) const override;

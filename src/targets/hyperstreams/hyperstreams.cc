@@ -35,6 +35,13 @@ HyperstreamsBackend::spec() const
     return s;
 }
 
+obs::Counter &
+HyperstreamsBackend::simulateCalls() const
+{
+    static obs::Counter &calls = simulateCallsCounter(name());
+    return calls;
+}
+
 PerfReport
 HyperstreamsBackend::simulateImpl(const lower::Partition &partition,
                                   const PartitionAnalysis &analysis,

@@ -29,6 +29,7 @@ class HyperstreamsBackend : public Backend
     lower::AcceleratorSpec spec() const override;
 
   protected:
+    obs::Counter &simulateCalls() const override;
     PerfReport simulateImpl(const lower::Partition &partition,
                             const PartitionAnalysis &analysis,
                             const WorkloadProfile &profile) const override;

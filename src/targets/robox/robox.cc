@@ -38,6 +38,13 @@ RoboxBackend::spec() const
     return s;
 }
 
+obs::Counter &
+RoboxBackend::simulateCalls() const
+{
+    static obs::Counter &calls = simulateCallsCounter(name());
+    return calls;
+}
+
 PerfReport
 RoboxBackend::simulateImpl(const lower::Partition &partition,
                            const PartitionAnalysis &analysis,

@@ -29,6 +29,7 @@ class RoboxBackend : public Backend
     lower::AcceleratorSpec spec() const override;
 
   protected:
+    obs::Counter &simulateCalls() const override;
     AnalysisNeeds analysisNeeds() const override
     {
         return {.work = true, .invariance = true};

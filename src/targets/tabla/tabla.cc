@@ -25,6 +25,13 @@ TablaBackend::spec() const
     return s;
 }
 
+obs::Counter &
+TablaBackend::simulateCalls() const
+{
+    static obs::Counter &calls = simulateCallsCounter(name());
+    return calls;
+}
+
 PerfReport
 TablaBackend::simulateImpl(const lower::Partition &partition,
                            const PartitionAnalysis &analysis,

@@ -30,6 +30,7 @@ class TablaBackend : public Backend
     lower::AcceleratorSpec spec() const override;
 
   protected:
+    obs::Counter &simulateCalls() const override;
     AnalysisNeeds analysisNeeds() const override
     {
         return {.work = true, .invariance = true, .reduce = true,

@@ -42,6 +42,13 @@ VtaBackend::spec() const
     return s;
 }
 
+obs::Counter &
+VtaBackend::simulateCalls() const
+{
+    static obs::Counter &calls = simulateCallsCounter(name());
+    return calls;
+}
+
 PerfReport
 VtaBackend::simulateImpl(const lower::Partition &partition,
                          const PartitionAnalysis &analysis,

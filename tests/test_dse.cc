@@ -5,11 +5,14 @@
  * points, config-space indexing/neighborhoods, degenerate-config
  * rejection, seeded search determinism (two concurrent searches with
  * one seed agree point for point, as concurrent pmcd `dse` requests
- * must), and staged pricing (one analysis per partition, priced per
- * point) equal to one-shot simulation.
+ * must), staged pricing (one analysis per partition, priced per
+ * point) equal to one-shot simulation, and lazy attribution (only the
+ * printed points are priced with cost ledgers) printing exactly what
+ * ledgering every point printed.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <thread>
@@ -336,7 +339,7 @@ TEST(Explore, GridCoversTheSpaceAndFindsTheBaseline)
                                     study.points[b].perfPerWatt}));
         }
     }
-    // Phase attribution is populated (profiling is forced on).
+    // The baseline is printed, so it carries a phase attribution.
     EXPECT_FALSE(study.baseline().dominantPhase.empty());
     EXPECT_FALSE(study.baseline().topCost.empty());
 }
@@ -479,6 +482,213 @@ TEST(StagedPricing, EqualsOneShotOnTableIIIOverTheSmallSpace)
         }
     }
     EXPECT_GT(priced, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy attribution: explore() searches without cost ledgers and prices
+// only the printed points (front and baseline) again with them. Nothing
+// it prints may differ from the old explore(), which ledgered every point.
+// ---------------------------------------------------------------------------
+
+/** The old explore()'s point evaluation, kept as the reference: priced
+ *  with cost ledgers (@p analyses carry them) and attributed. */
+EvalPoint
+ledgeredPoint(const ConfigSpace &space, int64_t index,
+              const std::vector<const lower::Partition *> &partitions,
+              const std::vector<target::PartitionAnalysis> &analyses,
+              const target::WorkloadProfile &profile)
+{
+    const auto backend =
+        target::makeBackend(space.backend(), space.machineAt(index));
+    target::PerfReport total;
+    bool first = true;
+    for (size_t i = 0; i < partitions.size(); ++i) {
+        auto report =
+            backend->simulate(*partitions[i], analyses[i], profile);
+        if (first) {
+            total = std::move(report);
+            first = false;
+        } else {
+            total += report;
+        }
+    }
+
+    EvalPoint point;
+    point.index = index;
+    point.label = space.label(index);
+    point.seconds = total.seconds;
+    point.joules = total.joules;
+    point.perfPerWatt = total.joules > 0.0
+                            ? static_cast<double>(total.flops) /
+                                  total.joules
+                            : 0.0;
+    if (total.ledger) {
+        const target::CostEntry *top = nullptr;
+        for (const auto &entry : total.ledger->entries) {
+            if (entry.phase == "compute")
+                point.computeSeconds += entry.seconds;
+            else if (entry.phase == "dma")
+                point.dmaSeconds += entry.seconds;
+            else
+                point.overheadSeconds += entry.seconds;
+            if (!top || entry.seconds > top->seconds)
+                top = &entry;
+        }
+        point.dominantPhase = "compute";
+        double dominant = point.computeSeconds;
+        if (point.dmaSeconds > dominant) {
+            point.dominantPhase = "dma";
+            dominant = point.dmaSeconds;
+        }
+        if (point.overheadSeconds > dominant)
+            point.dominantPhase = "overhead";
+        if (top)
+            point.topCost = top->label;
+    }
+    return point;
+}
+
+/**
+ * The old explore()'s study: @p study with every point re-evaluated by
+ * ledgeredPoint(). The old search read only index, seconds and joules,
+ * and its front, baseline and best only index, seconds and perfPerWatt.
+ * expectSameAsLedgered() checks those agree at every point, so the old
+ * search visited the same points and chose the same front and best.
+ */
+WorkloadStudy
+ledgeredStudy(const WorkloadStudy &study,
+              const std::vector<const lower::Partition *> &partitions,
+              const target::WorkloadProfile &profile,
+              ConfigSpace::Kind kind)
+{
+    const auto space = ConfigSpace::forBackend(study.backend, kind);
+    std::vector<target::PartitionAnalysis> analyses;
+    {
+        const target::ProfilingScope profiling;
+        const auto analyzer = target::makeBackend(
+            study.backend, space.machineAt(space.baseIndex()));
+        for (const lower::Partition *partition : partitions)
+            analyses.push_back(analyzer->analyze(*partition));
+    }
+    WorkloadStudy old = study;
+    for (auto &point : old.points) {
+        point = ledgeredPoint(space, point.index, partitions, analyses,
+                              profile);
+    }
+    return old;
+}
+
+std::set<size_t>
+printedPositions(const WorkloadStudy &study)
+{
+    std::set<size_t> printed(study.front.begin(), study.front.end());
+    printed.insert(study.baselinePos);
+    return printed;
+}
+
+void
+expectSameAsLedgered(const WorkloadStudy &lazy, const WorkloadStudy &old)
+{
+    ASSERT_EQ(lazy.points.size(), old.points.size());
+    for (size_t i = 0; i < lazy.points.size(); ++i) {
+        const EvalPoint &a = lazy.points[i];
+        const EvalPoint &b = old.points[i];
+        EXPECT_EQ(a.index, b.index);
+        EXPECT_EQ(a.seconds, b.seconds) << b.label;
+        EXPECT_EQ(a.joules, b.joules) << b.label;
+        EXPECT_EQ(a.perfPerWatt, b.perfPerWatt) << b.label;
+    }
+    for (const size_t pos : printedPositions(lazy)) {
+        const EvalPoint &a = lazy.points[pos];
+        const EvalPoint &b = old.points[pos];
+        EXPECT_EQ(a.label, b.label);
+        EXPECT_EQ(a.computeSeconds, b.computeSeconds) << b.label;
+        EXPECT_EQ(a.dmaSeconds, b.dmaSeconds) << b.label;
+        EXPECT_EQ(a.overheadSeconds, b.overheadSeconds) << b.label;
+        EXPECT_EQ(a.dominantPhase, b.dominantPhase) << b.label;
+        EXPECT_EQ(a.topCost, b.topCost) << b.label;
+    }
+    EXPECT_EQ(frontTable(lazy), frontTable(old));
+}
+
+TEST(LazyAttribution, PrintsWhatLedgeringEveryPointPrintedOnTableIII)
+{
+    // The stack benchmark's dse templates: the full space, searched by
+    // the grid and by the random driver under seeds 1-8, at the pmcd
+    // verb's one invocation and at each benchmark's deployed profile.
+    std::vector<SearchOptions> searches;
+    SearchOptions grid;
+    grid.space = ConfigSpace::Kind::Full;
+    grid.driver = SearchOptions::Driver::Grid;
+    searches.push_back(grid);
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        SearchOptions random = grid;
+        random.driver = SearchOptions::Driver::Random;
+        random.seed = seed;
+        searches.push_back(random);
+    }
+
+    const auto registry = target::standardRegistry();
+    int64_t studies = 0;
+    for (const auto &bench : wl::tableIII()) {
+        const auto compiled = wl::compileBenchmark(
+            bench.source, bench.buildOpts, registry, bench.domain);
+        for (const auto &profile :
+             {target::WorkloadProfile{}, bench.profile})
+        {
+            for (const SearchOptions &opts : searches) {
+                std::vector<WorkloadStudy> lazy, old;
+                std::set<std::string> swept;
+                for (const auto &partition : compiled.partitions) {
+                    if (!ConfigSpace::searchable(partition.accel) ||
+                        !swept.insert(partition.accel).second)
+                        continue;
+                    SCOPED_TRACE(bench.id + " on " + partition.accel +
+                                 " seed " + std::to_string(opts.seed));
+                    const auto partitions =
+                        partitionsFor(compiled, partition.accel);
+                    lazy.push_back(explore(bench.id, partition.accel,
+                                           partitions, profile, opts));
+                    old.push_back(ledgeredStudy(lazy.back(), partitions,
+                                                profile, opts.space));
+                    expectSameAsLedgered(lazy.back(), old.back());
+                    ++studies;
+                }
+                EXPECT_EQ(bestTable(lazy), bestTable(old));
+            }
+        }
+    }
+    EXPECT_GE(studies, 2 * 15 * 9);
+}
+
+TEST(LazyAttribution, BaselineOffTheFrontIsStillAttributed)
+{
+    const auto partition = syntheticPartition("TABLA");
+    target::WorkloadProfile profile;
+    profile.invocations = 100;
+    SearchOptions opts;
+    opts.space = ConfigSpace::Kind::Full;
+    opts.driver = SearchOptions::Driver::Grid;
+
+    const auto study =
+        explore("synthetic", "TABLA", {&partition}, profile, opts);
+    ASSERT_EQ(std::count(study.front.begin(), study.front.end(),
+                         study.baselinePos),
+              0);
+    expectSameAsLedgered(
+        study, ledgeredStudy(study, {&partition}, profile, opts.space));
+    EXPECT_FALSE(study.baseline().label.empty());
+    EXPECT_FALSE(study.baseline().dominantPhase.empty());
+    EXPECT_FALSE(study.baseline().topCost.empty());
+
+    // Points nobody prints carry no attribution.
+    const auto printed = printedPositions(study);
+    for (size_t pos = 0; pos < study.points.size(); ++pos) {
+        if (printed.count(pos))
+            continue;
+        EXPECT_TRUE(study.points[pos].label.empty());
+        EXPECT_TRUE(study.points[pos].dominantPhase.empty());
+    }
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/json.h"
@@ -496,6 +497,59 @@ TEST(ServiceTelemetry, InlineHitsKeepTheirRecordsAndCounters)
     for (int i = 0; i < kHits; ++i)
         EXPECT_EQ(records["hit" + std::to_string(i)], 1) << i;
     EXPECT_EQ(records.size(), static_cast<size_t>(kHits + 1));
+
+    server.requestStop();
+    server.wait();
+}
+
+TEST(ServiceTelemetry, DseOnAnIdleConnectionRunsOnItsReader)
+{
+    lower::CompileCache server_cache;
+    service::ServerConfig config;
+    config.socketPath = testSocket("dse_reader");
+    config.jobs = 1;
+    config.cache = &server_cache;
+    config.flightEntries = 16;
+    config.slowTraceUs = 1; // keep every request's spans
+    service::Server server(config);
+    server.start();
+
+    // On one idle connection: a dse (a miss), a simulate hit, and a
+    // dse hit. The searches take a free slot on the connection's
+    // reader; the simulation takes the pool's worker. Each retained
+    // trace shows the thread that ran its request.
+    service::Client client(config.socketPath);
+    const std::vector<std::pair<std::string, service::Verb>> sent = {
+        {"search", service::Verb::Dse},
+        {"simulate", service::Verb::Simulate},
+        {"again", service::Verb::Dse}};
+    for (const auto &[id, verb] : sent) {
+        auto req = compileRequest(tinySource(7), 0);
+        req.verb = verb;
+        req.requestId = id;
+        const auto resp = client.call(req);
+        ASSERT_TRUE(resp.ok) << resp.error;
+        // A worker accounts its request just after the reply leaves;
+        // until then the connection is not idle.
+        while (server.stats().executing != 0)
+            std::this_thread::yield();
+    }
+
+    service::Request dump_req;
+    dump_req.verb = service::Verb::Dump;
+    const auto dump = json::parse(client.call(dump_req).output);
+    std::map<std::string, std::set<int64_t>> threads;
+    for (const auto &record : dump.at("records").arr()) {
+        for (const auto &event : record.at("trace").arr()) {
+            threads[record.at("id").str()].insert(
+                static_cast<int64_t>(event.at("tid").num()));
+        }
+    }
+    ASSERT_EQ(threads.size(), 3u);
+    ASSERT_EQ(threads["search"].size(), 1u);
+    EXPECT_EQ(threads["again"], threads["search"]);
+    EXPECT_NE(threads["simulate"], threads["search"])
+        << "the searches ran on the pool's worker, not on their reader";
 
     server.requestStop();
     server.wait();

@@ -9,13 +9,16 @@
  * (completed + rejected == offered, one cache count per completed
  * request), compile hits answered on their reader while the pool is
  * busy but never ahead of their own connection's earlier work,
- * simulate hits kept on the pool,
+ * simulate hits kept on the pool, dse searches on their reader bounded
+ * by the same compute slots as the pool,
  * drain-before-shutdown, accepting again after descriptor exhaustion,
  * the failed-compile eviction race
  * regression, the LRU bound (in-flight entries never dropped), lookup()
  * semantics, the cache-hit path (byte-identical replies, syntax errors
- * first and never cached), and the one-parse miss (the program preflight
- * parsed compiles to the same graph and reply).
+ * first and never cached), the one-parse miss (the program preflight
+ * parsed compiles to the same graph and reply), and cost ledgers kept
+ * to the profile/dse request that wants them (no request leaves them on
+ * for later requests or for other threads).
  *
  * tools/check.sh runs this binary under ThreadSanitizer as well: the
  * server's reader threads, pool workers, and shutdown path all race
@@ -29,6 +32,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -49,8 +53,10 @@
 #include "service/exec.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "soc/soc.h"
 #include "srdfg/builder.h"
 #include "srdfg/serialize.h"
+#include "targets/common/cost_ledger.h"
 #include "workloads/suite.h"
 
 namespace polymath {
@@ -732,6 +738,157 @@ TEST(ServiceServer, SimulateHitTakesThePool)
     server.wait();
 }
 
+/** A dse request (TABLA's small space) over @p source. */
+service::Request
+dseRequest(const std::string &source, int64_t id)
+{
+    auto req = compileRequest(source, id);
+    req.verb = service::Verb::Dse;
+    return req;
+}
+
+TEST(ServiceServer, DseWaitsForAComputeSlot)
+{
+    lower::CompileCache cache;
+    service::ServerConfig config;
+    config.socketPath = testSocket("dse_slot");
+    config.jobs = 1; // the one slot is what the slow miss occupies
+    config.cache = &cache;
+    service::Server server(config);
+    server.start();
+
+    auto search = dseRequest(tinySource(6), 1);
+    service::Client searcher(config.socketPath);
+    const auto warm = searcher.call(search);
+    ASSERT_TRUE(warm.ok) << warm.error;
+
+    service::Client slow(config.socketPath);
+    slow.send(compileRequest(wideSource(45, 16), 2));
+    for (;;) {
+        const auto stats = server.stats();
+        if (stats.accepted == 2 && stats.pending == 0 &&
+            (stats.executing == 1 || stats.completed == 2))
+            break;
+        std::this_thread::yield();
+    }
+
+    // An idle connection's dse runs on its reader only with a free
+    // slot; the miss holds the only one, so the search waits for it.
+    search.id = 3;
+    const auto searched = searcher.call(search);
+    EXPECT_TRUE(searched.ok) << searched.error;
+    EXPECT_EQ(searched.output, warm.output);
+    char first = 0;
+    EXPECT_EQ(::recv(slow.fd(), &first, 1, MSG_PEEK | MSG_DONTWAIT), 1)
+        << "a dse ran while a miss held the only compute slot";
+    service::Response resp;
+    ASSERT_TRUE(slow.recv(resp));
+    EXPECT_TRUE(resp.ok) << resp.error;
+
+    server.requestStop();
+    server.wait();
+}
+
+TEST(ServiceServer, PooledWorkWaitsForADseOnItsReader)
+{
+    lower::CompileCache cache;
+    service::ServerConfig config;
+    config.socketPath = testSocket("dse_reader");
+    config.jobs = 1;
+    config.cache = &cache;
+    service::Server server(config);
+    server.start();
+
+    // On an idle server the search takes the only slot on its reader;
+    // compiling its wide program first keeps it there for a while.
+    service::Client searcher(config.socketPath);
+    searcher.send(dseRequest(wideSource(46, 32), 1));
+    for (;;) {
+        const auto stats = server.stats();
+        if (stats.accepted == 1 &&
+            (stats.executing == 1 || stats.completed == 1))
+            break;
+        std::this_thread::yield();
+    }
+
+    // A miss on another connection goes to the pool, whose worker waits
+    // for the reader's slot: the tiny compile is answered second.
+    service::Client other(config.socketPath);
+    const auto compiled = other.call(compileRequest(tinySource(9), 2));
+    EXPECT_TRUE(compiled.ok) << compiled.error;
+    EXPECT_FALSE(compiled.cacheHit);
+    char first = 0;
+    EXPECT_EQ(::recv(searcher.fd(), &first, 1, MSG_PEEK | MSG_DONTWAIT), 1)
+        << "a pooled miss ran while a dse held the only compute slot";
+    service::Response searched;
+    ASSERT_TRUE(searcher.recv(searched));
+    EXPECT_TRUE(searched.ok) << searched.error;
+
+    server.requestStop();
+    server.wait();
+}
+
+TEST(ServiceServer, ConcurrentDseRepliesMatchDirectExecution)
+{
+    lower::CompileCache cache;
+    service::ServerConfig config;
+    config.socketPath = testSocket("dse_concurrent");
+    config.jobs = 2; // fewer slots than connections: some searches queue
+    config.cache = &cache;
+    service::Server server(config);
+    server.start();
+
+    // Four closed-loop connections: three search, one compiles misses.
+    // Readers and workers share the two slots; every reply must still
+    // be the bytes of a local run, and the books must balance.
+    constexpr int kRounds = 6;
+    std::vector<service::Request> searches;
+    for (int k = 0; k < 3; ++k)
+        searches.push_back(dseRequest(tinySource(20 + k), k));
+    std::vector<std::string> expected;
+    for (const auto &req : searches) {
+        lower::CompileCache local_cache;
+        const auto local = service::runRequestGuarded(req, local_cache);
+        ASSERT_TRUE(local.ok) << local.error;
+        expected.push_back(local.output);
+    }
+    std::vector<std::thread> clients;
+    for (size_t k = 0; k < searches.size(); ++k) {
+        clients.emplace_back([&, k] {
+            service::Client client(config.socketPath);
+            for (int round = 0; round < kRounds; ++round) {
+                const auto resp = client.call(searches[k]);
+                EXPECT_TRUE(resp.ok) << resp.error;
+                EXPECT_EQ(resp.output, expected[k]);
+            }
+        });
+    }
+    clients.emplace_back([&] {
+        service::Client client(config.socketPath);
+        for (int round = 0; round < kRounds; ++round) {
+            const auto resp =
+                client.call(compileRequest(wideSource(200 + round), round));
+            EXPECT_TRUE(resp.ok) << resp.error;
+        }
+    });
+    for (auto &client : clients)
+        client.join();
+
+    service::Client control(config.socketPath);
+    service::Request shutdown_req;
+    shutdown_req.verb = service::Verb::Shutdown;
+    const auto bye = control.call(shutdown_req);
+    EXPECT_TRUE(bye.ok);
+    const double sent = 4.0 * kRounds;
+    EXPECT_DOUBLE_EQ(bye.stats.at("offered"), sent);
+    EXPECT_DOUBLE_EQ(bye.stats.at("completed"), sent);
+    EXPECT_DOUBLE_EQ(bye.stats.at("cacheHits") + bye.stats.at("cacheMisses"),
+                     sent);
+    EXPECT_DOUBLE_EQ(bye.stats.at("pending"), 0.0);
+    EXPECT_DOUBLE_EQ(bye.stats.at("executing"), 0.0);
+    server.wait();
+}
+
 TEST(ServiceServer, ShutdownDrainsQueuedWorkFirst)
 {
     lower::CompileCache cache;
@@ -1247,6 +1404,94 @@ TEST(ServiceHitPath, SyntaxErrorsStayFirstAndNeverEnterTheCache)
     }
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.hits() + cache.misses(), 0);
+}
+
+// ---------------------------------------------------------------------
+// Cost ledgers are per request
+
+/** A Table III program's @p verb request (a small-space grid for dse). */
+service::Request
+tableIIIRequest(service::Verb verb)
+{
+    const auto &bench = wl::tableIII().front();
+    service::Request req;
+    req.verb = verb;
+    req.file = bench.id + ".pm";
+    req.source = bench.source;
+    req.entry = bench.buildOpts.entry;
+    req.params = bench.buildOpts.paramConsts;
+    req.optimize = true;
+    req.target = lang::toString(bench.domain);
+    return req;
+}
+
+/** Whether any partition of a SoC run of @p program carries a ledger. */
+bool
+simulationHasLedger(const lower::CompiledProgram &program)
+{
+    soc::SocRuntime runtime;
+    const auto sim = runtime.execute(program, target::WorkloadProfile{});
+    for (const auto &partition : sim.partitions) {
+        if (partition.ledger)
+            return true;
+    }
+    return sim.total.ledger != nullptr;
+}
+
+TEST(ServiceProfiling, ProfileAndDseRequestsLeaveLedgersOff)
+{
+    ASSERT_FALSE(target::profilingEnabled());
+    lower::CompileCache cache;
+    const auto profiled = service::runRequest(
+        tableIIIRequest(service::Verb::Profile), cache);
+    EXPECT_NE(profiled.profileJson.find("\"entries\""), std::string::npos);
+    EXPECT_FALSE(target::profilingEnabled());
+    EXPECT_FALSE(target::ProfilingScope::active());
+
+    const auto searched =
+        service::runRequest(tableIIIRequest(service::Verb::Dse), cache);
+    EXPECT_NE(searched.out.find("best configs:"), std::string::npos);
+    EXPECT_FALSE(target::profilingEnabled());
+    EXPECT_FALSE(target::ProfilingScope::active());
+
+    const auto simulated = service::runRequest(
+        tableIIIRequest(service::Verb::Simulate), cache);
+    EXPECT_NE(simulated.out.find("simulated: "), std::string::npos);
+    EXPECT_FALSE(simulationHasLedger(*simulated.program));
+}
+
+TEST(ServiceProfiling, ProfileRequestLeavesOtherThreadsWithoutLedgers)
+{
+    ASSERT_FALSE(target::profilingEnabled());
+    lower::CompileCache cache;
+    const auto program =
+        service::runRequest(tableIIIRequest(service::Verb::Simulate), cache)
+            .program;
+    ASSERT_NE(program, nullptr);
+
+    // One thread serves profile requests while the other simulates; the
+    // simulating thread keeps going until the profiler is done, then
+    // simulates once more.
+    std::atomic<bool> profiling_done{false};
+    int ledgers_seen = 0; // read after the join
+    std::thread simulator([&] {
+        bool last = false;
+        while (!last) {
+            last = profiling_done.load();
+            if (simulationHasLedger(*program))
+                ++ledgers_seen;
+        }
+    });
+    for (int i = 0; i < 20; ++i) {
+        const auto profiled = service::runRequest(
+            tableIIIRequest(service::Verb::Profile), cache);
+        EXPECT_NE(profiled.profileJson.find("\"entries\""),
+                  std::string::npos);
+    }
+    profiling_done = true;
+    simulator.join();
+    EXPECT_EQ(ledgers_seen, 0);
+    EXPECT_FALSE(target::profilingEnabled());
 }
 
 } // namespace

@@ -196,8 +196,9 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendInvariants,
 
 TEST(BackendSimulate, CallCounterCountsEveryConcurrentCall)
 {
-    // A fresh instance, so the threads also race the counter's
-    // first-use resolution.
+    // One instance shared by four threads first; the standard backends
+    // resolve their counter once per kind, so these calls may also race
+    // that first resolution.
     const auto backends = standardBackends();
     const Backend *tabla = findBackend(backends, "TABLA");
     ASSERT_NE(tabla, nullptr);
@@ -219,6 +220,37 @@ TEST(BackendSimulate, CallCounterCountsEveryConcurrentCall)
     for (auto &thread : threads)
         thread.join();
     EXPECT_EQ(calls.value() - before, int64_t{kThreads} * kCallsEach);
+
+    // The autotuner's pattern: every design point builds its own backend,
+    // prices a few partitions and drops it, on several threads at once.
+    // Each kind's counter must still see every call.
+    constexpr int kBackendsEach = 50;
+    constexpr int kCallsPerBackend = 3;
+    for (const auto &prototype : backends) {
+        const std::string name = prototype->name();
+        SCOPED_TRACE(name);
+        const auto partition = syntheticPartition(name, 4, 1000);
+        const obs::Counter &kind_calls =
+            obs::MetricsRegistry::global().counter(
+                "backend." + name + ".simulate_calls");
+        const int64_t kind_before = kind_calls.value();
+
+        threads.clear();
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&] {
+                for (int b = 0; b < kBackendsEach; ++b) {
+                    const auto backend =
+                        makeBackend(name, prototype->machine());
+                    for (int i = 0; i < kCallsPerBackend; ++i)
+                        backend->simulate(partition, prof);
+                }
+            });
+        }
+        for (auto &thread : threads)
+            thread.join();
+        EXPECT_EQ(kind_calls.value() - kind_before,
+                  int64_t{kThreads} * kBackendsEach * kCallsPerBackend);
+    }
 }
 
 TEST(FragmentWork, CountsFlopsPlusMoveElements)

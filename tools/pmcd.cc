@@ -45,9 +45,11 @@ usage()
         "\n"
         "  --socket <path>       Unix-domain socket to listen on\n"
         "                        (required)\n"
-        "  -j, --jobs <n>        worker threads executing misses,\n"
-        "                        simulations, profiles and dse searches;\n"
-        "                        a compile that hits the cache runs on\n"
+        "  -j, --jobs <n>        worker threads, and how many misses,\n"
+        "                        simulations, profiles and dse searches\n"
+        "                        run at once (a search on an idle\n"
+        "                        connection may run on its reader); a\n"
+        "                        compile that hits the cache runs on\n"
         "                        its connection's reader instead\n"
         "                        (0 = all hardware threads; default\n"
         "                        POLYMATH_JOBS or 1)\n"
