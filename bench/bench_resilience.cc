@@ -31,26 +31,6 @@ using namespace polymath;
 
 namespace {
 
-soc::FaultConfig
-configFor(double rate, uint64_t seed)
-{
-    soc::FaultConfig fc;
-    fc.seed = seed;
-    fc.dmaFailureRate = rate;
-    fc.watchdogRate = rate / 2.0;
-    fc.accelUnavailableRate = rate / 5.0;
-    return fc;
-}
-
-/** Distinct deterministic fault stream per workload: the draws are keyed
- *  by (partition, class, attempt), so without a per-workload salt every
- *  single-partition Table III workload would fault in lockstep. */
-uint64_t
-workloadSeed(uint64_t seed, size_t workload)
-{
-    return seed ^ ((workload + 1) * 0x9e3779b97f4a7c15ull);
-}
-
 /** One sweep row: rendered cells plus the raw tallies they came from,
  *  kept so the totals can be cross-checked against the SoC runtime's
  *  MetricsRegistry counters after the sweep. */
@@ -92,8 +72,10 @@ main(int argc, char **argv)
             // Calibrated host-library efficiency for fallback execution.
             const std::map<std::string, double> host_eff{
                 {bench.accel, bench.cpuEff}};
+            // A salted fault stream per workload, so the single-partition
+            // workloads do not fault in lockstep.
             runtime.setFaultModel(soc::FaultModel(
-                configFor(rate, workloadSeed(kSeed, i))));
+                soc::FaultConfig::forRate(rate, soc::jobSeed(kSeed, i))));
             const auto r = runtime.execute(*workloads[i].program,
                                            bench.profile, {}, host_eff);
             log_slowdown += std::log(rate > 0 ? r.reliability.slowdown()
@@ -133,7 +115,8 @@ main(int argc, char **argv)
                 "seed 0x%llx\n%s\n",
                 static_cast<unsigned long long>(kSeed),
                 table.str().c_str());
-    std::printf("Policies: accel-unavailable => host fallback; DMA "
+    std::printf("Policies: accel-unavailable => outage, migrate to a "
+                "compatible accelerator or host fallback; DMA "
                 "failure => retry w/ exponential backoff then host "
                 "fallback; watchdog => re-execute then host fallback.\n");
 

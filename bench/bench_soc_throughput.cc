@@ -34,17 +34,6 @@ namespace {
 constexpr uint64_t kSeed = 0x5eed;
 constexpr int kJobs = 120;
 
-soc::FaultConfig
-chaosConfig(double rate)
-{
-    soc::FaultConfig fc;
-    fc.seed = kSeed;
-    fc.dmaFailureRate = rate;
-    fc.watchdogRate = rate / 2.0;
-    fc.accelUnavailableRate = rate / 5.0;
-    return fc;
-}
-
 } // namespace
 
 int
@@ -100,7 +89,8 @@ main(int argc, char **argv)
             config.deadlinePolicy = soc::DeadlinePolicy::Shed;
             config.workers = 1; // the outer sweep already uses the pool
             if (cell.faultRate > 0.0)
-                config.faults = chaosConfig(cell.faultRate);
+                config.faults =
+                    soc::FaultConfig::forRate(cell.faultRate, kSeed);
             const soc::SocRuntime rt;
             const soc::StreamScheduler scheduler(rt, config);
             const soc::StreamReport report = scheduler.run(templates);

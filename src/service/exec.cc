@@ -143,12 +143,8 @@ runCompilation(const Request &req, const Compilation &c,
         profiling.emplace();
     soc::SocRuntime runtime;
     if (req.faultRate != 0) { // negative => validation error
-        soc::FaultConfig faults;
-        faults.seed = req.faultSeed;
-        faults.accelUnavailableRate = req.faultRate / 5.0;
-        faults.dmaFailureRate = req.faultRate;
-        faults.watchdogRate = req.faultRate / 2.0;
-        runtime.setFaultModel(soc::FaultModel(faults));
+        runtime.setFaultModel(soc::FaultModel(
+            soc::FaultConfig::forRate(req.faultRate, req.faultSeed)));
     }
     target::WorkloadProfile workload;
     workload.invocations = req.invocations;

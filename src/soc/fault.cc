@@ -42,6 +42,23 @@ FaultConfig::policyFor(FaultClass fault) const
     return accelPolicy;
 }
 
+FaultConfig
+FaultConfig::forRate(double rate, uint64_t seed)
+{
+    FaultConfig fc;
+    fc.seed = seed;
+    fc.dmaFailureRate = rate;
+    fc.watchdogRate = rate / 2.0;
+    fc.accelUnavailableRate = rate / 5.0;
+    return fc;
+}
+
+uint64_t
+jobSeed(uint64_t seed, uint64_t index)
+{
+    return seed ^ ((index + 1) * 0x9e3779b97f4a7c15ull);
+}
+
 void
 FaultConfig::validate() const
 {

@@ -5,7 +5,7 @@
  * Real heterogeneous platforms lose accelerators, drop DMA transfers, and
  * hit partition watchdogs; the paper's multi-acceleration story assumes
  * none of that ever happens. The FaultModel injects three fault classes
- * into SocRuntime::execute deterministically (stateless seeded draws, so a
+ * into the SoC's jobs deterministically (stateless seeded draws, so a
  * given seed always produces the same fault pattern), and a per-class
  * DegradationPolicy decides whether the host manager retries, transparently
  * reruns the partition on the host CPU, or fail-stops. The resulting
@@ -76,6 +76,11 @@ struct FaultConfig
 
     DegradationPolicy policyFor(FaultClass fault) const;
 
+    /** What `--fault-rate r` means everywhere: DMA failures at @p rate,
+     *  watchdog timeouts at rate/2 and accelerator loss at rate/5, drawn
+     *  from @p seed. */
+    static FaultConfig forRate(double rate, uint64_t seed);
+
     bool anyFaults() const
     {
         return accelUnavailableRate > 0.0 || dmaFailureRate > 0.0 ||
@@ -85,6 +90,11 @@ struct FaultConfig
     /** @throws UserError on rates outside [0, 1] or negative budgets. */
     void validate() const;
 };
+
+/** The fault seed of job @p index of a stream (or workload @p index of
+ *  a sweep). Draws are keyed by partition, class and attempt only, so
+ *  without this salt every job would fault in lockstep. */
+uint64_t jobSeed(uint64_t seed, uint64_t index);
 
 /** One injected fault and how the runtime responded. */
 struct FaultEvent

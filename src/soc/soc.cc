@@ -1,11 +1,5 @@
 #include "soc/soc.h"
 
-#include <algorithm>
-
-#include "core/error.h"
-#include "core/strings.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "targets/common/cost_ledger.h"
 
 namespace polymath::soc {
@@ -21,27 +15,6 @@ SocRuntime::SocRuntime(std::vector<std::unique_ptr<Backend>> backends,
       faults_(std::move(faults))
 {
     config_.validate();
-}
-
-SocResult
-SocRuntime::execute(const lower::CompiledProgram &program,
-                    const WorkloadProfile &profile,
-                    const std::set<std::string> &accelerated,
-                    const std::map<std::string, double> &host_eff) const
-{
-    obs::Span span("soc:execute", "soc");
-    if (span.active()) {
-        span.arg("partitions",
-                 static_cast<int64_t>(program.partitions.size()));
-        span.arg("invocations", profile.invocations);
-        span.arg("faults", faults_.enabled() ? int64_t{1} : int64_t{0});
-    }
-    SocResult result = executeInternal(program, profile, accelerated,
-                                       host_eff, faults_, /*primary=*/true);
-    if (faults_.enabled())
-        result.setFaultFreeBaseline(
-            estimate(program, profile, accelerated, host_eff).total);
-    return result;
 }
 
 PerfReport
@@ -107,13 +80,6 @@ SocRuntime::accelPartitionRun(const lower::Partition &partition,
     return run;
 }
 
-const char *
-SocRuntime::PartitionRun::abortText() const
-{
-    return aborted == FaultClass::DmaFailure ? "DMA transfer failed for"
-                                             : "watchdog timeout on";
-}
-
 SocRuntime::PartitionRun
 SocRuntime::runPartition(const lower::Partition &partition, int index,
                          const Backend *backend,
@@ -134,6 +100,7 @@ SocRuntime::runPartition(const lower::Partition &partition, int index,
     bool fall_back = false;
     double overhead_s = 0.0;
     double overhead_j = 0.0;
+    int64_t overhead_bytes = 0;
 
     // One fault class's retry loop: draw attempts until the class stops
     // firing, its policy aborts, or its budget runs out (then degrade).
@@ -179,6 +146,7 @@ SocRuntime::runPartition(const lower::Partition &partition, int index,
         auto waste = [&](int) {
             overhead_s += accel.part.seconds;
             overhead_j += accel.part.joules;
+            overhead_bytes += accel.movedBytes;
         };
         retry(FaultClass::WatchdogTimeout, rel.watchdogFaults,
               fc.maxReexecutions,
@@ -202,6 +170,7 @@ SocRuntime::runPartition(const lower::Partition &partition, int index,
     run.part.seconds += overhead_s;
     run.part.joules += overhead_j;
     run.part.overheadSeconds += overhead_s;
+    run.movedBytes += overhead_bytes;
     return run;
 }
 
@@ -227,125 +196,6 @@ SocRuntime::finalizeTotals(SocResult &result,
     const double host_j = config_.hostWatts * result.total.seconds;
     result.total.joules += host_j;
     result.transferJoules += host_j * 0.5; // manager mostly drives DMA
-}
-
-SocResult
-SocRuntime::executeInternal(const lower::CompiledProgram &program,
-                            const WorkloadProfile &profile,
-                            const std::set<std::string> &accelerated,
-                            const std::map<std::string, double> &host_eff,
-                            const FaultModel &faults, bool primary) const
-{
-    SocResult result;
-    ReliabilityReport &rel = result.reliability;
-    result.total.machine = "PolyMath SoC";
-
-    // Virtual timeline: one fresh track per primary execution, DMA and
-    // compute spans laid out in simulated seconds starting at t=0.
-    auto &recorder = obs::TraceRecorder::global();
-    const bool trace = primary && recorder.enabled();
-    const int64_t vtrack = trace ? recorder.newVirtualTrack() : 0;
-    double vclock = 0.0;
-    int64_t dma_bytes = 0;
-
-    bool any_offload = false;
-    for (size_t pi = 0; pi < program.partitions.size(); ++pi) {
-        const auto &partition = program.partitions[pi];
-        const int p = static_cast<int>(pi);
-        const bool offload = offloads(partition, accelerated);
-        any_offload = any_offload || offload;
-        const Backend *backend =
-            offload ? target::findBackend(backends_, partition.accel)
-                    : nullptr;
-
-        const size_t events_before = rel.events.size();
-        bool degraded = false;
-        if (backend && faults.enabled()) {
-            ++rel.offloadAttempts;
-            // Permanent accelerator loss. Retrying cannot help, so both
-            // non-Abort policies degrade straight to the host.
-            if (faults.acceleratorUnavailable(p)) {
-                ++rel.faultsInjected;
-                ++rel.accelFaults;
-                if (faults.config().accelPolicy ==
-                    DegradationPolicy::Abort) {
-                    fatal(format("SoC: accelerator '%s' unavailable for "
-                                 "partition %d",
-                                 partition.accel.c_str(), p));
-                }
-                ++rel.hostFallbacks;
-                rel.addEvent(FaultEvent{FaultClass::AcceleratorUnavailable,
-                                        p, partition.accel, 0, true});
-                degraded = true;
-            }
-        }
-        const PartitionRun run = runPartition(
-            partition, p, backend, profile, host_eff, faults, rel, degraded);
-        if (run.aborted) {
-            fatal(format("SoC: %s partition %d (%s)", run.abortText(), p,
-                         partition.accel.c_str()));
-        }
-        const PerfReport &part = run.part;
-        const double part_transfer = run.transferSeconds;
-        dma_bytes += run.movedBytes;
-        result.transferSeconds += run.transferSeconds;
-        result.transferJoules += run.transferJoules;
-        result.partitions.push_back(part);
-        result.total += part;
-
-        if (trace) {
-            // Fault instants mark the partition's start on the timeline;
-            // DMA occupies [vclock, vclock+transfer], compute the rest of
-            // the partition's simulated time.
-            for (size_t ei = events_before; ei < rel.events.size(); ++ei) {
-                const FaultEvent &ev = rel.events[ei];
-                recorder.virtualInstant(
-                    "fault:" + toString(ev.fault), "fault", vtrack, vclock,
-                    {obs::TraceArg::num("partition", ev.partition),
-                     obs::TraceArg::str("accel", ev.accel),
-                     obs::TraceArg::num("retries", ev.retries),
-                     obs::TraceArg::num("fell_back", ev.fellBack ? 1 : 0)});
-            }
-            if (part_transfer > 0.0) {
-                recorder.virtualSpan(
-                    format("dma[%d] %s", p, partition.accel.c_str()),
-                    "dma", vtrack, vclock, part_transfer,
-                    {obs::TraceArg::num("bytes",
-                                        partition.loadBytes() +
-                                            partition.storeBytes())});
-            }
-            recorder.virtualSpan(
-                format("compute[%d] %s", p,
-                       part.machine.empty() ? partition.accel.c_str()
-                                            : part.machine.c_str()),
-                "compute", vtrack, vclock + part_transfer,
-                std::max(0.0, part.seconds - part_transfer),
-                {obs::TraceArg::str("accel", partition.accel),
-                 obs::TraceArg::num(
-                     "fragments",
-                     static_cast<int64_t>(partition.fragments.size()))});
-            vclock += part.seconds;
-        }
-    }
-
-    finalizeTotals(result, profile, any_offload);
-
-    if (primary) {
-        auto &metrics = obs::MetricsRegistry::global();
-        metrics.counter("soc.executions").add(1);
-        metrics.counter("soc.partitions")
-            .add(static_cast<int64_t>(program.partitions.size()));
-        metrics.counter("soc.dma.bytes").add(dma_bytes);
-        if (faults.enabled()) {
-            metrics.counter("soc.faults.injected").add(rel.faultsInjected);
-            metrics.counter("soc.faults.retries").add(rel.retriesSpent);
-            metrics.counter("soc.faults.host_fallbacks")
-                .add(rel.hostFallbacks);
-            metrics.counter("soc.faults.offload_attempts")
-                .add(rel.offloadAttempts);
-        }
-    }
-    return result;
 }
 
 } // namespace polymath::soc

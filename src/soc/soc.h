@@ -8,6 +8,12 @@
  * memory. Partitions may selectively run on their domain accelerator or
  * fall back to the host CPU — which is how the Fig. 10/11 sweeps over
  * "which kernels are accelerated" are produced.
+ *
+ * SocRuntime prices one partition at a time (runPartition) and closes a
+ * job's bill (finalizeTotals). The host manager that orders partitions
+ * is one event engine (stream.cc): execute() and estimate() run it as a
+ * stream of one job arriving at t=0, soc::StreamScheduler as a stream of
+ * many (stream.h).
  */
 #ifndef POLYMATH_SOC_SOC_H_
 #define POLYMATH_SOC_SOC_H_
@@ -41,6 +47,10 @@ struct SocResult
     double transferSeconds = 0.0;
     double transferJoules = 0.0;
 
+    /** DRAM<->local bytes the SoC's DMA moved, the transfers of wasted
+     *  watchdog re-runs included; what `soc.dma.bytes` counts. */
+    int64_t dmaBytes = 0;
+
     /** Fault/degradation accounting; all-zero when no fault model is
      *  active (the resilience layer is zero-cost when disabled). */
     ReliabilityReport reliability;
@@ -69,15 +79,6 @@ struct SocResult
     }
 };
 
-/** Whether @p partition runs on its accelerator when the kernels named in
- *  @p accelerated are offloaded (an empty set offloads everything). */
-inline bool
-offloads(const lower::Partition &partition,
-         const std::set<std::string> &accelerated)
-{
-    return accelerated.empty() || accelerated.count(partition.accel) > 0;
-}
-
 /** The cascaded-accelerator system. */
 class SocRuntime
 {
@@ -100,11 +101,13 @@ class SocRuntime
      * @p host_eff optionally calibrates the host library efficiency per
      * partition accel-name (see WorkloadCost::cpuEff).
      *
-     * With an enabled fault model, injected faults are handled per the
-     * configured DegradationPolicy (retry with exponential DMA backoff,
-     * transparent host fallback, or Abort => UserError) and
-     * SocResult::reliability reports the damage; with faults disabled the
-     * result is bit-identical to the fault-free path.
+     * The run is a stream of one job arriving at t=0 that draws from the
+     * runtime's FaultModel unsalted. With an enabled fault model, injected
+     * faults are handled per the configured DegradationPolicy (retry with
+     * exponential DMA backoff, host fallback, an outage and migration on
+     * accelerator loss, or Abort => UserError) and SocResult::reliability
+     * reports the damage against estimate(); with faults disabled the
+     * result is bit-identical to estimate().
      */
     SocResult execute(const lower::CompiledProgram &program,
                       const WorkloadProfile &profile,
@@ -122,11 +125,7 @@ class SocRuntime
                        const WorkloadProfile &profile,
                        const std::set<std::string> &accelerated = {},
                        const std::map<std::string, double> &host_eff = {})
-        const
-    {
-        return executeInternal(program, profile, accelerated, host_eff,
-                               FaultModel{}, /*primary=*/false);
-    }
+        const;
 
     const std::vector<std::unique_ptr<Backend>> &backends() const
     {
@@ -135,11 +134,8 @@ class SocRuntime
 
     const target::SocConfig &config() const { return config_; }
 
-    // runPartition() and finalizeTotals() are the whole pricing model,
-    // shared by execute() and soc::StreamScheduler, so a stream job is
-    // bit-identical to a sequential execute() under the same fault draws.
-    // Only accelerator loss stays with each engine: execute() degrades
-    // the partition in place, the stream opens an outage and migrates.
+    // runPartition() and finalizeTotals() are the whole pricing model;
+    // the event engine in stream.cc calls them for every job it runs.
 
     /** One partition's priced run. */
     struct PartitionRun
@@ -147,14 +143,12 @@ class SocRuntime
         PerfReport part; ///< includes DMA, backoff and wasted re-runs
         double transferSeconds = 0.0;
         double transferJoules = 0.0;
-        int64_t movedBytes = 0; ///< DRAM<->local traffic the SoC moved
+        /** DRAM<->local traffic the SoC moved, wasted watchdog re-runs
+         *  included. */
+        int64_t movedBytes = 0;
         /** Set when a DegradationPolicy::Abort fault fired; the run is
          *  then unpriced and the caller fails the job. */
         std::optional<FaultClass> aborted;
-
-        /** Abort message head: "DMA transfer failed for" or "watchdog
-         *  timeout on"; the caller appends where the fault hit. */
-        const char *abortText() const;
     };
 
     /**
@@ -180,17 +174,6 @@ class SocRuntime
                         bool any_offload) const;
 
   private:
-    /** @p primary is false for the internal fault-free reference run that
-     *  execute() uses to price fault overhead — that run must not emit
-     *  observability spans/metrics, or every faulty execution would show
-     *  up twice on the timeline. */
-    SocResult executeInternal(
-        const lower::CompiledProgram &program,
-        const WorkloadProfile &profile,
-        const std::set<std::string> &accelerated,
-        const std::map<std::string, double> &host_eff,
-        const FaultModel &faults, bool primary) const;
-
     /** Host execution of one partition's kernels. A *deliberate* host
      *  placement runs the calibrated native library (host_eff); a
      *  fault-triggered degradation runs the compiler's portable host

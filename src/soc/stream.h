@@ -3,34 +3,25 @@
  * Streaming SoC orchestrator (docs/RESILIENCE.md, "Online rescheduling
  * & load shedding").
  *
- * SocRuntime::execute models one job end-to-end; real deployments run the
- * SoC as a service, with jobs arriving continuously and the host manager
- * time-sharing the six accelerators between them. StreamScheduler is an
- * event-driven virtual-time simulator of that regime: compiled jobs arrive
- * under an open-loop (Poisson) or closed-loop arrival model, an admission
- * controller bounds the number of jobs in the system (arrivals beyond the
- * bound are load-shed with full accounting), and each backend serves its
- * partition queue FIFO.
- *
- * Every service is priced by SocRuntime::runPartition, the function
- * SocRuntime::execute uses too, so DMA failures and watchdog timeouts get
- * the same retry/backoff budgets and host fallback in both engines, with
- * the backoff charged in virtual time against the job's deadline. Only
- * accelerator loss differs: here it becomes *online rescheduling*. An
- * AcceleratorUnavailable draw takes the backend down for a bounded window
- * of virtual time and the affected partitions — the one that tripped the
- * fault and everything queued behind it — migrate mid-stream to a
- * compatible accelerator (AcceleratorSpec::supportsAll over the
- * partition's source ops) or degrade to the host CPU.
+ * Real deployments run the SoC as a service, with jobs arriving
+ * continuously and the host manager time-sharing the six accelerators
+ * between them. StreamScheduler offers such a stream to the SoC's one
+ * event engine (stream.cc; SocRuntime::execute offers it a single job):
+ * compiled jobs arrive under an open-loop (Poisson) or closed-loop arrival
+ * model, an admission controller bounds the number of jobs in the system
+ * (arrivals beyond the bound are load-shed with full accounting), and the
+ * host CPU and each backend serve their partition queues FIFO. Every
+ * service is priced by SocRuntime::runPartition; an AcceleratorUnavailable
+ * draw takes its backend down for a bounded window of virtual time, and
+ * the partitions on it migrate to a compatible accelerator or degrade to
+ * the host CPU.
  *
  * Everything is deterministic: arrivals come from one seeded Rng, fault
- * draws are stateless per-job salted hashes, and the event loop is strict
- * serial with (time, sequence) ordering — the same seed and config
- * reproduce the same StreamReport byte-for-byte at any worker count.
- * Without accelerator loss, each job's PerfReport and ReliabilityReport
- * are bit-identical to a sequential SocRuntime::execute under that job's
- * salted FaultModel: queueing and dispatch delay are charged to the job's
- * *stream latency* only, never to its PerfReport.
+ * draws are stateless per-job salted hashes (jobSeed), and the event loop
+ * is strict serial with (time, sequence) ordering — the same seed and
+ * config reproduce the same StreamReport byte-for-byte at any worker
+ * count. Queueing and dispatch delay are charged to a job's *stream
+ * latency* only, never to its PerfReport.
  */
 #ifndef POLYMATH_SOC_STREAM_H_
 #define POLYMATH_SOC_STREAM_H_
@@ -150,8 +141,8 @@ struct StreamJobResult
     int64_t migrations = 0;
 
     /** Execution accounting (partial for shed/aborted jobs; empty for
-     *  rejected ones). At zero fault rates, `result.total` and
-     *  `result.partitions` are bit-identical to SocRuntime::execute. */
+     *  rejected ones). Without accelerator loss, bit-identical to
+     *  SocRuntime::execute under the job's salted fault model. */
     SocResult result;
 
     /** Abort reason when outcome == Aborted. */

@@ -266,8 +266,9 @@ TEST(ConfigSpace, DerivedPowerMovesWithTheAxes)
                                    a.dramGBs == b.dramGBs &&
                                    a.busWordsPerCycle ==
                                        b.busWordsPerCycle;
-            if (same_rest && a.computeUnits > b.computeUnits)
+            if (same_rest && a.computeUnits > b.computeUnits) {
                 EXPECT_GT(a.watts, b.watts);
+            }
             if (a.computeUnits == b.computeUnits &&
                 a.dramGBs == b.dramGBs &&
                 a.busWordsPerCycle == b.busWordsPerCycle &&

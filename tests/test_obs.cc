@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/strings.h"
 #include "core/thread_pool.h"
 #include "driver.h"
 #include "lower/compile_cache.h"
@@ -19,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "soc/soc.h"
+#include "soc/stream.h"
 #include "targets/common/backend.h"
 #include "workloads/suite.h"
 
@@ -302,6 +305,78 @@ TEST(Instrumentation, SocLaysDmaAndComputeOnTheVirtualTimeline)
     // microsecond rounding (host glue/manager time is not a span).
     EXPECT_LE(static_cast<double>(cursor) * 1e-6,
               result.total.seconds + 1e-6);
+}
+
+TEST(Instrumentation, ExecuteAndStreamDrawOneTimelineFormat)
+{
+    // One engine, one format: execute() and a one-job stream lay the
+    // same spans, a DMA span and a compute span per service, on tracks
+    // named for the resources the job used, plus the admission track.
+    const auto &app = wl::tableIV().front(); // BrainStimul: 4 partitions
+    const auto registry = target::standardRegistry();
+    const auto program = wl::compileBenchmark(app.source, app.buildOpts,
+                                              registry, lang::Domain::None);
+    std::set<std::string> used;
+    for (const auto &partition : program.partitions)
+        used.insert("soc: " + partition.accel);
+    ASSERT_GT(used.size(), 1u);
+    used.insert("soc: admission");
+
+    const soc::SocRuntime runtime;
+    auto &rec = obs::TraceRecorder::global();
+    const auto timeline = [&](auto run) {
+        rec.clear();
+        rec.setEnabled(true);
+        run();
+        rec.setEnabled(false);
+        std::vector<obs::TraceEvent> events;
+        for (auto &event : rec.snapshot()) {
+            if (event.pid == obs::kVirtualPid)
+                events.push_back(std::move(event));
+        }
+        rec.clear();
+        return events;
+    };
+    const auto executed =
+        timeline([&] { runtime.execute(program, app.profile); });
+    soc::StreamConfig one;
+    one.jobs = 1;
+    soc::StreamJob job;
+    job.name = app.id;
+    job.program = &program;
+    job.profile = app.profile;
+    const auto streamed = timeline(
+        [&] { soc::StreamScheduler(runtime, one).run({job}); });
+
+    const auto spans = [](const std::vector<obs::TraceEvent> &events) {
+        std::vector<std::string> names;
+        for (const auto &event : events) {
+            if (event.ph == 'X')
+                names.push_back(event.cat + " " + event.name);
+        }
+        return names;
+    };
+    const auto tracks = [](const std::vector<obs::TraceEvent> &events) {
+        std::set<std::string> names;
+        for (const auto &event : events) {
+            if (event.ph == 'M')
+                names.insert(event.args.front().value);
+        }
+        return names;
+    };
+    EXPECT_EQ(spans(executed), spans(streamed));
+    EXPECT_EQ(tracks(executed), used);
+    EXPECT_EQ(tracks(streamed), used);
+    std::vector<std::string> expected;
+    for (size_t p = 0; p < program.partitions.size(); ++p) {
+        expected.push_back(
+            format("dma dma[%zu] %s", p, program.partitions[p].accel.c_str()));
+        expected.push_back(format("compute compute[%zu] ", p));
+    }
+    const auto got = spans(executed);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i].rfind(expected[i], 0), 0u) << got[i];
 }
 
 TEST(Instrumentation, FaultMetricsMatchTheReliabilityReport)

@@ -231,12 +231,7 @@ class ResilienceFixture : public ::testing::Test
 
     static FaultConfig faultyConfig(double rate, uint64_t seed = 42)
     {
-        FaultConfig fc;
-        fc.seed = seed;
-        fc.accelUnavailableRate = rate / 5.0;
-        fc.dmaFailureRate = rate;
-        fc.watchdogRate = rate / 2.0;
-        return fc;
+        return FaultConfig::forRate(rate, seed);
     }
 
     lower::AcceleratorRegistry registry_;
@@ -332,7 +327,8 @@ TEST_F(ResilienceFixture, DegradedFallbackRunsBelowNativeEfficiency)
     // efficiency (hostFallbackEff = 1).
     FaultConfig fc;
     fc.seed = 7;
-    fc.accelUnavailableRate = 1.0; // every partition degrades immediately
+    fc.dmaFailureRate = 1.0; // every partition degrades immediately
+    fc.dmaPolicy = DegradationPolicy::HostFallback;
     SocRuntime degraded(target::standardBackends(), target::socConfig(),
                         FaultModel(fc));
     auto native_cfg = target::socConfig();
@@ -348,6 +344,50 @@ TEST_F(ResilienceFixture, DegradedFallbackRunsBelowNativeEfficiency)
     const auto host_only =
         native.execute(compiled_, profile_, {"<none>"}, hostEff_);
     EXPECT_GT(d.total.seconds, host_only.total.seconds);
+}
+
+TEST_F(ResilienceFixture, AcceleratorLossOpensAnOutageAndMigrates)
+{
+    // A lost accelerator goes down for SocConfig::streamOutageSeconds.
+    // The partition that drew the loss, and any later one homed there
+    // inside the window, moves to a compatible healthy accelerator, or
+    // else degrades to the host. At rate 1 no partition runs at home.
+    FaultConfig fc;
+    fc.seed = 7;
+    fc.accelUnavailableRate = 1.0;
+    SocRuntime runtime(target::standardBackends(), target::socConfig(),
+                       FaultModel(fc));
+    const auto r = runtime.execute(compiled_, profile_, {}, hostEff_);
+    const auto home = runtime.estimate(compiled_, profile_, {}, hostEff_);
+    const auto host =
+        runtime.estimate(compiled_, profile_, {"<none>"}, hostEff_);
+    ASSERT_EQ(r.partitions.size(), home.partitions.size());
+
+    int64_t on_host = 0;
+    int64_t migrated = 0;
+    for (size_t p = 0; p < r.partitions.size(); ++p) {
+        const std::string &machine = r.partitions[p].machine;
+        EXPECT_NE(machine, home.partitions[p].machine) << p;
+        if (machine == host.partitions[p].machine)
+            ++on_host;
+        else
+            ++migrated;
+    }
+    EXPECT_GT(migrated, 0);
+    EXPECT_GT(on_host, 0);
+    EXPECT_EQ(r.reliability.offloadAttempts,
+              static_cast<int64_t>(r.partitions.size()));
+    EXPECT_EQ(r.reliability.hostFallbacks, on_host);
+    // Only a draw at a healthy home injects a fault; a partition that
+    // finds its home already down migrates without one.
+    EXPECT_GT(r.reliability.accelFaults, 0);
+    EXPECT_LE(r.reliability.accelFaults, r.reliability.offloadAttempts);
+    int64_t fell_back = 0;
+    for (const auto &event : r.reliability.events) {
+        EXPECT_EQ(event.fault, soc::FaultClass::AcceleratorUnavailable);
+        fell_back += event.fellBack ? 1 : 0;
+    }
+    EXPECT_LE(fell_back, on_host);
 }
 
 TEST_F(ResilienceFixture, DmaBackoffLatencyIsExponentialAndAccounted)
@@ -458,6 +498,11 @@ TEST_F(ResilienceFixture, WatchdogReexecutionChargesWastedRuns)
     EXPECT_EQ(r.reliability.hostFallbacks, r.reliability.offloadAttempts);
     EXPECT_EQ(r.reliability.retriesSpent,
               r.reliability.offloadAttempts * fc.maxReexecutions);
+    // Every wasted run moved its data: the budget's re-runs plus the
+    // overrun that exhausted it, then the host moves nothing.
+    const auto clean = runtime.estimate(compiled_, profile_, {}, hostEff_);
+    EXPECT_GT(clean.dmaBytes, 0);
+    EXPECT_EQ(r.dmaBytes, (fc.maxReexecutions + 1) * clean.dmaBytes);
     // Wasted accelerator runs make this strictly worse than a clean
     // host-only execution.
     const auto host_only =

@@ -428,8 +428,9 @@ main(input float x[2], output float y[2]) {
             if (in.isIndexOperand())
                 continue;
             const auto producer = g->value(in.value).producer;
-            if (producer >= 0)
+            if (producer >= 0) {
                 EXPECT_LT(position[producer], position[node.id]);
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 /**
  * @file
- * StreamScheduler tests: config validation, bit-identity of the stream
- * path with the sequential SocRuntime at zero fault rates, byte-identical
+ * StreamScheduler tests: config validation, a contended job equal to the
+ * same job run alone (queueing never enters its PerfReport), the SoC
+ * counters a stream feeds, byte-identical
  * reports across worker counts and reruns, the conservation invariants
  * under a chaos sweep of all three fault classes, admission-control load
  * shedding, deadline policies, per-job Abort isolation, and migration on
@@ -156,112 +157,90 @@ TEST_F(StreamFixture, RunRejectsEmptyAndNullTemplates)
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity with the sequential runtime at zero fault rates.
+// Queueing never enters a job's PerfReport.
 // ---------------------------------------------------------------------------
 
-TEST_F(StreamFixture, ZeroFaultJobsBitIdenticalToSequentialExecute)
+TEST_F(StreamFixture, ContendedJobEqualsTheSameJobRunAlone)
 {
-    const SocRuntime runtime;
-    const auto sequential =
-        runtime.execute(compiled_, profile_, {}, hostEff_);
-
-    StreamConfig config;
-    config.arrival = ArrivalModel::ClosedLoop;
-    config.jobs = 6;
-    config.clients = 2; // jobs overlap, time-sharing the backends
-    const StreamScheduler scheduler(runtime, config);
-    const auto report = scheduler.run({makeJob("brainstimul")});
-
-    EXPECT_EQ(report.completed, 6);
-    expectConserved(report);
-    for (const auto &job : report.jobs) {
-        ASSERT_EQ(job.outcome, JobOutcome::Completed);
-        // Exact equality, not near: the stream path prices partitions
-        // through the same member functions in the same order, and
-        // queueing delay must never leak into the PerfReport.
-        EXPECT_EQ(job.result.total.seconds, sequential.total.seconds);
-        EXPECT_EQ(job.result.total.joules, sequential.total.joules);
-        EXPECT_EQ(job.result.transferSeconds, sequential.transferSeconds);
-        EXPECT_EQ(job.result.transferJoules, sequential.transferJoules);
-        ASSERT_EQ(job.result.partitions.size(),
-                  sequential.partitions.size());
-        for (size_t p = 0; p < sequential.partitions.size(); ++p) {
-            EXPECT_EQ(job.result.partitions[p].seconds,
-                      sequential.partitions[p].seconds);
-            EXPECT_EQ(job.result.partitions[p].joules,
-                      sequential.partitions[p].joules);
-        }
-        // Stream latency still includes dispatch/queueing on top.
-        EXPECT_GT(job.latencySeconds, job.result.total.seconds);
-    }
-}
-
-TEST_F(StreamFixture, FaultedJobsBitIdenticalToSequentialExecute)
-{
-    // DMA failures and watchdog timeouts go through the same pricing in
-    // both engines, so with accelerator loss off (the one class the
-    // engines handle differently) stream job i must equal execute()
-    // under job i's salted fault seed, counter for counter.
-    StreamConfig config;
-    config.arrival = ArrivalModel::ClosedLoop;
-    config.jobs = 8;
-    config.clients = 3;
-    config.faults.seed = 0xfa17;
-    config.faults.dmaFailureRate = 0.4;
-    config.faults.watchdogRate = 0.4;
-    config.faults.accelUnavailableRate = 0.0;
-    const SocRuntime runtime;
-    const auto report =
-        StreamScheduler(runtime, config).run({makeJob("brainstimul")});
-    ASSERT_EQ(report.completed, config.jobs);
-    EXPECT_GT(report.reliability.dmaFaults, 0);
-    EXPECT_GT(report.reliability.watchdogFaults, 0);
-    EXPECT_GT(report.reliability.hostFallbacks, 0);
-
-    for (const auto &job : report.jobs) {
-        FaultConfig fc = config.faults;
-        fc.seed = config.faults.seed ^
-                  ((static_cast<uint64_t>(job.jobIndex) + 1) *
-                   0x9e3779b97f4a7c15ull);
-        const SocRuntime sequential(target::standardBackends(),
-                                    target::socConfig(),
-                                    soc::FaultModel(fc));
-        const auto expected =
-            sequential.execute(compiled_, profile_, {}, hostEff_);
-        const auto &got = job.result;
-
-        EXPECT_EQ(got.total.seconds, expected.total.seconds);
-        EXPECT_EQ(got.total.joules, expected.total.joules);
-        EXPECT_EQ(got.total.overheadSeconds, expected.total.overheadSeconds);
-        EXPECT_EQ(got.transferSeconds, expected.transferSeconds);
-        EXPECT_EQ(got.transferJoules, expected.transferJoules);
-        ASSERT_EQ(got.partitions.size(), expected.partitions.size());
-        for (size_t p = 0; p < expected.partitions.size(); ++p) {
-            EXPECT_EQ(got.partitions[p].seconds,
-                      expected.partitions[p].seconds);
-            EXPECT_EQ(got.partitions[p].joules,
-                      expected.partitions[p].joules);
-            EXPECT_EQ(got.partitions[p].overheadSeconds,
-                      expected.partitions[p].overheadSeconds);
-            EXPECT_EQ(got.partitions[p].machine,
-                      expected.partitions[p].machine);
+    // Three clients time-share the backends, so jobs queue behind each
+    // other. Queueing and dispatch go to a job's stream latency only:
+    // job i must equal execute() of the same program under job i's
+    // salted fault model, counter for counter. Accelerator loss stays
+    // off; its outages are shared between the jobs of a stream.
+    FaultConfig faulted;
+    faulted.seed = 0xfa17;
+    faulted.dmaFailureRate = 0.4;
+    faulted.watchdogRate = 0.4;
+    for (const FaultConfig &faults : {FaultConfig{}, faulted}) {
+        StreamConfig config;
+        config.arrival = ArrivalModel::ClosedLoop;
+        config.jobs = 8;
+        config.clients = 3;
+        config.faults = faults;
+        const SocRuntime runtime;
+        const auto report =
+            StreamScheduler(runtime, config).run({makeJob("brainstimul")});
+        ASSERT_EQ(report.completed, config.jobs);
+        expectConserved(report);
+        if (faults.anyFaults()) {
+            EXPECT_GT(report.reliability.dmaFaults, 0);
+            EXPECT_GT(report.reliability.watchdogFaults, 0);
+            EXPECT_GT(report.reliability.hostFallbacks, 0);
         }
 
-        const auto &a = got.reliability;
-        const auto &b = expected.reliability;
-        EXPECT_EQ(a.faultsInjected, b.faultsInjected);
-        EXPECT_EQ(a.accelFaults, b.accelFaults);
-        EXPECT_EQ(a.dmaFaults, b.dmaFaults);
-        EXPECT_EQ(a.watchdogFaults, b.watchdogFaults);
-        EXPECT_EQ(a.retriesSpent, b.retriesSpent);
-        EXPECT_EQ(a.hostFallbacks, b.hostFallbacks);
-        EXPECT_EQ(a.offloadAttempts, b.offloadAttempts);
-        EXPECT_EQ(a.actualSeconds, b.actualSeconds);
-        EXPECT_EQ(a.faultFreeSeconds, b.faultFreeSeconds);
-        EXPECT_EQ(a.actualJoules, b.actualJoules);
-        EXPECT_EQ(a.faultFreeJoules, b.faultFreeJoules);
-        EXPECT_EQ(a.droppedEvents, b.droppedEvents);
-        EXPECT_EQ(a.str(), b.str()) << "job " << job.jobIndex;
+        bool queued = false;
+        for (const auto &job : report.jobs) {
+            FaultConfig fc = faults;
+            fc.seed = soc::jobSeed(faults.seed,
+                                   static_cast<uint64_t>(job.jobIndex));
+            const SocRuntime alone(target::standardBackends(),
+                                   target::socConfig(), soc::FaultModel(fc));
+            const auto expected =
+                alone.execute(compiled_, profile_, {}, hostEff_);
+            const auto &got = job.result;
+
+            // Exact equality, not near.
+            EXPECT_EQ(got.total.seconds, expected.total.seconds);
+            EXPECT_EQ(got.total.joules, expected.total.joules);
+            EXPECT_EQ(got.total.overheadSeconds,
+                      expected.total.overheadSeconds);
+            EXPECT_EQ(got.transferSeconds, expected.transferSeconds);
+            EXPECT_EQ(got.transferJoules, expected.transferJoules);
+            EXPECT_EQ(got.dmaBytes, expected.dmaBytes);
+            ASSERT_EQ(got.partitions.size(), expected.partitions.size());
+            for (size_t p = 0; p < expected.partitions.size(); ++p) {
+                EXPECT_EQ(got.partitions[p].seconds,
+                          expected.partitions[p].seconds);
+                EXPECT_EQ(got.partitions[p].joules,
+                          expected.partitions[p].joules);
+                EXPECT_EQ(got.partitions[p].overheadSeconds,
+                          expected.partitions[p].overheadSeconds);
+                EXPECT_EQ(got.partitions[p].machine,
+                          expected.partitions[p].machine);
+            }
+
+            const auto &a = got.reliability;
+            const auto &b = expected.reliability;
+            EXPECT_EQ(a.faultsInjected, b.faultsInjected);
+            EXPECT_EQ(a.accelFaults, b.accelFaults);
+            EXPECT_EQ(a.dmaFaults, b.dmaFaults);
+            EXPECT_EQ(a.watchdogFaults, b.watchdogFaults);
+            EXPECT_EQ(a.retriesSpent, b.retriesSpent);
+            EXPECT_EQ(a.hostFallbacks, b.hostFallbacks);
+            EXPECT_EQ(a.offloadAttempts, b.offloadAttempts);
+            EXPECT_EQ(a.actualSeconds, b.actualSeconds);
+            EXPECT_EQ(a.faultFreeSeconds, b.faultFreeSeconds);
+            EXPECT_EQ(a.actualJoules, b.actualJoules);
+            EXPECT_EQ(a.faultFreeJoules, b.faultFreeJoules);
+            EXPECT_EQ(a.droppedEvents, b.droppedEvents);
+            EXPECT_EQ(a.str(), b.str()) << "job " << job.jobIndex;
+
+            // The stream latency carries dispatch and queueing on top.
+            EXPECT_GT(job.latencySeconds, got.total.seconds);
+            queued = queued || job.latencySeconds > got.total.seconds +
+                                                        1e-3;
+        }
+        EXPECT_TRUE(queued) << "no job waited behind another";
     }
 }
 
@@ -495,6 +474,44 @@ TEST_F(StreamFixture, StreamCountersAdvanceWithTheReport)
     EXPECT_EQ(after.counter("soc.stream.runs") -
                   before.counter("soc.stream.runs"),
               1);
+}
+
+TEST_F(StreamFixture, StreamFaultsReachTheSocCounters)
+{
+    // A stream feeds the per-job counters execute() feeds: every
+    // admitted job's faults, partitions and DMA bytes.
+    const auto before = obs::MetricsRegistry::global().snapshot();
+    StreamConfig config;
+    config.arrival = ArrivalModel::ClosedLoop;
+    config.jobs = 12;
+    config.clients = 3;
+    config.maxPending = 2; // some arrivals are rejected
+    config.faults = FaultConfig::forRate(0.5, 0xc0de);
+    const SocRuntime runtime;
+    const auto report =
+        StreamScheduler(runtime, config).run({makeJob("brainstimul")});
+    const auto after = obs::MetricsRegistry::global().snapshot();
+    const auto delta = [&](const char *name) {
+        return after.counter(name) - before.counter(name);
+    };
+
+    const auto &rel = report.reliability;
+    ASSERT_GT(rel.faultsInjected, 0);
+    EXPECT_GT(report.rejected, 0);
+    EXPECT_EQ(delta("soc.faults.injected"), rel.faultsInjected);
+    EXPECT_EQ(delta("soc.faults.retries"), rel.retriesSpent);
+    EXPECT_EQ(delta("soc.faults.host_fallbacks"), rel.hostFallbacks);
+    EXPECT_EQ(delta("soc.faults.offload_attempts"), rel.offloadAttempts);
+    int64_t partitions = 0;
+    int64_t dma_bytes = 0;
+    for (const auto &job : report.jobs) {
+        partitions += static_cast<int64_t>(job.result.partitions.size());
+        dma_bytes += job.result.dmaBytes;
+    }
+    EXPECT_GT(dma_bytes, 0);
+    EXPECT_EQ(delta("soc.executions"), report.admitted);
+    EXPECT_EQ(delta("soc.partitions"), partitions);
+    EXPECT_EQ(delta("soc.dma.bytes"), dma_bytes);
 }
 
 } // namespace

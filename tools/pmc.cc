@@ -42,7 +42,6 @@
 #include "service/exec.h"
 #include "soc/soc.h"
 #include "soc/stream.h"
-#include "targets/common/cost_ledger.h"
 #include "srdfg/builder.h"
 #include "srdfg/printer.h"
 #include "srdfg/serialize.h"
@@ -629,10 +628,8 @@ runFile(const Options &opts, const std::string &file, std::string &out,
             stream.workers = opts.jobs;
             parseArrival(opts.arrival, stream);
             if (opts.faultRate != 0) { // negative => validation error
-                stream.faults.seed = opts.faultSeed;
-                stream.faults.accelUnavailableRate = opts.faultRate / 5.0;
-                stream.faults.dmaFailureRate = opts.faultRate;
-                stream.faults.watchdogRate = opts.faultRate / 2.0;
+                stream.faults = soc::FaultConfig::forRate(opts.faultRate,
+                                                          opts.faultSeed);
             }
             soc::StreamJob job;
             job.name = file;
@@ -847,8 +844,6 @@ run(const Options &opts)
     if (!opts.profileJsonPath.empty() && opts.files.size() > 1)
         fatal("--profile-json supports a single input file (the profile "
               "document identifies one program)");
-    if (opts.profile || !opts.profileJsonPath.empty())
-        target::setProfilingEnabled(true);
     if (!opts.connectPath.empty())
         return runConnected(opts);
     if (!opts.tracePath.empty())
