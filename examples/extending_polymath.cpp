@@ -66,11 +66,11 @@ class Systolic256 : public target::Backend
     }
 
   protected:
-    // Pricing reads the partition and the machine-independent facts
-    // analyze() gathered about it; this model needs only the DMA split,
-    // which every analysis carries, so analysisNeeds() keeps its default.
+    // Pricing reads only the machine-independent facts analyze()
+    // gathered about the partition: this model needs each fragment's
+    // flops and the DMA split, which every analysis carries, so
+    // analysisNeeds() keeps its default.
     target::PerfReport simulateImpl(
-        const lower::Partition &partition,
         const target::PartitionAnalysis &analysis,
         const target::WorkloadProfile &profile) const override
     {
@@ -78,11 +78,13 @@ class Systolic256 : public target::Backend
         target::PerfReport r;
         r.machine = name();
         // Weight-stationary wavefront: rows stream through the array.
+        // The gemvs are the fragments with arithmetic; the const and
+        // identity fragments the spec also accepts have none.
         double cycles = 0.0;
-        for (const auto &frag : partition.fragments) {
-            if (frag.opcode != "systolic/gemv")
+        for (const auto &f : analysis.fragments) {
+            if (f.move || f.flops == 0)
                 continue;
-            cycles += static_cast<double>(frag.flops) /
+            cycles += static_cast<double>(f.flops) /
                           (2.0 * static_cast<double>(m.computeUnits)) +
                       32.0; // array fill
         }
@@ -97,7 +99,7 @@ class Systolic256 : public target::Backend
             static_cast<double>(r.dramBytes) / (m.dramGBs * 1e9);
         r.seconds = std::max(r.computeSeconds, r.memorySeconds);
         r.flops = static_cast<int64_t>(
-            static_cast<double>(partition.flops()) * inv);
+            static_cast<double>(analysis.flops) * inv);
         r.joules = m.watts * r.seconds;
         return r;
     }

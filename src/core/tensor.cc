@@ -148,8 +148,11 @@ Tensor::str() const
             out += ", ";
         if (isComplex()) {
             auto c = cplx_[static_cast<size_t>(i)];
-            out += "(" + std::to_string(c.real()) + "," +
-                   std::to_string(c.imag()) + ")";
+            out += '(';
+            out += std::to_string(c.real());
+            out += ',';
+            out += std::to_string(c.imag());
+            out += ')';
         } else {
             out += std::to_string(real_[static_cast<size_t>(i)]);
         }

@@ -36,6 +36,16 @@ scaleCount(int64_t base, double scale)
     return scaled > 1 ? scaled : 1;
 }
 
+/** @throws UserError unless 0 <= @p index < @p size. */
+void
+checkIndex(int64_t index, int64_t size)
+{
+    if (index < 0 || index >= size)
+        fatal(format("dse: config index %lld out of range [0, %lld)",
+                     static_cast<long long>(index),
+                     static_cast<long long>(size)));
+}
+
 } // namespace
 
 ConfigSpace::Kind
@@ -115,10 +125,7 @@ ConfigSpace::baseIndex() const
 std::vector<int>
 ConfigSpace::coords(int64_t index) const
 {
-    if (index < 0 || index >= size())
-        fatal(format("dse: config index %lld out of range [0, %lld)",
-                     static_cast<long long>(index),
-                     static_cast<long long>(size())));
+    checkIndex(index, size());
     std::vector<int> digits;
     digits.reserve(axes_.size());
     for (const auto &axis : axes_) {
@@ -132,12 +139,15 @@ ConfigSpace::coords(int64_t index) const
 target::MachineConfig
 ConfigSpace::machineAt(int64_t index) const
 {
-    const auto digits = coords(index);
+    checkIndex(index, size());
     target::MachineConfig m = base_;
     double su = 1.0, sf = 1.0, sd = 1.0, sk = 1.0;
-    for (size_t a = 0; a < axes_.size(); ++a) {
-        const Axis &axis = axes_[a];
-        const double scale = axis.scales[static_cast<size_t>(digits[a])];
+    // Mixed-radix digits, peeled off the index one axis at a time.
+    int64_t rest = index;
+    for (const Axis &axis : axes_) {
+        const auto radix = static_cast<int64_t>(axis.scales.size());
+        const double scale = axis.scales[static_cast<size_t>(rest % radix)];
+        rest /= radix;
         if (axis.name == "units") {
             m.computeUnits = scaleCount(base_.computeUnits, scale);
             su = scale;
@@ -191,14 +201,17 @@ ConfigSpace::label(int64_t index) const
 std::vector<int64_t>
 ConfigSpace::neighbors(int64_t index) const
 {
-    const auto digits = coords(index);
+    checkIndex(index, size());
     std::vector<int64_t> out;
     int64_t stride = 1;
-    for (size_t a = 0; a < axes_.size(); ++a) {
-        const auto radix = static_cast<int64_t>(axes_[a].scales.size());
-        if (digits[a] > 0)
+    int64_t rest = index;
+    for (const Axis &axis : axes_) {
+        const auto radix = static_cast<int64_t>(axis.scales.size());
+        const int64_t digit = rest % radix;
+        rest /= radix;
+        if (digit > 0)
             out.push_back(index - stride);
-        if (digits[a] + 1 < radix)
+        if (digit + 1 < radix)
             out.push_back(index + stride);
         stride *= radix;
     }

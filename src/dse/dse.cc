@@ -1,8 +1,6 @@
 #include "dse/dse.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "core/error.h"
 #include "core/rng.h"
@@ -76,20 +74,27 @@ pricePoint(const ConfigSpace &space, int64_t index,
     return total;
 }
 
-/** The search's view of one point: what halving, refinement, the
- *  Pareto front and the best pick read. */
-EvalPoint
-searchPoint(int64_t index, const target::PerfReport &total)
+/** The search's books for one space index: what halving, refinement,
+ *  the Pareto front and the best pick read. */
+struct Priced
 {
-    EvalPoint point;
-    point.index = index;
-    point.seconds = total.seconds;
-    point.joules = total.joules;
-    point.perfPerWatt = total.joules > 0.0
-                            ? static_cast<double>(total.flops) /
-                                  total.joules
-                            : 0.0;
-    return point;
+    bool evaluated = false;
+    double seconds = 0.0;
+    double joules = 0.0;
+    double perfPerWatt = 0.0; ///< flops / joules
+};
+
+Priced
+searchPoint(const target::PerfReport &total)
+{
+    Priced p;
+    p.evaluated = true;
+    p.seconds = total.seconds;
+    p.joules = total.joules;
+    p.perfPerWatt = total.joules > 0.0
+                        ? static_cast<double>(total.flops) / total.joules
+                        : 0.0;
+    return p;
 }
 
 /** Fills @p point's label and phase attribution from @p ledger, the
@@ -101,9 +106,9 @@ attribute(EvalPoint &point, const ConfigSpace &space,
     point.label = space.label(point.index);
     const target::CostEntry *top = nullptr;
     for (const auto &entry : ledger.entries) {
-        if (entry.phase == "compute")
+        if (entry.phase == target::CostPhase::Compute)
             point.computeSeconds += entry.seconds;
-        else if (entry.phase == "dma")
+        else if (entry.phase == target::CostPhase::Dma)
             point.dmaSeconds += entry.seconds;
         else
             point.overheadSeconds += entry.seconds;
@@ -127,35 +132,46 @@ attribute(EvalPoint &point, const ConfigSpace &space,
  *  product balances both objectives so neither extreme monopolizes the
  *  refinement budget. Ties break on the index for determinism. */
 bool
-scoreLess(const EvalPoint &a, const EvalPoint &b)
+scoreLess(const std::vector<Priced> &books, int64_t a, int64_t b)
 {
-    const double sa = a.seconds * a.joules;
-    const double sb = b.seconds * b.joules;
+    const Priced &pa = books[static_cast<size_t>(a)];
+    const Priced &pb = books[static_cast<size_t>(b)];
+    const double sa = pa.seconds * pa.joules;
+    const double sb = pb.seconds * pb.joules;
     if (sa != sb)
         return sa < sb;
-    return a.index < b.index;
+    return a < b;
 }
 
 /** First random-driver round: @p count distinct indices drawn from a
- *  seeded Rng, always containing the base (factory) index. */
+ *  seeded Rng, always containing the base (factory) index, ascending. */
 std::vector<int64_t>
 sampleIndices(const ConfigSpace &space, int64_t count, uint64_t seed)
 {
-    std::set<int64_t> picked;
-    picked.insert(space.baseIndex());
-    Rng rng(seed);
     const int64_t n = space.size();
+    std::vector<bool> picked(static_cast<size_t>(n), false);
+    picked[static_cast<size_t>(space.baseIndex())] = true;
+    int64_t distinct = 1;
+    Rng rng(seed);
     const int64_t want = std::min(count, n);
     // Bounded rejection sampling: deterministic and cheap because the
     // budget is far below the space size in the regimes that use it.
     int64_t attempts = 0;
-    while (static_cast<int64_t>(picked.size()) < want &&
-           attempts < 64 * count)
-    {
-        picked.insert(rng.uniformInt(n));
+    while (distinct < want && attempts < 64 * count) {
+        const auto index = static_cast<size_t>(rng.uniformInt(n));
+        if (!picked[index]) {
+            picked[index] = true;
+            ++distinct;
+        }
         ++attempts;
     }
-    return {picked.begin(), picked.end()};
+    std::vector<int64_t> out;
+    out.reserve(static_cast<size_t>(distinct));
+    for (int64_t i = 0; i < n; ++i) {
+        if (picked[static_cast<size_t>(i)])
+            out.push_back(i);
+    }
+    return out;
 }
 
 } // namespace
@@ -190,22 +206,24 @@ explore(const std::string &workload_id, const std::string &backend,
         fatal("dse: rounds must be positive");
 
     // Analyses are machine-independent: made once here under the factory
-    // config, then shared read-only by every point's pricing. The search
-    // prices every point from a ledger-free copy; only the printed points
-    // are priced again with the ledger-carrying originals, for their
+    // config, with ledger facts, then shared read-only by every point's
+    // pricing. The search prices every point with their ledgers off;
+    // only the printed points are priced again with ledgers, for their
     // phase attribution. Ledgers never change report totals.
-    std::vector<target::PartitionAnalysis> ledgered;
-    ledgered.reserve(partitions.size());
+    std::vector<target::PartitionAnalysis> analyses;
+    analyses.reserve(partitions.size());
     {
         const target::ProfilingScope profiling;
         const auto analyzer = target::makeBackend(
             backend, space.machineAt(space.baseIndex()));
         for (const lower::Partition *partition : partitions)
-            ledgered.push_back(analyzer->analyze(*partition));
+            analyses.push_back(analyzer->analyze(*partition));
     }
-    std::vector<target::PartitionAnalysis> analyses = ledgered;
-    for (auto &analysis : analyses)
-        analysis.ledger = false;
+    const auto setLedgers = [&](bool on) {
+        for (auto &analysis : analyses)
+            analysis.ledger = on;
+    };
+    setLedgers(false);
 
     auto driver = options.driver;
     if (driver == SearchOptions::Driver::Auto) {
@@ -220,59 +238,70 @@ explore(const std::string &workload_id, const std::string &backend,
     study.backend = backend;
     study.spaceSize = space.size();
 
-    std::map<int64_t, EvalPoint> evaluated;
-    const auto evaluateRound = [&](const std::vector<int64_t> &indices) {
-        for (const int64_t index : indices) {
-            evaluated.emplace(
-                index, searchPoint(index, pricePoint(space, index,
-                                                     partitions, analyses,
-                                                     profile)));
-        }
+    // The books: one record per space index.
+    std::vector<Priced> books(static_cast<size_t>(space.size()));
+    int64_t evaluated = 0;
+    const auto evaluate = [&](int64_t index) {
+        books[static_cast<size_t>(index)] = searchPoint(
+            pricePoint(space, index, partitions, analyses, profile));
+        ++evaluated;
     };
 
     if (driver == SearchOptions::Driver::Grid) {
-        std::vector<int64_t> all(static_cast<size_t>(space.size()));
-        for (size_t i = 0; i < all.size(); ++i)
-            all[i] = static_cast<int64_t>(i);
-        evaluateRound(all);
+        for (int64_t index = 0; index < space.size(); ++index)
+            evaluate(index);
     } else {
         // Seeded sampling, then successive halving: each round keeps
         // the best half (by energy-delay product) of everything seen so
         // far and explores the unvisited neighbors of the survivors.
         auto frontier =
             sampleIndices(space, options.samples, options.seed);
+        std::vector<int64_t> ranked;
         for (int64_t round = 0; round < options.rounds; ++round) {
             if (frontier.empty())
                 break;
-            evaluateRound(frontier);
+            for (const int64_t index : frontier)
+                evaluate(index);
             if (round + 1 >= options.rounds)
                 break;
-            std::vector<const EvalPoint *> ranked;
-            ranked.reserve(evaluated.size());
-            for (const auto &[index, point] : evaluated)
-                ranked.push_back(&point);
+            ranked.clear();
+            for (int64_t index = 0; index < space.size(); ++index) {
+                if (books[static_cast<size_t>(index)].evaluated)
+                    ranked.push_back(index);
+            }
             std::sort(ranked.begin(), ranked.end(),
-                      [](const EvalPoint *a, const EvalPoint *b) {
-                          return scoreLess(*a, *b);
+                      [&](int64_t a, int64_t b) {
+                          return scoreLess(books, a, b);
                       });
             const auto keep = static_cast<size_t>(std::max<int64_t>(
                 2, options.samples >> (round + 1)));
-            std::set<int64_t> next;
+            frontier.clear();
             for (size_t i = 0; i < ranked.size() && i < keep; ++i) {
-                for (const int64_t n :
-                     space.neighbors(ranked[i]->index))
-                {
-                    if (!evaluated.count(n))
-                        next.insert(n);
+                for (const int64_t n : space.neighbors(ranked[i])) {
+                    if (!books[static_cast<size_t>(n)].evaluated)
+                        frontier.push_back(n);
                 }
             }
-            frontier.assign(next.begin(), next.end());
+            std::sort(frontier.begin(), frontier.end());
+            frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                           frontier.end());
         }
     }
 
-    study.points.reserve(evaluated.size());
-    for (auto &[index, point] : evaluated)
-        study.points.push_back(std::move(point));
+    const int64_t base_index = space.baseIndex();
+    study.points.reserve(static_cast<size_t>(evaluated));
+    for (int64_t index = 0; index < space.size(); ++index) {
+        const Priced &p = books[static_cast<size_t>(index)];
+        if (!p.evaluated)
+            continue;
+        if (index == base_index)
+            study.baselinePos = study.points.size();
+        EvalPoint &point = study.points.emplace_back();
+        point.index = index;
+        point.seconds = p.seconds;
+        point.joules = p.joules;
+        point.perfPerWatt = p.perfPerWatt;
+    }
 
     std::vector<Objective> objectives;
     objectives.reserve(study.points.size());
@@ -287,12 +316,6 @@ explore(const std::string &workload_id, const std::string &backend,
                       return pa.seconds < pb.seconds;
                   return pa.index < pb.index;
               });
-
-    const int64_t base_index = space.baseIndex();
-    for (size_t i = 0; i < study.points.size(); ++i) {
-        if (study.points[i].index == base_index)
-            study.baselinePos = i;
-    }
 
     // Best = the front point with the largest combined gain over the
     // factory config (speedup x perf-per-watt improvement); the product
@@ -317,12 +340,15 @@ explore(const std::string &workload_id, const std::string &backend,
 
     // Attribution of the printed points: the front (which holds the
     // best) and the baseline.
-    std::set<size_t> printed(study.front.begin(), study.front.end());
-    printed.insert(study.baselinePos);
+    std::vector<size_t> printed = study.front;
+    if (std::find(printed.begin(), printed.end(), study.baselinePos) ==
+        printed.end())
+        printed.push_back(study.baselinePos);
+    setLedgers(true);
     for (const size_t pos : printed) {
         EvalPoint &point = study.points[pos];
         const target::PerfReport total =
-            pricePoint(space, point.index, partitions, ledgered, profile);
+            pricePoint(space, point.index, partitions, analyses, profile);
         if (!total.ledger || total.seconds != point.seconds ||
             total.joules != point.joules)
         {

@@ -28,9 +28,9 @@ bool dominates(const Objective &a, const Objective &b);
 
 /**
  * Positions of the non-dominated points of @p points, ascending (input
- * order preserved). O(n^2) pairwise dominance — the autotuner evaluates
- * at most a few hundred configs per workload, so simplicity wins over
- * a sort-and-sweep.
+ * order preserved): the same set a pairwise dominates() check over every
+ * pair gives, exact ties included, found in O(n log n) by sorting on
+ * seconds and sweeping the best perf/W seen so far.
  */
 std::vector<size_t> paretoFront(const std::vector<Objective> &points);
 

@@ -49,15 +49,6 @@ IrFragment::str() const
     return out;
 }
 
-int64_t
-AccelProgram::totalFlops() const
-{
-    int64_t n = 0;
-    for (const auto &f : fragments)
-        n += f.flops;
-    return n;
-}
-
 void
 AcceleratorRegistry::add(AcceleratorSpec spec)
 {
@@ -124,7 +115,12 @@ genericTranslate(const ir::Graph &graph, const ir::Node &node)
     auto arg_of = [&](ir::ValueId v) {
         const auto &md = graph.value(v).md;
         TensorArg arg;
-        arg.name = md.name.empty() ? "%" + std::to_string(v) : md.name;
+        if (md.name.empty()) {
+            arg.name += '%';
+            arg.name += std::to_string(v);
+        } else {
+            arg.name = md.name;
+        }
         arg.shape = md.shape;
         arg.dtype = md.dtype;
         arg.kind = md.kind;

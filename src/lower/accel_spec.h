@@ -76,8 +76,6 @@ struct AccelProgram
     std::string accel;
     Domain domain = Domain::None;
     std::vector<IrFragment> fragments;
-
-    int64_t totalFlops() const;
 };
 
 /** Translation function: given the graph and one supported node, produce

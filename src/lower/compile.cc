@@ -104,7 +104,12 @@ argOf(const Graph &graph, ValueId v)
 {
     const auto &md = graph.value(v).md;
     TensorArg arg;
-    arg.name = md.name.empty() ? "%" + std::to_string(v) : md.name;
+    if (md.name.empty()) {
+        arg.name += '%';
+        arg.name += std::to_string(v);
+    } else {
+        arg.name = md.name;
+    }
     arg.shape = md.shape;
     arg.dtype = md.dtype;
     arg.kind = md.kind;

@@ -97,38 +97,6 @@ Program::findReduction(const std::string &name) const
     return nullptr;
 }
 
-ExprPtr
-cloneExpr(const Expr &e)
-{
-    auto out = std::make_unique<Expr>();
-    out->kind = e.kind;
-    out->loc = e.loc;
-    out->value = e.value;
-    out->isIntLit = e.isIntLit;
-    out->name = e.name;
-    out->unaryOp = e.unaryOp;
-    out->binaryOp = e.binaryOp;
-    for (const auto &a : e.args)
-        out->args.push_back(cloneExpr(*a));
-    if (e.lhs)
-        out->lhs = cloneExpr(*e.lhs);
-    if (e.rhs)
-        out->rhs = cloneExpr(*e.rhs);
-    if (e.third)
-        out->third = cloneExpr(*e.third);
-    for (const auto &ax : e.axes) {
-        ReduceAxis axis;
-        axis.index = ax.index;
-        axis.loc = ax.loc;
-        if (ax.cond)
-            axis.cond = cloneExpr(*ax.cond);
-        out->axes.push_back(std::move(axis));
-    }
-    if (e.body)
-        out->body = cloneExpr(*e.body);
-    return out;
-}
-
 std::string
 exprToString(const Expr &e)
 {
@@ -139,18 +107,38 @@ exprToString(const Expr &e)
         return std::to_string(e.value);
       case ExprKind::Ref: {
         std::string out = e.name;
-        for (const auto &ix : e.args)
-            out += "[" + exprToString(*ix) + "]";
+        for (const auto &ix : e.args) {
+            out += '[';
+            out += exprToString(*ix);
+            out += ']';
+        }
         return out;
       }
-      case ExprKind::Unary:
-        return toString(e.unaryOp) + exprToString(*e.lhs);
-      case ExprKind::Binary:
-        return "(" + exprToString(*e.lhs) + " " + toString(e.binaryOp) +
-               " " + exprToString(*e.rhs) + ")";
-      case ExprKind::Ternary:
-        return "(" + exprToString(*e.lhs) + " ? " + exprToString(*e.rhs) +
-               " : " + exprToString(*e.third) + ")";
+      case ExprKind::Unary: {
+        std::string out = toString(e.unaryOp);
+        out += exprToString(*e.lhs);
+        return out;
+      }
+      case ExprKind::Binary: {
+        std::string out = "(";
+        out += exprToString(*e.lhs);
+        out += ' ';
+        out += toString(e.binaryOp);
+        out += ' ';
+        out += exprToString(*e.rhs);
+        out += ')';
+        return out;
+      }
+      case ExprKind::Ternary: {
+        std::string out = "(";
+        out += exprToString(*e.lhs);
+        out += " ? ";
+        out += exprToString(*e.rhs);
+        out += " : ";
+        out += exprToString(*e.third);
+        out += ')';
+        return out;
+      }
       case ExprKind::Call: {
         std::string out = e.name + "(";
         for (size_t i = 0; i < e.args.size(); ++i) {

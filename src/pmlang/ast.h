@@ -206,9 +206,6 @@ struct Program
     const ReductionDecl *findReduction(const std::string &name) const;
 };
 
-/** Deep-copies an expression tree. */
-ExprPtr cloneExpr(const Expr &e);
-
 /** Renders an expression back to PMLang-like text (for diagnostics/tests). */
 std::string exprToString(const Expr &e);
 

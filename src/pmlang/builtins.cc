@@ -47,18 +47,6 @@ isBuiltinReduction(const std::string &name)
     return name == "sum" || name == "prod" || name == "max" || name == "min";
 }
 
-const std::vector<std::string> &
-builtinFunctionNames()
-{
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> out;
-        for (const auto &[name, arity] : functionTable())
-            out.push_back(name);
-        return out;
-    }();
-    return names;
-}
-
 double
 evalBuiltin1(const std::string &name, double x)
 {
@@ -90,18 +78,6 @@ evalBuiltin2(const std::string &name, double a, double b)
     if (name == "min") return a < b ? a : b;
     if (name == "max") return a > b ? a : b;
     panic("evalBuiltin2(): unknown builtin " + name);
-}
-
-std::complex<double>
-evalBuiltin1Complex(const std::string &name, std::complex<double> x)
-{
-    if (name == "exp") return std::exp(x);
-    if (name == "sqrt") return std::sqrt(x);
-    if (name == "abs") return {std::abs(x), 0.0};
-    if (name == "conj") return std::conj(x);
-    if (name == "re") return {x.real(), 0.0};
-    if (name == "im") return {x.imag(), 0.0};
-    fatal("builtin '" + name + "' is not defined for complex operands");
 }
 
 double

@@ -8,8 +8,11 @@ std::string
 dimsText(const std::vector<ExprPtr> &dims)
 {
     std::string out;
-    for (const auto &d : dims)
-        out += "[" + exprToString(*d) + "]";
+    for (const auto &d : dims) {
+        out += '[';
+        out += exprToString(*d);
+        out += ']';
+    }
     return out;
 }
 
@@ -42,8 +45,11 @@ formatStmt(const Stmt &stmt, int indent)
       }
       case StmtKind::Assign: {
         std::string out = pad + stmt.target;
-        for (const auto &ix : stmt.targetIndices)
-            out += "[" + exprToString(*ix) + "]";
+        for (const auto &ix : stmt.targetIndices) {
+            out += '[';
+            out += exprToString(*ix);
+            out += ']';
+        }
         return out + " = " + exprToString(*stmt.value) + ";\n";
       }
       case StmtKind::Call: {

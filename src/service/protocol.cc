@@ -218,7 +218,8 @@ Request::json() const
                 doc += ",";
             first = false;
             json::appendQuoted(doc, name);
-            doc += ":" + std::to_string(value);
+            doc += ':';
+            doc += std::to_string(value);
         }
         doc += "}";
     }
@@ -335,7 +336,8 @@ Response::json() const
                 doc += ",";
             first = false;
             json::appendQuoted(doc, name);
-            doc += ":" + json::numberToJson(value);
+            doc += ':';
+            doc += json::numberToJson(value);
         }
         doc += "}";
     }

@@ -15,6 +15,9 @@ SocRuntime::SocRuntime(std::vector<std::unique_ptr<Backend>> backends,
       faults_(std::move(faults))
 {
     config_.validate();
+    names_.reserve(backends_.size());
+    for (const auto &backend : backends_)
+        names_.push_back(backend->name());
 }
 
 PerfReport
@@ -72,7 +75,8 @@ SocRuntime::accelPartitionRun(const lower::Partition &partition,
         // this ledger until the run is copied out. The moved bytes are
         // already attributed to the backend's own dma entries, so this
         // entry carries time and energy only.
-        auto &e = run.part.ledger->add("soc:dma setup+placement", "dma");
+        auto &e = run.part.ledger->add("soc:dma setup+placement",
+                                       target::CostPhase::Dma);
         e.seconds = run.transferSeconds;
         e.joules = run.transferJoules;
         e.bound = target::BoundClass::Memory;

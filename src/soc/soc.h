@@ -132,6 +132,11 @@ class SocRuntime
         return backends_;
     }
 
+    /** Backend::name() of each of backends(), in order: made once here,
+     *  because the engine looks a backend up by name for every partition
+     *  it places. */
+    const std::vector<std::string> &backendNames() const { return names_; }
+
     const target::SocConfig &config() const { return config_; }
 
     // runPartition() and finalizeTotals() are the whole pricing model;
@@ -190,6 +195,7 @@ class SocRuntime
                                    const WorkloadProfile &profile) const;
 
     std::vector<std::unique_ptr<Backend>> backends_;
+    std::vector<std::string> names_;
     target::SocConfig config_;
     target::CpuModel host_;
     FaultModel faults_;

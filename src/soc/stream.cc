@@ -146,10 +146,16 @@ struct Service
     double seconds() const { return run.part.seconds; }
 };
 
+/** Resource slot of the host CPU; slot k >= 1 is the runtime's backend
+ *  k-1. */
+constexpr int kHostResource = 0;
+
 /** A backend (or the host CPU) as a serially-reusable resource. */
 struct Resource
 {
-    std::string name;
+    int slot = kHostResource;
+    /** lower::kHostAccel or the backend's name, owned by the runtime. */
+    const char *name = lower::kHostAccel;
     const Backend *backend = nullptr; ///< null = host CPU
     double outageUntil = 0.0;
     bool busy = false;
@@ -185,8 +191,6 @@ struct Event
     auto operator<=>(const Event &) const = default;
 };
 
-constexpr int kHostResource = 0;
-
 /**
  * The SoC's one execution engine: jobs arrive over virtual time, each
  * job's partitions run in order, and the host CPU and every backend
@@ -209,7 +213,10 @@ struct Engine
     int maxPending = 0;
     double dispatchSeconds = 0.0;
 
-    std::vector<Resource> resources; ///< [0] = host, then backends
+    /** The resources the run has used, built on first use (resource()):
+     *  a one-job run builds only those its partitions touch. */
+    std::vector<Resource> resources;
+    int slots = 0; ///< the host and the runtime's backends
     std::vector<JobState> states;    ///< indexed by arrival order
     std::priority_queue<Event, std::vector<Event>, std::greater<>> heap;
     int64_t nextSeq = 0;
@@ -234,13 +241,50 @@ struct Engine
         dispatchSeconds = soc.streamDispatchUs * 1e-6;
         trace = timeline && recorder.enabled();
 
-        resources.reserve(rt.backends().size() + 1);
-        resources.emplace_back().name = lower::kHostAccel;
-        for (const auto &backend : rt.backends()) {
-            Resource &r = resources.emplace_back();
-            r.name = backend->name();
-            r.backend = backend.get();
+        slots = static_cast<int>(rt.backends().size()) + 1;
+        // Never reallocated: a reference to a resource stays valid while
+        // another is built.
+        resources.reserve(static_cast<size_t>(slots));
+    }
+
+    /** Slot @p ri's resource if the run has built it, else null. */
+    const Resource *built(int ri) const
+    {
+        for (const Resource &r : resources) {
+            if (r.slot == ri)
+                return &r;
         }
+        return nullptr;
+    }
+
+    /** lower::kHostAccel or the name of slot @p ri's backend. */
+    const char *slotName(int ri) const
+    {
+        return ri == kHostResource
+                   ? lower::kHostAccel
+                   : rt.backendNames()[static_cast<size_t>(ri - 1)].c_str();
+    }
+
+    /** Slot @p ri's resource, built on first use. */
+    Resource &resource(int ri)
+    {
+        for (Resource &r : resources) {
+            if (r.slot == ri)
+                return r;
+        }
+        Resource &r = resources.emplace_back();
+        r.slot = ri;
+        r.name = slotName(ri);
+        if (ri != kHostResource)
+            r.backend = rt.backends()[static_cast<size_t>(ri - 1)].get();
+        return r;
+    }
+
+    /** End of slot @p ri's outage; a resource not built has had none. */
+    double outageUntil(int ri) const
+    {
+        const Resource *r = built(ri);
+        return r ? r->outageUntil : 0.0;
     }
 
     /** Virtual track of @p r, named on first use so a trace holds
@@ -249,7 +293,8 @@ struct Engine
     {
         if (r.vtrack < 0) {
             r.vtrack = recorder.newVirtualTrack();
-            recorder.nameVirtualTrack(r.vtrack, "soc: " + r.name);
+            recorder.nameVirtualTrack(r.vtrack,
+                                      std::string("soc: ") + r.name);
         }
         return r.vtrack;
     }
@@ -365,9 +410,10 @@ struct Engine
     int homeOf(const lower::Partition &partition, bool offload) const
     {
         if (offload) {
-            for (size_t ri = 1; ri < resources.size(); ++ri) {
-                if (resources[ri].name == partition.accel)
-                    return static_cast<int>(ri);
+            const auto &names = rt.backendNames();
+            for (size_t k = 0; k < names.size(); ++k) {
+                if (names[k] == partition.accel)
+                    return static_cast<int>(k) + 1;
             }
         }
         return -1;
@@ -387,7 +433,7 @@ struct Engine
                                 offloads(partition, *spec.accelerated));
         if (home < 0)
             return {kHostResource, entry};
-        if (resources[static_cast<size_t>(home)].outageUntil <= t)
+        if (outageUntil(home) <= t)
             return {home, entry};
 
         // Online rescheduling: the home backend is down. Any other
@@ -396,21 +442,23 @@ struct Engine
         entry.migrated = true;
         ++job.out.migrations;
         ++report.migrations;
-        for (size_t ri = 1; ri < resources.size(); ++ri) {
-            Resource &r = resources[ri];
+        for (int ri = 1; ri < slots; ++ri) {
             // Specs are built here, not per run: only a migration
             // reads them.
-            if (static_cast<int>(ri) == home || r.outageUntil > t ||
-                !r.backend->spec().supportedOps.containsAll(partition.ops))
+            if (ri == home || outageUntil(ri) > t ||
+                !rt.backends()[static_cast<size_t>(ri - 1)]
+                     ->spec()
+                     .supportedOps.containsAll(partition.ops))
                 continue;
             if (trace) {
+                Resource &r = resource(ri);
                 recorder.virtualInstant(
                     format("migrate job%d/p%zu -> %s", job.index,
-                           job.next, r.name.c_str()),
+                           job.next, r.name),
                     "fault", track(r), t,
                     {obs::TraceArg::num("job", job.index)});
             }
-            return {static_cast<int>(ri), entry};
+            return {ri, entry};
         }
         entry.degraded = true;
         if (job.faults.enabled())
@@ -421,7 +469,7 @@ struct Engine
     void enqueue(JobState &job, double t)
     {
         auto [ri, entry] = chooseResource(job, t);
-        resources[static_cast<size_t>(ri)].queue.push_back(entry);
+        resource(ri).queue.push_back(entry);
         kick(ri, t);
     }
 
@@ -452,7 +500,7 @@ struct Engine
      */
     void kick(int ri, double t)
     {
-        Resource &r = resources[static_cast<size_t>(ri)];
+        Resource &r = resource(ri);
         while (!r.busy && !r.queue.empty()) {
             const QueueEntry entry = r.queue.front();
             r.queue.pop_front();
@@ -464,7 +512,7 @@ struct Engine
 
             // A queued job can cross its deadline before being served.
             if (enforceDeadline(job, t, [&] {
-                    return format("in the %s queue", r.name.c_str());
+                    return format("in the %s queue", r.name);
                 }))
                 continue;
 
@@ -494,7 +542,8 @@ struct Engine
                     partition.accel, 0, nri == kHostResource});
                 if (trace) {
                     recorder.virtualSpan(
-                        "outage " + r.name, "fault", track(r), t,
+                        std::string("outage ") + r.name, "fault",
+                        track(r), t,
                         rt.config().streamOutageSeconds,
                         {obs::TraceArg::num("job", job.index),
                          obs::TraceArg::num("partition", p)});
@@ -504,8 +553,7 @@ struct Engine
                 // queue behind it onto healthy resources.
                 std::list<QueueEntry> displaced;
                 displaced.swap(r.queue);
-                resources[static_cast<size_t>(nri)].queue.push_back(
-                    nentry);
+                resource(nri).queue.push_back(nentry);
                 kick(nri, t);
                 for (const QueueEntry &moved : displaced)
                     enqueue(states[static_cast<size_t>(moved.job)], t);
@@ -621,7 +669,7 @@ struct Engine
         JobState &job = states[static_cast<size_t>(j)];
         Service &service = job.service;
         const int ri = service.resource;
-        Resource &r = resources[static_cast<size_t>(ri)];
+        Resource &r = resource(ri);
         r.busy = false;
         r.busySeconds += service.seconds();
         const auto &partition = specOf(job).program->partitions[job.next];
@@ -881,13 +929,16 @@ StreamScheduler::run(const std::vector<StreamJob> &templates) const
         .add(report.deadlineMisses);
     // Per-backend occupancy over the run's virtual-time makespan:
     // last-run gauges the service's metrics verb exports alongside its
-    // sliding-window rates.
-    for (const Resource &r : engine.resources) {
+    // sliding-window rates, for every slot, used or not.
+    for (int ri = 0; ri < engine.slots; ++ri) {
+        const Resource *r = engine.built(ri);
         const double occupancy =
-            report.makespanSeconds > 0.0
-                ? r.busySeconds / report.makespanSeconds
+            r && report.makespanSeconds > 0.0
+                ? r->busySeconds / report.makespanSeconds
                 : 0.0;
-        metrics.gauge("soc.stream.occupancy." + r.name).set(occupancy);
+        metrics.gauge(std::string("soc.stream.occupancy.") +
+                      engine.slotName(ri))
+            .set(occupancy);
     }
     return report;
 }

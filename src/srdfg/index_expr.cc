@@ -192,10 +192,23 @@ IndexExpr::str(std::span<const std::string> names) const
     auto name_of = [&](int slot) {
         if (static_cast<size_t>(slot) < names.size())
             return names[static_cast<size_t>(slot)];
-        return "v" + std::to_string(slot);
+        std::string out = "v";
+        out += std::to_string(slot);
+        return out;
+    };
+    // Appends, not operator+ chains: GCC 12 misreads the inlined
+    // prepends of "(" + ... as overlapping copies (-Wrestrict).
+    auto prefixed = [&](const char *prefix, size_t i) {
+        std::string out = prefix;
+        out += child(i).str(names);
+        return out;
     };
     auto bin = [&](const char *op) {
-        return "(" + child(0).str(names) + op + child(1).str(names) + ")";
+        std::string out = prefixed("(", 0);
+        out += op;
+        out += child(1).str(names);
+        out += ')';
+        return out;
     };
     switch (kind_) {
       case Kind::Const: return std::to_string(cval_);
@@ -205,7 +218,7 @@ IndexExpr::str(std::span<const std::string> names) const
       case Kind::Mul: return bin("*");
       case Kind::Div: return bin("/");
       case Kind::Mod: return bin("%");
-      case Kind::Neg: return "-" + child(0).str(names);
+      case Kind::Neg: return prefixed("-", 0);
       case Kind::Lt: return bin(" < ");
       case Kind::Le: return bin(" <= ");
       case Kind::Gt: return bin(" > ");
@@ -214,10 +227,16 @@ IndexExpr::str(std::span<const std::string> names) const
       case Kind::Ne: return bin(" != ");
       case Kind::And: return bin(" && ");
       case Kind::Or: return bin(" || ");
-      case Kind::Not: return "!" + child(0).str(names);
-      case Kind::Select:
-        return "(" + child(0).str(names) + " ? " + child(1).str(names) +
-               " : " + child(2).str(names) + ")";
+      case Kind::Not: return prefixed("!", 0);
+      case Kind::Select: {
+        std::string out = prefixed("(", 0);
+        out += " ? ";
+        out += child(1).str(names);
+        out += " : ";
+        out += child(2).str(names);
+        out += ')';
+        return out;
+      }
     }
     panic("unhandled IndexExpr kind");
 }

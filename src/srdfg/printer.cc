@@ -21,8 +21,11 @@ accessStr(const Graph &graph, const Access &a,
         v.md.name.empty() ? "%" + std::to_string(v.id) : v.md.name;
     if (!v.md.name.empty())
         out += "@" + std::to_string(v.id);
-    for (const auto &c : cs)
-        out += "[" + c.str(var_names) + "]";
+    for (const auto &c : cs) {
+        out += '[';
+        out += c.str(var_names);
+        out += ']';
+    }
     return out;
 }
 
@@ -67,7 +70,8 @@ printLevel(const Graph &graph, const PrintOptions &opts, int depth,
                     *out += dvars[i].name;
                     if (dvars[i].reduced)
                         *out += "!";
-                    *out += ":" + std::to_string(dvars[i].extent);
+                    *out += ':';
+                    *out += std::to_string(dvars[i].extent);
                 }
                 *out += "}";
             }

@@ -1,5 +1,6 @@
 #include "targets/common/backend.h"
 
+#include <algorithm>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -42,6 +43,84 @@ Backend::simulateCallsCounter(const std::string &name)
         "backend." + name + ".simulate_calls");
 }
 
+namespace {
+
+// Opcodes compare as string_views: lengths first, then bytes.
+
+bool
+isMove(const lower::IrFragment &frag)
+{
+    const std::string_view op = frag.opcode;
+    return op == "tload" || op == "tstore";
+}
+
+/** DNN layers that run on a GEMM core (TVM-VTA); the other layers are
+ *  vector ops. */
+bool
+isGemmLayer(std::string_view opcode)
+{
+    return opcode == "conv2d" || opcode == "conv2d_dw" ||
+           opcode == "dense";
+}
+
+/** Edge-domain fragments iterate a (dst x src) domain or fold neighbors;
+ *  vertex-domain fragments iterate one vertex axis. */
+bool
+isEdgeDomain(const lower::IrFragment &frag)
+{
+    return frag.attrs.count("dim1") > 0 ||
+           frag.attrs.count("reduce_extent") > 0;
+}
+
+/** Scalar ops per domain point of a fragment. */
+double
+opsPerPoint(const lower::IrFragment &frag)
+{
+    double points = 1.0;
+    for (const auto &[key, v] : frag.attrs) {
+        if (key.rfind("dim", 0) == 0)
+            points *= static_cast<double>(v);
+    }
+    if (points <= 0)
+        return 0.0;
+    return static_cast<double>(frag.flops) / points;
+}
+
+/** Max/mean work of the levels that have work; 1.0 when none has. */
+double
+stageImbalance(const PartitionAnalysis &a)
+{
+    double max_work = 0.0;
+    double total = 0.0;
+    int64_t stages = 0;
+    for (const auto &level : a.levels) {
+        double w = 0.0;
+        for (const int index : level)
+            w += static_cast<double>(
+                a.fragments[static_cast<size_t>(index)].work);
+        if (w <= 0)
+            continue;
+        max_work = std::max(max_work, w);
+        total += w;
+        ++stages;
+    }
+    if (stages == 0 || total <= 0)
+        return 1.0;
+    return max_work / (total / static_cast<double>(stages));
+}
+
+} // namespace
+
+bool
+AnalysisNeeds::covers(const AnalysisNeeds &wanted) const
+{
+    return (work || !wanted.work) && (invariance || !wanted.invariance) &&
+           (reduce || !wanted.reduce) && (levels || !wanted.levels) &&
+           (layers || !wanted.layers) && (points || !wanted.points) &&
+           (elements || !wanted.elements) &&
+           (imbalance || !wanted.imbalance);
+}
+
 PartitionAnalysis
 Backend::analyze(const lower::Partition &partition) const
 {
@@ -50,37 +129,68 @@ Backend::analyze(const lower::Partition &partition) const
     a.ledger = profilingEnabled() || ProfilingScope::active();
     a.fragmentCount = partition.fragments.size();
     a.dma = dmaBreakdown(partition);
+    a.flops = partition.flops();
     if (a.needs.levels)
         a.levels = fragmentLevels(partition);
-    if (!a.needs.work && !a.needs.invariance && !a.needs.reduce &&
-        !a.ledger)
-    {
-        return a;
-    }
     a.fragments.resize(partition.fragments.size());
+    if (a.ledger)
+        a.ledgerFacts.resize(partition.fragments.size());
     std::vector<bool> invariant;
     if (a.needs.invariance)
         invariant = invariantFragments(partition);
+    double weight_bytes = 0.0, activation_bytes = 0.0;
+    double ops_per_edge = 0.0, ops_per_vertex = 0.0;
     for (size_t i = 0; i < partition.fragments.size(); ++i) {
         const lower::IrFragment &frag = partition.fragments[i];
         PartitionAnalysis::Fragment &f = a.fragments[i];
-        f.move = frag.opcode == "tload" || frag.opcode == "tstore";
+        f.flops = frag.flops;
+        f.move = isMove(frag);
         if (a.needs.work)
             f.work = fragmentWork(frag);
         if (a.needs.invariance)
             f.invariant = invariant[i];
         if (a.needs.reduce)
             f.reduce = frag.attrs.count("reduce_extent") > 0;
-        if (a.ledger) {
-            f.label = frag.opcode;
-            if (!frag.outputs.empty())
-                f.label += "(" + frag.outputs.front().name + ")";
-            for (const auto &in : frag.inputs)
-                f.touchedBytes += static_cast<double>(in.accelBytes());
+        if (a.needs.elements) {
+            auto it = frag.attrs.find("elements");
+            if (it != frag.attrs.end())
+                f.elements = it->second;
+        }
+        if (a.needs.layers && !f.move) {
+            f.gemm = isGemmLayer(frag.opcode);
+            for (const auto &in : frag.inputs) {
+                (in.kind == ir::EdgeKind::Param ? weight_bytes
+                                                : activation_bytes) +=
+                    static_cast<double>(in.shape.numel());
+            }
             for (const auto &out : frag.outputs)
-                f.touchedBytes += static_cast<double>(out.accelBytes());
+                activation_bytes += static_cast<double>(out.shape.numel());
+        }
+        if (a.needs.points && !f.move) {
+            f.edge = isEdgeDomain(frag);
+            f.opsPerPoint = opsPerPoint(frag);
+            (f.edge ? ops_per_edge : ops_per_vertex) += f.opsPerPoint;
+        }
+        if (a.ledger) {
+            PartitionAnalysis::LedgerFacts &l = a.ledgerFacts[i];
+            l.label = frag.opcode;
+            if (!frag.outputs.empty()) {
+                l.label += '(';
+                l.label += frag.outputs.front().name;
+                l.label += ')';
+            }
+            for (const auto &in : frag.inputs)
+                l.touchedBytes += static_cast<double>(in.accelBytes());
+            for (const auto &out : frag.outputs)
+                l.touchedBytes += static_cast<double>(out.accelBytes());
         }
     }
+    a.weightBytes = weight_bytes;
+    a.activationBytes = activation_bytes;
+    a.opsPerEdge = ops_per_edge;
+    a.opsPerVertex = ops_per_vertex;
+    if (a.needs.imbalance)
+        a.stageImbalance = stageImbalance(a);
     return a;
 }
 
@@ -91,16 +201,16 @@ Backend::simulate(const lower::Partition &partition,
 {
     // Pricing indexes the analysis by fragment: refuse one built for
     // another partition or a backend with fewer needs.
-    const AnalysisNeeds needs = analysisNeeds();
-    const AnalysisNeeds &have = analysis.needs;
     if (analysis.fragmentCount != partition.fragments.size() ||
-        (needs.work && !have.work) ||
-        (needs.invariance && !have.invariance) ||
-        (needs.reduce && !have.reduce) || (needs.levels && !have.levels))
+        !analysis.needs.covers(analysisNeeds()))
     {
         panic(name() + ": simulate() given an analysis of another "
                        "partition or backend");
     }
+    if (analysis.ledger &&
+        analysis.ledgerFacts.size() != analysis.fragmentCount)
+        panic(name() + ": simulate() asked for a ledger of an analysis "
+                       "made without ledger facts");
     simulateCalls().add(1);
     obs::Span span("backend:simulate", "backend");
     if (span.active()) {
@@ -109,7 +219,7 @@ Backend::simulate(const lower::Partition &partition,
                  static_cast<int64_t>(partition.fragments.size()));
         span.arg("invocations", profile.invocations);
     }
-    PerfReport report = simulateImpl(partition, analysis, profile);
+    PerfReport report = simulateImpl(analysis, profile);
     // Every profiled simulation must hand back a ledger whose column sums
     // reproduce the report totals — catch attribution bugs loudly here,
     // at the one point all six backends pass through.
@@ -171,24 +281,10 @@ hostPartitionCost(const lower::Partition &partition,
         double per_edge = 0.0;
         double per_vertex = 0.0;
         for (const auto &frag : partition.fragments) {
-            if (frag.opcode == "tload" || frag.opcode == "tstore")
+            if (isMove(frag))
                 continue;
-            double points = 1.0;
-            for (const auto &[key, v] : frag.attrs) {
-                if (key.rfind("dim", 0) == 0)
-                    points *= static_cast<double>(v);
-            }
-            const double ops =
-                points > 0
-                    ? static_cast<double>(frag.flops) / points
-                    : 0.0;
-            const bool edge_domain =
-                frag.attrs.count("dim1") > 0 ||
-                frag.attrs.count("reduce_extent") > 0;
-            if (edge_domain)
-                per_edge += ops;
-            else
-                per_vertex += ops;
+            (isEdgeDomain(frag) ? per_edge : per_vertex) +=
+                opsPerPoint(frag);
         }
         const double edges = static_cast<double>(profile.edges);
         const double vertices = static_cast<double>(profile.vertices);
@@ -215,7 +311,7 @@ invariantFragments(const lower::Partition &partition)
     std::vector<bool> out(partition.fragments.size(), false);
     for (size_t i = 0; i < partition.fragments.size(); ++i) {
         const auto &frag = partition.fragments[i];
-        if (frag.opcode == "tload" || frag.opcode == "tstore")
+        if (isMove(frag))
             continue;
         bool invariant = true;
         for (const auto &in : frag.inputs)
@@ -239,7 +335,7 @@ fragmentLevels(const lower::Partition &partition)
     std::vector<std::vector<int>> levels;
     for (size_t i = 0; i < partition.fragments.size(); ++i) {
         const lower::IrFragment &frag = partition.fragments[i];
-        if (frag.opcode == "tload" || frag.opcode == "tstore")
+        if (isMove(frag))
             continue;
         size_t level = 0;
         for (const auto &in : frag.inputs) {

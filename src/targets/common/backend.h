@@ -73,14 +73,24 @@ struct DmaBreakdown
 DmaBreakdown dmaBreakdown(const lower::Partition &partition);
 
 /** The partition facts a backend's pricing reads; Backend::analyze()
- *  computes these and nothing else (the DMA split is always computed:
- *  the SoC runtime reads it for every backend). */
+ *  computes these and nothing else (the DMA split, the flops and each
+ *  fragment's move flag and flops are always computed: the SoC runtime
+ *  reads the split for every backend, and every pricing reads the
+ *  rest). */
 struct AnalysisNeeds
 {
-    bool work = false;       ///< per-fragment move flag + fragmentWork()
+    bool work = false;       ///< per-fragment fragmentWork()
     bool invariance = false; ///< per-fragment invariantFragments() mark
     bool reduce = false;     ///< per-fragment `reduce_extent` flag
     bool levels = false;     ///< fragmentLevels()
+    bool layers = false;     ///< GEMM class + weight/activation bytes
+    bool points = false;     ///< ops per domain point + edge/vertex domain
+    bool elements = false;   ///< per-fragment `elements` attribute
+    bool imbalance = false;  ///< stage imbalance (needs work + levels)
+
+    /** Whether an analysis made with these needs carries every fact
+     *  @p wanted asks for. */
+    bool covers(const AnalysisNeeds &wanted) const;
 
     bool operator==(const AnalysisNeeds &) const = default;
 };
@@ -96,38 +106,78 @@ struct PartitionAnalysis
 {
     struct Fragment
     {
+        int64_t flops = 0;      ///< IrFragment::flops
         int64_t work = 0;       ///< fragmentWork()
+        /** The `elements` attribute (needs.elements); 0 when absent. */
+        int64_t elements = 0;
+        /** Scalar ops per domain point (needs.points): flops over the
+         *  product of the `dim*` attributes, 0 when that product is not
+         *  positive. */
+        double opsPerPoint = 0.0;
         bool move = false;      ///< tload/tstore: data movement, no compute
         bool invariant = false; ///< invariantFragments()
         bool reduce = false;    ///< carries a `reduce_extent` attribute
-        /** Ledger facts (only when `ledger`): the entry label
-         *  "opcode(first output)" and the accelerator-side operand plus
-         *  result footprint. */
+        /** Layer class (needs.layers): a GEMM-core layer (conv2d,
+         *  conv2d_dw, dense) rather than a vector op. */
+        bool gemm = false;
+        /** needs.points: an edge-domain fragment (a `dim1` or
+         *  `reduce_extent` attribute) rather than a vertex-domain one. */
+        bool edge = false;
+
+        bool operator==(const Fragment &) const = default;
+    };
+
+    /** What a cost ledger entry says about one fragment: its label
+     *  "opcode(first output)" and the accelerator-side operand plus
+     *  result footprint. */
+    struct LedgerFacts
+    {
         std::string label;
         double touchedBytes = 0.0;
 
-        bool operator==(const Fragment &) const = default;
+        bool operator==(const LedgerFacts &) const = default;
     };
 
     /** What was computed; a pricing may read only these facts. */
     AnalysisNeeds needs;
 
-    /** Whether profiling was on at analysis time: the fragment labels
-     *  and touched bytes are filled, and pricing opens a cost ledger
-     *  (beginLedger) if and only if this is set. */
+    /** Whether profiling was on at analysis time: ledgerFacts is filled,
+     *  and pricing opens a cost ledger (beginLedger) if and only if this
+     *  is set. */
     bool ledger = false;
 
     /** partition.fragments.size() at analysis time. */
     size_t fragmentCount = 0;
 
-    /** Indexed like partition.fragments; empty when no per-fragment
-     *  fact was needed. */
+    /** Indexed like partition.fragments. */
     std::vector<Fragment> fragments;
+
+    /** Indexed like partition.fragments when profiling was on at
+     *  analysis time; empty otherwise. */
+    std::vector<LedgerFacts> ledgerFacts;
 
     /** fragmentLevels(), as indices into partition.fragments. */
     std::vector<std::vector<int>> levels;
 
     DmaBreakdown dma;
+
+    /** partition.flops(). */
+    int64_t flops = 0;
+
+    /** needs.layers: element counts of the non-move fragments' operands
+     *  and results, summed in fragment order, split into param operands
+     *  (weights) and everything else (activations). */
+    double weightBytes = 0.0;
+    double activationBytes = 0.0;
+
+    /** needs.points: opsPerPoint summed, in fragment order, over the
+     *  non-move edge-domain and vertex-domain fragments. */
+    double opsPerEdge = 0.0;
+    double opsPerVertex = 0.0;
+
+    /** needs.imbalance: max/mean work of the levels with work (1.0 =
+     *  perfectly balanced, and when no level has work). */
+    double stageImbalance = 1.0;
 
     bool operator==(const PartitionAnalysis &) const = default;
 };
@@ -145,7 +195,8 @@ struct PartitionAnalysis
  *
  * A cost model runs in two stages (docs/ADDING_A_BACKEND.md §2):
  * analyze() reads only the partition, simulateImpl() prices that
- * analysis under machine() and a WorkloadProfile.
+ * analysis under machine() and a WorkloadProfile, without the
+ * partition.
  */
 class Backend
 {
@@ -209,9 +260,10 @@ class Backend
     virtual AnalysisNeeds analysisNeeds() const { return {}; }
 
     /** The backend's cost model (docs/ADDING_A_BACKEND.md): prices
-     *  @p analysis of @p partition under machine() and @p profile. */
-    virtual PerfReport simulateImpl(const lower::Partition &partition,
-                                    const PartitionAnalysis &analysis,
+     *  @p analysis under machine() and @p profile. It never sees the
+     *  partition: every fact it reads that does not depend on the
+     *  machine is in the analysis. */
+    virtual PerfReport simulateImpl(const PartitionAnalysis &analysis,
                                     const WorkloadProfile &profile)
         const = 0;
 

@@ -61,6 +61,17 @@ toString(BoundClass bound)
     return "?";
 }
 
+const char *
+toString(CostPhase phase)
+{
+    switch (phase) {
+      case CostPhase::Compute: return "compute";
+      case CostPhase::Dma: return "dma";
+      case CostPhase::Overhead: return "overhead";
+    }
+    return "?";
+}
+
 double
 CostEntry::intensity() const
 {
@@ -71,24 +82,26 @@ CostEntry::intensity() const
 }
 
 CostEntry &
-CostLedger::add(std::string label, std::string phase, int fragment)
+CostLedger::add(std::string label, CostPhase phase, int fragment)
 {
     CostEntry entry;
     entry.label = std::move(label);
-    entry.phase = std::move(phase);
+    entry.phase = phase;
     entry.fragment = fragment;
     entries.push_back(std::move(entry));
     return entries.back();
 }
 
 CostEntry &
-CostLedger::addFragment(int index, const std::string &label, double flops,
-                        double touched_bytes, double raw_seconds)
+CostLedger::addFragment(const PartitionAnalysis &analysis, size_t index,
+                        double flops, double raw_seconds)
 {
-    CostEntry &entry = add(label, "compute", index);
+    const PartitionAnalysis::LedgerFacts &facts = analysis.ledgerFacts[index];
+    CostEntry &entry =
+        add(facts.label, CostPhase::Compute, static_cast<int>(index));
     entry.seconds = raw_seconds;
     entry.flops = flops;
-    entry.touchedBytes = touched_bytes;
+    entry.touchedBytes = facts.touchedBytes;
     return entry;
 }
 
@@ -99,7 +112,7 @@ CostLedger::addComputeResidual(const char *label, double raw_seconds)
     // only record a real scheduling cost.
     if (raw_seconds <= 0)
         return;
-    CostEntry &entry = add(label, "compute");
+    CostEntry &entry = add(label, CostPhase::Compute);
     entry.seconds = raw_seconds;
     entry.bound = BoundClass::Overhead;
 }
@@ -110,13 +123,13 @@ CostLedger::addDma(double one_time_bytes, double per_run_bytes,
 {
     const double bw = dram_gbs * 1e9;
     if (one_time_bytes > 0) {
-        CostEntry &once = add("dma:param/state placement", "dma");
+        CostEntry &once = add("dma:param/state placement", CostPhase::Dma);
         once.dramBytes = one_time_bytes;
         once.seconds = bw > 0 ? one_time_bytes / bw : 0.0;
         once.bound = BoundClass::Memory;
     }
     if (per_run_bytes > 0) {
-        CostEntry &stream = add("dma:per-run streams", "dma");
+        CostEntry &stream = add("dma:per-run streams", CostPhase::Dma);
         stream.dramBytes = per_run_bytes;
         stream.seconds = bw > 0 ? per_run_bytes / bw : 0.0;
         stream.bound = BoundClass::Memory;
@@ -128,7 +141,7 @@ CostLedger::addOverhead(double raw_seconds)
 {
     if (raw_seconds <= 0)
         return;
-    CostEntry &entry = add("launch/dispatch", "overhead");
+    CostEntry &entry = add("launch/dispatch", CostPhase::Overhead);
     entry.seconds = raw_seconds;
     entry.bound = BoundClass::Overhead;
 }
@@ -164,6 +177,8 @@ beginLedger(PerfReport &report, const PartitionAnalysis &analysis)
         return nullptr;
     report.ledger = std::make_shared<CostLedger>();
     report.ledger->machine = report.machine;
+    // One entry per fragment at most, plus a few phase-level ones.
+    report.ledger->entries.reserve(analysis.fragmentCount + 4);
     return report.ledger.get();
 }
 
@@ -203,7 +218,7 @@ finalizeLedger(PerfReport &report, const MachineConfig &machine)
     // A backend that found nothing to attribute (empty partition) still
     // satisfies the invariant via one catch-all entry.
     if (ledger.entries.empty()) {
-        CostEntry &all = ledger.add("partition", "compute");
+        CostEntry &all = ledger.add("partition", CostPhase::Compute);
         all.seconds = 1.0; // raw weight; rescaled below
     }
     CostEntry *first = &ledger.entries.front();
@@ -310,11 +325,18 @@ std::string
 entryLabel(const CostEntry &e, const CostLedger &ledger)
 {
     std::string label;
-    if (ledger.partitionCount > 0 && e.partition >= 0)
-        label += "p" + std::to_string(e.partition) + ":";
-    if (e.fragment >= 0)
-        label += "#" + std::to_string(e.fragment) + " ";
-    return label + e.label;
+    if (ledger.partitionCount > 0 && e.partition >= 0) {
+        label += 'p';
+        label += std::to_string(e.partition);
+        label += ':';
+    }
+    if (e.fragment >= 0) {
+        label += '#';
+        label += std::to_string(e.fragment);
+        label += ' ';
+    }
+    label += e.label;
+    return label;
 }
 
 } // namespace
@@ -345,7 +367,7 @@ profileTable(const PerfReport &report, int top_n)
         const double epct =
             report.joules > 0 ? e->joules / report.joules : 0.0;
         const double ai = e->intensity();
-        table.addRow({entryLabel(*e, ledger), e->phase,
+        table.addRow({entryLabel(*e, ledger), toString(e->phase),
                       report::percent(tpct), report::percent(epct),
                       formatG(e->flops, 4),
                       std::isinf(ai) ? "-" : formatG(ai, 3),
@@ -388,7 +410,7 @@ profileJson(const PerfReport &report)
             if (i)
                 out += ",";
             out += "{\"label\":" + json::quote(e.label);
-            out += ",\"phase\":" + json::quote(e.phase);
+            out += ",\"phase\":" + json::quote(toString(e.phase));
             out += ",\"fragment\":" + std::to_string(e.fragment);
             if (ledger.partitionCount > 0)
                 out += ",\"partition\":" + std::to_string(e.partition);

@@ -76,6 +76,19 @@ enum class BoundClass
 
 const char *toString(BoundClass bound);
 
+/** What share of the schedule a ledger entry is: a fragment's or the
+ *  scheduler's compute, data movement, or launch/dispatch. */
+enum class CostPhase : uint8_t
+{
+    Compute,
+    Dma,
+    Overhead,
+};
+
+/** "compute", "dma" or "overhead": the phase column of the profile
+ *  table and the `phase` field of polymath-profile/1. */
+const char *toString(CostPhase phase);
+
 /** One attributed slice of a partition's simulated cost. */
 struct CostEntry
 {
@@ -83,8 +96,7 @@ struct CostEntry
      *  cost it represents ("dma:per-run", "launch", "reduce-tree+bus"). */
     std::string label;
 
-    /** Attribution phase: "compute", "dma", or "overhead". */
-    std::string phase;
+    CostPhase phase = CostPhase::Compute;
 
     /** Index into the partition's fragments; -1 for phase-level costs. */
     int fragment = -1;
@@ -129,26 +141,25 @@ struct CostLedger
     std::vector<CostEntry> entries;
 
     /** Appends a raw entry (backend population API). */
-    CostEntry &add(std::string label, std::string phase, int fragment = -1);
+    CostEntry &add(std::string label, CostPhase phase, int fragment = -1);
 
-    /** Raw-entry helper for one IR fragment, from the facts
-     *  Backend::analyze() precomputed: its "opcode(first output)" label,
-     *  its flop weight, and its accelerator-side operand/result
-     *  footprint (touchedBytes). */
-    CostEntry &addFragment(int index, const std::string &label,
-                           double flops, double touched_bytes,
-                           double raw_seconds);
+    /** Raw-entry helper for fragment @p index of a partition, labelled
+     *  from the ledger facts Backend::analyze() gathered in @p analysis
+     *  (its "opcode(first output)" label and accelerator-side
+     *  operand/result footprint, touchedBytes), with its flop weight. */
+    CostEntry &addFragment(const PartitionAnalysis &analysis, size_t index,
+                           double flops, double raw_seconds);
 
-    /** Adds a phase="compute" overhead entry (scheduler/pipeline cost not
+    /** Adds a compute-phase overhead entry (scheduler/pipeline cost not
      *  attributable to a single fragment) when @p raw_seconds > 0. */
     void addComputeResidual(const char *label, double raw_seconds);
 
-    /** Adds phase="dma" entries for a partition's one-time (param/state
+    /** Adds dma-phase entries for a partition's one-time (param/state
      *  placement) and per-run streams at @p dram_gbs bandwidth. */
     void addDma(double one_time_bytes, double per_run_bytes,
                 double dram_gbs);
 
-    /** Adds the phase="overhead" launch/dispatch entry when > 0. */
+    /** Adds the overhead-phase launch/dispatch entry when > 0. */
     void addOverhead(double raw_seconds);
 
     struct Totals

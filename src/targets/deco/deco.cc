@@ -26,29 +26,6 @@ DecoBackend::spec() const
     return s;
 }
 
-double
-DecoBackend::stageImbalance(const PartitionAnalysis &analysis)
-{
-    double max_work = 0.0;
-    double total = 0.0;
-    int64_t stages = 0;
-    for (const auto &level : analysis.levels) {
-        double w = 0.0;
-        for (const int index : level) {
-            w += static_cast<double>(
-                analysis.fragments[static_cast<size_t>(index)].work);
-        }
-        if (w <= 0)
-            continue;
-        max_work = std::max(max_work, w);
-        total += w;
-        ++stages;
-    }
-    if (stages == 0 || total <= 0)
-        return 1.0;
-    return max_work / (total / static_cast<double>(stages));
-}
-
 obs::Counter &
 DecoBackend::simulateCalls() const
 {
@@ -57,8 +34,7 @@ DecoBackend::simulateCalls() const
 }
 
 PerfReport
-DecoBackend::simulateImpl(const lower::Partition &partition,
-                          const PartitionAnalysis &analysis,
+DecoBackend::simulateImpl(const PartitionAnalysis &analysis,
                           const WorkloadProfile &profile) const
 {
     const MachineConfig &m = machine();
@@ -88,7 +64,7 @@ DecoBackend::simulateImpl(const lower::Partition &partition,
         cycles += std::ceil(level_flops / lanes);
         fill_cycles += kPipelineDepth;
     }
-    const double imbalance = stageImbalance(analysis);
+    const double imbalance = analysis.stageImbalance;
     // Stalls from unbalanced stages: linear penalty above balanced.
     cycles *= 1.0 + 0.3 * (std::min(imbalance, 3.0) - 1.0);
     cycles *= profile.scale;
@@ -108,7 +84,7 @@ DecoBackend::simulateImpl(const lower::Partition &partition,
     r.seconds = std::max(r.computeSeconds, r.memorySeconds) +
                 r.overheadSeconds;
     r.flops = static_cast<int64_t>(
-        static_cast<double>(partition.flops()) * profile.scale *
+        static_cast<double>(analysis.flops) * profile.scale *
         invocations);
     r.utilization =
         r.seconds > 0
@@ -128,10 +104,8 @@ DecoBackend::simulateImpl(const lower::Partition &partition,
             const double slots = static_cast<double>(f.work) / lanes / hz;
             const double raw =
                 f.invariant ? slots : slots * profile.scale * invocations;
-            ledger->addFragment(
-                static_cast<int>(i), f.label,
-                static_cast<double>(partition.fragments[i].flops),
-                f.touchedBytes, raw);
+            ledger->addFragment(analysis, i, static_cast<double>(f.flops),
+                                raw);
             attributed += raw;
         }
         ledger->addComputeResidual("stage-imbalance+pipeline-fill",

@@ -29,19 +29,14 @@ class DecoBackend : public Backend
     lang::Domain domain() const override { return lang::Domain::DSP; }
     lower::AcceleratorSpec spec() const override;
 
-    /** Stage imbalance of the compiled pipeline: max/mean level work
-     *  (1.0 = perfectly balanced), from an analysis made by a DECO
-     *  backend. Exposed for the Fig. 9 analysis. */
-    static double stageImbalance(const PartitionAnalysis &analysis);
-
   protected:
     obs::Counter &simulateCalls() const override;
     AnalysisNeeds analysisNeeds() const override
     {
-        return {.work = true, .invariance = true, .levels = true};
+        return {.work = true, .invariance = true, .levels = true,
+                .imbalance = true};
     }
-    PerfReport simulateImpl(const lower::Partition &partition,
-                            const PartitionAnalysis &analysis,
+    PerfReport simulateImpl(const PartitionAnalysis &analysis,
                             const WorkloadProfile &profile) const override;
 };
 

@@ -8,33 +8,6 @@
 
 namespace polymath::target {
 
-namespace {
-
-/** Edge-domain fragments iterate a (dst x src) domain or fold neighbors;
- *  vertex-domain fragments iterate one vertex axis. */
-bool
-isEdgeDomain(const lower::IrFragment &frag)
-{
-    return frag.attrs.count("dim1") > 0 ||
-           frag.attrs.count("reduce_extent") > 0;
-}
-
-/** Scalar ops per domain point of a fragment. */
-double
-opsPerPoint(const lower::IrFragment &frag)
-{
-    double points = 1.0;
-    for (const auto &[key, v] : frag.attrs) {
-        if (key.rfind("dim", 0) == 0)
-            points *= static_cast<double>(v);
-    }
-    if (points <= 0)
-        return 0.0;
-    return static_cast<double>(frag.flops) / points;
-}
-
-} // namespace
-
 lower::AcceleratorSpec
 GraphicionadoBackend::spec() const
 {
@@ -67,26 +40,17 @@ GraphicionadoBackend::simulateCalls() const
 }
 
 PerfReport
-GraphicionadoBackend::simulateImpl(const lower::Partition &partition,
-                                   const PartitionAnalysis &analysis,
+GraphicionadoBackend::simulateImpl(const PartitionAnalysis &analysis,
                                    const WorkloadProfile &profile) const
 {
     const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 
-    // Derive per-edge and per-vertex op counts from the compiled instance;
-    // apply them to the deployed dataset's V/E.
-    double ops_per_edge = 0.0;
-    double ops_per_vertex = 0.0;
-    for (const auto &frag : partition.fragments) {
-        if (frag.opcode == "tload" || frag.opcode == "tstore")
-            continue;
-        if (isEdgeDomain(frag))
-            ops_per_edge += opsPerPoint(frag);
-        else
-            ops_per_vertex += opsPerPoint(frag);
-    }
+    // Per-edge and per-vertex op counts of the compiled instance, applied
+    // to the deployed dataset's V/E.
+    const double ops_per_edge = analysis.opsPerEdge;
+    const double ops_per_vertex = analysis.opsPerVertex;
     const double vertices = static_cast<double>(
         std::max<int64_t>(profile.vertices, 1));
     const double edges =
@@ -153,24 +117,20 @@ GraphicionadoBackend::simulateImpl(const lower::Partition &partition,
         const double vertex_pool = vertex_cycles * iters / hz;
         double edge_attr = 0.0;
         double vertex_attr = 0.0;
-        size_t i = 0;
-        for (const auto &frag : partition.fragments) {
-            const size_t index = i++;
-            if (frag.opcode == "tload" || frag.opcode == "tstore")
+        for (size_t i = 0; i < analysis.fragments.size(); ++i) {
+            const auto &f = analysis.fragments[i];
+            if (f.move)
                 continue;
-            const double ops = opsPerPoint(frag);
-            const bool edge_domain = isEdgeDomain(frag);
+            const double ops = f.opsPerPoint;
             double raw = 0.0;
-            if (edge_domain && ops_per_edge > 0)
+            if (f.edge && ops_per_edge > 0)
                 raw = edge_pool * ops / ops_per_edge;
-            else if (!edge_domain && ops_per_vertex > 0)
+            else if (!f.edge && ops_per_vertex > 0)
                 raw = vertex_pool * ops / ops_per_vertex;
-            const auto &f = analysis.fragments[index];
-            ledger->addFragment(static_cast<int>(index), f.label,
-                                ops * (edge_domain ? edges : vertices) *
-                                    iters,
-                                f.touchedBytes, raw);
-            (edge_domain ? edge_attr : vertex_attr) += raw;
+            ledger->addFragment(analysis, i,
+                                ops * (f.edge ? edges : vertices) * iters,
+                                raw);
+            (f.edge ? edge_attr : vertex_attr) += raw;
         }
         // The max(ops, 1) pipeline floor leaves pool time no fragment
         // claims (pure traversal with no per-point arithmetic).

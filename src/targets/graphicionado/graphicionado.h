@@ -31,8 +31,11 @@ class GraphicionadoBackend : public Backend
 
   protected:
     obs::Counter &simulateCalls() const override;
-    PerfReport simulateImpl(const lower::Partition &partition,
-                            const PartitionAnalysis &analysis,
+    AnalysisNeeds analysisNeeds() const override
+    {
+        return {.points = true};
+    }
+    PerfReport simulateImpl(const PartitionAnalysis &analysis,
                             const WorkloadProfile &profile) const override;
 };
 

@@ -43,8 +43,7 @@ HyperstreamsBackend::simulateCalls() const
 }
 
 PerfReport
-HyperstreamsBackend::simulateImpl(const lower::Partition &partition,
-                                  const PartitionAnalysis &analysis,
+HyperstreamsBackend::simulateImpl(const PartitionAnalysis &analysis,
                                   const WorkloadProfile &profile) const
 {
     const MachineConfig &m = machine();
@@ -53,20 +52,18 @@ HyperstreamsBackend::simulateImpl(const lower::Partition &partition,
 
     constexpr double kPipelineDepth = 180.0; // exp/ln/sqrt/erf chain
 
+    const double units = static_cast<double>(m.computeUnits);
+    // II = 1: one option per cycle once the pipeline fills; anything
+    // else retires over the pipeline stages.
+    const auto fragment_cycles = [&](const PartitionAnalysis::Fragment &f) {
+        return f.elements > 0
+                   ? static_cast<double>(f.elements) + kPipelineDepth
+                   : std::ceil(static_cast<double>(f.flops) / units);
+    };
     double cycles = 0.0;
-    for (const auto &frag : partition.fragments) {
-        if (frag.opcode == "tload" || frag.opcode == "tstore")
-            continue;
-        auto it = frag.attrs.find("elements");
-        if (it != frag.attrs.end() && it->second > 0) {
-            // II = 1: one option per cycle once the pipeline fills.
-            cycles += static_cast<double>(it->second) + kPipelineDepth;
-        } else {
-            // Anything else retires over the pipeline stages.
-            cycles += std::ceil(
-                static_cast<double>(frag.flops) /
-                static_cast<double>(m.computeUnits));
-        }
+    for (const auto &f : analysis.fragments) {
+        if (!f.move)
+            cycles += fragment_cycles(f);
     }
     cycles *= profile.scale;
 
@@ -83,7 +80,7 @@ HyperstreamsBackend::simulateImpl(const lower::Partition &partition,
     r.seconds = std::max(r.computeSeconds, r.memorySeconds) +
                 r.overheadSeconds;
     r.flops = static_cast<int64_t>(
-        static_cast<double>(partition.flops()) * profile.scale *
+        static_cast<double>(analysis.flops) * profile.scale *
         invocations);
     r.utilization =
         r.seconds > 0
@@ -94,27 +91,14 @@ HyperstreamsBackend::simulateImpl(const lower::Partition &partition,
     if (CostLedger *ledger = beginLedger(r, analysis)) {
         // Per-fragment cycles (elements + fill, or flops over stages)
         // are computed independently and summed, so attribution is exact.
-        size_t i = 0;
-        for (const auto &frag : partition.fragments) {
-            const size_t index = i++;
-            if (frag.opcode == "tload" || frag.opcode == "tstore")
+        for (size_t i = 0; i < analysis.fragments.size(); ++i) {
+            const auto &f = analysis.fragments[i];
+            if (f.move)
                 continue;
-            double frag_cycles = 0.0;
-            auto it = frag.attrs.find("elements");
-            if (it != frag.attrs.end() && it->second > 0) {
-                frag_cycles =
-                    static_cast<double>(it->second) + kPipelineDepth;
-            } else {
-                frag_cycles = std::ceil(
-                    static_cast<double>(frag.flops) /
-                    static_cast<double>(m.computeUnits));
-            }
             const double raw =
-                frag_cycles * profile.scale * invocations / hz;
-            const auto &f = analysis.fragments[index];
-            ledger->addFragment(static_cast<int>(index), f.label,
-                                static_cast<double>(frag.flops),
-                                f.touchedBytes, raw);
+                fragment_cycles(f) * profile.scale * invocations / hz;
+            ledger->addFragment(analysis, i, static_cast<double>(f.flops),
+                                raw);
         }
         ledger->addDma(static_cast<double>(dma.oneTimeBytes),
                        static_cast<double>(dma.perRunBytes) * invocations,

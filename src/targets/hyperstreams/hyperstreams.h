@@ -30,8 +30,11 @@ class HyperstreamsBackend : public Backend
 
   protected:
     obs::Counter &simulateCalls() const override;
-    PerfReport simulateImpl(const lower::Partition &partition,
-                            const PartitionAnalysis &analysis,
+    AnalysisNeeds analysisNeeds() const override
+    {
+        return {.elements = true};
+    }
+    PerfReport simulateImpl(const PartitionAnalysis &analysis,
                             const WorkloadProfile &profile) const override;
 };
 

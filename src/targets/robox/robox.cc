@@ -46,8 +46,7 @@ RoboxBackend::simulateCalls() const
 }
 
 PerfReport
-RoboxBackend::simulateImpl(const lower::Partition &partition,
-                           const PartitionAnalysis &analysis,
+RoboxBackend::simulateImpl(const PartitionAnalysis &analysis,
                            const WorkloadProfile &profile) const
 {
     const MachineConfig &m = machine();
@@ -86,7 +85,7 @@ RoboxBackend::simulateImpl(const lower::Partition &partition,
     // Control loops are latency-critical: sensor I/O and compute serialize.
     r.seconds = r.computeSeconds + r.memorySeconds + r.overheadSeconds;
     r.flops = static_cast<int64_t>(
-        static_cast<double>(partition.flops()) * profile.scale *
+        static_cast<double>(analysis.flops) * profile.scale *
         invocations);
     r.utilization =
         r.seconds > 0
@@ -105,10 +104,8 @@ RoboxBackend::simulateImpl(const lower::Partition &partition,
                 std::ceil(static_cast<double>(f.work) / lanes) + 8.0;
             const double raw =
                 (f.invariant ? c : c * profile.scale * invocations) / hz;
-            ledger->addFragment(
-                static_cast<int>(i), f.label,
-                static_cast<double>(partition.fragments[i].flops),
-                f.touchedBytes, raw);
+            ledger->addFragment(analysis, i, static_cast<double>(f.flops),
+                                raw);
         }
         ledger->addDma(static_cast<double>(dma.oneTimeBytes),
                        static_cast<double>(dma.perRunBytes) * invocations,

@@ -34,8 +34,7 @@ class RoboxBackend : public Backend
     {
         return {.work = true, .invariance = true};
     }
-    PerfReport simulateImpl(const lower::Partition &partition,
-                            const PartitionAnalysis &analysis,
+    PerfReport simulateImpl(const PartitionAnalysis &analysis,
                             const WorkloadProfile &profile) const override;
 };
 

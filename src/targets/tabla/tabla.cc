@@ -33,8 +33,7 @@ TablaBackend::simulateCalls() const
 }
 
 PerfReport
-TablaBackend::simulateImpl(const lower::Partition &partition,
-                           const PartitionAnalysis &analysis,
+TablaBackend::simulateImpl(const PartitionAnalysis &analysis,
                            const WorkloadProfile &profile) const
 {
     const MachineConfig &m = machine();
@@ -87,7 +86,7 @@ TablaBackend::simulateImpl(const lower::Partition &partition,
     r.seconds = std::max(r.computeSeconds, r.memorySeconds) +
                 r.overheadSeconds;
     r.flops = static_cast<int64_t>(
-        static_cast<double>(partition.flops()) * profile.scale *
+        static_cast<double>(analysis.flops) * profile.scale *
         invocations);
     r.utilization =
         r.seconds > 0
@@ -108,10 +107,8 @@ TablaBackend::simulateImpl(const lower::Partition &partition,
             const double slots = static_cast<double>(f.work) / pes / hz;
             const double raw =
                 f.invariant ? slots : slots * profile.scale * invocations;
-            ledger->addFragment(
-                static_cast<int>(i), f.label,
-                static_cast<double>(partition.fragments[i].flops),
-                f.touchedBytes, raw);
+            ledger->addFragment(analysis, i, static_cast<double>(f.flops),
+                                raw);
             attributed += raw;
         }
         ledger->addComputeResidual("reduce-tree+bus turnaround",

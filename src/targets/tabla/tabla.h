@@ -36,8 +36,7 @@ class TablaBackend : public Backend
         return {.work = true, .invariance = true, .reduce = true,
                 .levels = true};
     }
-    PerfReport simulateImpl(const lower::Partition &partition,
-                            const PartitionAnalysis &analysis,
+    PerfReport simulateImpl(const PartitionAnalysis &analysis,
                             const WorkloadProfile &profile) const override;
 };
 

@@ -16,12 +16,10 @@ const char *const kLayerOps[] = {
     "batchnorm", "relu_layer", "add_layer", "flatten",
 };
 
-bool
-isGemmLayer(const std::string &opcode)
-{
-    return opcode == "conv2d" || opcode == "conv2d_dw" ||
-           opcode == "dense";
-}
+/** Fractions of peak: GEMM-core layers run at high efficiency; vector
+ *  ops (pool, activation, residual) retire one lane-row per cycle. */
+constexpr double kGemmEff = 0.35;
+constexpr double kVectorEff = 0.10;
 
 } // namespace
 
@@ -50,8 +48,7 @@ VtaBackend::simulateCalls() const
 }
 
 PerfReport
-VtaBackend::simulateImpl(const lower::Partition &partition,
-                         const PartitionAnalysis &analysis,
+VtaBackend::simulateImpl(const PartitionAnalysis &analysis,
                          const WorkloadProfile &profile) const
 {
     const MachineConfig &m = machine();
@@ -59,30 +56,22 @@ VtaBackend::simulateImpl(const lower::Partition &partition,
     r.machine = name();
 
     const double peak = m.peakFlops(); // 256 MACs * 2 * freq
-    const double hz = m.freqGhz * 1e9;
+    const double gemm_rate = peak * kGemmEff;
+    const double vector_rate = peak * kVectorEff;
 
     double compute_s = 0.0;
-    double weight_bytes = 0.0;
-    double act_bytes = 0.0;
     int64_t layers = 0;
-    for (const auto &frag : partition.fragments) {
-        if (frag.opcode == "tload" || frag.opcode == "tstore")
+    for (const auto &f : analysis.fragments) {
+        if (f.move)
             continue;
-        // GEMM-core layers run at high efficiency; vector ops (pool,
-        // activation, residual) retire one lane-row per cycle.
-        const double eff = isGemmLayer(frag.opcode) ? 0.35 : 0.10;
-        compute_s += static_cast<double>(frag.flops) / (peak * eff);
+        compute_s +=
+            static_cast<double>(f.flops) / (f.gemm ? gemm_rate : vector_rate);
         ++layers;
-        for (const auto &in : frag.inputs) {
-            if (in.kind == ir::EdgeKind::Param)
-                weight_bytes += static_cast<double>(in.shape.numel()) * 1.0;
-            else
-                act_bytes += static_cast<double>(in.shape.numel()) * 1.0;
-        }
-        for (const auto &out : frag.outputs)
-            act_bytes += static_cast<double>(out.shape.numel()) * 1.0;
     }
-    // int8 datapath: one byte per element (already counted as numel*1).
+    // int8 datapath: one byte per element, so the analysis's element
+    // counts are bytes.
+    const double weight_bytes = analysis.weightBytes;
+    const double act_bytes = analysis.activationBytes;
     const double invocations = static_cast<double>(profile.invocations);
     compute_s *= profile.scale * invocations;
 
@@ -103,44 +92,40 @@ VtaBackend::simulateImpl(const lower::Partition &partition,
     r.seconds = std::max(r.computeSeconds, r.memorySeconds) +
                 r.overheadSeconds;
     r.flops = static_cast<int64_t>(
-        static_cast<double>(partition.flops()) * profile.scale *
+        static_cast<double>(analysis.flops) * profile.scale *
         invocations);
     r.utilization =
         r.seconds > 0
             ? static_cast<double>(r.flops) / (peak * r.seconds)
             : 0.0;
     r.joules = m.watts * r.seconds;
-    (void)hz;
 
     if (CostLedger *ledger = beginLedger(r, analysis)) {
         // Layer time is a plain sum of flops/(peak*eff) terms, so the
         // per-layer attribution is exact. DMA splits by traffic class:
         // weights (resident or re-streamed) vs. activations.
-        size_t i = 0;
-        for (const auto &frag : partition.fragments) {
-            const size_t index = i++;
-            if (frag.opcode == "tload" || frag.opcode == "tstore")
+        for (size_t i = 0; i < analysis.fragments.size(); ++i) {
+            const auto &f = analysis.fragments[i];
+            if (f.move)
                 continue;
-            const double eff = isGemmLayer(frag.opcode) ? 0.35 : 0.10;
-            const double raw = static_cast<double>(frag.flops) /
-                               (peak * eff) * profile.scale * invocations;
-            const auto &f = analysis.fragments[index];
-            ledger->addFragment(static_cast<int>(index), f.label,
-                                static_cast<double>(frag.flops),
-                                f.touchedBytes, raw);
+            const double raw = static_cast<double>(f.flops) /
+                               (f.gemm ? gemm_rate : vector_rate) *
+                               profile.scale * invocations;
+            ledger->addFragment(analysis, i, static_cast<double>(f.flops),
+                                raw);
         }
         const double bw = m.dramGBs * 1e9;
         if (weight_stream > 0) {
             CostEntry &w = ledger->add(weights_resident
                                            ? "dma:weights (resident)"
                                            : "dma:weights (streamed)",
-                                       "dma");
+                                       CostPhase::Dma);
             w.dramBytes = weight_stream * profile.scale;
             w.seconds = w.dramBytes / bw;
             w.bound = BoundClass::Memory;
         }
         if (act_bytes > 0) {
-            CostEntry &a = ledger->add("dma:activations", "dma");
+            CostEntry &a = ledger->add("dma:activations", CostPhase::Dma);
             a.dramBytes = act_bytes * invocations * profile.scale;
             a.seconds = a.dramBytes / bw;
             a.bound = BoundClass::Memory;

@@ -31,8 +31,11 @@ class VtaBackend : public Backend
 
   protected:
     obs::Counter &simulateCalls() const override;
-    PerfReport simulateImpl(const lower::Partition &partition,
-                            const PartitionAnalysis &analysis,
+    AnalysisNeeds analysisNeeds() const override
+    {
+        return {.layers = true};
+    }
+    PerfReport simulateImpl(const PartitionAnalysis &analysis,
                             const WorkloadProfile &profile) const override;
 };
 

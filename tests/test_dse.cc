@@ -2,19 +2,23 @@
  * @file
  * Autotuner tests: Table VI factory pins (the calibration surface the
  * design spaces pivot around), Pareto-front correctness on hand-built
- * points, config-space indexing/neighborhoods, degenerate-config
- * rejection, seeded search determinism (two concurrent searches with
- * one seed agree point for point, as concurrent pmcd `dse` requests
- * must), staged pricing (one analysis per partition, priced per
- * point) equal to one-shot simulation, and lazy attribution (only the
- * printed points are priced with cost ledgers) printing exactly what
- * ledgering every point printed.
+ * points and against the pairwise reference, config-space
+ * indexing/neighborhoods, degenerate-config rejection, seeded search
+ * determinism (two concurrent searches with one seed agree point for
+ * point, as concurrent pmcd `dse` requests must), staged pricing (one
+ * analysis per partition, priced per point) equal to one-shot
+ * simulation, a bit-for-bit pin of every full-space pricing, and lazy
+ * attribution (only the printed points are priced with cost ledgers)
+ * printing exactly what ledgering every point printed.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -198,6 +202,69 @@ TEST(Pareto, SinglePointAndEmptyInput)
 {
     EXPECT_TRUE(paretoFront({}).empty());
     EXPECT_EQ(paretoFront({{1.0, 1.0}}), (std::vector<size_t>{0}));
+}
+
+/** The pairwise front paretoFront() computed before the sort-and-sweep,
+ *  kept as the reference. */
+std::vector<size_t>
+referenceFront(const std::vector<Objective> &points)
+{
+    std::vector<size_t> front;
+    for (size_t i = 0; i < points.size(); ++i) {
+        bool dominated = false;
+        for (size_t j = 0; j < points.size() && !dominated; ++j)
+            dominated = j != i && dominates(points[j], points[i]);
+        if (!dominated)
+            front.push_back(i);
+    }
+    return front;
+}
+
+TEST(Pareto, SweepEqualsPairwiseReference)
+{
+    std::mt19937_64 rng(0x5eed);
+    const auto check = [](const std::vector<Objective> &points) {
+        EXPECT_EQ(paretoFront(points), referenceFront(points))
+            << points.size() << " points";
+    };
+    check({});
+    check({{1.0, 1.0}});
+    check({{0.0, 0.0}});
+
+    // Continuous values: ties are rare, the front is a staircase.
+    std::uniform_real_distribution<double> real(0.0, 1.0);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<Objective> points(
+            static_cast<size_t>(rng() % 300));
+        for (auto &p : points)
+            p = {real(rng), real(rng)};
+        check(points);
+    }
+
+    // Few distinct values: full of exact duplicates, equal-seconds and
+    // equal-perf/W ties.
+    for (const int levels : {1, 2, 3, 5, 8}) {
+        std::uniform_int_distribution<int> level(0, levels - 1);
+        for (int trial = 0; trial < 100; ++trial) {
+            std::vector<Objective> points(
+                static_cast<size_t>(rng() % 64));
+            for (auto &p : points)
+                p = {static_cast<double>(level(rng)),
+                     static_cast<double>(level(rng))};
+            check(points);
+        }
+    }
+
+    // Ties on one axis only, and a point dominated by a tie group.
+    check({{1.0, 5.0}, {1.0, 7.0}, {1.0, 7.0}, {2.0, 7.0}, {0.5, 1.0}});
+    check({{2.0, 3.0}, {1.0, 3.0}, {3.0, 3.0}, {1.0, 3.0}});
+    // Zero, signed zero and infinite objectives compare like the
+    // pairwise check compares them; a NaN neither dominates nor is
+    // dominated.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    check({{0.0, 0.0}, {-0.0, 0.0}, {inf, inf}, {inf, 1.0}, {1.0, inf}});
+    check({{nan, 1.0}, {1.0, nan}, {1.0, 1.0}, {2.0, 0.5}, {nan, nan}});
 }
 
 // ---------------------------------------------------------------------------
@@ -486,6 +553,134 @@ TEST(StagedPricing, EqualsOneShotOnTableIIIOverTheSmallSpace)
 }
 
 // ---------------------------------------------------------------------------
+// Pricing pin: every searchable Table III partition at every full-space
+// point, priced from a ledger-free analysis and then from a ledgered one,
+// folded bit for bit into one FNV-1a 64 digest. The constants were
+// computed while the backends still derived their machine-independent
+// facts (opcode classes, shape sizes, attribute lookups) at every
+// pricing, so moving those facts into analyze() must not drift any
+// report field or ledger entry by one ulp.
+// ---------------------------------------------------------------------------
+
+struct Fnv1a
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+
+    void bytes(const void *data, size_t size)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (size_t i = 0; i < size; ++i) {
+            hash ^= p[i];
+            hash *= 0x100000001b3ull;
+        }
+    }
+    void bits(double v) { bytes(&v, sizeof v); }
+    void bits(int64_t v) { bytes(&v, sizeof v); }
+    void text(std::string_view s)
+    {
+        bits(static_cast<int64_t>(s.size()));
+        bytes(s.data(), s.size());
+    }
+};
+
+void
+foldReport(Fnv1a &fnv, const target::PerfReport &r)
+{
+    fnv.bits(r.seconds);
+    fnv.bits(r.joules);
+    fnv.bits(r.computeSeconds);
+    fnv.bits(r.memorySeconds);
+    fnv.bits(r.overheadSeconds);
+    fnv.bits(r.dramBytes);
+    fnv.bits(r.flops);
+    fnv.bits(r.utilization);
+    if (!r.ledger)
+        return;
+    fnv.bits(r.ledger->peakFlops);
+    fnv.bits(r.ledger->dramGBs);
+    for (const target::CostEntry &e : r.ledger->entries) {
+        fnv.text(e.label);
+        fnv.text(toString(e.phase));
+        fnv.bits(static_cast<int64_t>(e.fragment));
+        fnv.bits(static_cast<int64_t>(e.partition));
+        fnv.text(toString(e.bound));
+        fnv.bits(e.seconds);
+        fnv.bits(e.joules);
+        fnv.bits(e.dramBytes);
+        fnv.bits(e.flops);
+        fnv.bits(e.touchedBytes);
+    }
+}
+
+TEST(PricingPin, TableIIIAndIVFullSpaceIsBitIdentical)
+{
+    constexpr uint64_t kLedgerFree = 0xabad59f67d7eed39ull;
+    constexpr uint64_t kLedgered = 0x140f6e7b6b6c5be7ull;
+    constexpr int64_t kPricings = 5850;
+
+    // Table III covers five backends; Table IV's OptionPricing adds
+    // HyperStreams.
+    const auto registry = target::standardRegistry();
+    std::vector<std::pair<lower::CompiledProgram, target::WorkloadProfile>>
+        workloads;
+    for (const auto &bench : wl::tableIII()) {
+        workloads.emplace_back(
+            wl::compileBenchmark(bench.source, bench.buildOpts, registry,
+                                 bench.domain),
+            bench.profile);
+    }
+    for (const auto &app : wl::tableIV()) {
+        workloads.emplace_back(
+            wl::compileBenchmark(app.source, app.buildOpts, registry,
+                                 lang::Domain::None),
+            app.profile);
+    }
+
+    Fnv1a ledger_free, ledgered;
+    int64_t pricings = 0;
+    std::set<std::string> backends;
+    for (const auto &[compiled, deployed] : workloads) {
+        for (const auto &partition : compiled.partitions) {
+            if (!ConfigSpace::searchable(partition.accel))
+                continue;
+            backends.insert(partition.accel);
+            const auto space = ConfigSpace::forBackend(
+                partition.accel, ConfigSpace::Kind::Full);
+            target::PartitionAnalysis with_ledger;
+            {
+                const target::ProfilingScope profiling;
+                with_ledger = target::makeBackend(
+                                  partition.accel,
+                                  space.machineAt(space.baseIndex()))
+                                  ->analyze(partition);
+            }
+            target::PartitionAnalysis without = with_ledger;
+            without.ledger = false;
+            for (const auto &profile :
+                 {target::WorkloadProfile{}, deployed})
+            {
+                for (int64_t i = 0; i < space.size(); ++i) {
+                    const auto backend = target::makeBackend(
+                        partition.accel, space.machineAt(i));
+                    foldReport(ledger_free,
+                               backend->simulate(partition, without,
+                                                 profile));
+                    foldReport(ledgered,
+                               backend->simulate(partition, with_ledger,
+                                                 profile));
+                    ++pricings;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(backends.size(), 6u);
+    EXPECT_EQ(pricings, kPricings);
+    EXPECT_EQ(ledger_free.hash, kLedgerFree)
+        << std::hex << "0x" << ledger_free.hash;
+    EXPECT_EQ(ledgered.hash, kLedgered) << std::hex << "0x" << ledgered.hash;
+}
+
+// ---------------------------------------------------------------------------
 // Lazy attribution: explore() searches without cost ledgers and prices
 // only the printed points (front and baseline) again with them. Nothing
 // it prints may differ from the old explore(), which ledgered every point.
@@ -526,9 +721,9 @@ ledgeredPoint(const ConfigSpace &space, int64_t index,
     if (total.ledger) {
         const target::CostEntry *top = nullptr;
         for (const auto &entry : total.ledger->entries) {
-            if (entry.phase == "compute")
+            if (entry.phase == target::CostPhase::Compute)
                 point.computeSeconds += entry.seconds;
-            else if (entry.phase == "dma")
+            else if (entry.phase == target::CostPhase::Dma)
                 point.dmaSeconds += entry.seconds;
             else
                 point.overheadSeconds += entry.seconds;

@@ -300,13 +300,13 @@ handBuiltProfile()
     ledger->machine = r.machine;
     ledger->peakFlops = 1e12;
     ledger->dramGBs = 100.0;
-    auto &frag = ledger->add("mul(y)", "compute", 0);
+    auto &frag = ledger->add("mul(y)", target::CostPhase::Compute, 0);
     frag.bound = target::BoundClass::Compute;
     frag.seconds = 0.375;
     frag.joules = 1.875;
     frag.flops = 750.0;
     frag.touchedBytes = 64.0;
-    auto &dma = ledger->add("dma:per-run streams", "dma");
+    auto &dma = ledger->add("dma:per-run streams", target::CostPhase::Dma);
     dma.bound = target::BoundClass::Memory;
     dma.seconds = 0.125;
     dma.joules = 0.625;

@@ -11,6 +11,7 @@
 
 #include <thread>
 
+#include "core/error.h"
 #include "obs/metrics.h"
 #include "targets/common/backend.h"
 #include "targets/cpu/cpu_model.h"
@@ -36,10 +37,12 @@ syntheticPartition(const std::string &accel, int64_t frags,
         f.opcode = "kernel" + std::to_string(i);
         f.flops = flops_each;
         TensorArg in;
-        in.name = "t" + std::to_string(i);
+        in.name += 't';
+        in.name += std::to_string(i);
         in.shape = Shape{8};
         TensorArg out;
-        out.name = "t" + std::to_string(i + 1);
+        out.name += 't';
+        out.name += std::to_string(i + 1);
         out.shape = Shape{8};
         f.inputs.push_back(in);
         f.outputs.push_back(out);
@@ -194,6 +197,23 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendInvariants,
                                            "TVM-VTA", "HyperStreams",
                                            "Graphicionado"));
 
+TEST(BackendSimulate, RefusesALedgerWithoutLedgerFacts)
+{
+    // Ledger labels and touched bytes are gathered at analysis; pricing
+    // reads them by fragment index, so an analysis made with profiling
+    // off cannot be priced with a ledger.
+    for (const auto &backend : standardBackends()) {
+        SCOPED_TRACE(backend->name());
+        const auto p = syntheticPartition(backend->name(), 4, 1000);
+        PartitionAnalysis analysis = backend->analyze(p);
+        ASSERT_FALSE(analysis.ledger);
+        EXPECT_NO_THROW(backend->simulate(p, analysis, WorkloadProfile{}));
+        analysis.ledger = true;
+        EXPECT_THROW(backend->simulate(p, analysis, WorkloadProfile{}),
+                     InternalError);
+    }
+}
+
 TEST(BackendSimulate, CallCounterCountsEveryConcurrentCall)
 {
     // One instance shared by four threads first; the standard backends
@@ -347,9 +367,8 @@ TEST(Deco, ImbalancePenalizesLopsidedStages)
     lopsided.fragments[1].flops = 20000;
     lopsided.fragments[2].flops = 150000;
     lopsided.fragments[3].flops = 20000;
-    EXPECT_NEAR(DecoBackend::stageImbalance(deco.analyze(balanced)), 1.0,
-                1e-9);
-    EXPECT_GT(DecoBackend::stageImbalance(deco.analyze(lopsided)), 2.0);
+    EXPECT_NEAR(deco.analyze(balanced).stageImbalance, 1.0, 1e-9);
+    EXPECT_GT(deco.analyze(lopsided).stageImbalance, 2.0);
     const auto tb = deco.simulate(balanced, prof);
     const auto tl = deco.simulate(lopsided, prof);
     EXPECT_GT(tl.computeSeconds, tb.computeSeconds);

@@ -20,10 +20,11 @@
 #   2. POLYMATH_JOBS=4 — the parallel suite driver must be sanitizer-
 #      clean and produce the same results as serial runs.
 #
-# The default pass additionally runs the bench perf gates, a telemetry
-# smoke (live pmcd scraped over the wire, docs/OBSERVABILITY.md), the
-# stack benchmark's self-test (benchmark/run.sh --smoke), and a
-# repo-root cleanliness guard.
+# The default pass builds with warnings as errors
+# (CMAKE_COMPILE_WARNING_AS_ERROR) and additionally runs the bench perf
+# gates, a telemetry smoke (live pmcd scraped over the wire,
+# docs/OBSERVABILITY.md), the stack benchmark's self-test
+# (benchmark/run.sh --smoke), and a repo-root cleanliness guard.
 #
 # The TSan pass builds only the concurrency-heavy binaries (test_obs,
 # test_obs_service, test_driver, test_service, test_dse, test_targets,
@@ -75,7 +76,15 @@ for preset in "${presets[@]}"; do
         continue
     fi
     echo "== [$preset] configure =="
-    cmake --preset "$preset"
+    if [ "$preset" = default ]; then
+        # The default configuration builds with warnings as errors, so a
+        # new warning fails the gate instead of hiding among old ones.
+        # Tier-1's plain configure keeps them warnings: another compiler
+        # may warn where this one does not.
+        cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+    else
+        cmake --preset "$preset"
+    fi
     if [ "$preset" = ubsan ]; then
         # Standalone UBSan (no ASan shadow memory, recovery disabled):
         # focused on the SoC scheduler and fault-model arithmetic —
