@@ -2,24 +2,20 @@
  * @file
  * Small string-keyed map as a sorted vector.
  *
- * Mirrors the slice of the std::map API the frontend uses (operator[],
- * at, find, count). Keys are string_views into storage the caller
- * guarantees outlives the map — the frontend points them at AST
- * strings, which outlive every build. Name resolution runs on every
- * reference the frontend touches and a scope holds at most a couple
- * dozen entries, so one flat binary-searched vector beats an rbtree
- * node allocation per name.
+ * Mirrors the slice of the std::map API sema's scopes use (operator[],
+ * find, count). Keys are string_views into storage the caller
+ * guarantees outlives the map — sema points them at AST strings. Sema
+ * resolves every name of a component through one such map, and a scope
+ * holds tens of entries, so one flat binary-searched vector beats an
+ * rbtree node allocation per name.
  */
 #ifndef POLYMATH_CORE_FLAT_MAP_H_
 #define POLYMATH_CORE_FLAT_MAP_H_
 
 #include <algorithm>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "core/error.h"
 
 namespace polymath {
 
@@ -55,31 +51,11 @@ struct FlatStringMap
         const auto it = lookup(k);
         return it != items.end() && it->first == k ? 1 : 0;
     }
-    auto find(std::string_view k)
-    {
-        auto it = lookup(k);
-        return it != items.end() && it->first == k ? it : items.end();
-    }
     auto find(std::string_view k) const
     {
         auto it = lookup(k);
         return it != items.end() && it->first == k ? it : items.end();
     }
-    T &at(std::string_view k)
-    {
-        auto it = lookup(k);
-        if (it == items.end() || it->first != k)
-            panic("unbound name '" + std::string(k) + "'");
-        return it->second;
-    }
-    const T &at(std::string_view k) const
-    {
-        const auto it = lookup(k);
-        if (it == items.end() || it->first != k)
-            panic("unbound name '" + std::string(k) + "'");
-        return it->second;
-    }
-    auto end() { return items.end(); }
     auto end() const { return items.end(); }
 };
 

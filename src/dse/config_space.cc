@@ -56,12 +56,6 @@ ConfigSpace::kindFromString(const std::string &word)
     fatal("dse: unknown space '" + word + "' (expected small|full)");
 }
 
-const char *
-ConfigSpace::toString(Kind kind)
-{
-    return kind == Kind::Small ? "small" : "full";
-}
-
 bool
 ConfigSpace::searchable(const std::string &backend)
 {

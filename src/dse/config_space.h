@@ -50,7 +50,6 @@ class ConfigSpace
 
     /** @throws UserError on anything but "small"|"full". */
     static Kind kindFromString(const std::string &word);
-    static const char *toString(Kind kind);
 
     /** True when @p backend names one of the six searchable DSA
      *  backends (the target::makeBackend vocabulary). */

@@ -21,17 +21,6 @@ SearchOptions::driverFromString(const std::string &word)
           "' (expected auto|grid|random)");
 }
 
-const char *
-SearchOptions::toString(Driver driver)
-{
-    switch (driver) {
-      case Driver::Auto: return "auto";
-      case Driver::Grid: return "grid";
-      case Driver::Random: return "random";
-    }
-    return "?";
-}
-
 double
 WorkloadStudy::bestSpeedup() const
 {

@@ -48,7 +48,6 @@ struct SearchOptions
 
     /** @throws UserError on anything but "auto"|"grid"|"random". */
     static Driver driverFromString(const std::string &word);
-    static const char *toString(Driver driver);
 
     ConfigSpace::Kind space = ConfigSpace::Kind::Small;
     Driver driver = Driver::Auto;

@@ -7,6 +7,16 @@
  * (input/output/state/param); bodies are index declarations, local variable
  * declarations, assignments over index domains, and component instantiations
  * optionally annotated with a target domain.
+ *
+ * Name resolution: lang::analyze() numbers each component's symbols
+ * (args, dimension symbols, indices, locals) with slots in declaration
+ * order and records the slot on every declaration and use, in the
+ * `mutable` fields marked "set by analyze()". The parser leaves them at
+ * -1. The srDFG builder reads only the slots, so it never looks a name
+ * up. analyze() is the only writer and writes the same values every
+ * time; it must not run on an AST that another thread is analysing or
+ * building from. Once it returns, the AST is safe to read from any
+ * number of threads.
  */
 #ifndef POLYMATH_PMLANG_AST_H_
 #define POLYMATH_PMLANG_AST_H_
@@ -85,6 +95,7 @@ struct ReduceAxis
     std::string index;
     ExprPtr cond; ///< may be null
     SourceLoc loc;
+    mutable int slot = -1; ///< the index's slot; set by analyze()
 };
 
 /**
@@ -103,6 +114,11 @@ struct Expr
 
     // Ref / Call / Reduce: name of variable, function, or reduction op
     std::string name;
+
+    /** Ref: the symbol's slot in its component; set by analyze(). Stays
+     *  -1 for a subscripted name in an argument's dimension that names
+     *  no arg or dimension symbol. */
+    mutable int slot = -1;
 
     // Ref: index expressions; Call: arguments
     std::vector<ExprPtr> args;
@@ -129,6 +145,7 @@ struct IndexSpec
     ExprPtr lo;
     ExprPtr hi;
     SourceLoc loc;
+    mutable int slot = -1; ///< set by analyze()
 };
 
 /** One declared local variable with optional dimensions. */
@@ -137,6 +154,7 @@ struct LocalDecl
     std::string name;
     std::vector<ExprPtr> dims;
     SourceLoc loc;
+    mutable int slot = -1; ///< set by analyze()
 };
 
 /** A statement inside a component body. */
@@ -156,6 +174,11 @@ struct Stmt
     std::string target;
     std::vector<ExprPtr> targetIndices;
     ExprPtr value;
+    mutable int targetSlot = -1; ///< set by analyze()
+    /** The index variables the subscripts bind, in the srDFG's context
+     *  order: by name within one subscript, then by first appearance
+     *  across subscripts. Set by analyze(). */
+    mutable std::vector<int> contextSlots;
 
     // Call: DOMAIN: callee(args...)
     Domain domain = Domain::None;
@@ -174,13 +197,15 @@ struct ArgDecl
     SourceLoc loc;
 };
 
-/** A component: the reusable building block of PMLang programs. */
+/** A component: the reusable building block of PMLang programs. Arg k
+ *  has slot k; dimension symbols, indices and locals follow. */
 struct ComponentDecl
 {
     std::string name;
     std::vector<ArgDecl> args;
     std::vector<StmtPtr> body;
     SourceLoc loc;
+    mutable int slotCount = -1; ///< set by analyze()
 };
 
 /** A custom group reduction: `reduction name(a,b) = expr;`. */

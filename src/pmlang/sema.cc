@@ -1,5 +1,6 @@
 #include "pmlang/sema.h"
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <string_view>
@@ -13,7 +14,7 @@ namespace polymath::lang {
 
 namespace {
 
-/** What a name refers to inside a component body. */
+/** What a slot refers to inside a component body. */
 struct Symbol
 {
     enum class Kind { Arg, Local, Index, DimSym };
@@ -21,10 +22,13 @@ struct Symbol
     Kind kind = Kind::Local;
     Modifier mod = Modifier::Input; // Args only
     int rank = 0;                   // tensor rank; index/dim syms are 0
-    SourceLoc loc;
+    std::string_view name;          // views into the AST
+    bool assigned = false; // outputs/locals: written by an earlier stmt
+    bool bound = false;    // indices: bound where the checker stands
 };
 
-/** Per-component analysis state. */
+/** Per-component analysis state. Resolves every name of the component
+ *  to a slot (Symbol) and records the slot in the AST. */
 class ComponentChecker
 {
   public:
@@ -37,32 +41,46 @@ class ComponentChecker
 
   private:
     void declareArgs();
+    int declare(std::string_view name, Symbol sym);
     void checkStmt(const Stmt &stmt);
     void checkAssign(const Stmt &stmt);
     void checkCall(const Stmt &stmt);
 
-    /** Validates an expression. @p bound is the set of index variables
-     *  usable at this point. */
-    void checkExpr(const Expr &e, const std::set<std::string_view> &bound);
+    /** Validates an expression; index variables must be bound. */
+    void checkExpr(const Expr &e);
 
     /** Validates an index-arithmetic expression (subscripts, bounds, axis
-     *  guards): only index variables in @p bound, int params, dim symbols,
-     *  and literals may appear. @p bound == nullptr denotes an assignment
-     *  LHS, where index variables bind themselves. */
-    void checkIndexExpr(const Expr &e, const std::set<std::string_view> *bound);
+     *  guards): only bound index variables, int params, dim symbols, and
+     *  literals may appear. In an assignment's LHS (@p lhs) index
+     *  variables bind themselves. */
+    void checkIndexExpr(const Expr &e, bool lhs);
 
-    const Symbol &lookup(const std::string &name, SourceLoc loc) const;
-    bool isReadable(const Symbol &sym, const std::string &name) const;
+    /** Declares the dimension symbols of an argument's dims and resolves
+     *  every name in them. */
+    void resolveDims(const Expr &e);
+
+    /** Appends the index slots of a resolved LHS subscript to @p out. */
+    void collectIndices(const Expr &e, std::vector<int> *out) const;
+
+    int resolve(const std::string &name, SourceLoc loc) const;
+    bool isReadable(const Symbol &sym) const;
     bool isWritable(const Symbol &sym) const;
-
-    /** Collects index variables syntactically present in @p e. */
-    void collectIndexVars(const Expr &e, std::set<std::string_view> *out) const;
 
     const Program &prog_;
     const ComponentDecl &comp_;
-    FlatStringMap<Symbol> scope_; // keys view into the AST
-    std::set<std::string_view> assigned_; // outputs/locals written so far
+    FlatStringMap<int> scope_;    // name -> slot; keys view into the AST
+    std::vector<Symbol> symbols_; // by slot
 };
+
+int
+ComponentChecker::declare(std::string_view name, Symbol sym)
+{
+    sym.name = name;
+    const int slot = static_cast<int>(symbols_.size());
+    symbols_.push_back(sym);
+    scope_[name] = slot;
+    return slot;
+}
 
 void
 ComponentChecker::declareArgs()
@@ -77,23 +95,33 @@ ComponentChecker::declareArgs()
         sym.kind = Symbol::Kind::Arg;
         sym.mod = arg.mod;
         sym.rank = static_cast<int>(arg.dims.size());
-        sym.loc = arg.loc;
-        scope_[arg.name] = sym;
+        declare(arg.name, sym);
     }
     // Symbolic dimensions (e.g. m, n in mvmul) become read-only scalars.
     for (const auto &arg : comp_.args) {
-        for (const auto &dim : arg.dims) {
-            std::set<std::string_view> names;
-            collectIndexVars(*dim, &names);
-            for (const auto &n : names) {
-                if (scope_.count(n))
-                    continue;
-                Symbol sym;
-                sym.kind = Symbol::Kind::DimSym;
-                sym.loc = dim->loc;
-                scope_[n] = sym;
-            }
+        for (const auto &dim : arg.dims)
+            resolveDims(*dim);
+    }
+}
+
+void
+ComponentChecker::resolveDims(const Expr &e)
+{
+    if (e.kind == ExprKind::Ref) {
+        if (e.args.empty() && !scope_.count(e.name)) {
+            Symbol sym;
+            sym.kind = Symbol::Kind::DimSym;
+            declare(e.name, sym);
         }
+        const auto it = scope_.find(e.name);
+        e.slot = it == scope_.end() ? -1 : it->second;
+    }
+    for (const auto &a : e.args) // subscripts and call arguments
+        resolveDims(*a);
+    for (const Expr *child :
+         {e.lhs.get(), e.rhs.get(), e.third.get(), e.body.get()}) {
+        if (child)
+            resolveDims(*child);
     }
 }
 
@@ -103,13 +131,15 @@ ComponentChecker::check()
     declareArgs();
     for (const auto &stmt : comp_.body)
         checkStmt(*stmt);
-    for (const auto &arg : comp_.args) {
-        if (arg.mod == Modifier::Output && !assigned_.count(arg.name)) {
+    for (size_t i = 0; i < comp_.args.size(); ++i) {
+        const ArgDecl &arg = comp_.args[i];
+        if (arg.mod == Modifier::Output && !symbols_[i].assigned) {
             fatal("output '" + arg.name + "' of component '" + comp_.name +
                       "' is never assigned",
                   arg.loc);
         }
     }
+    comp_.slotCount = static_cast<int>(symbols_.size());
 }
 
 void
@@ -120,27 +150,23 @@ ComponentChecker::checkStmt(const Stmt &stmt)
         for (const auto &spec : stmt.indexSpecs) {
             if (scope_.count(spec.name))
                 fatal("redeclaration of '" + spec.name + "'", spec.loc);
-            const std::set<std::string_view> none;
-            checkIndexExpr(*spec.lo, &none);
-            checkIndexExpr(*spec.hi, &none);
+            checkIndexExpr(*spec.lo, false);
+            checkIndexExpr(*spec.hi, false);
             Symbol sym;
             sym.kind = Symbol::Kind::Index;
-            sym.loc = spec.loc;
-            scope_[spec.name] = sym;
+            spec.slot = declare(spec.name, sym);
         }
         return;
       case StmtKind::VarDecl:
         for (const auto &decl : stmt.locals) {
             if (scope_.count(decl.name))
                 fatal("redeclaration of '" + decl.name + "'", decl.loc);
-            const std::set<std::string_view> none;
             for (const auto &dim : decl.dims)
-                checkIndexExpr(*dim, &none);
+                checkIndexExpr(*dim, false);
             Symbol sym;
             sym.kind = Symbol::Kind::Local;
             sym.rank = static_cast<int>(decl.dims.size());
-            sym.loc = decl.loc;
-            scope_[decl.name] = sym;
+            decl.slot = declare(decl.name, sym);
         }
         return;
       case StmtKind::Assign:
@@ -156,7 +182,8 @@ ComponentChecker::checkStmt(const Stmt &stmt)
 void
 ComponentChecker::checkAssign(const Stmt &stmt)
 {
-    const Symbol &target = lookup(stmt.target, stmt.loc);
+    stmt.targetSlot = resolve(stmt.target, stmt.loc);
+    const Symbol &target = symbols_[stmt.targetSlot];
     if (!isWritable(target)) {
         fatal("'" + stmt.target + "' is not writable (" +
                   (target.kind == Symbol::Kind::Arg
@@ -178,20 +205,27 @@ ComponentChecker::checkAssign(const Stmt &stmt)
               stmt.loc);
     }
 
-    std::set<std::string_view> bound;
+    // The subscripts' index variables bind the statement.
+    stmt.contextSlots.clear();
+    std::vector<int> vars;
     for (const auto &ix : stmt.targetIndices) {
-        checkIndexExpr(*ix, nullptr);
-        collectIndexVars(*ix, &bound);
+        checkIndexExpr(*ix, true);
+        vars.clear();
+        collectIndices(*ix, &vars);
+        std::sort(vars.begin(), vars.end(), [&](int a, int b) {
+            return symbols_[a].name < symbols_[b].name;
+        });
+        for (const int slot : vars) {
+            if (!symbols_[slot].bound) {
+                symbols_[slot].bound = true;
+                stmt.contextSlots.push_back(slot);
+            }
+        }
     }
-    // Keep only actual index variables.
-    std::set<std::string_view> bound_indices;
-    for (const auto &n : bound) {
-        auto it = scope_.find(n);
-        if (it != scope_.end() && it->second.kind == Symbol::Kind::Index)
-            bound_indices.insert(n);
-    }
-    checkExpr(*stmt.value, bound_indices);
-    assigned_.insert(stmt.target);
+    checkExpr(*stmt.value);
+    for (const int slot : stmt.contextSlots)
+        symbols_[slot].bound = false;
+    symbols_[stmt.targetSlot].assigned = true;
 }
 
 void
@@ -211,7 +245,8 @@ ComponentChecker::checkCall(const Stmt &stmt)
         const ArgDecl &formal = callee->args[i];
         const Expr &actual = *stmt.callArgs[i];
         if (actual.kind == ExprKind::Ref && actual.args.empty()) {
-            const Symbol &sym = lookup(actual.name, actual.loc);
+            actual.slot = resolve(actual.name, actual.loc);
+            Symbol &sym = symbols_[actual.slot];
             if (sym.kind == Symbol::Kind::Index) {
                 fatal("index variable '" + actual.name +
                           "' cannot be an instantiation argument",
@@ -225,13 +260,13 @@ ComponentChecker::checkCall(const Stmt &stmt)
                           "' must be writable",
                       actual.loc);
             }
-            if (!needs_write && !isReadable(sym, actual.name)) {
+            if (!needs_write && !isReadable(sym)) {
                 fatal("argument '" + actual.name +
                           "' is not readable here",
                       actual.loc);
             }
             if (needs_write)
-                assigned_.insert(actual.name);
+                sym.assigned = true;
         } else {
             // Non-reference actuals are constant expressions and may only
             // bind to param formals (e.g. the literal horizon in Fig. 4).
@@ -240,22 +275,22 @@ ComponentChecker::checkCall(const Stmt &stmt)
                       "formal",
                       actual.loc);
             }
-            const std::set<std::string_view> none;
-            checkIndexExpr(actual, &none);
+            checkIndexExpr(actual, false);
         }
     }
 }
 
 void
-ComponentChecker::checkExpr(const Expr &e, const std::set<std::string_view> &bound)
+ComponentChecker::checkExpr(const Expr &e)
 {
     switch (e.kind) {
       case ExprKind::Number:
         return;
       case ExprKind::Ref: {
-        const Symbol &sym = lookup(e.name, e.loc);
+        e.slot = resolve(e.name, e.loc);
+        const Symbol &sym = symbols_[e.slot];
         if (sym.kind == Symbol::Kind::Index) {
-            if (!bound.count(e.name)) {
+            if (!sym.bound) {
                 fatal("index variable '" + e.name +
                           "' is not bound in this statement",
                       e.loc);
@@ -266,7 +301,7 @@ ComponentChecker::checkExpr(const Expr &e, const std::set<std::string_view> &bou
                       e.loc);
             return;
         }
-        if (!isReadable(sym, e.name))
+        if (!isReadable(sym))
             fatal("'" + e.name + "' is not readable here", e.loc);
         if (!e.args.empty() &&
             static_cast<int>(e.args.size()) != sym.rank) {
@@ -281,20 +316,20 @@ ComponentChecker::checkExpr(const Expr &e, const std::set<std::string_view> &bou
                   e.loc);
         }
         for (const auto &ix : e.args)
-            checkIndexExpr(*ix, &bound);
+            checkIndexExpr(*ix, false);
         return;
       }
       case ExprKind::Unary:
-        checkExpr(*e.lhs, bound);
+        checkExpr(*e.lhs);
         return;
       case ExprKind::Binary:
-        checkExpr(*e.lhs, bound);
-        checkExpr(*e.rhs, bound);
+        checkExpr(*e.lhs);
+        checkExpr(*e.rhs);
         return;
       case ExprKind::Ternary:
-        checkExpr(*e.lhs, bound);
-        checkExpr(*e.rhs, bound);
-        checkExpr(*e.third, bound);
+        checkExpr(*e.lhs);
+        checkExpr(*e.rhs);
+        checkExpr(*e.third);
         return;
       case ExprKind::Call: {
         if (!isBuiltinFunction(e.name)) {
@@ -310,29 +345,38 @@ ComponentChecker::checkExpr(const Expr &e, const std::set<std::string_view> &bou
                   e.loc);
         }
         for (const auto &a : e.args)
-            checkExpr(*a, bound);
+            checkExpr(*a);
         return;
       }
       case ExprKind::Reduce: {
         if (!isBuiltinReduction(e.name) && !prog_.findReduction(e.name)) {
             fatal("unknown reduction '" + e.name + "'", e.loc);
         }
-        std::set<std::string_view> inner = bound;
         for (const auto &axis : e.axes) {
-            const Symbol &sym = lookup(axis.index, axis.loc);
-            if (sym.kind != Symbol::Kind::Index) {
+            axis.slot = resolve(axis.index, axis.loc);
+            if (symbols_[axis.slot].kind != Symbol::Kind::Index) {
                 fatal("reduction axis '" + axis.index +
                           "' is not a declared index variable",
                       axis.loc);
             }
-            inner.insert(axis.index);
+        }
+        // An axis that rebinds a bound index is left to the builder,
+        // which reports it where it instantiates the component.
+        std::vector<int> binds;
+        for (const auto &axis : e.axes) {
+            if (!symbols_[axis.slot].bound) {
+                symbols_[axis.slot].bound = true;
+                binds.push_back(axis.slot);
+            }
         }
         // Axis guards may reference any axis of this reduction.
         for (const auto &axis : e.axes) {
             if (axis.cond)
-                checkIndexExpr(*axis.cond, &inner);
+                checkIndexExpr(*axis.cond, false);
         }
-        checkExpr(*e.body, inner);
+        checkExpr(*e.body);
+        for (const int slot : binds)
+            symbols_[slot].bound = false;
         return;
       }
     }
@@ -340,8 +384,7 @@ ComponentChecker::checkExpr(const Expr &e, const std::set<std::string_view> &bou
 }
 
 void
-ComponentChecker::checkIndexExpr(const Expr &e,
-                                 const std::set<std::string_view> *bound)
+ComponentChecker::checkIndexExpr(const Expr &e, bool lhs)
 {
     switch (e.kind) {
       case ExprKind::Number:
@@ -349,11 +392,10 @@ ComponentChecker::checkIndexExpr(const Expr &e,
       case ExprKind::Ref: {
         if (!e.args.empty())
             fatal("subscripted reference in index arithmetic", e.loc);
-        const Symbol &sym = lookup(e.name, e.loc);
+        e.slot = resolve(e.name, e.loc);
+        const Symbol &sym = symbols_[e.slot];
         if (sym.kind == Symbol::Kind::Index) {
-            // Inside subscripts of an assignment LHS, index variables bind
-            // themselves; inside other index arithmetic they must be bound.
-            if (bound != nullptr && !bound->count(e.name)) {
+            if (!lhs && !sym.bound) {
                 fatal("index variable '" + e.name +
                           "' is not bound in this context",
                       e.loc);
@@ -372,16 +414,16 @@ ComponentChecker::checkIndexExpr(const Expr &e,
               e.loc);
       }
       case ExprKind::Unary:
-        checkIndexExpr(*e.lhs, bound);
+        checkIndexExpr(*e.lhs, lhs);
         return;
       case ExprKind::Binary:
-        checkIndexExpr(*e.lhs, bound);
-        checkIndexExpr(*e.rhs, bound);
+        checkIndexExpr(*e.lhs, lhs);
+        checkIndexExpr(*e.rhs, lhs);
         return;
       case ExprKind::Ternary:
-        checkIndexExpr(*e.lhs, bound);
-        checkIndexExpr(*e.rhs, bound);
-        checkIndexExpr(*e.third, bound);
+        checkIndexExpr(*e.lhs, lhs);
+        checkIndexExpr(*e.rhs, lhs);
+        checkIndexExpr(*e.third, lhs);
         return;
       case ExprKind::Call:
       case ExprKind::Reduce:
@@ -391,45 +433,22 @@ ComponentChecker::checkIndexExpr(const Expr &e,
 }
 
 void
-ComponentChecker::collectIndexVars(const Expr &e,
-                                   std::set<std::string_view> *out) const
+ComponentChecker::collectIndices(const Expr &e, std::vector<int> *out) const
 {
-    switch (e.kind) {
-      case ExprKind::Number:
-        return;
-      case ExprKind::Ref:
-        if (e.args.empty())
-            out->insert(e.name);
-        for (const auto &ix : e.args)
-            collectIndexVars(*ix, out);
-        return;
-      case ExprKind::Unary:
-        collectIndexVars(*e.lhs, out);
-        return;
-      case ExprKind::Binary:
-        collectIndexVars(*e.lhs, out);
-        collectIndexVars(*e.rhs, out);
-        return;
-      case ExprKind::Ternary:
-        collectIndexVars(*e.lhs, out);
-        collectIndexVars(*e.rhs, out);
-        collectIndexVars(*e.third, out);
-        return;
-      case ExprKind::Call:
-        for (const auto &a : e.args)
-            collectIndexVars(*a, out);
-        return;
-      case ExprKind::Reduce:
-        collectIndexVars(*e.body, out);
-        return;
+    // checkIndexExpr() has admitted only literals, unsubscripted names
+    // and unary/binary/ternary operators.
+    if (e.kind == ExprKind::Ref && symbols_[e.slot].kind == Symbol::Kind::Index)
+        out->push_back(e.slot);
+    for (const Expr *child : {e.lhs.get(), e.rhs.get(), e.third.get()}) {
+        if (child)
+            collectIndices(*child, out);
     }
-    panic("unhandled ExprKind");
 }
 
-const Symbol &
-ComponentChecker::lookup(const std::string &name, SourceLoc loc) const
+int
+ComponentChecker::resolve(const std::string &name, SourceLoc loc) const
 {
-    auto it = scope_.find(name);
+    const auto it = scope_.find(name);
     if (it == scope_.end()) {
         fatal("use of undeclared name '" + name + "' in component '" +
                   comp_.name + "'",
@@ -439,12 +458,12 @@ ComponentChecker::lookup(const std::string &name, SourceLoc loc) const
 }
 
 bool
-ComponentChecker::isReadable(const Symbol &sym, const std::string &name) const
+ComponentChecker::isReadable(const Symbol &sym) const
 {
     if (sym.kind == Symbol::Kind::DimSym)
         return true;
     if (sym.kind == Symbol::Kind::Local)
-        return assigned_.count(name) > 0;
+        return sym.assigned;
     if (sym.kind == Symbol::Kind::Arg) {
         switch (sym.mod) {
           case Modifier::Input:
@@ -454,7 +473,7 @@ ComponentChecker::isReadable(const Symbol &sym, const std::string &name) const
           case Modifier::Output:
             // Outputs become readable once the component has produced them
             // (pred in Fig. 4 is read back on the line after it is written).
-            return assigned_.count(name) > 0;
+            return sym.assigned;
         }
     }
     return false;

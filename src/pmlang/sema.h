@@ -13,6 +13,15 @@
  *  - absence of recursive component instantiation.
  *
  * All violations raise UserError with the offending source location.
+ *
+ * Sema is the frontend's only name resolver. It numbers each component's
+ * symbols with slots in declaration order (args, dimension symbols, then
+ * the indices and locals of the body) and records the slot on every
+ * declaration and use through the AST's `mutable` slot fields (see
+ * ast.h), so the srDFG builder never looks a name up. analyze() is the
+ * only writer of those fields and writes the same values on every run;
+ * it must not run on an AST that another thread is analysing or
+ * building from.
  */
 #ifndef POLYMATH_PMLANG_SEMA_H_
 #define POLYMATH_PMLANG_SEMA_H_
@@ -24,8 +33,9 @@
 namespace polymath::lang {
 
 /**
- * Analyzes @p prog. @p entry is the top-level component ("main" for whole
- * programs; any component name for library-style analysis).
+ * Analyzes @p prog and resolves its names to slots. @p entry is the
+ * top-level component ("main" for whole programs; any component name for
+ * library-style analysis). Every component is analysed and resolved.
  * @throws UserError on the first semantic violation.
  */
 void analyze(const Program &prog, const std::string &entry = "main");

@@ -1,15 +1,11 @@
 #include "srdfg/builder.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
-#include <set>
-#include <string_view>
 #include <vector>
 
-#include "core/flat_map.h"
 #include "obs/trace.h"
-#include "pmlang/builtins.h"
 #include "pmlang/parser.h"
 #include "pmlang/sema.h"
 
@@ -24,62 +20,6 @@ using lang::Modifier;
 using lang::Stmt;
 using lang::StmtKind;
 
-/**
- * Small sorted set of variable names, viewing into the AST's strings
- * (which outlive every build). Iterates in the same lexicographic order
- * std::set<std::string> would, but with one flat buffer instead of a
- * node allocation per name — usedVars() runs on every interior
- * expression node, so this is on the frontend's hot path.
- */
-struct VarSet
-{
-    std::vector<std::string_view> names;
-
-    void insert(std::string_view s)
-    {
-        const auto it =
-            std::lower_bound(names.begin(), names.end(), s);
-        if (it == names.end() || *it != s)
-            names.insert(it, s);
-    }
-
-    void erase(std::string_view s)
-    {
-        const auto it =
-            std::lower_bound(names.begin(), names.end(), s);
-        if (it != names.end() && *it == s)
-            names.erase(it);
-    }
-
-    bool contains(std::string_view s) const
-    {
-        const auto it =
-            std::lower_bound(names.begin(), names.end(), s);
-        return it != names.end() && *it == s;
-    }
-
-    auto begin() const { return names.begin(); }
-    auto end() const { return names.end(); }
-    size_t size() const { return names.size(); }
-};
-
-/** What a name is bound to inside one component instantiation. */
-struct Binding
-{
-    enum class Kind {
-        Tensor, ///< runtime data: an SSA value in the frame's graph
-        Const,  ///< compile-time scalar (literal-bound param / dim symbol)
-    };
-
-    Kind kind = Kind::Tensor;
-    ValueId value = -1; ///< current SSA version; -1 for unwritten outputs
-    Shape shape;
-    DType dtype = DType::Float;
-    EdgeKind ekind = EdgeKind::Internal;
-    double cval = 0.0;
-    bool isIntegral = false;
-};
-
 /** A declared index variable's inclusive range. */
 struct IndexRange
 {
@@ -89,36 +29,40 @@ struct IndexRange
     int64_t extent() const { return hi - lo + 1; }
 };
 
-/** Scope maps are flat sorted vectors viewing into AST strings; see
- *  core/flat_map.h for the lifetime contract. */
-template <class T>
-using FlatEnv = FlatStringMap<T>;
-
-/** Active iteration context for one statement: ordered variables. */
-struct VarContext
+/** What one symbol slot (see lang::analyze()) is bound to inside one
+ *  component instantiation. */
+struct Binding
 {
-    std::vector<std::string> names;
-    std::vector<IndexRange> ranges;
+    enum class Kind {
+        Unbound, ///< not declared yet, or a dim symbol no shape fixed
+        Tensor,  ///< runtime data: an SSA value in the frame's graph
+        Const,   ///< compile-time scalar (literal-bound param / dim symbol)
+        Index,   ///< index variable
+    };
 
-    int slotOf(const std::string &name) const
-    {
-        for (size_t i = 0; i < names.size(); ++i) {
-            if (names[i] == name)
-                return static_cast<int>(i);
-        }
-        return -1;
-    }
+    Kind kind = Kind::Unbound;
+    ValueId value = -1; ///< current SSA version; -1 for unwritten outputs
+    Shape shape;
+    DType dtype = DType::Float;
+    EdgeKind ekind = EdgeKind::Internal;
+    double cval = 0.0;
+    bool isIntegral = false;
+
+    // Index
+    IndexRange range;
+    const std::string *name = nullptr; ///< the declaration's, in the AST
+    int pos = -1; ///< position in the active statement context, or -1
 };
+
+/** Active iteration context of one statement: the slots of its index
+ *  variables, in order. Var(k) in an operand's coords is ctx[k]. */
+using VarContext = std::vector<int>;
 
 /** An argument passed to a component instantiation. */
 struct ActualArg
 {
     bool isConst = false;
-    // Tensor case
-    std::string name;
-    ValueId value = -1;
-    Shape shape;
-    DType dtype = DType::Float;
+    Shape shape; ///< tensor case
     // Const case
     double cval = 0.0;
     bool isIntegral = false;
@@ -129,8 +73,7 @@ struct Frame
 {
     Graph *graph = nullptr;
     const ComponentDecl *comp = nullptr;
-    FlatEnv<Binding> env;
-    FlatEnv<IndexRange> ranges;
+    std::vector<Binding> slots; ///< by the component's symbol slot
     Domain dom = Domain::None;
 };
 
@@ -160,6 +103,20 @@ struct Operand
     DType dtype = DType::Float;
 };
 
+/** Memoization key of one instantiation: a subgraph depends only on the
+ *  callee declaration, the instantiation domain, and each actual's
+ *  constant value or tensor shape. */
+struct InstantiationKey
+{
+    const ComponentDecl *comp = nullptr;
+    Domain dom = Domain::None;
+    /** Per actual: -1 (integral) or -2, then the constant's exact bit
+     *  pattern; or a tensor's rank, then its extents. */
+    std::vector<int64_t> actuals;
+
+    auto operator<=>(const InstantiationKey &) const = default;
+};
+
 class GraphBuilder
 {
   public:
@@ -181,24 +138,29 @@ class GraphBuilder
     void buildAssign(Frame &frame, const Stmt &stmt);
     void buildCall(Frame &frame, const Stmt &stmt);
 
-    Operand emitExpr(Frame &frame, const Expr &e, const VarContext &ctx);
+    /** Emits @p e over @p ctx and marks in @p used (one entry per
+     *  context position; see markIndexUses()) the context variables its
+     *  value depends on. */
+    Operand emitExpr(Frame &frame, const Expr &e, const VarContext &ctx,
+                     std::vector<int> &used);
+    Operand emitRef(Frame &frame, const Expr &e, std::vector<int> &used);
+    /** Emits a Map node over the context variables @p vars marks (which
+     *  it turns into the remap onto the node's own variables). */
     Operand emitMapOp(Frame &frame, Op op,
                       std::vector<Operand> operands, DType dtype,
-                      const VarContext &ctx, const VarSet &used);
-    Operand emitReduce(Frame &frame, const Expr &e, const VarContext &ctx);
+                      const VarContext &ctx, std::vector<int> &vars,
+                      std::vector<int> &used);
+    Operand emitReduce(Frame &frame, const Expr &e, const VarContext &ctx,
+                       std::vector<int> &used);
     Operand emitConstant(Frame &frame, double value, DType dtype);
 
-    /** Translates PMLang index arithmetic to an IndexExpr over @p ctx. */
-    IndexExpr translateIndex(const Frame &frame, const Expr &e,
-                             const VarContext &ctx) const;
+    /** Translates PMLang index arithmetic to an IndexExpr over the active
+     *  statement context. */
+    IndexExpr translateIndex(const Frame &frame, const Expr &e) const;
 
     /** Constant-evaluates an expression of params/dims/literals. */
     int64_t evalConstInt(const Frame &frame, const Expr &e) const;
     double evalConstScalar(const Frame &frame, const Expr &e) const;
-
-    /** Index variables of the active context used in @p e (subtracting
-     *  inner reduction axes). */
-    void usedVars(const Frame &frame, const Expr &e, VarSet *out) const;
 
     /** Resolves formal dims against an actual shape, binding symbols. */
     void unifyDims(Frame &callee_frame, const lang::ArgDecl &formal,
@@ -210,44 +172,60 @@ class GraphBuilder
     std::shared_ptr<const lang::Program> program_;
     std::shared_ptr<IrContext> context_;
 
-    /** Memoized component instantiations. A subgraph depends only on the
-     *  callee declaration, the instantiation domain, and each actual's
-     *  constant value or tensor shape (outer names and value ids never
-     *  cross the boundary), so repeated instantiations — DNN layers with
-     *  identical shapes, per-axis controller blocks — are served by a
-     *  Graph::clone() of the first build instead of a re-walk of the
+    /** Memoized component instantiations. Outer names and value ids
+     *  never cross the boundary, so repeated instantiations — DNN layers
+     *  with identical shapes, per-axis controller blocks — are served by
+     *  a Graph::clone() of the first build instead of a re-walk of the
      *  body. */
-    std::map<std::string, std::unique_ptr<Graph>> subCache_;
+    std::map<InstantiationKey, std::unique_ptr<Graph>> subCache_;
 };
 
-/** Builds the memoization key for one instantiation. Constants are keyed
- *  by their exact bit pattern; tensors by their extents (the formal fixes
- *  rank and dtype). */
-std::string
+InstantiationKey
 instantiationKey(const ComponentDecl &comp,
                  const std::vector<ActualArg> &actuals, Domain dom)
 {
-    std::string key;
-    key.reserve(comp.name.size() + 2 + actuals.size() * 10);
-    key += comp.name;
-    key += '\x1f';
-    key += static_cast<char>('0' + static_cast<int>(dom));
+    InstantiationKey key{&comp, dom, {}};
     for (const auto &a : actuals) {
         if (a.isConst) {
-            key += a.isIntegral ? 'c' : 'f';
-            uint64_t bits = 0;
-            static_assert(sizeof(bits) == sizeof(a.cval));
-            std::memcpy(&bits, &a.cval, sizeof(bits));
-            key.append(reinterpret_cast<const char *>(&bits), sizeof(bits));
+            key.actuals.push_back(a.isIntegral ? -1 : -2);
+            key.actuals.push_back(std::bit_cast<int64_t>(a.cval));
         } else {
-            key += 't';
-            for (const int64_t d : a.shape.dims()) {
-                key += ':';
-                key += std::to_string(d);
-            }
+            key.actuals.push_back(a.shape.rank());
+            for (const int64_t d : a.shape.dims())
+                key.actuals.push_back(d);
         }
     }
     return key;
+}
+
+/** The context variable an index binding names, offset by the lower
+ *  bound of its range (iteration variables count from zero). */
+IndexExpr
+contextVar(const Binding &b)
+{
+    IndexExpr v = IndexExpr::var(b.pos);
+    if (b.range.lo != 0) {
+        v = IndexExpr::binary(IndexExpr::Kind::Add, std::move(v),
+                              IndexExpr::constant(b.range.lo));
+    }
+    return v;
+}
+
+/** Marks the context variables index arithmetic @p e names, setting
+ *  used[k] = 0 for position k (unused positions stay -1). Sema admits
+ *  only literals, unsubscripted names and operators there. */
+void
+markIndexUses(const Frame &frame, const Expr &e, std::vector<int> &used)
+{
+    if (e.kind == ExprKind::Ref) {
+        const Binding &b = frame.slots[e.slot];
+        if (b.kind == Binding::Kind::Index)
+            used[static_cast<size_t>(b.pos)] = 0;
+    }
+    for (const Expr *child : {e.lhs.get(), e.rhs.get(), e.third.get()}) {
+        if (child)
+            markIndexUses(frame, *child, used);
+    }
 }
 
 /** Maps a PMLang binary operator to its srDFG op code. */
@@ -299,9 +277,16 @@ GraphBuilder::buildEntry(const std::string &entry,
     const ComponentDecl *comp = program_->findComponent(entry);
     if (!comp)
         fatal("entry component '" + entry + "' not found");
+    if (comp->slotCount < 0)
+        panic("srDFG build of a program lang::analyze() has not resolved");
 
     // Synthesize actuals for the entry from its own signature: every
-    // runtime argument becomes a graph input of the top-level srDFG.
+    // runtime argument becomes a graph input of the top-level srDFG. Its
+    // dims must be compile-time constants: a frame with no bindings
+    // suffices, as only literals are resolvable.
+    Frame empty;
+    empty.comp = comp;
+    empty.slots.resize(static_cast<size_t>(comp->slotCount));
     std::vector<ActualArg> actuals;
     for (const auto &arg : comp->args) {
         ActualArg actual;
@@ -315,12 +300,6 @@ GraphBuilder::buildEntry(const std::string &entry,
             actual.cval = static_cast<double>(it->second);
             actual.isIntegral = true;
         } else {
-            actual.name = arg.name;
-            actual.dtype = arg.type;
-            // Dims must be compile-time constants at the entry. A frame
-            // with no bindings suffices: only literals are resolvable.
-            Frame empty;
-            empty.comp = comp;
             std::vector<int64_t> dims;
             for (const auto &d : arg.dims)
                 dims.push_back(evalConstInt(empty, *d));
@@ -348,20 +327,20 @@ GraphBuilder::buildComponent(const ComponentDecl &comp,
     Frame frame;
     frame.graph = graph.get();
     frame.comp = &comp;
+    frame.slots.resize(static_cast<size_t>(comp.slotCount));
     frame.dom = dom;
 
-    // Bind formals. Two passes: constants/dim symbols first so tensor dims
-    // that reference them resolve.
+    // Bind formals (arg i has slot i). Two passes: constants/dim symbols
+    // first so tensor dims that reference them resolve.
     for (size_t i = 0; i < comp.args.size(); ++i) {
         const auto &formal = comp.args[i];
         const auto &actual = actuals[i];
         if (actual.isConst) {
-            Binding b;
+            Binding &b = frame.slots[i];
             b.kind = Binding::Kind::Const;
             b.cval = actual.cval;
             b.isIntegral = actual.isIntegral;
             b.dtype = formal.type;
-            frame.env[formal.name] = b;
         } else {
             unifyDims(frame, formal, actual.shape);
         }
@@ -387,29 +366,27 @@ GraphBuilder::buildComponent(const ComponentDecl &comp,
             b.value = graph->addValue(md);
             graph->inputs.push_back(b.value);
         }
-        frame.env[formal.name] = b;
+        frame.slots[i] = std::move(b);
     }
 
     buildBody(frame);
 
-    // Boundary outputs: output formals then updated state versions. The
-    // final SSA version takes on the formal's boundary role (an edge that
-    // is `state` at the instantiation boundary was `internal` while the
-    // body produced it — Section III-B's modifier change across levels).
-    for (const auto &formal : comp.args) {
-        if (formal.mod != Modifier::Output)
+    // Boundary outputs: output formals then updated state versions (sema
+    // proved every output assigned). The final SSA version takes on the
+    // formal's boundary role (an edge that is `state` at the
+    // instantiation boundary was `internal` while the body produced it —
+    // Section III-B's modifier change across levels).
+    for (size_t i = 0; i < comp.args.size(); ++i) {
+        if (comp.args[i].mod != Modifier::Output)
             continue;
-        const Binding &b = frame.env[formal.name];
-        if (b.value < 0)
-            fatal("output '" + formal.name + "' never assigned",
-                  formal.loc);
-        graph->value(b.value).md.kind = EdgeKind::Output;
-        graph->outputs.push_back(b.value);
+        const ValueId v = frame.slots[i].value;
+        graph->value(v).md.kind = EdgeKind::Output;
+        graph->outputs.push_back(v);
     }
-    for (const auto &formal : comp.args) {
-        if (formal.mod != Modifier::State)
+    for (size_t i = 0; i < comp.args.size(); ++i) {
+        if (comp.args[i].mod != Modifier::State)
             continue;
-        const ValueId v = frame.env[formal.name].value;
+        const ValueId v = frame.slots[i].value;
         graph->value(v).md.kind = EdgeKind::State;
         graph->outputs.push_back(v);
     }
@@ -430,14 +407,13 @@ GraphBuilder::unifyDims(Frame &frame, const lang::ArgDecl &formal,
         const Expr &dim = *formal.dims[d];
         const int64_t extent = actual_shape.dim(static_cast<int>(d));
         if (dim.kind == ExprKind::Ref && dim.args.empty() &&
-            !frame.env.count(dim.name)) {
+            frame.slots[dim.slot].kind == Binding::Kind::Unbound) {
             // Unbound symbolic dimension: bind it.
-            Binding b;
+            Binding &b = frame.slots[dim.slot];
             b.kind = Binding::Kind::Const;
             b.cval = static_cast<double>(extent);
             b.isIntegral = true;
             b.dtype = DType::Int;
-            frame.env[dim.name] = b;
             continue;
         }
         const int64_t expected = evalConstInt(frame, dim);
@@ -476,18 +452,20 @@ GraphBuilder::buildBody(Frame &frame)
                               std::to_string(r.hi) + "]",
                           spec.loc);
                 }
-                frame.ranges[spec.name] = r;
+                Binding &b = frame.slots[spec.slot];
+                b.kind = Binding::Kind::Index;
+                b.range = r;
+                b.name = &spec.name;
             }
             break;
           case StmtKind::VarDecl:
             for (const auto &decl : stmt->locals) {
-                Binding b;
+                Binding &b = frame.slots[decl.slot];
                 b.kind = Binding::Kind::Tensor;
                 b.shape = resolveDims(frame, decl.dims);
                 b.dtype = stmt->declType;
                 b.ekind = EdgeKind::Internal;
                 b.value = -1;
-                frame.env[decl.name] = b;
             }
             break;
           case StmtKind::Assign:
@@ -503,55 +481,36 @@ GraphBuilder::buildBody(Frame &frame)
 void
 GraphBuilder::buildAssign(Frame &frame, const Stmt &stmt)
 {
-    Binding &target = frame.env.at(stmt.target);
+    Binding &target = frame.slots[stmt.targetSlot];
 
-    // Statement iteration context: index variables in order of first
-    // appearance in the LHS subscripts.
-    VarContext ctx;
-    VarSet seen;
-    for (const auto &ix : stmt.targetIndices) {
-        VarSet vars;
-        usedVars(frame, *ix, &vars);
-        // usedVars is sorted per subscript; dedup across subscripts while
-        // keeping subscript order for the context.
-        for (const auto &name : vars) {
-            if (!seen.contains(name)) {
-                seen.insert(name);
-                ctx.names.emplace_back(name);
-                ctx.ranges.push_back(frame.ranges.at(ctx.names.back()));
-            }
-        }
-    }
+    // Statement iteration context: the index variables the LHS binds.
+    const VarContext &ctx = stmt.contextSlots;
+    for (size_t k = 0; k < ctx.size(); ++k)
+        frame.slots[ctx[k]].pos = static_cast<int>(k);
 
-    Operand rhs = emitExpr(frame, *stmt.value, ctx);
+    std::vector<int> used(ctx.size(), -1);
+    Operand rhs = emitExpr(frame, *stmt.value, ctx, used);
 
-    // Full-write detection: every LHS subscript is a distinct bare index
-    // variable covering its whole dimension.
-    bool full_write = true;
+    // Full-write detection: every LHS subscript is a bare index variable
+    // covering its whole dimension, and they are pairwise distinct (each
+    // binds its own context variable).
+    bool full_write = ctx.size() == stmt.targetIndices.size();
     std::vector<IndexExpr> scatter;
     for (size_t d = 0; d < stmt.targetIndices.size(); ++d) {
         const Expr &ix = *stmt.targetIndices[d];
-        IndexExpr translated = translateIndex(frame, ix, ctx);
-        const bool bare =
-            ix.kind == ExprKind::Ref && ix.args.empty() &&
-            frame.ranges.count(ix.name) &&
-            frame.ranges.at(ix.name).lo == 0 &&
-            frame.ranges.at(ix.name).extent() ==
-                target.shape.dim(static_cast<int>(d));
-        if (!bare)
+        if (ix.kind != ExprKind::Ref) {
             full_write = false;
-        scatter.push_back(std::move(translated));
+        } else {
+            const Binding &b = frame.slots[ix.slot];
+            full_write = full_write && b.kind == Binding::Kind::Index &&
+                         b.range.lo == 0 &&
+                         b.range.extent() ==
+                             target.shape.dim(static_cast<int>(d));
+        }
+        scatter.push_back(translateIndex(frame, ix));
     }
-    if (full_write) {
-        // Bare vars must also be pairwise distinct and cover the context.
-        VarSet names;
-        for (const auto &ix : stmt.targetIndices)
-            names.insert(ix->name);
-        full_write = names.size() == stmt.targetIndices.size() &&
-                     names.size() == ctx.names.size();
-    }
-    if (stmt.targetIndices.empty())
-        full_write = true; // scalar target
+    for (const int slot : ctx)
+        frame.slots[slot].pos = -1;
 
     EdgeMeta md;
     md.dtype = target.dtype;
@@ -569,11 +528,6 @@ GraphBuilder::buildAssign(Frame &frame, const Stmt &stmt)
             const auto pouts =
                 producer ? frame.graph->outs(*producer)
                          : std::span<const Access>{};
-            const bool same_domain =
-                producer && pouts.size() == 1 &&
-                pouts[0].value == rhs.access.value &&
-                producer->domainVarNames(*frame.graph) == ctx.names &&
-                rv.md.shape == md.shape;
             bool identity_coords =
                 static_cast<int>(rhs.access.coords.size()) ==
                 md.shape.rank();
@@ -582,6 +536,15 @@ GraphBuilder::buildAssign(Frame &frame, const Stmt &stmt)
                 identity_coords =
                     rhs.access.coords[i].isIdentityVar(static_cast<int>(i));
             }
+            // Identity coords over a full write use every context
+            // variable, and a producer iterates the variables its output
+            // uses (plus a reduction's axes), so it iterates exactly the
+            // context when it iterates as many variables.
+            const bool same_domain =
+                producer && pouts.size() == 1 &&
+                pouts[0].value == rhs.access.value &&
+                frame.graph->domainVars(*producer).size() == ctx.size() &&
+                rv.md.shape == md.shape;
             if (same_domain && identity_coords) {
                 md.dtype = rv.md.dtype; // copy before addValue invalidates rv
                 const ValueId nv =
@@ -600,9 +563,9 @@ GraphBuilder::buildAssign(Frame &frame, const Stmt &stmt)
     Graph &g = *frame.graph;
     Node &store = *g.node(g.addNode(NodeKind::Map, OpCode::Identity));
     store.domain = frame.dom;
-    for (size_t i = 0; i < ctx.names.size(); ++i) {
-        g.addDomainVar(store,
-                       IndexVar{ctx.names[i], ctx.ranges[i].extent(), false});
+    for (const int slot : ctx) {
+        const Binding &v = frame.slots[slot];
+        g.addDomainVar(store, IndexVar{*v.name, v.range.extent(), false});
     }
     g.addInput(store, intern(g, rhs.access));
     if (!full_write)
@@ -620,25 +583,22 @@ GraphBuilder::buildCall(Frame &frame, const Stmt &stmt)
         panic("sema admitted unknown component " + stmt.callee);
     const Domain dom = stmt.domain != Domain::None ? stmt.domain : frame.dom;
 
+    // A bare-name actual passes its binding; any other actual is a
+    // constant expression (sema admits those only for param formals).
     std::vector<ActualArg> actuals;
-    std::vector<std::string> outer_names(callee->args.size());
     for (size_t i = 0; i < callee->args.size(); ++i) {
         const Expr &actual_expr = *stmt.callArgs[i];
+        const Binding *b = actual_expr.kind == ExprKind::Ref &&
+                                   actual_expr.args.empty()
+                               ? &frame.slots[actual_expr.slot]
+                               : nullptr;
         ActualArg actual;
-        if (actual_expr.kind == ExprKind::Ref && actual_expr.args.empty() &&
-            frame.env.count(actual_expr.name)) {
-            const Binding &b = frame.env.at(actual_expr.name);
-            if (b.kind == Binding::Kind::Const) {
-                actual.isConst = true;
-                actual.cval = b.cval;
-                actual.isIntegral = b.isIntegral;
-            } else {
-                actual.name = actual_expr.name;
-                actual.value = b.value;
-                actual.shape = b.shape;
-                actual.dtype = b.dtype;
-                outer_names[i] = actual_expr.name;
-            }
+        if (b && b->kind == Binding::Kind::Tensor) {
+            actual.shape = b->shape;
+        } else if (b && b->kind == Binding::Kind::Const) {
+            actual.isConst = true;
+            actual.cval = b->cval;
+            actual.isIntegral = b->isIntegral;
         } else {
             actual.isConst = true;
             if (callee->args[i].type == DType::Int) {
@@ -655,7 +615,7 @@ GraphBuilder::buildCall(Frame &frame, const Stmt &stmt)
     }
 
     std::unique_ptr<Graph> sub;
-    std::string key = instantiationKey(*callee, actuals, dom);
+    InstantiationKey key = instantiationKey(*callee, actuals, dom);
     if (const auto it = subCache_.find(key); it == subCache_.end()) {
         // First sighting: build, and leave a marker so a repeat knows to
         // populate the cache. Caching eagerly would charge every
@@ -681,23 +641,25 @@ GraphBuilder::buildCall(Frame &frame, const Stmt &stmt)
             continue;
         if (sub_in >= sub->inputs.size())
             panic("subgraph input underflow");
-        const Binding &b = frame.env.at(outer_names[i]);
-        if (b.value < 0) {
-            fatal("'" + outer_names[i] + "' is read before assignment",
+        const Expr &actual_expr = *stmt.callArgs[i];
+        const ValueId v = frame.slots[actual_expr.slot].value;
+        if (v < 0) {
+            fatal("'" + actual_expr.name + "' is read before assignment",
                   stmt.loc);
         }
-        frame.graph->addInput(call, Access{b.value, {}});
+        frame.graph->addInput(call, Access{v, {}});
         ++sub_in;
     }
 
     // Subgraph outputs: output formals in order, then state formals.
     auto bind_result = [&](const lang::ArgDecl &formal, size_t arg_pos) {
-        Binding &outer = frame.env.at(outer_names[arg_pos]);
+        const Expr &actual_expr = *stmt.callArgs[arg_pos];
+        Binding &outer = frame.slots[actual_expr.slot];
         EdgeMeta md;
         md.dtype = formal.type;
         md.kind = outer.ekind;
         md.shape = outer.shape;
-        md.name = outer_names[arg_pos];
+        md.name = actual_expr.name;
         const ValueId nv = frame.graph->addValue(md, call.id);
         frame.graph->addOutput(call, Access{nv, {}});
         outer.value = nv;
@@ -733,91 +695,62 @@ GraphBuilder::emitConstant(Frame &frame, double value, DType dtype)
 }
 
 Operand
-GraphBuilder::emitExpr(Frame &frame, const Expr &e, const VarContext &ctx)
+GraphBuilder::emitExpr(Frame &frame, const Expr &e, const VarContext &ctx,
+                       std::vector<int> &used)
 {
     switch (e.kind) {
       case ExprKind::Number:
         return emitConstant(frame, e.value,
                             e.isIntLit ? DType::Int : DType::Float);
-      case ExprKind::Ref: {
-        auto range_it = frame.ranges.find(e.name);
-        if (range_it != frame.ranges.end()) {
-            // Index variable used as data.
-            const int slot = ctx.slotOf(e.name);
-            if (slot < 0)
-                fatal("index '" + e.name + "' unbound here", e.loc);
-            IndexExpr ix = IndexExpr::var(slot);
-            if (range_it->second.lo != 0) {
-                ix = IndexExpr::binary(
-                    IndexExpr::Kind::Add, std::move(ix),
-                    IndexExpr::constant(range_it->second.lo));
-            }
-            Operand op;
-            op.access.value = Access::kIndexOperand;
-            op.access.coords.push_back(std::move(ix));
-            op.dtype = DType::Int;
-            return op;
-        }
-        const Binding &b = frame.env.at(e.name);
-        if (b.kind == Binding::Kind::Const)
-            return emitConstant(frame, b.cval,
-                                b.isIntegral ? DType::Int : DType::Float);
-        if (b.value < 0)
-            fatal("'" + e.name + "' is read before assignment", e.loc);
-        Operand op;
-        op.access.value = b.value;
-        for (const auto &ix : e.args)
-            op.access.coords.push_back(translateIndex(frame, *ix, ctx));
-        op.dtype = b.dtype;
-        return op;
-      }
+      case ExprKind::Ref:
+        return emitRef(frame, e, used);
+      case ExprKind::Reduce:
+        return emitReduce(frame, e, ctx, used);
+      default:
+        break;
+    }
+
+    // An operator: a Map node over the variables its operands use.
+    std::vector<int> vars(ctx.size(), -1);
+    std::vector<Operand> operands;
+    const auto emit = [&](const Expr &operand) {
+        operands.push_back(emitExpr(frame, operand, ctx, vars));
+        return operands.back().dtype;
+    };
+    switch (e.kind) {
       case ExprKind::Unary: {
-        VarSet used;
-        usedVars(frame, e, &used);
-        std::vector<Operand> operands;
-        operands.push_back(emitExpr(frame, *e.lhs, ctx));
+        const DType dt = emit(*e.lhs);
         const bool is_neg = e.unaryOp == lang::UnaryOp::Neg;
-        const OpCode op = is_neg ? OpCode::Neg : OpCode::Not;
-        DType dt = is_neg ? operands[0].dtype : DType::Bin;
-        return emitMapOp(frame, op, std::move(operands), dt, ctx, used);
+        return emitMapOp(frame, is_neg ? OpCode::Neg : OpCode::Not,
+                         std::move(operands), is_neg ? dt : DType::Bin, ctx,
+                         vars, used);
       }
       case ExprKind::Binary: {
-        VarSet used;
-        usedVars(frame, e, &used);
-        std::vector<Operand> operands;
-        operands.push_back(emitExpr(frame, *e.lhs, ctx));
-        operands.push_back(emitExpr(frame, *e.rhs, ctx));
+        const DType lt = emit(*e.lhs);
+        const DType rt = emit(*e.rhs);
         const OpCode op = mapBinaryOp(e.binaryOp);
         DType dt;
         if (isComparison(op)) {
             dt = DType::Bin;
         } else {
-            dt = promote(operands[0].dtype, operands[1].dtype);
+            dt = promote(lt, rt);
             if (op == OpCode::Div && dt == DType::Int)
                 dt = DType::Float; // PMLang '/' is real division on data
         }
-        return emitMapOp(frame, op, std::move(operands), dt, ctx, used);
+        return emitMapOp(frame, op, std::move(operands), dt, ctx, vars,
+                         used);
       }
       case ExprKind::Ternary: {
-        VarSet used;
-        usedVars(frame, e, &used);
-        std::vector<Operand> operands;
-        operands.push_back(emitExpr(frame, *e.lhs, ctx));
-        operands.push_back(emitExpr(frame, *e.rhs, ctx));
-        operands.push_back(emitExpr(frame, *e.third, ctx));
-        const DType dt = promote(operands[1].dtype, operands[2].dtype);
-        return emitMapOp(frame, OpCode::Select, std::move(operands), dt,
-                         ctx, used);
+        emit(*e.lhs);
+        const DType tt = emit(*e.rhs);
+        const DType et = emit(*e.third);
+        return emitMapOp(frame, OpCode::Select, std::move(operands),
+                         promote(tt, et), ctx, vars, used);
       }
       case ExprKind::Call: {
-        VarSet used;
-        usedVars(frame, e, &used);
-        std::vector<Operand> operands;
+        DType dt = DType::Bin;
         for (const auto &a : e.args)
-            operands.push_back(emitExpr(frame, *a, ctx));
-        DType dt = operands[0].dtype;
-        for (const auto &o : operands)
-            dt = promote(dt, o.dtype);
+            dt = promote(dt, emit(*a));
         if (dt == DType::Int || dt == DType::Bin)
             dt = DType::Float; // transcendental results are real
         // re/im/abs project complex operands onto the reals.
@@ -826,40 +759,75 @@ GraphBuilder::emitExpr(Frame &frame, const Expr &e, const VarContext &ctx)
             dt = DType::Float;
         }
         return emitMapOp(frame, Op::intern(e.name), std::move(operands),
-                         dt, ctx, used);
+                         dt, ctx, vars, used);
       }
-      case ExprKind::Reduce:
-        return emitReduce(frame, e, ctx);
+      default:
+        break;
     }
     panic("unhandled ExprKind");
 }
 
 Operand
+GraphBuilder::emitRef(Frame &frame, const Expr &e, std::vector<int> &used)
+{
+    const Binding &b = frame.slots[e.slot];
+    Operand op;
+    switch (b.kind) {
+      case Binding::Kind::Index: // index variable used as data
+        used[static_cast<size_t>(b.pos)] = 0;
+        op.access.value = Access::kIndexOperand;
+        op.access.coords.push_back(contextVar(b));
+        op.dtype = DType::Int;
+        return op;
+      case Binding::Kind::Const:
+        // A subscripted constant broadcasts over its subscripts.
+        for (const auto &ix : e.args)
+            markIndexUses(frame, *ix, used);
+        return emitConstant(frame, b.cval,
+                            b.isIntegral ? DType::Int : DType::Float);
+      case Binding::Kind::Tensor:
+        // Sema proved the value written before this read.
+        op.access.value = b.value;
+        for (const auto &ix : e.args) {
+            markIndexUses(frame, *ix, used);
+            op.access.coords.push_back(translateIndex(frame, *ix));
+        }
+        op.dtype = b.dtype;
+        return op;
+      case Binding::Kind::Unbound:
+        break;
+    }
+    fatal("'" + e.name + "' has no value: no argument's shape binds it",
+          e.loc);
+}
+
+Operand
 GraphBuilder::emitMapOp(Frame &frame, Op op,
                         std::vector<Operand> operands, DType dtype,
-                        const VarContext &ctx, const VarSet &used)
+                        const VarContext &ctx, std::vector<int> &vars,
+                        std::vector<int> &used)
 {
-    // The node's domain is the subset of the context its subtree uses,
+    // The node's domain is the subset of the context its operands use,
     // in context order (keeps op counts exact, e.g. the inner dot product
     // of a logistic-regression update does not iterate the outer axes).
     Graph &g = *frame.graph;
     Node &node = *g.node(g.addNode(NodeKind::Map, op));
     node.domain = frame.dom;
-    std::vector<int> remap(ctx.names.size(), -1);
     std::vector<int64_t> extents;
     int nvars = 0;
-    for (size_t i = 0; i < ctx.names.size(); ++i) {
-        if (!used.contains(ctx.names[i]))
+    for (size_t i = 0; i < ctx.size(); ++i) {
+        if (vars[i] < 0)
             continue;
-        remap[i] = nvars++;
-        g.addDomainVar(node,
-                       IndexVar{ctx.names[i], ctx.ranges[i].extent(), false});
-        extents.push_back(ctx.ranges[i].extent());
+        vars[i] = nvars++;
+        used[i] = 0;
+        const Binding &v = frame.slots[ctx[i]];
+        g.addDomainVar(node, IndexVar{*v.name, v.range.extent(), false});
+        extents.push_back(v.range.extent());
     }
     for (auto &operand : operands) {
         AccessSpec a = std::move(operand.access);
         for (auto &c : a.coords)
-            c = c.remapped(remap);
+            c = c.remapped(vars);
         g.addInput(node, intern(g, a));
     }
 
@@ -877,8 +845,8 @@ GraphBuilder::emitMapOp(Frame &frame, Op op,
     // node's variables, expressed in the consumer's (full) context.
     Operand out;
     out.access.value = v;
-    for (size_t i = 0; i < ctx.names.size(); ++i) {
-        if (remap[i] >= 0)
+    for (size_t i = 0; i < ctx.size(); ++i) {
+        if (vars[i] >= 0)
             out.access.coords.push_back(
                 IndexExpr::var(static_cast<int>(i)));
     }
@@ -889,47 +857,49 @@ GraphBuilder::emitMapOp(Frame &frame, Op op,
 }
 
 Operand
-GraphBuilder::emitReduce(Frame &frame, const Expr &e, const VarContext &ctx)
+GraphBuilder::emitReduce(Frame &frame, const Expr &e, const VarContext &ctx,
+                         std::vector<int> &used)
 {
     // Extended context: outer vars plus this reduction's axes.
     VarContext inner = ctx;
     for (const auto &axis : e.axes) {
-        if (inner.slotOf(axis.index) >= 0)
+        if (frame.slots[axis.slot].pos >= 0)
             fatal("axis '" + axis.index + "' already bound", axis.loc);
-        inner.names.push_back(axis.index);
-        inner.ranges.push_back(frame.ranges.at(axis.index));
+        frame.slots[axis.slot].pos = static_cast<int>(inner.size());
+        inner.push_back(axis.slot);
     }
 
-    Operand body = emitExpr(frame, *e.body, inner);
-
-    // Node domain: used free vars (in ctx order) then all axes.
-    VarSet used;
-    usedVars(frame, *e.body, &used);
+    // Node domain: the free vars body and guards use (in ctx order), then
+    // all axes.
+    std::vector<int> remap(inner.size(), -1);
+    Operand body = emitExpr(frame, *e.body, inner, remap);
+    std::vector<IndexExpr> guards;
     for (const auto &axis : e.axes) {
-        used.insert(axis.index);
-        if (axis.cond)
-            usedVars(frame, *axis.cond, &used);
+        if (!axis.cond)
+            continue;
+        markIndexUses(frame, *axis.cond, remap);
+        guards.push_back(translateIndex(frame, *axis.cond));
     }
+    for (const auto &axis : e.axes)
+        frame.slots[axis.slot].pos = -1;
+    std::fill(remap.begin() + static_cast<std::ptrdiff_t>(ctx.size()),
+              remap.end(), 0);
 
     Graph &g = *frame.graph;
     Node &node = *g.node(g.addNode(NodeKind::Reduce, Op::intern(e.name)));
     node.domain = frame.dom;
-    std::vector<int> remap(inner.names.size(), -1);
-    VarSet axis_names;
-    for (const auto &axis : e.axes)
-        axis_names.insert(axis.index);
     std::vector<int64_t> free_extents;
     std::vector<bool> slot_reduced;
-    for (size_t i = 0; i < inner.names.size(); ++i) {
-        if (!used.contains(inner.names[i]))
+    for (size_t i = 0; i < inner.size(); ++i) {
+        if (remap[i] < 0)
             continue;
-        const bool reduced = axis_names.contains(inner.names[i]);
+        const bool reduced = i >= ctx.size();
+        const Binding &v = frame.slots[inner[i]];
         remap[i] = static_cast<int>(slot_reduced.size());
         slot_reduced.push_back(reduced);
-        g.addDomainVar(node, IndexVar{inner.names[i],
-                                      inner.ranges[i].extent(), reduced});
+        g.addDomainVar(node, IndexVar{*v.name, v.range.extent(), reduced});
         if (!reduced)
-            free_extents.push_back(inner.ranges[i].extent());
+            free_extents.push_back(v.range.extent());
     }
     AccessSpec in = std::move(body.access);
     for (auto &c : in.coords)
@@ -939,11 +909,8 @@ GraphBuilder::emitReduce(Frame &frame, const Expr &e, const VarContext &ctx)
     // Guard: conjunction of axis conditions.
     bool has_pred = false;
     IndexExpr pred;
-    for (const auto &axis : e.axes) {
-        if (!axis.cond)
-            continue;
-        IndexExpr c = translateIndex(frame, *axis.cond, inner);
-        c = c.remapped(remap);
+    for (const auto &guard : guards) {
+        IndexExpr c = guard.remapped(remap);
         pred = has_pred
                    ? IndexExpr::binary(IndexExpr::Kind::And, std::move(pred),
                                        std::move(c))
@@ -971,19 +938,18 @@ GraphBuilder::emitReduce(Frame &frame, const Expr &e, const VarContext &ctx)
 
     Operand out;
     out.access.value = v;
-    for (size_t i = 0; i < ctx.names.size(); ++i) {
-        if (static_cast<size_t>(i) < remap.size() && remap[i] >= 0 &&
-            !axis_names.contains(ctx.names[i])) {
-            out.access.coords.push_back(IndexExpr::var(static_cast<int>(i)));
-        }
+    for (size_t i = 0; i < ctx.size(); ++i) {
+        if (remap[i] < 0)
+            continue;
+        used[i] = 0;
+        out.access.coords.push_back(IndexExpr::var(static_cast<int>(i)));
     }
     out.dtype = dt;
     return out;
 }
 
 IndexExpr
-GraphBuilder::translateIndex(const Frame &frame, const Expr &e,
-                             const VarContext &ctx) const
+GraphBuilder::translateIndex(const Frame &frame, const Expr &e) const
 {
     switch (e.kind) {
       case ExprKind::Number:
@@ -991,37 +957,25 @@ GraphBuilder::translateIndex(const Frame &frame, const Expr &e,
             fatal("non-integer literal in index arithmetic", e.loc);
         return IndexExpr::constant(static_cast<int64_t>(e.value));
       case ExprKind::Ref: {
-        auto range_it = frame.ranges.find(e.name);
-        if (range_it != frame.ranges.end()) {
-            const int slot = ctx.slotOf(e.name);
-            if (slot < 0)
-                fatal("index '" + e.name + "' unbound here", e.loc);
-            IndexExpr v = IndexExpr::var(slot);
-            if (range_it->second.lo != 0) {
-                v = IndexExpr::binary(IndexExpr::Kind::Add, std::move(v),
-                                      IndexExpr::constant(
-                                          range_it->second.lo));
-            }
-            return v;
-        }
-        const auto it = frame.env.find(e.name);
-        if (it == frame.env.end())
+        const Binding &b = frame.slots[e.slot];
+        if (b.kind == Binding::Kind::Index)
+            return contextVar(b);
+        if (b.kind == Binding::Kind::Unbound)
             fatal("unknown name '" + e.name + "' in index arithmetic",
                   e.loc);
-        if (it->second.kind != Binding::Kind::Const ||
-            !it->second.isIntegral) {
+        if (b.kind != Binding::Kind::Const || !b.isIntegral) {
             fatal("'" + e.name +
                       "' is not a compile-time integer; bind it via a "
                       "literal param or paramConsts",
                   e.loc);
         }
-        return IndexExpr::constant(static_cast<int64_t>(it->second.cval));
+        return IndexExpr::constant(static_cast<int64_t>(b.cval));
       }
       case ExprKind::Unary: {
         const auto kind = e.unaryOp == lang::UnaryOp::Neg
                               ? IndexExpr::Kind::Neg
                               : IndexExpr::Kind::Not;
-        return IndexExpr::unary(kind, translateIndex(frame, *e.lhs, ctx));
+        return IndexExpr::unary(kind, translateIndex(frame, *e.lhs));
       }
       case ExprKind::Binary: {
         IndexExpr::Kind kind;
@@ -1044,13 +998,13 @@ GraphBuilder::translateIndex(const Frame &frame, const Expr &e,
                       "' not allowed in index arithmetic",
                   e.loc);
         }
-        return IndexExpr::binary(kind, translateIndex(frame, *e.lhs, ctx),
-                                 translateIndex(frame, *e.rhs, ctx));
+        return IndexExpr::binary(kind, translateIndex(frame, *e.lhs),
+                                 translateIndex(frame, *e.rhs));
       }
       case ExprKind::Ternary:
-        return IndexExpr::select(translateIndex(frame, *e.lhs, ctx),
-                                 translateIndex(frame, *e.rhs, ctx),
-                                 translateIndex(frame, *e.third, ctx));
+        return IndexExpr::select(translateIndex(frame, *e.lhs),
+                                 translateIndex(frame, *e.rhs),
+                                 translateIndex(frame, *e.third));
       case ExprKind::Call:
       case ExprKind::Reduce:
         fatal("function calls are not allowed in index arithmetic", e.loc);
@@ -1073,14 +1027,11 @@ GraphBuilder::evalConstScalar(const Frame &frame, const Expr &e) const
     switch (e.kind) {
       case ExprKind::Number:
         return e.value;
-      case ExprKind::Ref: {
-        const auto it = frame.env.find(e.name);
-        if (it == frame.env.end() ||
-            it->second.kind != Binding::Kind::Const) {
+      case ExprKind::Ref:
+        // A subscripted name in an argument's dims may name no symbol.
+        if (e.slot < 0 || frame.slots[e.slot].kind != Binding::Kind::Const)
             fatal("'" + e.name + "' is not a compile-time constant", e.loc);
-        }
-        return it->second.cval;
-      }
+        return frame.slots[e.slot].cval;
       case ExprKind::Unary:
         if (e.unaryOp == lang::UnaryOp::Neg)
             return -evalConstScalar(frame, *e.lhs);
@@ -1118,52 +1069,6 @@ GraphBuilder::evalConstScalar(const Frame &frame, const Expr &e) const
       case ExprKind::Call:
       case ExprKind::Reduce:
         fatal("calls are not allowed in constant expressions", e.loc);
-    }
-    panic("unhandled ExprKind");
-}
-
-void
-GraphBuilder::usedVars(const Frame &frame, const Expr &e, VarSet *out) const
-{
-    switch (e.kind) {
-      case ExprKind::Number:
-        return;
-      case ExprKind::Ref:
-        if (e.args.empty() && frame.ranges.count(e.name)) {
-            out->insert(e.name);
-            return;
-        }
-        for (const auto &ix : e.args)
-            usedVars(frame, *ix, out);
-        return;
-      case ExprKind::Unary:
-        usedVars(frame, *e.lhs, out);
-        return;
-      case ExprKind::Binary:
-        usedVars(frame, *e.lhs, out);
-        usedVars(frame, *e.rhs, out);
-        return;
-      case ExprKind::Ternary:
-        usedVars(frame, *e.lhs, out);
-        usedVars(frame, *e.rhs, out);
-        usedVars(frame, *e.third, out);
-        return;
-      case ExprKind::Call:
-        for (const auto &a : e.args)
-            usedVars(frame, *a, out);
-        return;
-      case ExprKind::Reduce: {
-        VarSet inner;
-        usedVars(frame, *e.body, &inner);
-        for (const auto &axis : e.axes) {
-            if (axis.cond)
-                usedVars(frame, *axis.cond, &inner);
-            inner.erase(axis.index);
-        }
-        for (const auto &name : inner)
-            out->insert(name);
-        return;
-      }
     }
     panic("unhandled ExprKind");
 }

@@ -8,6 +8,13 @@
  * actuals as compile-time constants (usable in index arithmetic), converts
  * each assignment into a chain of Map/Reduce nodes in SSA form, and records
  * type-modifier metadata on every boundary edge.
+ *
+ * Names are resolved by lang::analyze(), which writes each symbol's slot
+ * into the AST: the builder indexes an instantiation's bindings by those
+ * slots and reads an assignment's iteration variables from
+ * Stmt::contextSlots, so it never compares a name. It only reads the AST,
+ * so builds of one analysed program may run concurrently; none may run
+ * while the program is being analysed.
  */
 #ifndef POLYMATH_SRDFG_BUILDER_H_
 #define POLYMATH_SRDFG_BUILDER_H_
@@ -35,7 +42,7 @@ struct BuildOptions
 
 /**
  * Builds the srDFG of @p program's entry component. The program must have
- * passed lang::analyze().
+ * passed lang::analyze(), which resolves its names (panics otherwise).
  * @throws UserError when shapes/bounds cannot be resolved to constants.
  */
 std::unique_ptr<Graph> buildSrdfg(

@@ -123,12 +123,6 @@ Op::str() const
     return kOpNames[static_cast<int>(code_)];
 }
 
-const std::string &
-toString(Op op)
-{
-    return op.str();
-}
-
 int
 mapOpArity(Op op)
 {

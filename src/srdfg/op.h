@@ -98,9 +98,6 @@ class Op
     uint32_t sym_ = 0;
 };
 
-/** The spelling of @p op (same reference str() returns). */
-const std::string &toString(Op op);
-
 /** Streams the spelling (diagnostics and test-failure messages). */
 std::ostream &operator<<(std::ostream &os, Op op);
 

@@ -381,22 +381,6 @@ main(input float x[%lld][%lld], input float y[%lld],
 }
 
 std::string
-logregInferProgram(int64_t features)
-{
-    return format(R"(logreg_infer(input float x[D], state float w[D],
-             output float y) {
-    index d[0:D-1];
-    y = sigmoid(sum[d](w[d]*x[d]));
-}
-main(input float x[%lld], state float w[%lld], output float y) {
-    DA: logreg_infer(x, w, y);
-}
-)",
-                  static_cast<long long>(features),
-                  static_cast<long long>(features));
-}
-
-std::string
 blackScholesProgram(int64_t options)
 {
     return format(R"(black_scholes(input float s[N], input float strike[N],

@@ -52,9 +52,6 @@ std::string kmeansProgram(int64_t points, int64_t dims, int64_t clusters);
 /** Logistic-regression training step (TABLA-style). */
 std::string logregProgram(int64_t samples, int64_t features);
 
-/** Logistic-regression inference (used inside BrainStimul). */
-std::string logregInferProgram(int64_t features);
-
 /** Black-Scholes European call pricing over an option batch. */
 std::string blackScholesProgram(int64_t options);
 

@@ -189,15 +189,6 @@ logregStep(const Tensor &x, const Tensor &y, Tensor *w, double lr)
     *w = std::move(wn);
 }
 
-double
-logregInfer(const Tensor &x, const Tensor &w)
-{
-    double dot = 0.0;
-    for (int64_t j = 0; j < x.numel(); ++j)
-        dot += w.at(j) * x.at(j);
-    return 1.0 / (1.0 + std::exp(-dot));
-}
-
 Tensor
 blackScholes(const Tensor &s, const Tensor &k, const Tensor &t, double rate,
              double vol)
@@ -393,15 +384,6 @@ dense(const Tensor &x, const Tensor &w, const Tensor &b)
 }
 
 int64_t
-fftOptimalFlops(int64_t n)
-{
-    int64_t lg = 0;
-    while ((int64_t{1} << lg) < n)
-        ++lg;
-    return 5 * n * lg;
-}
-
-int64_t
 dctOptimalFlops(int64_t h, int64_t w)
 {
     return h * w * 16 * 2;
@@ -411,24 +393,6 @@ int64_t
 kmeansOptimalFlops(int64_t n, int64_t d, int64_t k)
 {
     return n * k * d * 3 + n * k + k * d * 2;
-}
-
-int64_t
-lrmfOptimalFlops(int64_t ratings, int64_t rank)
-{
-    return ratings * rank * 6;
-}
-
-int64_t
-logregOptimalFlops(int64_t n, int64_t d)
-{
-    return n * d * 4 + n * 4 + d * 2;
-}
-
-int64_t
-blackScholesOptimalFlops(int64_t options)
-{
-    return options * 26;
 }
 
 int64_t

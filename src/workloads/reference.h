@@ -42,9 +42,6 @@ void lrmfStep(const Tensor &r, Tensor *w, Tensor *h, double lr);
 /** One full-batch logistic-regression step. */
 void logregStep(const Tensor &x, const Tensor &y, Tensor *w, double lr);
 
-/** Logistic inference over one feature vector. */
-double logregInfer(const Tensor &x, const Tensor &w);
-
 /** Black-Scholes European call prices (erf-based closed form). */
 Tensor blackScholes(const Tensor &s, const Tensor &k, const Tensor &t,
                     double rate, double vol);
@@ -80,23 +77,11 @@ Tensor dense(const Tensor &x, const Tensor &w, const Tensor &b);
 // Analytic operation counts of the hand-tuned implementations (Fig. 9/12).
 // ---------------------------------------------------------------------------
 
-/** 5 n log2 n real flops: the standard complex radix-2 FFT count. */
-int64_t fftOptimalFlops(int64_t n);
-
 /** Row-column 8x8 DCT: 16 MACs per pixel. */
 int64_t dctOptimalFlops(int64_t h, int64_t w);
 
 /** Distances + argmin + centroid accumulation. */
 int64_t kmeansOptimalFlops(int64_t n, int64_t d, int64_t k);
-
-/** SGD over observed ratings only (what TABLA's native stack runs). */
-int64_t lrmfOptimalFlops(int64_t ratings, int64_t rank);
-
-/** Full-batch gradient: 4 flops per (sample, feature). */
-int64_t logregOptimalFlops(int64_t n, int64_t d);
-
-/** ~26 flops per option in a tuned pipeline. */
-int64_t blackScholesOptimalFlops(int64_t options);
 
 /** Native vertex program: one relax op per edge + one update per vertex.*/
 int64_t graphOptimalFlops(int64_t vertices, int64_t edges);

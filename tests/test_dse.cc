@@ -512,9 +512,9 @@ expectSameReport(const target::PerfReport &staged,
 
 TEST(StagedPricing, EqualsOneShotOnTableIIIOverTheSmallSpace)
 {
-    // Profiling on, so the ledgers are compared too (explore() turns it
-    // on the same way).
-    target::setProfilingEnabled(true);
+    // Profiling on for this test only, so the ledgers are compared too
+    // (explore() opens a scope the same way).
+    const target::ProfilingScope profiling;
     const auto registry = target::standardRegistry();
     int64_t priced = 0;
     for (const auto &bench : wl::tableIII()) {

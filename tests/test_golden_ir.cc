@@ -1,7 +1,7 @@
 /**
  * @file
- * Golden byte-identity over the Table III suite: for every workload, the
- * printed srDFG (before and after the standard fixpoint pipeline) and
+ * Golden byte-identity over the Table III suite and the two Table IV
+ * applications: for every program, the printed srDFG (before and after the standard fixpoint pipeline) and
  * the serialized JSON graph must match the checked-in capture byte for
  * byte. The goldens were generated from the pre-interning seed build, so
  * this pins the op-interning refactor (and any later IR change) to being
@@ -45,16 +45,17 @@ readFile(const std::string &path)
 /** The capture: printed srDFG pre-pipeline, printed srDFG post-pipeline
  *  (fixpoint), and the serialized JSON of the optimized graph. */
 std::string
-captureWorkload(const wl::Benchmark &bench)
+captureProgram(const std::string &id, const std::string &source,
+               const ir::BuildOptions &opts)
 {
-    auto graph = wl::buildGraph(bench.source, bench.buildOpts);
-    std::string out = "== " + bench.id + ": built ==\n";
+    auto graph = wl::buildGraph(source, opts);
+    std::string out = "== " + id + ": built ==\n";
     out += ir::printGraph(*graph);
     auto pipeline = pass::standardPipeline();
     pipeline.runToFixpoint(*graph);
-    out += "== " + bench.id + ": optimized ==\n";
+    out += "== " + id + ": optimized ==\n";
     out += ir::printGraph(*graph);
-    out += "== " + bench.id + ": json ==\n";
+    out += "== " + id + ": json ==\n";
     out += ir::toJson(*graph);
     out += "\n";
     return out;
@@ -64,11 +65,22 @@ class GoldenIr : public ::testing::TestWithParam<std::string>
 {
 };
 
+/** Captures the Table III benchmark or Table IV app named @p id. */
+std::string
+captureById(const std::string &id)
+{
+    for (const auto &app : wl::tableIV()) {
+        if (app.id == id)
+            return captureProgram(app.id, app.source, app.buildOpts);
+    }
+    const auto &bench = wl::benchmarkById(id);
+    return captureProgram(bench.id, bench.source, bench.buildOpts);
+}
+
 TEST_P(GoldenIr, PrintedAndSerializedFormsMatchCapture)
 {
-    const auto &bench = wl::benchmarkById(GetParam());
-    const std::string actual = captureWorkload(bench);
-    const std::string path = goldenPath(bench.id);
+    const std::string actual = captureById(GetParam());
+    const std::string path = goldenPath(GetParam());
     if (std::getenv("POLYMATH_UPDATE_GOLDENS") != nullptr) {
         std::ofstream out(path, std::ios::binary);
         ASSERT_TRUE(out) << "cannot write " << path;
@@ -108,17 +120,30 @@ tableIIIIds()
     return ids;
 }
 
+std::vector<std::string>
+tableIVIds()
+{
+    std::vector<std::string> ids;
+    for (const auto &app : wl::tableIV())
+        ids.push_back(app.id);
+    return ids;
+}
+
+std::string
+testName(const ::testing::TestParamInfo<std::string> &info)
+{
+    std::string name = info.param;
+    for (char &c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    }
+    return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(TableIII, GoldenIr,
-                         ::testing::ValuesIn(tableIIIIds()),
-                         [](const auto &info) {
-                             std::string name = info.param;
-                             for (char &c : name) {
-                                 if (!std::isalnum(
-                                         static_cast<unsigned char>(c)))
-                                     c = '_';
-                             }
-                             return name;
-                         });
+                         ::testing::ValuesIn(tableIIIIds()), testName);
+INSTANTIATE_TEST_SUITE_P(TableIV, GoldenIr,
+                         ::testing::ValuesIn(tableIVIds()), testName);
 
 } // namespace
 } // namespace polymath

@@ -583,6 +583,49 @@ TEST(Sema, IndexArithmeticRestrictedToIntParams)
                     "index arithmetic");
 }
 
+/** Runs @p src through sema and the srDFG builder and expects a
+ *  UserError whose message is exactly @p message at @p line:@p column. */
+void
+expectFrontendError(const std::string &src, const std::string &message,
+                    int line, int column)
+{
+    try {
+        ir::compileToSrdfg(src);
+        FAIL() << "expected frontend error '" << message << "'";
+    } catch (const UserError &e) {
+        EXPECT_EQ(e.message(), message);
+        EXPECT_EQ(e.loc().line, line) << e.what();
+        EXPECT_EQ(e.loc().column, column) << e.what();
+    }
+}
+
+TEST(Sema, ReductionAxisShadowingABoundIndexRejected)
+{
+    expectFrontendError("main(input float x[4], output float y[4]) {\n"
+                        "    index i[0:3];\n"
+                        "    y[i] = sum[i](x[i]);\n"
+                        "}\n",
+                        "axis 'i' already bound", 3, 16);
+}
+
+TEST(Sema, NestedSameAxisReductionRejected)
+{
+    expectFrontendError("main(input float x[4], output float y) {\n"
+                        "    index i[0:3];\n"
+                        "    y = sum[i](sum[i](x[i]));\n"
+                        "}\n",
+                        "axis 'i' already bound", 3, 20);
+}
+
+TEST(Sema, DimensionSymbolNoShapeBindsIsAPositionedError)
+{
+    // w is bound to a literal, so no shape ever fixes n.
+    expectFrontendError("f(param float w[n], output float y) { y = n; }\n"
+                        "main(output float y) { f(3, y); }\n",
+                        "'n' has no value: no argument's shape binds it", 1,
+                        43);
+}
+
 TEST(Builtins, RegistryBasics)
 {
     EXPECT_TRUE(isBuiltinFunction("sigmoid"));

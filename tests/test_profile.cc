@@ -33,15 +33,6 @@ using report::CompareOptions;
 using report::compareArtifacts;
 using report::MetricDiff;
 
-/** Turns profiling on for one scope; always restores the default-off
- *  state so no other test inherits a ledger-attaching stack. */
-class ProfilingGuard
-{
-  public:
-    ProfilingGuard() { target::setProfilingEnabled(true); }
-    ~ProfilingGuard() { target::setProfilingEnabled(false); }
-};
-
 /** Same synthetic partition shape test_targets.cc drives the cost
  *  models with: a dependency chain of @p frags fragments plus one
  *  streamed input tensor. */
@@ -100,7 +91,7 @@ class LedgerInvariant : public ::testing::TestWithParam<const char *>
 
 TEST_P(LedgerInvariant, SumsToTotalsOnSyntheticPartition)
 {
-    const ProfilingGuard profiling;
+    const target::ProfilingScope profiling;
     const auto backends = target::standardBackends();
     const auto *b = target::findBackend(backends, GetParam());
     ASSERT_NE(b, nullptr);
@@ -130,7 +121,7 @@ TEST_P(LedgerInvariant, DisabledProfilingLeavesReportUntouched)
 
     target::PerfReport profiled;
     {
-        const ProfilingGuard profiling;
+        const target::ProfilingScope profiling;
         profiled = b->simulate(p, prof);
     }
     ASSERT_NE(profiled.ledger, nullptr);
@@ -158,7 +149,7 @@ TEST_P(LedgerInvariant, AnalysisDecidesWhetherToLedger)
 
     const target::PartitionAnalysis unprofiled = b->analyze(p);
     EXPECT_FALSE(unprofiled.ledger);
-    const ProfilingGuard profiling;
+    const target::ProfilingScope profiling;
     const auto late = b->simulate(p, unprofiled, prof);
     EXPECT_EQ(late.ledger, nullptr);
 
@@ -189,7 +180,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, LedgerInvariant,
 
 TEST(LedgerSuite, TableIIIPartitionsAllSatisfyInvariant)
 {
-    const ProfilingGuard profiling;
+    const target::ProfilingScope profiling;
     const auto registry = target::standardRegistry();
     soc::SocRuntime runtime;
     for (const auto &bench : wl::tableIII()) {
@@ -217,7 +208,7 @@ TEST(LedgerSuite, TableIIIPartitionsAllSatisfyInvariant)
 
 TEST(LedgerMerge, OperatorPlusEqualsBuildsTaggedFreshLedger)
 {
-    const ProfilingGuard profiling;
+    const target::ProfilingScope profiling;
     const auto backends = target::standardBackends();
     const auto *tabla = target::findBackend(backends, "TABLA");
     const auto *robox = target::findBackend(backends, "RoboX");

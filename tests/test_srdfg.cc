@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "interp/interpreter.h"
+#include "pmlang/parser.h"
 #include "srdfg/builder.h"
 #include "srdfg/expand.h"
 #include "srdfg/index_expr.h"
@@ -129,6 +130,31 @@ main(input float A[2][3], input float x[3], output float y[2]) {
     EXPECT_EQ(muls, 1);
     EXPECT_EQ(reduces, 1);
     EXPECT_EQ(recursionDepth(*g), 2);
+}
+
+TEST(Builder, RefusesAProgramSemaHasNotResolved)
+{
+    // Names resolve in lang::analyze(); the builder only reads its slots.
+    const auto program = std::make_shared<const lang::Program>(lang::parse(
+        "main(input float x[2], output float y[2]) {"
+        " index i[0:1]; y[i] = x[i]; }"));
+    EXPECT_THROW(buildSrdfg(program), InternalError);
+    EXPECT_NO_THROW(compileToSrdfg(program));
+}
+
+TEST(Builder, StatementContextOrdersIndicesByNameThenBySubscript)
+{
+    // Within one LHS subscript a statement's index variables are ordered
+    // by name; across subscripts, by first appearance.
+    const auto g = compileToSrdfg(
+        "main(input float x[2][3], output float y[6][2],"
+        " output float z[2][6]) {"
+        " index j[0:2], i[0:1], k[0:1];"
+        " y[j*2 + i][k] = x[i][j] + k;"
+        " z[k][j*2 + i] = x[i][j] * k; }");
+    const std::string ir = printGraph(*g);
+    EXPECT_NE(ir.find("add{i:2,j:3,k:2}"), std::string::npos) << ir;
+    EXPECT_NE(ir.find("mul{k:2,i:2,j:3}"), std::string::npos) << ir;
 }
 
 TEST(Builder, ScalarOpCountIsExact)

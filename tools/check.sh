@@ -24,7 +24,8 @@
 # (CMAKE_COMPILE_WARNING_AS_ERROR) and additionally runs the bench perf
 # gates, a telemetry smoke (live pmcd scraped over the wire,
 # docs/OBSERVABILITY.md), the stack benchmark's self-test
-# (benchmark/run.sh --smoke), and a repo-root cleanliness guard.
+# (benchmark/run.sh --smoke), a scan for functions without a caller
+# (tools/dead_api.py), and a repo-root cleanliness guard.
 #
 # The TSan pass builds only the concurrency-heavy binaries (test_obs,
 # test_obs_service, test_driver, test_service, test_dse, test_targets,
@@ -238,6 +239,13 @@ assert stats["offered"] == stats["completed"] + stats["rejected"], stats
         # git-ignored .bench_build/.
         echo "== [$preset] stack benchmark smoke =="
         bash benchmark/run.sh --smoke
+        # Dead-API gate: every external function defined in src/ needs a
+        # caller among this preset's objects (library, tools, tests,
+        # benches, examples) or the stack benchmark's just built above.
+        # nm sees only out-of-line definitions, so an unused header-only
+        # inline function escapes it (tools/dead_api.py says what else).
+        echo "== [$preset] dead-API scan =="
+        python3 tools/dead_api.py build .bench_build
         # The telemetry smoke (and every other stage) must not leave
         # stray files — a misparsed `--socket` once left a Unix socket
         # literally named "--shutdown" at the repo root.
