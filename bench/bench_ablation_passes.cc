@@ -57,7 +57,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     soc::SocRuntime runtime;
 
     report::Table table({"Benchmark", "Config", "Fragments", "Group ops",

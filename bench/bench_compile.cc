@@ -97,7 +97,7 @@ main(int argc, char **argv)
     }
 
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto &suite = wl::tableIII();
 
     struct Row

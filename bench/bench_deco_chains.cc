@@ -23,9 +23,8 @@ int
 main(int argc, char **argv)
 {
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
-    const auto backends = target::standardBackends();
-    const auto *deco = target::findBackend(backends, "DECO");
+    const auto &registry = target::standardRegistry();
+    const auto *deco = target::findBackend("DECO");
 
     const std::vector<const char *> ids = {"FFT-8192", "FFT-16384",
                                            "DCT-1024", "DCT-2048"};

@@ -66,7 +66,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const soc::SocRuntime runtime;
 
     for (const auto &entry : driver.compileTableIV(registry)) {

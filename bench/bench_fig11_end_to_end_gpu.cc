@@ -27,7 +27,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto titan = target::GpuModel::titanXp();
     const auto jetson = target::GpuModel::jetson();
     const soc::SocRuntime runtime;

@@ -66,8 +66,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
-    const auto backends = target::standardBackends();
+    const auto &registry = target::standardRegistry();
 
     struct Row
     {
@@ -85,7 +84,7 @@ main(int argc, char **argv)
                 const auto &partition =
                     compiled.partitions[static_cast<size_t>(i)];
                 const auto *backend =
-                    target::findBackend(backends, partition.accel);
+                    target::findBackend(partition.accel);
                 if (!backend)
                     return std::nullopt;
                 const auto poly = backend->simulate(partition, app.profile);

@@ -25,7 +25,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const target::CpuModel cpu;
     const soc::SocRuntime runtime;
 

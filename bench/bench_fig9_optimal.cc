@@ -25,8 +25,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
-    const auto backends = target::standardBackends();
+    const auto &registry = target::standardRegistry();
 
     struct Row
     {
@@ -37,7 +36,7 @@ main(int argc, char **argv)
         registry,
         [&](const wl::Benchmark &bench,
             const lower::CompiledProgram &compiled) {
-            const auto *backend = target::findBackend(backends, bench.accel);
+            const auto *backend = target::findBackend(bench.accel);
             if (!backend || compiled.partitions.empty())
                 fatal("benchmark " + bench.id + " produced no partition");
             const auto &partition = compiled.partitions.front();

@@ -54,7 +54,7 @@ main(int argc, char **argv)
         static_cast<int64_t>(sizeof(kRates) / sizeof(kRates[0]));
 
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto workloads = driver.compileTableIII(registry);
 
     const auto rows = driver.map(kNumRates, [&](int64_t ri) {

@@ -40,7 +40,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto workloads = driver.compileTableIII(registry);
 
     soc::SocRuntime runtime;

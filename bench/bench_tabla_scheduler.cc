@@ -22,9 +22,8 @@ int
 main(int argc, char **argv)
 {
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
-    const auto backends = target::standardBackends();
-    const auto *tabla = target::findBackend(backends, "TABLA");
+    const auto &registry = target::standardRegistry();
+    const auto *tabla = target::findBackend("TABLA");
 
     const std::vector<const char *> ids = {"MovieL-100K", "MovieL-20M",
                                            "DigitCluster", "ElecUse"};

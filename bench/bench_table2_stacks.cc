@@ -57,7 +57,7 @@ main(int argc, char **argv)
     // PolyMath's row: verified live — a domain counts as supported when a
     // backend is registered AND a representative Table III workload of
     // that domain compiles through lowering + translation for it.
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto marks = driver.map(
         static_cast<int64_t>(domains.size()), [&](int64_t i) {
             const auto dom = domains[static_cast<size_t>(i)].second;

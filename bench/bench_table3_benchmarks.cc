@@ -26,7 +26,7 @@ int
 main(int argc, char **argv)
 {
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
 
     report::Table t3({"Benchmark", "Domain", "Algorithm", "Config",
                       "PMLang LOC", "srDFG"});

@@ -24,9 +24,8 @@ int
 main(int argc, char **argv)
 {
     const bench::Driver driver(argc, argv);
-    const auto registry = target::standardRegistry();
-    const auto backends = target::standardBackends();
-    const auto *gcn = target::findBackend(backends, "Graphicionado");
+    const auto &registry = target::standardRegistry();
+    const auto *gcn = target::findBackend("Graphicionado");
 
     const std::vector<const char *> ids = {"Twitter-BFS", "Wiki-BFS",
                                            "LiveJourn-SSP"};

@@ -70,7 +70,7 @@ main()
     }
 
     // --- cross-domain multi-acceleration --------------------------------
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(app.source, app.buildOpts,
                                                registry,
                                                lang::Domain::None);

@@ -26,10 +26,10 @@ namespace {
 class Systolic256 : public target::Backend
 {
   public:
-    Systolic256() : Backend(systolicConfig()) {}
-
-    std::string name() const override { return "Systolic256"; }
-    lang::Domain domain() const override { return lang::Domain::DA; }
+    Systolic256()
+        : Backend("Systolic256", lang::Domain::DA, systolicConfig())
+    {
+    }
 
     static target::MachineConfig systolicConfig()
     {
@@ -72,9 +72,9 @@ class Systolic256 : public target::Backend
     // analysisNeeds() keeps its default.
     target::PerfReport simulateImpl(
         const target::PartitionAnalysis &analysis,
+        const target::MachineConfig &m,
         const target::WorkloadProfile &profile) const override
     {
-        const target::MachineConfig &m = machine();
         target::PerfReport r;
         r.machine = name();
         // Weight-stationary wavefront: rows stream through the array.
@@ -127,10 +127,12 @@ main()
     // 1. Standard registry + the new target. Registration order matters
     //    only for domain defaults; Systolic256 is selected through its
     //    preferred component.
-    auto backends = target::standardBackends();
-    backends.push_back(std::make_unique<Systolic256>());
+    const Systolic256 systolic;
+    std::vector<const target::Backend *> backends =
+        target::standardBackends();
+    backends.push_back(&systolic);
     lower::AcceleratorRegistry registry;
-    for (const auto &backend : backends)
+    for (const target::Backend *backend : backends)
         registry.add(backend->spec());
 
     // 2. Compile: same Algorithms 1/2, zero new compiler code.
@@ -147,7 +149,7 @@ main()
     }
 
     // 3. Simulate the heterogeneous schedule on the SoC.
-    soc::SocRuntime runtime(std::move(backends), target::socConfig());
+    const soc::SocRuntime runtime(target::socConfig(), {}, backends);
     target::WorkloadProfile profile;
     profile.invocations = 2000;
     const auto with_new = runtime.execute(compiled, profile);

@@ -101,7 +101,7 @@ main()
     std::printf("max |PMLang - reference| over 20 steps: %.3e\n\n", worst);
 
     // --- RoboX compilation ----------------------------------------------
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(bench.source, bench.buildOpts,
                                                registry, bench.domain);
     std::printf("RoboX macro-DFG (%zu fragments):\n",

@@ -102,7 +102,7 @@ main()
 
     // --- Table IV configuration on the SoC -------------------------------
     const auto &app = wl::tableIV().back(); // OptionPricing
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(app.source, app.buildOpts,
                                                registry,
                                                lang::Domain::None);

@@ -64,7 +64,7 @@ main()
     }
 
     // --- 5. Lower, translate, and simulate on TABLA ---------------------
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(kProgram, {}, registry,
                                                lang::Domain::DA);
     std::printf("\n=== accelerator program ===\n%s\n",

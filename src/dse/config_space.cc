@@ -6,25 +6,11 @@
 #include "core/error.h"
 #include "core/json.h"
 #include "core/strings.h"
+#include "targets/common/backend.h"
 
 namespace polymath::dse {
 
 namespace {
-
-/** Factory config of one searchable backend; UserError on others. */
-target::MachineConfig
-baseConfigFor(const std::string &backend)
-{
-    if (backend == "RoboX") return target::roboxConfig();
-    if (backend == "Graphicionado") return target::graphicionadoConfig();
-    if (backend == "TABLA") return target::tablaConfig();
-    if (backend == "DECO") return target::decoConfig();
-    if (backend == "TVM-VTA") return target::vtaConfig();
-    if (backend == "HyperStreams") return target::hyperstreamsConfig();
-    fatal("dse: no design space for backend '" + backend +
-          "' (searchable: RoboX|Graphicionado|TABLA|DECO|TVM-VTA|"
-          "HyperStreams)");
-}
 
 /** Scaled integer knob, floored at 1 so rounding can never produce a
  *  degenerate machine. scale == 1.0 returns @p base exactly. */
@@ -59,18 +45,22 @@ ConfigSpace::kindFromString(const std::string &word)
 bool
 ConfigSpace::searchable(const std::string &backend)
 {
-    return backend == "RoboX" || backend == "Graphicionado" ||
-           backend == "TABLA" || backend == "DECO" ||
-           backend == "TVM-VTA" || backend == "HyperStreams";
+    return target::findBackend(backend) != nullptr;
 }
 
 ConfigSpace
 ConfigSpace::forBackend(const std::string &backend, Kind kind)
 {
+    const target::Backend *model = target::findBackend(backend);
+    if (!model) {
+        fatal("dse: no design space for backend '" + backend +
+              "' (searchable: RoboX|Graphicionado|TABLA|DECO|TVM-VTA|"
+              "HyperStreams)");
+    }
     ConfigSpace space;
     space.backend_ = backend;
     space.kind_ = kind;
-    space.base_ = baseConfigFor(backend);
+    space.base_ = model->machine();
     if (kind == Kind::Small) {
         // 6 points: cheap enough for an exhaustive CI grid while still
         // containing a real trade-off (wider array vs. faster clock).

@@ -52,10 +52,11 @@ class ConfigSpace
     static Kind kindFromString(const std::string &word);
 
     /** True when @p backend names one of the six searchable DSA
-     *  backends (the target::makeBackend vocabulary). */
+     *  backends (target::findBackend finds it). */
     static bool searchable(const std::string &backend);
 
-    /** The design space around @p backend's factory config.
+    /** The design space around @p backend's factory config, its
+     *  standard backend's machine().
      *  @throws UserError on an unknown backend name. */
     static ConfigSpace forBackend(const std::string &backend, Kind kind);
 

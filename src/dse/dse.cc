@@ -37,22 +37,22 @@ WorkloadStudy::bestPpwGain() const
 
 namespace {
 
-/** Prices @p partitions (with their @p analyses, made once per explore)
- *  at one space point. The total carries a merged cost ledger when the
- *  analyses do. */
+/** Prices @p partitions (with their @p analyses, made once per explore
+ *  by @p backend) at one space point. The total carries a merged cost
+ *  ledger when the analyses do. */
 target::PerfReport
-pricePoint(const ConfigSpace &space, int64_t index,
+pricePoint(const target::Backend &backend, const ConfigSpace &space,
+           int64_t index,
            const std::vector<const lower::Partition *> &partitions,
            const std::vector<target::PartitionAnalysis> &analyses,
            const target::WorkloadProfile &profile)
 {
-    const auto backend =
-        target::makeBackend(space.backend(), space.machineAt(index));
+    const target::MachineConfig machine = space.machineAt(index);
     target::PerfReport total;
     bool first = true;
     for (size_t i = 0; i < partitions.size(); ++i) {
-        auto report =
-            backend->simulate(*partitions[i], analyses[i], profile);
+        auto report = backend.simulate(*partitions[i], analyses[i],
+                                       profile, machine);
         if (first) {
             total = std::move(report);
             first = false;
@@ -189,24 +189,23 @@ explore(const std::string &workload_id, const std::string &backend,
               "'");
     const ConfigSpace space =
         ConfigSpace::forBackend(backend, options.space);
+    const target::Backend &model = *target::findBackend(backend);
     if (options.samples < 1)
         fatal("dse: samples must be positive");
     if (options.rounds < 1)
         fatal("dse: rounds must be positive");
 
-    // Analyses are machine-independent: made once here under the factory
-    // config, with ledger facts, then shared read-only by every point's
-    // pricing. The search prices every point with their ledgers off;
-    // only the printed points are priced again with ledgers, for their
-    // phase attribution. Ledgers never change report totals.
+    // Analyses are machine-independent: made once here, with ledger
+    // facts, then shared read-only by every point's pricing. The search
+    // prices every point with their ledgers off; only the printed points
+    // are priced again with ledgers, for their phase attribution.
+    // Ledgers never change report totals.
     std::vector<target::PartitionAnalysis> analyses;
     analyses.reserve(partitions.size());
     {
         const target::ProfilingScope profiling;
-        const auto analyzer = target::makeBackend(
-            backend, space.machineAt(space.baseIndex()));
         for (const lower::Partition *partition : partitions)
-            analyses.push_back(analyzer->analyze(*partition));
+            analyses.push_back(model.analyze(*partition));
     }
     const auto setLedgers = [&](bool on) {
         for (auto &analysis : analyses)
@@ -232,7 +231,8 @@ explore(const std::string &workload_id, const std::string &backend,
     int64_t evaluated = 0;
     const auto evaluate = [&](int64_t index) {
         books[static_cast<size_t>(index)] = searchPoint(
-            pricePoint(space, index, partitions, analyses, profile));
+            pricePoint(model, space, index, partitions, analyses,
+                       profile));
         ++evaluated;
     };
 
@@ -337,7 +337,8 @@ explore(const std::string &workload_id, const std::string &backend,
     for (const size_t pos : printed) {
         EvalPoint &point = study.points[pos];
         const target::PerfReport total =
-            pricePoint(space, point.index, partitions, analyses, profile);
+            pricePoint(model, space, point.index, partitions, analyses,
+                       profile);
         if (!total.ledger || total.seconds != point.seconds ||
             total.joules != point.joules)
         {

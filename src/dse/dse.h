@@ -3,9 +3,10 @@
  * The design-space autotuner (docs/DSE.md).
  *
  * explore() evaluates points of a backend's ConfigSpace against one
- * compiled workload: each point instantiates the backend under that
- * machine config (target::makeBackend), simulates the workload's
- * partitions, and records runtime, energy and performance per watt.
+ * compiled workload: the backend's one shared instance
+ * (target::findBackend) prices the workload's partitions under each
+ * point's machine config, and the search records runtime, energy and
+ * performance per watt.
  * The points the tables print (the Pareto front and the baseline) are
  * then priced again with cost ledgers for a phase attribution
  * explaining *why* the point performs as it does ("DMA-bound past 512

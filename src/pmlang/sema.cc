@@ -275,6 +275,14 @@ ComponentChecker::checkCall(const Stmt &stmt)
                       "formal",
                       actual.loc);
             }
+            // A constant is a scalar; a tensor formal takes a tensor,
+            // passed by bare name.
+            if (!formal.dims.empty()) {
+                fatal("param '" + formal.name + "' has rank " +
+                          std::to_string(formal.dims.size()) +
+                          ": pass a tensor by name, not an expression",
+                      actual.loc);
+            }
             checkIndexExpr(actual, false);
         }
     }

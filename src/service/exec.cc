@@ -47,7 +47,7 @@ compilationOf(const Request &req, lang::Domain domain)
     // the pass pipeline, so the optimize flag is salted in to keep
     // optimized and unoptimized programs distinct.
     c.key = lower::compileCacheKey(req.source, c.build, domain,
-                                   target::sharedStandardRegistry(),
+                                   target::standardRegistry(),
                                    req.optimize ? "optimize=1"
                                                 : "optimize=0");
     return c;
@@ -75,7 +75,7 @@ runCompilation(const Request &req, const Compilation &c,
     result.program =
         hit ? std::move(hit) : cache.getOrCompile(c.key, [&] {
             compiled_here = true;
-            const auto &registry = target::sharedStandardRegistry();
+            const auto &registry = target::standardRegistry();
             auto fresh = parsed ? ir::compileToSrdfg(parsed, c.build)
                                 : ir::compileToSrdfg(req.source, c.build);
             if (req.optimize)

@@ -4,20 +4,11 @@
 
 namespace polymath::soc {
 
-SocRuntime::SocRuntime()
-    : SocRuntime(target::standardBackends(), target::socConfig())
-{
-}
-
-SocRuntime::SocRuntime(std::vector<std::unique_ptr<Backend>> backends,
-                       target::SocConfig config, FaultModel faults)
-    : backends_(std::move(backends)), config_(config),
-      faults_(std::move(faults))
+SocRuntime::SocRuntime(target::SocConfig config, FaultModel faults,
+                       std::span<const Backend *const> backends)
+    : backends_(backends), config_(config), faults_(std::move(faults))
 {
     config_.validate();
-    names_.reserve(backends_.size());
-    for (const auto &backend : backends_)
-        names_.push_back(backend->name());
 }
 
 PerfReport

@@ -19,9 +19,9 @@
 #define POLYMATH_SOC_SOC_H_
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,11 +83,18 @@ struct SocResult
 class SocRuntime
 {
   public:
-    SocRuntime();
-
-    /** @throws UserError when @p config fails SocConfig::validate(). */
-    SocRuntime(std::vector<std::unique_ptr<Backend>> backends,
-               target::SocConfig config, FaultModel faults = {});
+    /**
+     * A runtime over @p backends, which it does not own: the process's
+     * standard backends unless a caller cascades its own list (and keeps
+     * it alive while the runtime prices). Constructing one costs a
+     * config copy.
+     * @throws UserError when @p config fails SocConfig::validate().
+     */
+    explicit SocRuntime(
+        target::SocConfig config = target::socConfig(),
+        FaultModel faults = {},
+        std::span<const Backend *const> backends =
+            target::standardBackends());
 
     /** Installs (or clears, with a default FaultModel) fault injection for
      *  subsequent execute() calls. */
@@ -127,15 +134,7 @@ class SocRuntime
                        const std::map<std::string, double> &host_eff = {})
         const;
 
-    const std::vector<std::unique_ptr<Backend>> &backends() const
-    {
-        return backends_;
-    }
-
-    /** Backend::name() of each of backends(), in order: made once here,
-     *  because the engine looks a backend up by name for every partition
-     *  it places. */
-    const std::vector<std::string> &backendNames() const { return names_; }
+    std::span<const Backend *const> backends() const { return backends_; }
 
     const target::SocConfig &config() const { return config_; }
 
@@ -194,8 +193,7 @@ class SocRuntime
                                    const Backend &backend,
                                    const WorkloadProfile &profile) const;
 
-    std::vector<std::unique_ptr<Backend>> backends_;
-    std::vector<std::string> names_;
+    std::span<const Backend *const> backends_;
     target::SocConfig config_;
     target::CpuModel host_;
     FaultModel faults_;

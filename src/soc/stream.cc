@@ -154,7 +154,7 @@ constexpr int kHostResource = 0;
 struct Resource
 {
     int slot = kHostResource;
-    /** lower::kHostAccel or the backend's name, owned by the runtime. */
+    /** lower::kHostAccel or the backend's name, owned by the backend. */
     const char *name = lower::kHostAccel;
     const Backend *backend = nullptr; ///< null = host CPU
     double outageUntil = 0.0;
@@ -262,7 +262,9 @@ struct Engine
     {
         return ri == kHostResource
                    ? lower::kHostAccel
-                   : rt.backendNames()[static_cast<size_t>(ri - 1)].c_str();
+                   : rt.backends()[static_cast<size_t>(ri - 1)]
+                         ->name()
+                         .c_str();
     }
 
     /** Slot @p ri's resource, built on first use. */
@@ -276,7 +278,7 @@ struct Engine
         r.slot = ri;
         r.name = slotName(ri);
         if (ri != kHostResource)
-            r.backend = rt.backends()[static_cast<size_t>(ri - 1)].get();
+            r.backend = rt.backends()[static_cast<size_t>(ri - 1)];
         return r;
     }
 
@@ -410,9 +412,9 @@ struct Engine
     int homeOf(const lower::Partition &partition, bool offload) const
     {
         if (offload) {
-            const auto &names = rt.backendNames();
-            for (size_t k = 0; k < names.size(); ++k) {
-                if (names[k] == partition.accel)
+            const auto backends = rt.backends();
+            for (size_t k = 0; k < backends.size(); ++k) {
+                if (backends[k]->name() == partition.accel)
                     return static_cast<int>(k) + 1;
             }
         }

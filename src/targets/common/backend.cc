@@ -18,29 +18,14 @@
 
 namespace polymath::target {
 
-Backend::Backend(MachineConfig machine) : machine_(std::move(machine))
+Backend::Backend(std::string name, lang::Domain domain,
+                 MachineConfig machine)
+    : name_(std::move(name)), domain_(domain),
+      machine_(std::move(machine)),
+      simulate_calls_(obs::MetricsRegistry::global().counter(
+          "backend." + name_ + ".simulate_calls"))
 {
     machine_.validate();
-}
-
-obs::Counter &
-Backend::simulateCalls() const
-{
-    obs::Counter *counter = simulate_calls_.load(std::memory_order_acquire);
-    if (!counter) {
-        // Racing first calls resolve the same registry entry; counters
-        // are never destroyed, so the cached pointer stays valid.
-        counter = &simulateCallsCounter(name());
-        simulate_calls_.store(counter, std::memory_order_release);
-    }
-    return *counter;
-}
-
-obs::Counter &
-Backend::simulateCallsCounter(const std::string &name)
-{
-    return obs::MetricsRegistry::global().counter(
-        "backend." + name + ".simulate_calls");
 }
 
 namespace {
@@ -197,7 +182,8 @@ Backend::analyze(const lower::Partition &partition) const
 PerfReport
 Backend::simulate(const lower::Partition &partition,
                   const PartitionAnalysis &analysis,
-                  const WorkloadProfile &profile) const
+                  const WorkloadProfile &profile,
+                  const MachineConfig &machine) const
 {
     // Pricing indexes the analysis by fragment: refuse one built for
     // another partition or a backend with fewer needs.
@@ -211,7 +197,7 @@ Backend::simulate(const lower::Partition &partition,
         analysis.ledgerFacts.size() != analysis.fragmentCount)
         panic(name() + ": simulate() asked for a ledger of an analysis "
                        "made without ledger facts");
-    simulateCalls().add(1);
+    simulate_calls_.add(1);
     obs::Span span("backend:simulate", "backend");
     if (span.active()) {
         span.arg("accel", name());
@@ -219,19 +205,12 @@ Backend::simulate(const lower::Partition &partition,
                  static_cast<int64_t>(partition.fragments.size()));
         span.arg("invocations", profile.invocations);
     }
-    PerfReport report = simulateImpl(analysis, profile);
+    PerfReport report = simulateImpl(analysis, machine, profile);
     // Every profiled simulation must hand back a ledger whose column sums
     // reproduce the report totals — catch attribution bugs loudly here,
     // at the one point all six backends pass through.
     verifyLedger(report);
     return report;
-}
-
-PerfReport
-Backend::simulate(const lower::Partition &partition,
-                  const WorkloadProfile &profile) const
-{
-    return simulate(partition, analyze(partition), profile);
 }
 
 int64_t
@@ -355,64 +334,40 @@ fragmentLevels(const lower::Partition &partition)
     return levels;
 }
 
-std::vector<std::unique_ptr<Backend>>
+const std::vector<const Backend *> &
 standardBackends()
 {
-    std::vector<std::unique_ptr<Backend>> out;
-    out.push_back(std::make_unique<RoboxBackend>());
-    out.push_back(std::make_unique<GraphicionadoBackend>());
-    out.push_back(std::make_unique<TablaBackend>());
-    out.push_back(std::make_unique<DecoBackend>());
-    out.push_back(std::make_unique<VtaBackend>());
-    out.push_back(std::make_unique<HyperstreamsBackend>());
-    return out;
-}
-
-std::unique_ptr<Backend>
-makeBackend(const std::string &name, MachineConfig config)
-{
-    if (name == "RoboX")
-        return std::make_unique<RoboxBackend>(std::move(config));
-    if (name == "Graphicionado")
-        return std::make_unique<GraphicionadoBackend>(std::move(config));
-    if (name == "TABLA")
-        return std::make_unique<TablaBackend>(std::move(config));
-    if (name == "DECO")
-        return std::make_unique<DecoBackend>(std::move(config));
-    if (name == "TVM-VTA")
-        return std::make_unique<VtaBackend>(std::move(config));
-    if (name == "HyperStreams")
-        return std::make_unique<HyperstreamsBackend>(std::move(config));
-    fatal("makeBackend: unknown backend '" + name +
-          "' (expected RoboX|Graphicionado|TABLA|DECO|TVM-VTA|"
-          "HyperStreams)");
-}
-
-lower::AcceleratorRegistry
-standardRegistry()
-{
-    lower::AcceleratorRegistry registry;
-    for (const auto &backend : standardBackends())
-        registry.add(backend->spec());
-    return registry;
-}
-
-const lower::AcceleratorRegistry &
-sharedStandardRegistry()
-{
-    static const lower::AcceleratorRegistry registry = standardRegistry();
-    return registry;
+    static const RoboxBackend robox;
+    static const GraphicionadoBackend graphicionado;
+    static const TablaBackend tabla;
+    static const DecoBackend deco;
+    static const VtaBackend vta;
+    static const HyperstreamsBackend hyperstreams;
+    static const std::vector<const Backend *> backends = {
+        &robox, &graphicionado, &tabla, &deco, &vta, &hyperstreams};
+    return backends;
 }
 
 const Backend *
-findBackend(const std::vector<std::unique_ptr<Backend>> &backends,
-            const std::string &name)
+findBackend(std::string_view name)
 {
-    for (const auto &b : backends) {
-        if (b->name() == name)
-            return b.get();
+    for (const Backend *backend : standardBackends()) {
+        if (backend->name() == name)
+            return backend;
     }
     return nullptr;
+}
+
+const lower::AcceleratorRegistry &
+standardRegistry()
+{
+    static const lower::AcceleratorRegistry registry = [] {
+        lower::AcceleratorRegistry r;
+        for (const Backend *backend : standardBackends())
+            r.add(backend->spec());
+        return r;
+    }();
+    return registry;
 }
 
 } // namespace polymath::target

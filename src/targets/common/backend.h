@@ -12,9 +12,8 @@
 #ifndef POLYMATH_TARGETS_COMMON_BACKEND_H_
 #define POLYMATH_TARGETS_COMMON_BACKEND_H_
 
-#include <atomic>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lower/compile.h"
@@ -185,33 +184,33 @@ struct PartitionAnalysis
 /**
  * One accelerator backend: spec + simulator.
  *
- * The machine configuration is constructor-injected data, not a
- * hard-coded constant (DESIGN.md §"Configs are data"): every backend
- * default-constructs from its Table VI factory but accepts any
- * MachineConfig, which is what the design-space autotuner (src/dse/)
- * sweeps. The constructor is the single config-ingest point — it
- * validates, so a degenerate config (zero frequency, no compute units)
- * fails loudly before any cost model divides by it.
+ * A backend is an immutable cost model. The machine it prices is an
+ * argument, not state (DESIGN.md §"Configs are data"): machine() is the
+ * Table VI factory config the backend was built with, and the
+ * design-space autotuner (src/dse/) prices the same backend under every
+ * MachineConfig it sweeps through the 4-argument simulate(). The six
+ * standard backends are built once per process (standardBackends()) and
+ * shared by every thread.
  *
  * A cost model runs in two stages (docs/ADDING_A_BACKEND.md §2):
  * analyze() reads only the partition, simulateImpl() prices that
- * analysis under machine() and a WorkloadProfile, without the
+ * analysis under a MachineConfig and a WorkloadProfile, without the
  * partition.
  */
 class Backend
 {
   public:
     /** @throws UserError when @p machine fails MachineConfig::validate().*/
-    explicit Backend(MachineConfig machine);
+    Backend(std::string name, lang::Domain domain, MachineConfig machine);
 
     virtual ~Backend() = default;
     Backend(const Backend &) = delete;
     Backend &operator=(const Backend &) = delete;
 
-    virtual std::string name() const = 0;
-    virtual lang::Domain domain() const = 0;
+    const std::string &name() const { return name_; }
+    lang::Domain domain() const { return domain_; }
 
-    /** The machine configuration this instance simulates. */
+    /** The Table VI machine this backend prices by default. */
     const MachineConfig &machine() const { return machine_; }
 
     /** Registration for the compilation algorithms (Ot, md, +d). */
@@ -219,57 +218,61 @@ class Backend
 
     /**
      * The machine-independent facts this backend's pricing reads about
-     * @p partition (analysisNeeds()). Never reads machine(), so one
-     * analysis prices correctly on every configuration of the same
-     * backend kind. Whether it carries ledger facts is decided here,
-     * from profilingEnabled() or a ProfilingScope on the calling thread.
+     * @p partition (analysisNeeds()). Never reads a machine, so one
+     * analysis prices correctly on every configuration. Whether it
+     * carries ledger facts is decided here, from profilingEnabled() or a
+     * ProfilingScope on the calling thread.
      */
     PartitionAnalysis analyze(const lower::Partition &partition) const;
 
     /**
-     * Prices @p partition, analysed by analyze() on a backend of the same
-     * kind, under @p profile. Non-virtual so every scheduler/estimator
+     * Prices @p partition, analysed by this backend's analyze(), under
+     * @p machine and @p profile. Non-virtual so every scheduler/estimator
      * invocation — from the SoC runtime, the autotuner, the benches, or
      * tests — passes one choke point that feeds the observability layer
      * (a `backend:simulate` span and per-accelerator call counter);
-     * backends implement simulateImpl().
+     * backends implement simulateImpl(). @p machine must be valid
+     * (validated where it was made: ConfigSpace::machineAt for the DSE).
      */
     PerfReport simulate(const lower::Partition &partition,
                         const PartitionAnalysis &analysis,
-                        const WorkloadProfile &profile) const;
+                        const WorkloadProfile &profile,
+                        const MachineConfig &machine) const;
+
+    /** simulate(partition, analysis, profile, machine()). */
+    PerfReport simulate(const lower::Partition &partition,
+                        const PartitionAnalysis &analysis,
+                        const WorkloadProfile &profile) const
+    {
+        return simulate(partition, analysis, profile, machine_);
+    }
 
     /** One-shot form: simulate(partition, analyze(partition), profile).*/
     PerfReport simulate(const lower::Partition &partition,
-                        const WorkloadProfile &profile) const;
+                        const WorkloadProfile &profile) const
+    {
+        return simulate(partition, analyze(partition), profile, machine_);
+    }
 
   protected:
-    /** `backend.<name>.simulate_calls`, bumped once per simulate(). The
-     *  default resolves it on an instance's first call (name() is
-     *  virtual, so not in the constructor) and caches it there. A
-     *  backend built per design point, as the autotuner does, would take
-     *  the registry mutex once per point that way, so the standard
-     *  backends override this with a function-local static: one lookup
-     *  per backend kind and process. */
-    virtual obs::Counter &simulateCalls() const;
-
-    /** The registry's `backend.<name>.simulate_calls` counter (created on
-     *  first request; takes the registry mutex). */
-    static obs::Counter &simulateCallsCounter(const std::string &name);
-
     /** The facts simulateImpl() reads; analyze() computes only these. */
     virtual AnalysisNeeds analysisNeeds() const { return {}; }
 
     /** The backend's cost model (docs/ADDING_A_BACKEND.md): prices
-     *  @p analysis under machine() and @p profile. It never sees the
+     *  @p analysis under @p machine and @p profile. It never sees the
      *  partition: every fact it reads that does not depend on the
      *  machine is in the analysis. */
     virtual PerfReport simulateImpl(const PartitionAnalysis &analysis,
+                                    const MachineConfig &machine,
                                     const WorkloadProfile &profile)
         const = 0;
 
   private:
+    std::string name_;
+    lang::Domain domain_;
     MachineConfig machine_;
-    mutable std::atomic<obs::Counter *> simulate_calls_{nullptr};
+    /** `backend.<name>.simulate_calls`, bumped once per simulate(). */
+    obs::Counter &simulate_calls_;
 };
 
 /**
@@ -302,29 +305,19 @@ std::vector<bool> invariantFragments(const lower::Partition &partition);
 std::vector<std::vector<int>> fragmentLevels(
     const lower::Partition &partition);
 
-/** All six DSA backends, in registration order matching Table V. */
-std::vector<std::unique_ptr<Backend>> standardBackends();
+/** The six DSA backends, in registration order matching Table V: one
+ *  immutable set per process, built on first use and shared by every
+ *  thread. */
+const std::vector<const Backend *> &standardBackends();
 
-/**
- * One DSA backend by Table V name ("RoboX", "Graphicionado", "TABLA",
- * "DECO", "TVM-VTA", "HyperStreams") under a caller-chosen machine
- * configuration — the instantiation point of the design-space autotuner.
- * @throws UserError on an unknown name or an invalid config.
- */
-std::unique_ptr<Backend> makeBackend(const std::string &name,
-                                     MachineConfig config);
+/** The standard backend named @p name ("RoboX", "Graphicionado",
+ *  "TABLA", "DECO", "TVM-VTA", "HyperStreams"); nullptr when none is. */
+const Backend *findBackend(std::string_view name);
 
-/** AcceleratorRegistry assembled from standardBackends(). */
-lower::AcceleratorRegistry standardRegistry();
-
-/** One process-wide standardRegistry(), built on first use. Registries
- *  are immutable after add(), so it is safe to share across threads. */
-const lower::AcceleratorRegistry &sharedStandardRegistry();
-
-/** Finds a backend by name in @p backends; nullptr when absent. */
-const Backend *findBackend(
-    const std::vector<std::unique_ptr<Backend>> &backends,
-    const std::string &name);
+/** The one process-wide AcceleratorRegistry of standardBackends(),
+ *  built on first use. Registries are immutable after add(), so it is
+ *  safe to share across threads. */
+const lower::AcceleratorRegistry &standardRegistry();
 
 } // namespace polymath::target
 

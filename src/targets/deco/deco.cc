@@ -26,18 +26,11 @@ DecoBackend::spec() const
     return s;
 }
 
-obs::Counter &
-DecoBackend::simulateCalls() const
-{
-    static obs::Counter &calls = simulateCallsCounter(name());
-    return calls;
-}
-
 PerfReport
 DecoBackend::simulateImpl(const PartitionAnalysis &analysis,
+                          const MachineConfig &m,
                           const WorkloadProfile &profile) const
 {
-    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 

@@ -10,8 +10,6 @@
 #ifndef POLYMATH_TARGETS_DECO_DECO_H_
 #define POLYMATH_TARGETS_DECO_DECO_H_
 
-#include <utility>
-
 #include "targets/common/backend.h"
 
 namespace polymath::target {
@@ -19,24 +17,18 @@ namespace polymath::target {
 class DecoBackend : public Backend
 {
   public:
-    DecoBackend() : Backend(decoConfig()) {}
-    explicit DecoBackend(MachineConfig machine)
-        : Backend(std::move(machine))
-    {
-    }
+    DecoBackend() : Backend("DECO", lang::Domain::DSP, decoConfig()) {}
 
-    std::string name() const override { return "DECO"; }
-    lang::Domain domain() const override { return lang::Domain::DSP; }
     lower::AcceleratorSpec spec() const override;
 
   protected:
-    obs::Counter &simulateCalls() const override;
     AnalysisNeeds analysisNeeds() const override
     {
         return {.work = true, .invariance = true, .levels = true,
                 .imbalance = true};
     }
     PerfReport simulateImpl(const PartitionAnalysis &analysis,
+                            const MachineConfig &machine,
                             const WorkloadProfile &profile) const override;
 };
 

@@ -32,18 +32,11 @@ GraphicionadoBackend::spec() const
     return s;
 }
 
-obs::Counter &
-GraphicionadoBackend::simulateCalls() const
-{
-    static obs::Counter &calls = simulateCallsCounter(name());
-    return calls;
-}
-
 PerfReport
 GraphicionadoBackend::simulateImpl(const PartitionAnalysis &analysis,
+                                   const MachineConfig &m,
                                    const WorkloadProfile &profile) const
 {
-    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 

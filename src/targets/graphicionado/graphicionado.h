@@ -10,8 +10,6 @@
 #ifndef POLYMATH_TARGETS_GRAPHICIONADO_GRAPHICIONADO_H_
 #define POLYMATH_TARGETS_GRAPHICIONADO_GRAPHICIONADO_H_
 
-#include <utility>
-
 #include "targets/common/backend.h"
 
 namespace polymath::target {
@@ -19,23 +17,20 @@ namespace polymath::target {
 class GraphicionadoBackend : public Backend
 {
   public:
-    GraphicionadoBackend() : Backend(graphicionadoConfig()) {}
-    explicit GraphicionadoBackend(MachineConfig machine)
-        : Backend(std::move(machine))
+    GraphicionadoBackend()
+        : Backend("Graphicionado", lang::Domain::GA, graphicionadoConfig())
     {
     }
 
-    std::string name() const override { return "Graphicionado"; }
-    lang::Domain domain() const override { return lang::Domain::GA; }
     lower::AcceleratorSpec spec() const override;
 
   protected:
-    obs::Counter &simulateCalls() const override;
     AnalysisNeeds analysisNeeds() const override
     {
         return {.points = true};
     }
     PerfReport simulateImpl(const PartitionAnalysis &analysis,
+                            const MachineConfig &machine,
                             const WorkloadProfile &profile) const override;
 };
 

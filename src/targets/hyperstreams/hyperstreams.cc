@@ -35,18 +35,11 @@ HyperstreamsBackend::spec() const
     return s;
 }
 
-obs::Counter &
-HyperstreamsBackend::simulateCalls() const
-{
-    static obs::Counter &calls = simulateCallsCounter(name());
-    return calls;
-}
-
 PerfReport
 HyperstreamsBackend::simulateImpl(const PartitionAnalysis &analysis,
+                                  const MachineConfig &m,
                                   const WorkloadProfile &profile) const
 {
-    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 

@@ -9,8 +9,6 @@
 #ifndef POLYMATH_TARGETS_HYPERSTREAMS_HYPERSTREAMS_H_
 #define POLYMATH_TARGETS_HYPERSTREAMS_HYPERSTREAMS_H_
 
-#include <utility>
-
 #include "targets/common/backend.h"
 
 namespace polymath::target {
@@ -18,23 +16,20 @@ namespace polymath::target {
 class HyperstreamsBackend : public Backend
 {
   public:
-    HyperstreamsBackend() : Backend(hyperstreamsConfig()) {}
-    explicit HyperstreamsBackend(MachineConfig machine)
-        : Backend(std::move(machine))
+    HyperstreamsBackend()
+        : Backend("HyperStreams", lang::Domain::DA, hyperstreamsConfig())
     {
     }
 
-    std::string name() const override { return "HyperStreams"; }
-    lang::Domain domain() const override { return lang::Domain::DA; }
     lower::AcceleratorSpec spec() const override;
 
   protected:
-    obs::Counter &simulateCalls() const override;
     AnalysisNeeds analysisNeeds() const override
     {
         return {.elements = true};
     }
     PerfReport simulateImpl(const PartitionAnalysis &analysis,
+                            const MachineConfig &machine,
                             const WorkloadProfile &profile) const override;
 };
 

@@ -38,18 +38,11 @@ RoboxBackend::spec() const
     return s;
 }
 
-obs::Counter &
-RoboxBackend::simulateCalls() const
-{
-    static obs::Counter &calls = simulateCallsCounter(name());
-    return calls;
-}
-
 PerfReport
 RoboxBackend::simulateImpl(const PartitionAnalysis &analysis,
+                           const MachineConfig &m,
                            const WorkloadProfile &profile) const
 {
-    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 

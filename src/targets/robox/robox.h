@@ -9,8 +9,6 @@
 #ifndef POLYMATH_TARGETS_ROBOX_ROBOX_H_
 #define POLYMATH_TARGETS_ROBOX_ROBOX_H_
 
-#include <utility>
-
 #include "targets/common/backend.h"
 
 namespace polymath::target {
@@ -18,23 +16,17 @@ namespace polymath::target {
 class RoboxBackend : public Backend
 {
   public:
-    RoboxBackend() : Backend(roboxConfig()) {}
-    explicit RoboxBackend(MachineConfig machine)
-        : Backend(std::move(machine))
-    {
-    }
+    RoboxBackend() : Backend("RoboX", lang::Domain::RBT, roboxConfig()) {}
 
-    std::string name() const override { return "RoboX"; }
-    lang::Domain domain() const override { return lang::Domain::RBT; }
     lower::AcceleratorSpec spec() const override;
 
   protected:
-    obs::Counter &simulateCalls() const override;
     AnalysisNeeds analysisNeeds() const override
     {
         return {.work = true, .invariance = true};
     }
     PerfReport simulateImpl(const PartitionAnalysis &analysis,
+                            const MachineConfig &machine,
                             const WorkloadProfile &profile) const override;
 };
 

@@ -25,18 +25,11 @@ TablaBackend::spec() const
     return s;
 }
 
-obs::Counter &
-TablaBackend::simulateCalls() const
-{
-    static obs::Counter &calls = simulateCallsCounter(name());
-    return calls;
-}
-
 PerfReport
 TablaBackend::simulateImpl(const PartitionAnalysis &analysis,
+                           const MachineConfig &m,
                            const WorkloadProfile &profile) const
 {
-    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 

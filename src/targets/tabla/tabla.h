@@ -10,8 +10,6 @@
 #ifndef POLYMATH_TARGETS_TABLA_TABLA_H_
 #define POLYMATH_TARGETS_TABLA_TABLA_H_
 
-#include <utility>
-
 #include "targets/common/backend.h"
 
 namespace polymath::target {
@@ -19,24 +17,18 @@ namespace polymath::target {
 class TablaBackend : public Backend
 {
   public:
-    TablaBackend() : Backend(tablaConfig()) {}
-    explicit TablaBackend(MachineConfig machine)
-        : Backend(std::move(machine))
-    {
-    }
+    TablaBackend() : Backend("TABLA", lang::Domain::DA, tablaConfig()) {}
 
-    std::string name() const override { return "TABLA"; }
-    lang::Domain domain() const override { return lang::Domain::DA; }
     lower::AcceleratorSpec spec() const override;
 
   protected:
-    obs::Counter &simulateCalls() const override;
     AnalysisNeeds analysisNeeds() const override
     {
         return {.work = true, .invariance = true, .reduce = true,
                 .levels = true};
     }
     PerfReport simulateImpl(const PartitionAnalysis &analysis,
+                            const MachineConfig &machine,
                             const WorkloadProfile &profile) const override;
 };
 

@@ -40,18 +40,11 @@ VtaBackend::spec() const
     return s;
 }
 
-obs::Counter &
-VtaBackend::simulateCalls() const
-{
-    static obs::Counter &calls = simulateCallsCounter(name());
-    return calls;
-}
-
 PerfReport
 VtaBackend::simulateImpl(const PartitionAnalysis &analysis,
+                         const MachineConfig &m,
                          const WorkloadProfile &profile) const
 {
-    const MachineConfig &m = machine();
     PerfReport r;
     r.machine = name();
 

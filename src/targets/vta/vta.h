@@ -10,8 +10,6 @@
 #ifndef POLYMATH_TARGETS_VTA_VTA_H_
 #define POLYMATH_TARGETS_VTA_VTA_H_
 
-#include <utility>
-
 #include "targets/common/backend.h"
 
 namespace polymath::target {
@@ -19,23 +17,17 @@ namespace polymath::target {
 class VtaBackend : public Backend
 {
   public:
-    VtaBackend() : Backend(vtaConfig()) {}
-    explicit VtaBackend(MachineConfig machine)
-        : Backend(std::move(machine))
-    {
-    }
+    VtaBackend() : Backend("TVM-VTA", lang::Domain::DL, vtaConfig()) {}
 
-    std::string name() const override { return "TVM-VTA"; }
-    lang::Domain domain() const override { return lang::Domain::DL; }
     lower::AcceleratorSpec spec() const override;
 
   protected:
-    obs::Counter &simulateCalls() const override;
     AnalysisNeeds analysisNeeds() const override
     {
         return {.layers = true};
     }
     PerfReport simulateImpl(const PartitionAnalysis &analysis,
+                            const MachineConfig &machine,
                             const WorkloadProfile &profile) const override;
 };
 

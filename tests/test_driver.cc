@@ -114,7 +114,7 @@ TEST(Driver, ParsesJobsFlags)
 
 TEST(CompileCache, KeyCapturesAllCompilationInputs)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const std::string src =
         "main(input float x, output float y) { y = x + 1; }";
     const ir::BuildOptions opts;
@@ -148,7 +148,7 @@ TEST(CompileCache, FreshRegistryIsSafeToShareAcrossThreads)
 {
     // Om and the key text are built in add(); a lazily filled Om was
     // written by whichever thread read it first (TSan preset races it).
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const std::string src =
         "main(input float x, output float y) { y = x + 1; }";
     constexpr size_t kThreads = 8;
@@ -177,7 +177,7 @@ TEST(CompileCache, SharedProgramRendersItsListingOnceAcrossThreads)
     // renders the listing and every thread must get those same bytes
     // (TSan preset races the lazy render).
     lower::CompileCache cache;
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto &bench = wl::tableIII().front();
     const auto program = wl::compileBenchmarkCached(
         bench.source, bench.buildOpts, registry, bench.domain, cache);
@@ -196,7 +196,7 @@ TEST(CompileCache, SharedProgramRendersItsListingOnceAcrossThreads)
 TEST(CompileCache, SecondCompileReturnsMemoizedArtifact)
 {
     lower::CompileCache cache;
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto &bench = wl::tableIII().front();
 
     const auto first = wl::compileBenchmarkCached(
@@ -217,7 +217,7 @@ TEST(CompileCache, RepeatedSuiteHitsAtLeastHalf)
     // The acceptance bar for the driver: running the same workload suite
     // twice must serve >= 50% of compilations from the cache.
     lower::CompileCache cache;
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     for (int round = 0; round < 2; ++round) {
         for (const auto &bench : wl::tableIII()) {
             ASSERT_NE(wl::compileBenchmarkCached(bench.source,
@@ -270,7 +270,7 @@ TEST(CompileCache, FailedCompileIsEvictedAndRetryable)
 std::string
 suiteReport(int jobs, lower::CompileCache &cache)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto &table = wl::tableIII();
     const soc::SocRuntime runtime;
     const auto rows = core::parallelMap(
@@ -305,7 +305,7 @@ TEST(DriverDeterminism, SerialAndParallelReportsAreByteIdentical)
 
 TEST(DriverDeterminism, DriverMapTableIIIMatchesAcrossJobs)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto render = [&](int jobs) {
         bench::DriverOptions options;
         options.jobs = jobs;

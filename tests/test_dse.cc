@@ -7,13 +7,15 @@
  * determinism (two concurrent searches with one seed agree point for
  * point, as concurrent pmcd `dse` requests must), staged pricing (one
  * analysis per partition, priced per point) equal to one-shot
- * simulation, a bit-for-bit pin of every full-space pricing, and lazy
+ * simulation, cost-model monotonicity in every machine axis, a
+ * bit-for-bit pin of every full-space pricing, and lazy
  * attribution (only the printed points are priced with cost ledgers)
  * printing exactly what ledgering every point printed.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <limits>
 #include <random>
 #include <set>
@@ -35,6 +37,28 @@
 
 namespace polymath::dse {
 namespace {
+
+/** A backend that prices nothing: the direct fixture for the
+ *  constructor's validation. */
+class FixtureBackend : public target::Backend
+{
+  public:
+    explicit FixtureBackend(target::MachineConfig machine)
+        : Backend("Fixture", lang::Domain::DA, std::move(machine))
+    {
+    }
+
+    lower::AcceleratorSpec spec() const override { return {}; }
+
+  protected:
+    target::PerfReport simulateImpl(const target::PartitionAnalysis &,
+                                    const target::MachineConfig &,
+                                    const target::WorkloadProfile &)
+        const override
+    {
+        return {};
+    }
+};
 
 // ---------------------------------------------------------------------------
 // Table VI factory pins. The ten factories are the calibration surface
@@ -159,11 +183,15 @@ TEST(MachineConfigs, ValidateRejectsDegenerateConfigs)
                  UserError);
     EXPECT_NO_THROW(target::tablaConfig().validate());
 
-    // Ingest point: backend construction validates, so a degenerate
-    // config cannot produce NaN seconds later.
+    // Configs are validated where they are made, so a degenerate one
+    // cannot produce NaN seconds later: a backend built for one is
+    // refused at construction (as the six standard backends are built
+    // for their Table VI machines), and ConfigSpace::machineAt validates
+    // every DSE point (ConfigSpace.IndexingRoundTripsAndValidates).
     target::MachineConfig bad = target::roboxConfig();
     bad.computeUnits = 0;
-    EXPECT_THROW(target::makeBackend("RoboX", bad), UserError);
+    EXPECT_THROW(FixtureBackend{bad}, UserError);
+    EXPECT_NO_THROW(FixtureBackend{target::roboxConfig()});
 }
 
 TEST(MachineConfigs, CyclesToSecondsGuardsFrequency)
@@ -515,7 +543,7 @@ TEST(StagedPricing, EqualsOneShotOnTableIIIOverTheSmallSpace)
     // Profiling on for this test only, so the ledgers are compared too
     // (explore() opens a scope the same way).
     const target::ProfilingScope profiling;
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     int64_t priced = 0;
     for (const auto &bench : wl::tableIII()) {
         const auto compiled = wl::compileBenchmark(
@@ -526,31 +554,108 @@ TEST(StagedPricing, EqualsOneShotOnTableIIIOverTheSmallSpace)
             SCOPED_TRACE(bench.id + " on " + partition.accel);
             const auto space = ConfigSpace::forBackend(
                 partition.accel, ConfigSpace::Kind::Small);
-            const auto base = target::makeBackend(
-                partition.accel, space.machineAt(space.baseIndex()));
+            const target::Backend &backend =
+                *target::findBackend(partition.accel);
             const target::PartitionAnalysis analysis =
-                base->analyze(partition);
+                backend.analyze(partition);
 
-            // Machine independence: another config of the same backend
-            // analyses the partition identically.
-            const auto scaled = target::makeBackend(
-                partition.accel, space.machineAt(space.size() - 1));
-            ASSERT_NE(scaled->machine().signature(),
-                      base->machine().signature());
-            EXPECT_TRUE(scaled->analyze(partition) == analysis);
+            // The 3-argument and one-shot forms price the backend's own
+            // machine, the base point of its space.
+            const auto base = space.machineAt(space.baseIndex());
+            expectSameReport(
+                backend.simulate(partition, analysis, bench.profile, base),
+                backend.simulate(partition, analysis, bench.profile));
+            expectSameReport(
+                backend.simulate(partition, analysis, bench.profile, base),
+                backend.simulate(partition, bench.profile));
 
+            // One analysis prices every point as a fresh one does.
             for (int64_t i = 0; i < space.size(); ++i) {
-                const auto backend =
-                    target::makeBackend(partition.accel, space.machineAt(i));
+                const auto machine = space.machineAt(i);
                 expectSameReport(
-                    backend->simulate(partition, analysis, bench.profile),
-                    backend->simulate(partition, bench.profile));
+                    backend.simulate(partition, analysis, bench.profile,
+                                     machine),
+                    backend.simulate(partition, backend.analyze(partition),
+                                     bench.profile, machine));
                 ++priced;
             }
         }
     }
     EXPECT_GT(priced, 0);
 }
+
+// ---------------------------------------------------------------------------
+// Cost-model monotonicity: on every searchable Table III partition, a
+// one-step move that raises a machine axis (units, frequency, DRAM
+// bandwidth, bus width, banks) never makes the partition slower, at one
+// invocation and at the benchmark's deployed profile. Power is derived
+// and may rise; seconds may not.
+// ---------------------------------------------------------------------------
+
+class Monotonicity : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(Monotonicity, RaisingAMachineAxisNeverAddsSeconds)
+{
+    const wl::Benchmark &bench = wl::tableIII()[GetParam()];
+    const auto compiled = wl::compileBenchmark(
+        bench.source, bench.buildOpts, target::standardRegistry(),
+        bench.domain);
+    int64_t moves = 0;
+    for (const auto &partition : compiled.partitions) {
+        if (!ConfigSpace::searchable(partition.accel))
+            continue;
+        const auto space = ConfigSpace::forBackend(partition.accel,
+                                                   ConfigSpace::Kind::Full);
+        const target::Backend &backend =
+            *target::findBackend(partition.accel);
+        const target::PartitionAnalysis analysis =
+            backend.analyze(partition);
+        for (const auto &profile : {target::WorkloadProfile{}, bench.profile})
+        {
+            std::vector<double> seconds;
+            for (int64_t i = 0; i < space.size(); ++i) {
+                seconds.push_back(backend
+                                      .simulate(partition, analysis,
+                                                profile, space.machineAt(i))
+                                      .seconds);
+            }
+            for (int64_t i = 0; i < space.size(); ++i) {
+                const std::vector<int> from = space.coords(i);
+                for (const int64_t n : space.neighbors(i)) {
+                    const std::vector<int> to = space.coords(n);
+                    size_t axis = 0;
+                    while (from[axis] == to[axis])
+                        ++axis;
+                    const Axis &a = space.axes()[axis];
+                    if (a.scales[static_cast<size_t>(to[axis])] <=
+                        a.scales[static_cast<size_t>(from[axis])])
+                        continue;
+                    EXPECT_LE(seconds[static_cast<size_t>(n)],
+                              seconds[static_cast<size_t>(i)])
+                        << partition.accel << ": " << space.label(i)
+                        << " -> " << space.label(n) << " (invocations "
+                        << profile.invocations << ")";
+                    ++moves;
+                }
+            }
+        }
+    }
+    EXPECT_GT(moves, 0) << bench.id << " has no searchable partition";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TableIII, Monotonicity,
+    ::testing::Range<size_t>(0, wl::tableIII().size()),
+    [](const ::testing::TestParamInfo<size_t> &info) {
+        std::string name = wl::tableIII()[info.param].id;
+        for (char &c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return name;
+    });
 
 // ---------------------------------------------------------------------------
 // Pricing pin: every searchable Table III partition at every full-space
@@ -620,7 +725,7 @@ TEST(PricingPin, TableIIIAndIVFullSpaceIsBitIdentical)
 
     // Table III covers five backends; Table IV's OptionPricing adds
     // HyperStreams.
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     std::vector<std::pair<lower::CompiledProgram, target::WorkloadProfile>>
         workloads;
     for (const auto &bench : wl::tableIII()) {
@@ -646,13 +751,12 @@ TEST(PricingPin, TableIIIAndIVFullSpaceIsBitIdentical)
             backends.insert(partition.accel);
             const auto space = ConfigSpace::forBackend(
                 partition.accel, ConfigSpace::Kind::Full);
+            const target::Backend &backend =
+                *target::findBackend(partition.accel);
             target::PartitionAnalysis with_ledger;
             {
                 const target::ProfilingScope profiling;
-                with_ledger = target::makeBackend(
-                                  partition.accel,
-                                  space.machineAt(space.baseIndex()))
-                                  ->analyze(partition);
+                with_ledger = backend.analyze(partition);
             }
             target::PartitionAnalysis without = with_ledger;
             without.ledger = false;
@@ -660,14 +764,13 @@ TEST(PricingPin, TableIIIAndIVFullSpaceIsBitIdentical)
                  {target::WorkloadProfile{}, deployed})
             {
                 for (int64_t i = 0; i < space.size(); ++i) {
-                    const auto backend = target::makeBackend(
-                        partition.accel, space.machineAt(i));
+                    const auto machine = space.machineAt(i);
                     foldReport(ledger_free,
-                               backend->simulate(partition, without,
-                                                 profile));
+                               backend.simulate(partition, without,
+                                                profile, machine));
                     foldReport(ledgered,
-                               backend->simulate(partition, with_ledger,
-                                                 profile));
+                               backend.simulate(partition, with_ledger,
+                                                profile, machine));
                     ++pricings;
                 }
             }
@@ -694,13 +797,13 @@ ledgeredPoint(const ConfigSpace &space, int64_t index,
               const std::vector<target::PartitionAnalysis> &analyses,
               const target::WorkloadProfile &profile)
 {
-    const auto backend =
-        target::makeBackend(space.backend(), space.machineAt(index));
+    const target::Backend &backend = *target::findBackend(space.backend());
+    const auto machine = space.machineAt(index);
     target::PerfReport total;
     bool first = true;
     for (size_t i = 0; i < partitions.size(); ++i) {
-        auto report =
-            backend->simulate(*partitions[i], analyses[i], profile);
+        auto report = backend.simulate(*partitions[i], analyses[i], profile,
+                                       machine);
         if (first) {
             total = std::move(report);
             first = false;
@@ -761,10 +864,9 @@ ledgeredStudy(const WorkloadStudy &study,
     std::vector<target::PartitionAnalysis> analyses;
     {
         const target::ProfilingScope profiling;
-        const auto analyzer = target::makeBackend(
-            study.backend, space.machineAt(space.baseIndex()));
+        const target::Backend &analyzer = *target::findBackend(study.backend);
         for (const lower::Partition *partition : partitions)
-            analyses.push_back(analyzer->analyze(*partition));
+            analyses.push_back(analyzer.analyze(*partition));
     }
     WorkloadStudy old = study;
     for (auto &point : old.points) {
@@ -824,7 +926,7 @@ TEST(LazyAttribution, PrintsWhatLedgeringEveryPointPrintedOnTableIII)
         searches.push_back(random);
     }
 
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     int64_t studies = 0;
     for (const auto &bench : wl::tableIII()) {
         const auto compiled = wl::compileBenchmark(

@@ -31,7 +31,7 @@ figData()
 {
     static const Fig78Data data = [] {
         Fig78Data d;
-        const auto registry = target::standardRegistry();
+        const auto &registry = target::standardRegistry();
         const target::CpuModel cpu;
         const auto titan = target::GpuModel::titanXp();
         const auto jetson = target::GpuModel::jetson();
@@ -109,13 +109,12 @@ TEST(Fig8, RuntimeRoughlyParityWithJetson)
 
 TEST(Fig9, AverageOptimalFractionNearPaper)
 {
-    const auto registry = target::standardRegistry();
-    const auto backends = target::standardBackends();
+    const auto &registry = target::standardRegistry();
     std::vector<double> percents;
     for (const auto &bench : wl::tableIII()) {
         const auto compiled = wl::compileBenchmark(
             bench.source, bench.buildOpts, registry, bench.domain);
-        const auto *backend = target::findBackend(backends, bench.accel);
+        const auto *backend = target::findBackend(bench.accel);
         const auto &partition = compiled.partitions.front();
         const auto poly = backend->simulate(partition, bench.profile);
         const auto opt = backend->simulate(
@@ -133,7 +132,7 @@ TEST(Fig9, AverageOptimalFractionNearPaper)
 
 TEST(Fig10, CrossDomainBeatsBestSingleDomain)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     soc::SocRuntime runtime;
     for (const auto &app : wl::tableIV()) {
         const auto compiled = wl::compileBenchmark(

@@ -124,7 +124,7 @@ TEST(Lower, CustomReductionAdmittedByWildcard)
 
 TEST(Lower, DnnStaysAtLayerGranularityForVta)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     auto g = ir::compileToSrdfg(wl::mobilenetProgram());
     lower::lowerGraph(*g, registry.supportedOpsByDomain(), Domain::DL);
     // VTA consumes whole layers: conv components survive lowering.
@@ -139,7 +139,7 @@ TEST(Lower, DnnStaysAtLayerGranularityForVta)
 
 TEST(Lower, SameProgramFullyFlattensForTabla)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     auto g = ir::compileToSrdfg(wl::lrmfProgram(6, 8, 3));
     lower::lowerGraph(*g, registry.supportedOpsByDomain(), Domain::DA);
     EXPECT_EQ(ir::recursionDepth(*g), 1);
@@ -149,7 +149,7 @@ TEST(Lower, SameProgramFullyFlattensForTabla)
 
 TEST(Compile, FragmentsCarryOperandsAndStats)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(
         "main(input float A[4][3], input float x[3], output float y[4]) {"
         " index i[0:2], j[0:3]; y[j] = sum[i](A[j][i]*x[i]); }",
@@ -172,7 +172,7 @@ TEST(Compile, FragmentsCarryOperandsAndStats)
 
 TEST(Compile, LoadsAndStoresAtBoundary)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(
         "main(input float x[8], param float p[8], state float s[8]) {"
         " index i[0:7]; s[i] = s[i] + x[i]*p[i]; }",
@@ -187,7 +187,7 @@ TEST(Compile, LoadsAndStoresAtBoundary)
 
 TEST(Compile, CrossDomainTransfersInserted)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(R"(
 stage1(input float x[8], output float y[8]) {
     index i[0:7];
@@ -218,7 +218,7 @@ main(input float x[8], output float z) {
 
 TEST(Compile, AffinityKeepsDomainsContiguous)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(wl::brainStimulProgram(), {},
                                                registry, Domain::None);
     // The three-domain app may split RoboX around the TABLA dependency but
@@ -229,7 +229,7 @@ TEST(Compile, AffinityKeepsDomainsContiguous)
 
 TEST(Compile, PreferredComponentSplitsDataAnalytics)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(wl::optionPricingProgram(),
                                                {}, registry, Domain::None);
     std::set<std::string> accels;
@@ -256,7 +256,7 @@ TEST(Compile, NoRegisteredDomainIsUserError)
 
 TEST(Compile, ProgramRenderingIsStable)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(
         "main(input float x[4], output float y[4]) {"
         " index i[0:3]; y[i] = x[i]+1; }",
@@ -331,7 +331,7 @@ referenceRender(const lower::CompiledProgram &cp)
 
 TEST(CompiledProgram, RenderMatchesReference)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     for (const auto &bench : wl::tableIII()) {
         SCOPED_TRACE(bench.id);
         const auto compiled = wl::compileBenchmark(

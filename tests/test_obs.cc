@@ -199,7 +199,7 @@ suiteSpanCounts(int jobs)
         bench::DriverOptions options;
         options.jobs = jobs;
         const bench::Driver driver(options);
-        const auto registry = target::standardRegistry();
+        const auto &registry = target::standardRegistry();
         driver.mapTableIII(
             registry, [](const wl::Benchmark &bench,
                          const lower::CompiledProgram &program) {
@@ -244,7 +244,7 @@ TEST(Instrumentation, UntracedSuiteRunRecordsNothing)
     rec.setEnabled(false);
     rec.clear();
     lower::CompileCache::global().clear();
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto &bench = wl::tableIII().front();
     const auto program = wl::compileBenchmarkCached(
         bench.source, bench.buildOpts, registry, bench.domain,
@@ -260,7 +260,7 @@ TEST(Instrumentation, SocLaysDmaAndComputeOnTheVirtualTimeline)
     lower::CompileCache::global().clear();
     rec.clear();
     rec.setEnabled(true);
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto &bench = wl::tableIII().front();
     const auto program = wl::compileBenchmarkCached(
         bench.source, bench.buildOpts, registry, bench.domain,
@@ -313,7 +313,7 @@ TEST(Instrumentation, ExecuteAndStreamDrawOneTimelineFormat)
     // same spans, a DMA span and a compute span per service, on tracks
     // named for the resources the job used, plus the admission track.
     const auto &app = wl::tableIV().front(); // BrainStimul: 4 partitions
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto program = wl::compileBenchmark(app.source, app.buildOpts,
                                               registry, lang::Domain::None);
     std::set<std::string> used;
@@ -383,7 +383,7 @@ TEST(Instrumentation, FaultMetricsMatchTheReliabilityReport)
 {
     auto &metrics = obs::MetricsRegistry::global();
     lower::CompileCache::global().clear();
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto &bench = wl::tableIII().front();
     const auto program = wl::compileBenchmarkCached(
         bench.source, bench.buildOpts, registry, bench.domain,
@@ -422,7 +422,7 @@ TEST(Instrumentation, CompileCacheCountersFlowIntoMetrics)
     auto &metrics = obs::MetricsRegistry::global();
     auto &cache = lower::CompileCache::global();
     cache.clear();
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto &bench = wl::tableIII().front();
 
     const auto before = metrics.snapshot();

@@ -619,11 +619,28 @@ TEST(Sema, NestedSameAxisReductionRejected)
 
 TEST(Sema, DimensionSymbolNoShapeBindsIsAPositionedError)
 {
-    // w is bound to a literal, so no shape ever fixes n.
+    // w is bound to g's dimension symbol m, a constant, so no shape
+    // ever fixes n.
     expectFrontendError("f(param float w[n], output float y) { y = n; }\n"
-                        "main(output float y) { f(3, y); }\n",
+                        "g(param float v[m], output float y) { f(m, y); }\n"
+                        "main(param float v[3], output float y) "
+                        "{ g(v, y); }\n",
                         "'n' has no value: no argument's shape binds it", 1,
                         43);
+}
+
+TEST(Sema, ConstantBoundToATensorParamIsAPositionedError)
+{
+    // Whole tensors are passed by bare name; a literal is a scalar, and
+    // used to be broadcast over every subscript of w.
+    expectFrontendError(
+        "f(param float w[n][n], input float x[n], output float y[n]) {\n"
+        "    index i[0:n-1], j[0:n-1];\n"
+        "    y[i] = sum[j](w[i][j]*x[j]);\n"
+        "}\n"
+        "main(input float x[4], output float y[4]) { f(2, x, y); }\n",
+        "param 'w' has rank 2: pass a tensor by name, not an expression", 5,
+        47);
 }
 
 TEST(Builtins, RegistryBasics)

@@ -92,8 +92,7 @@ class LedgerInvariant : public ::testing::TestWithParam<const char *>
 TEST_P(LedgerInvariant, SumsToTotalsOnSyntheticPartition)
 {
     const target::ProfilingScope profiling;
-    const auto backends = target::standardBackends();
-    const auto *b = target::findBackend(backends, GetParam());
+    const auto *b = target::findBackend(GetParam());
     ASSERT_NE(b, nullptr);
     target::WorkloadProfile prof;
     prof.invocations = 7;
@@ -108,8 +107,7 @@ TEST_P(LedgerInvariant, SumsToTotalsOnSyntheticPartition)
 
 TEST_P(LedgerInvariant, DisabledProfilingLeavesReportUntouched)
 {
-    const auto backends = target::standardBackends();
-    const auto *b = target::findBackend(backends, GetParam());
+    const auto *b = target::findBackend(GetParam());
     ASSERT_NE(b, nullptr);
     target::WorkloadProfile prof;
     prof.vertices = 1000;
@@ -139,8 +137,7 @@ TEST_P(LedgerInvariant, AnalysisDecidesWhetherToLedger)
     // In pmcd a concurrent dse/profile request can switch profiling on
     // between analyze() and pricing. The analysis made with it off
     // carries no labels, so pricing it must not open a ledger at all.
-    const auto backends = target::standardBackends();
-    const auto *b = target::findBackend(backends, GetParam());
+    const auto *b = target::findBackend(GetParam());
     ASSERT_NE(b, nullptr);
     target::WorkloadProfile prof;
     prof.vertices = 1000;
@@ -181,7 +178,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, LedgerInvariant,
 TEST(LedgerSuite, TableIIIPartitionsAllSatisfyInvariant)
 {
     const target::ProfilingScope profiling;
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     soc::SocRuntime runtime;
     for (const auto &bench : wl::tableIII()) {
         const auto compiled = wl::compileBenchmark(
@@ -209,9 +206,8 @@ TEST(LedgerSuite, TableIIIPartitionsAllSatisfyInvariant)
 TEST(LedgerMerge, OperatorPlusEqualsBuildsTaggedFreshLedger)
 {
     const target::ProfilingScope profiling;
-    const auto backends = target::standardBackends();
-    const auto *tabla = target::findBackend(backends, "TABLA");
-    const auto *robox = target::findBackend(backends, "RoboX");
+    const auto *tabla = target::findBackend("TABLA");
+    const auto *robox = target::findBackend("RoboX");
     ASSERT_NE(tabla, nullptr);
     ASSERT_NE(robox, nullptr);
     target::WorkloadProfile prof;

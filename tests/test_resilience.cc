@@ -180,7 +180,7 @@ TEST(SocConfigValidate, RejectsNonPositiveAndNegativeFields)
     // The SocRuntime constructor enforces validation.
     bad = good;
     bad.dmaGBs = -3.0;
-    EXPECT_THROW(SocRuntime(target::standardBackends(), bad), UserError);
+    EXPECT_THROW(SocRuntime{bad}, UserError);
 }
 
 TEST(FaultConfigValidate, RejectsBadRatesAndBudgets)
@@ -243,7 +243,7 @@ class ResilienceFixture : public ::testing::Test
 TEST_F(ResilienceFixture, DisabledFaultModelIsBitIdentical)
 {
     SocRuntime plain;
-    SocRuntime with_model(target::standardBackends(), target::socConfig(),
+    SocRuntime with_model(target::socConfig(),
                           FaultModel{}); // rates all zero => disabled
     const auto a = plain.execute(compiled_, profile_, {}, hostEff_);
     const auto b = with_model.execute(compiled_, profile_, {}, hostEff_);
@@ -258,10 +258,8 @@ TEST_F(ResilienceFixture, DisabledFaultModelIsBitIdentical)
 
 TEST_F(ResilienceFixture, SameSeedSameReliabilityReport)
 {
-    SocRuntime a(target::standardBackends(), target::socConfig(),
-                 FaultModel(faultyConfig(0.5, 7)));
-    SocRuntime b(target::standardBackends(), target::socConfig(),
-                 FaultModel(faultyConfig(0.5, 7)));
+    SocRuntime a(target::socConfig(), FaultModel(faultyConfig(0.5, 7)));
+    SocRuntime b(target::socConfig(), FaultModel(faultyConfig(0.5, 7)));
     const auto ra = a.execute(compiled_, profile_, {}, hostEff_);
     const auto rb = b.execute(compiled_, profile_, {}, hostEff_);
     EXPECT_EQ(ra.total.seconds, rb.total.seconds);
@@ -281,8 +279,7 @@ TEST_F(ResilienceFixture, SameSeedSameReliabilityReport)
 
 TEST_F(ResilienceFixture, FaultsInjectOverheadAndReportIt)
 {
-    SocRuntime faulty(target::standardBackends(), target::socConfig(),
-                      FaultModel(faultyConfig(0.5, 7)));
+    SocRuntime faulty(target::socConfig(), FaultModel(faultyConfig(0.5, 7)));
     SocRuntime clean;
     const auto r = faulty.execute(compiled_, profile_, {}, hostEff_);
     const auto base = clean.execute(compiled_, profile_, {}, hostEff_);
@@ -301,8 +298,7 @@ TEST_F(ResilienceFixture, CertainDmaFailureDegradesEveryPartition)
     FaultConfig fc;
     fc.seed = 11;
     fc.dmaFailureRate = 1.0; // every attempt fails => retries then host
-    SocRuntime runtime(target::standardBackends(), target::socConfig(),
-                       FaultModel(fc));
+    SocRuntime runtime(target::socConfig(), FaultModel(fc));
     const auto r = runtime.execute(compiled_, profile_, {}, hostEff_);
     EXPECT_GT(r.reliability.offloadAttempts, 0);
     EXPECT_EQ(r.reliability.hostFallbacks, r.reliability.offloadAttempts);
@@ -329,12 +325,10 @@ TEST_F(ResilienceFixture, DegradedFallbackRunsBelowNativeEfficiency)
     fc.seed = 7;
     fc.dmaFailureRate = 1.0; // every partition degrades immediately
     fc.dmaPolicy = DegradationPolicy::HostFallback;
-    SocRuntime degraded(target::standardBackends(), target::socConfig(),
-                        FaultModel(fc));
+    SocRuntime degraded(target::socConfig(), FaultModel(fc));
     auto native_cfg = target::socConfig();
     native_cfg.hostFallbackEff = 1.0;
-    SocRuntime native(target::standardBackends(), native_cfg,
-                      FaultModel(fc));
+    SocRuntime native(native_cfg, FaultModel(fc));
 
     const auto d = degraded.execute(compiled_, profile_, {}, hostEff_);
     const auto n = native.execute(compiled_, profile_, {}, hostEff_);
@@ -355,8 +349,7 @@ TEST_F(ResilienceFixture, AcceleratorLossOpensAnOutageAndMigrates)
     FaultConfig fc;
     fc.seed = 7;
     fc.accelUnavailableRate = 1.0;
-    SocRuntime runtime(target::standardBackends(), target::socConfig(),
-                       FaultModel(fc));
+    SocRuntime runtime(target::socConfig(), FaultModel(fc));
     const auto r = runtime.execute(compiled_, profile_, {}, hostEff_);
     const auto home = runtime.estimate(compiled_, profile_, {}, hostEff_);
     const auto host =
@@ -409,7 +402,7 @@ TEST_F(ResilienceFixture, DmaBackoffLatencyIsExponentialAndAccounted)
     // only delta left is the backoff latency itself.
     auto cfg = target::socConfig();
     cfg.hostFallbackEff = 1.0;
-    SocRuntime runtime(target::standardBackends(), cfg, model);
+    SocRuntime runtime(cfg, model);
     const auto r = runtime.execute(compiled_, profile_, {}, hostEff_);
     const auto host_only =
         runtime.execute(compiled_, profile_, {"<none>"}, hostEff_);
@@ -472,16 +465,14 @@ TEST_F(ResilienceFixture, AbortPolicyFailsStop)
     fc.seed = 5;
     fc.dmaFailureRate = 1.0;
     fc.dmaPolicy = DegradationPolicy::Abort;
-    SocRuntime runtime(target::standardBackends(), target::socConfig(),
-                       FaultModel(fc));
+    SocRuntime runtime(target::socConfig(), FaultModel(fc));
     EXPECT_THROW(runtime.execute(compiled_, profile_, {}, hostEff_), UserError);
 
     FaultConfig accel;
     accel.seed = 5;
     accel.accelUnavailableRate = 1.0;
     accel.accelPolicy = DegradationPolicy::Abort;
-    SocRuntime runtime2(target::standardBackends(), target::socConfig(),
-                        FaultModel(accel));
+    SocRuntime runtime2(target::socConfig(), FaultModel(accel));
     EXPECT_THROW(runtime2.execute(compiled_, profile_, {}, hostEff_), UserError);
 }
 
@@ -491,8 +482,7 @@ TEST_F(ResilienceFixture, WatchdogReexecutionChargesWastedRuns)
     fc.seed = 9;
     fc.watchdogRate = 1.0; // always fires => re-executes, then degrades
     fc.maxReexecutions = 2;
-    SocRuntime runtime(target::standardBackends(), target::socConfig(),
-                       FaultModel(fc));
+    SocRuntime runtime(target::socConfig(), FaultModel(fc));
     const auto r = runtime.execute(compiled_, profile_, {}, hostEff_);
     EXPECT_GT(r.reliability.watchdogFaults, 0);
     EXPECT_EQ(r.reliability.hostFallbacks, r.reliability.offloadAttempts);
@@ -516,8 +506,7 @@ TEST_F(ResilienceFixture, RaisingRatesOnlyAddsFaults)
     int64_t prev_faults = -1;
     double prev_seconds = -1.0;
     for (double rate : {0.0, 0.1, 0.3, 0.6, 1.0}) {
-        SocRuntime runtime(target::standardBackends(),
-                           target::socConfig(),
+        SocRuntime runtime(target::socConfig(),
                            FaultModel(faultyConfig(rate, 21)));
         const auto r = runtime.execute(compiled_, profile_, {}, hostEff_);
         EXPECT_GE(r.reliability.faultsInjected, prev_faults);

@@ -99,9 +99,8 @@ TEST(TraceSim, ScratchpadOverflowCostsMisses)
 TEST(TraceSim, WithinBandOfAnalyticModel)
 {
     const auto &bench = wl::benchmarkById("Wiki-BFS");
-    const auto registry = target::standardRegistry();
-    const auto backends = target::standardBackends();
-    const auto *gcn = target::findBackend(backends, "Graphicionado");
+    const auto &registry = target::standardRegistry();
+    const auto *gcn = target::findBackend("Graphicionado");
     const auto compiled = wl::compileBenchmark(
         bench.source, bench.buildOpts, registry, bench.domain);
     const auto analytic =
@@ -205,7 +204,7 @@ TEST(Scheduler, BusChargesEachTensorOnce)
 
 TEST(Scheduler, RealWorkloadSchedulesAndBoundsAnalytic)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto &bench = wl::benchmarkById("MovieL-100K");
     const auto compiled = wl::compileBenchmark(
         bench.source, bench.buildOpts, registry, bench.domain);
@@ -273,7 +272,7 @@ TEST(ChainMapper, DifferentExtentsBreakChains)
 
 TEST(ChainMapper, RealDspWorkloadsMapCompletely)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     for (const char *id : {"FFT-8192", "DCT-1024"}) {
         const auto &bench = wl::benchmarkById(id);
         const auto compiled = wl::compileBenchmark(

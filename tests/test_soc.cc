@@ -104,7 +104,7 @@ TEST_F(SocFixture, PerPartitionReportsSumBelowTotal)
 
 TEST(Soc, HostEfficiencyHintChangesFallbackTime)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(
         "main(input float x[1024], output float y) {"
         " index i[0:1023]; y = sum[i](x[i]*x[i]); }",
@@ -123,7 +123,7 @@ TEST(Soc, HostEfficiencyHintChangesFallbackTime)
 
 TEST(Soc, StateTensorsPlacedOnceNotPerInvocation)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(
         "main(state float big[100000], input float x, output float y) {"
         " index i[0:99999];"

@@ -193,8 +193,7 @@ TEST_F(StreamFixture, ContendedJobEqualsTheSameJobRunAlone)
             FaultConfig fc = faults;
             fc.seed = soc::jobSeed(faults.seed,
                                    static_cast<uint64_t>(job.jobIndex));
-            const SocRuntime alone(target::standardBackends(),
-                                   target::socConfig(), soc::FaultModel(fc));
+            const SocRuntime alone(target::socConfig(), soc::FaultModel(fc));
             const auto expected =
                 alone.execute(compiled_, profile_, {}, hostEff_);
             const auto &got = job.result;

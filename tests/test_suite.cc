@@ -24,7 +24,7 @@ class SuiteCompilation
 TEST_P(SuiteCompilation, CompilesThroughWholeStack)
 {
     const auto &bench = *GetParam();
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(
         bench.source, bench.buildOpts, registry, bench.domain);
     ASSERT_FALSE(compiled.partitions.empty()) << bench.id;
@@ -38,11 +38,10 @@ TEST_P(SuiteCompilation, CompilesThroughWholeStack)
 TEST_P(SuiteCompilation, SimulationsProducePositiveFiniteNumbers)
 {
     const auto &bench = *GetParam();
-    const auto registry = target::standardRegistry();
-    const auto backends = target::standardBackends();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(
         bench.source, bench.buildOpts, registry, bench.domain);
-    const auto *backend = target::findBackend(backends, bench.accel);
+    const auto *backend = target::findBackend(bench.accel);
     ASSERT_NE(backend, nullptr);
     const auto r =
         backend->simulate(compiled.partitions.front(), bench.profile);
@@ -54,11 +53,10 @@ TEST_P(SuiteCompilation, SimulationsProducePositiveFiniteNumbers)
 TEST_P(SuiteCompilation, HandTunedNeverSlowerThanPolyMathCompute)
 {
     const auto &bench = *GetParam();
-    const auto registry = target::standardRegistry();
-    const auto backends = target::standardBackends();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(
         bench.source, bench.buildOpts, registry, bench.domain);
-    const auto *backend = target::findBackend(backends, bench.accel);
+    const auto *backend = target::findBackend(bench.accel);
     const auto &partition = compiled.partitions.front();
     const auto poly = backend->simulate(partition, bench.profile);
     const auto opt = backend->simulate(
@@ -106,7 +104,7 @@ TEST(Suite, LookupByIdWorksAndThrowsOnUnknown)
 
 TEST(Suite, EndToEndAppsCompileAcrossAccelerators)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     for (const auto &app : wl::tableIV()) {
         const auto compiled = wl::compileBenchmark(
             app.source, app.buildOpts, registry, lang::Domain::None);

@@ -12,10 +12,10 @@
 #include <thread>
 
 #include "core/error.h"
+#include "dse/config_space.h"
 #include "obs/metrics.h"
 #include "targets/common/backend.h"
 #include "targets/cpu/cpu_model.h"
-#include "targets/deco/deco.h"
 #include "targets/gpu/gpu_model.h"
 #include "workloads/suite.h"
 
@@ -58,7 +58,7 @@ syntheticPartition(const std::string &accel, int64_t frags,
 
 TEST(Registry, AllSixBackendsRegistered)
 {
-    const auto registry = standardRegistry();
+    const auto &registry = standardRegistry();
     EXPECT_NE(registry.byName("RoboX"), nullptr);
     EXPECT_NE(registry.byName("Graphicionado"), nullptr);
     EXPECT_NE(registry.byName("TABLA"), nullptr);
@@ -74,7 +74,7 @@ TEST(Registry, AllSixBackendsRegistered)
 
 TEST(Registry, EveryDomainHasExactlyOneDefault)
 {
-    const auto registry = standardRegistry();
+    const auto &registry = standardRegistry();
     for (lang::Domain d : {lang::Domain::RBT, lang::Domain::GA,
                            lang::Domain::DSP, lang::Domain::DA,
                            lang::Domain::DL}) {
@@ -136,14 +136,7 @@ TEST(DmaBreakdown, ClassifiesByTypeModifier)
 class BackendInvariants : public ::testing::TestWithParam<const char *>
 {
   protected:
-    const Backend *backend()
-    {
-        backends_ = standardBackends();
-        return findBackend(backends_, GetParam());
-    }
-
-  private:
-    std::vector<std::unique_ptr<Backend>> backends_;
+    const Backend *backend() { return findBackend(GetParam()); }
 };
 
 TEST_P(BackendInvariants, MoreWorkTakesLonger)
@@ -202,7 +195,7 @@ TEST(BackendSimulate, RefusesALedgerWithoutLedgerFacts)
     // Ledger labels and touched bytes are gathered at analysis; pricing
     // reads them by fragment index, so an analysis made with profiling
     // off cannot be priced with a ledger.
-    for (const auto &backend : standardBackends()) {
+    for (const Backend *backend : standardBackends()) {
         SCOPED_TRACE(backend->name());
         const auto p = syntheticPartition(backend->name(), 4, 1000);
         PartitionAnalysis analysis = backend->analyze(p);
@@ -216,11 +209,8 @@ TEST(BackendSimulate, RefusesALedgerWithoutLedgerFacts)
 
 TEST(BackendSimulate, CallCounterCountsEveryConcurrentCall)
 {
-    // One instance shared by four threads first; the standard backends
-    // resolve their counter once per kind, so these calls may also race
-    // that first resolution.
-    const auto backends = standardBackends();
-    const Backend *tabla = findBackend(backends, "TABLA");
+    // The process's one TABLA backend, shared by four threads.
+    const Backend *tabla = findBackend("TABLA");
     ASSERT_NE(tabla, nullptr);
     const auto p = syntheticPartition("TABLA", 4, 1000);
     const WorkloadProfile prof;
@@ -241,35 +231,51 @@ TEST(BackendSimulate, CallCounterCountsEveryConcurrentCall)
         thread.join();
     EXPECT_EQ(calls.value() - before, int64_t{kThreads} * kCallsEach);
 
-    // The autotuner's pattern: every design point builds its own backend,
-    // prices a few partitions and drops it, on several threads at once.
-    // Each kind's counter must still see every call.
-    constexpr int kBackendsEach = 50;
-    constexpr int kCallsPerBackend = 3;
-    for (const auto &prototype : backends) {
-        const std::string name = prototype->name();
+    // The autotuner's pattern: several threads price one shared backend,
+    // each under its own design points' machines. Each kind's counter
+    // must still see every call, and every pricing must equal the same
+    // point priced alone on this thread.
+    for (const Backend *backend : standardBackends()) {
+        const std::string &name = backend->name();
         SCOPED_TRACE(name);
+        const auto space =
+            dse::ConfigSpace::forBackend(name, dse::ConfigSpace::Kind::Full);
         const auto partition = syntheticPartition(name, 4, 1000);
+        const PartitionAnalysis analysis = backend->analyze(partition);
+        std::vector<double> alone;
+        for (int64_t i = 0; i < space.size(); ++i) {
+            alone.push_back(backend
+                                ->simulate(partition, analysis, prof,
+                                           space.machineAt(i))
+                                .seconds);
+        }
         const obs::Counter &kind_calls =
             obs::MetricsRegistry::global().counter(
                 "backend." + name + ".simulate_calls");
         const int64_t kind_before = kind_calls.value();
 
+        std::vector<int64_t> mismatches(kThreads, 0);
         threads.clear();
         for (int t = 0; t < kThreads; ++t) {
-            threads.emplace_back([&] {
-                for (int b = 0; b < kBackendsEach; ++b) {
-                    const auto backend =
-                        makeBackend(name, prototype->machine());
-                    for (int i = 0; i < kCallsPerBackend; ++i)
-                        backend->simulate(partition, prof);
+            threads.emplace_back([&, t] {
+                // Thread t walks the space from its own offset, so the
+                // threads price different machines at the same time.
+                for (int64_t k = 0; k < space.size(); ++k) {
+                    const int64_t i =
+                        (k + t * space.size() / kThreads) % space.size();
+                    const auto report = backend->simulate(
+                        partition, analysis, prof, space.machineAt(i));
+                    if (report.seconds != alone[static_cast<size_t>(i)])
+                        ++mismatches[static_cast<size_t>(t)];
                 }
             });
         }
         for (auto &thread : threads)
             thread.join();
         EXPECT_EQ(kind_calls.value() - kind_before,
-                  int64_t{kThreads} * kBackendsEach * kCallsPerBackend);
+                  int64_t{kThreads} * space.size());
+        for (int t = 0; t < kThreads; ++t)
+            EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
     }
 }
 
@@ -327,8 +333,7 @@ TEST(InvariantFragments, ParamDerivedChainsMarkedTransitively)
 
 TEST(InvariantFragments, RoboxChargesThemOnce)
 {
-    const auto backends = standardBackends();
-    const auto *robox = findBackend(backends, "RoboX");
+    const auto *robox = findBackend("RoboX");
     Partition p;
     IrFragment concat;
     concat.opcode = "identity";
@@ -358,7 +363,7 @@ TEST(InvariantFragments, RoboxChargesThemOnce)
 
 TEST(Deco, ImbalancePenalizesLopsidedStages)
 {
-    DecoBackend deco;
+    const Backend &deco = *findBackend("DECO");
     WorkloadProfile prof;
     // Equal totals (200k), different stage balance.
     auto balanced = syntheticPartition("DECO", 4, 50000);
@@ -376,8 +381,7 @@ TEST(Deco, ImbalancePenalizesLopsidedStages)
 
 TEST(Graphicionado, ScalesWithDatasetNotInstance)
 {
-    const auto backends = standardBackends();
-    const auto *g = findBackend(backends, "Graphicionado");
+    const auto *g = findBackend("Graphicionado");
     ASSERT_NE(g, nullptr);
     // Same compiled instance, two dataset profiles.
     Partition p;
@@ -401,8 +405,7 @@ TEST(Graphicionado, ScalesWithDatasetNotInstance)
 
 TEST(Vta, ResidentWeightsAmortizeStreaming)
 {
-    const auto backends = standardBackends();
-    const auto *vta = findBackend(backends, "TVM-VTA");
+    const auto *vta = findBackend("TVM-VTA");
     ASSERT_NE(vta, nullptr);
     auto layer = [](int64_t weight_elems) {
         Partition p;
@@ -431,8 +434,7 @@ TEST(Vta, ResidentWeightsAmortizeStreaming)
 
 TEST(HyperStreams, InitiationIntervalOne)
 {
-    const auto backends = standardBackends();
-    const auto *hs = findBackend(backends, "HyperStreams");
+    const auto *hs = findBackend("HyperStreams");
     ASSERT_NE(hs, nullptr);
     auto batch = [](int64_t options) {
         Partition p;

@@ -340,7 +340,7 @@ TEST(Pagerank, IterationMatchesReferenceAndConservesMass)
 
 TEST(Pagerank, CompilesToGraphicionado)
 {
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto compiled = wl::compileBenchmark(
         pagerankProgram(48), {}, registry, lang::Domain::GA);
     ASSERT_EQ(compiled.partitions.size(), 1u);
@@ -544,7 +544,7 @@ main(input float x[2], output float y[2]) {
     EXPECT_EQ(out.at("y").at(int64_t{1}), 18.0);
 
     // And it fully flattens for a scalar-op target.
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     lower::lowerGraph(*g, registry.supportedOpsByDomain(),
                       lang::Domain::RBT);
     EXPECT_EQ(ir::recursionDepth(*g), 1);
@@ -633,7 +633,7 @@ TEST(WorkConservation, LoweringAndTranslationKeepEveryOp)
             {a.id, &a.source, &a.buildOpts, lang::Domain::None});
     ASSERT_EQ(programs.size(), std::size(kWork));
 
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     const auto pipeline = pass::standardPipeline();
     for (size_t i = 0; i < programs.size(); ++i) {
         const Program &p = programs[i];

@@ -29,10 +29,11 @@
 #
 # The TSan pass builds only the concurrency-heavy binaries (test_obs,
 # test_obs_service, test_driver, test_service, test_dse, test_targets,
-# pmc), runs those tests with POLYMATH_JOBS=4 so the pool, compile
-# cache, service server, trace recorder, and the backends' shared
-# simulate-call counters race under the sanitizer, and smoke-checks
-# that `pmc --trace` emits loadable Chrome-trace JSON.
+# test_stream, test_soc, pmc), runs those tests with POLYMATH_JOBS=4 so
+# the pool, compile cache, service server, trace recorder, and the
+# process-wide backends every thread shares (the stream scheduler's
+# parallel estimates included) race under the sanitizer, and
+# smoke-checks that `pmc --trace` emits loadable Chrome-trace JSON.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -101,14 +102,15 @@ for preset in "${presets[@]}"; do
     fi
     if [ "$preset" = tsan ]; then
         echo "== [$preset] build (test_obs test_obs_service test_driver" \
-             "test_service test_dse test_targets pmc) =="
+             "test_service test_dse test_targets test_stream test_soc" \
+             "pmc) =="
         cmake --build --preset tsan -j "$jobs" \
             --target test_obs test_obs_service test_driver test_service \
-            test_dse test_targets pmc
+            test_dse test_targets test_stream test_soc pmc
         echo "== [$preset] test (POLYMATH_JOBS=4) =="
         POLYMATH_JOBS=4 ctest --test-dir build-tsan -j "$jobs" \
             --output-on-failure \
-            -R '^(test_obs|test_obs_service|test_driver|test_service|test_dse|test_targets)$'
+            -R '^(test_obs|test_obs_service|test_driver|test_service|test_dse|test_targets|test_stream|test_soc)$'
         echo "== [$preset] pmc --trace smoke =="
         trace_json="$(mktemp /tmp/polymath-trace.XXXXXX.json)"
         build-tsan/tools/pmc --trace "$trace_json" \

@@ -515,7 +515,7 @@ traceShadowRun(const Options &opts,
             build.paramConsts = opts.params;
             auto graph = ir::compileToSrdfg(program, build);
             pass::standardPipeline().runToFixpoint(*graph);
-            const auto registry = target::standardRegistry();
+            const auto &registry = target::standardRegistry();
             lower::lowerGraph(*graph, registry.supportedOpsByDomain(),
                               domain);
             const auto compiled =
@@ -825,7 +825,7 @@ int
 run(const Options &opts)
 {
     if (opts.listTargets) {
-        const auto registry = target::standardRegistry();
+        const auto &registry = target::standardRegistry();
         for (const auto &spec : registry.specs()) {
             std::printf("%-14s domain %-4s  %zu supported ops\n",
                         spec.name.c_str(),
