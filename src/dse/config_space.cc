@@ -1,6 +1,5 @@
 #include "dse/config_space.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/error.h"
@@ -66,27 +65,80 @@ ConfigSpace::forBackend(const std::string &backend, Kind kind)
         // containing a real trade-off (wider array vs. faster clock).
         space.axes_ = {{"units", {0.5, 1.0, 2.0}},
                        {"freq", {1.0, 1.25}}};
-        return space;
+    } else {
+        space.axes_ = {{"units", {0.25, 0.5, 1.0, 2.0, 4.0}},
+                       {"freq", {0.5, 0.75, 1.0, 1.25, 1.5}},
+                       {"dram", {0.5, 1.0, 2.0}}};
+        // Backend-specific microarchitecture knob where the cost model
+        // has one; the other backends search the three generic axes
+        // only.
+        if (backend == "TABLA")
+            space.axes_.push_back({"bus", {0.5, 1.0, 2.0}});
+        else if (backend == "Graphicionado")
+            space.axes_.push_back({"banks", {0.5, 1.0, 2.0}});
     }
-    space.axes_ = {{"units", {0.25, 0.5, 1.0, 2.0, 4.0}},
-                   {"freq", {0.5, 0.75, 1.0, 1.25, 1.5}},
-                   {"dram", {0.5, 1.0, 2.0}}};
-    // Backend-specific microarchitecture knob where the cost model has
-    // one; the other backends search the three generic axes only.
-    if (backend == "TABLA")
-        space.axes_.push_back({"bus", {0.5, 1.0, 2.0}});
-    else if (backend == "Graphicionado")
-        space.axes_.push_back({"banks", {0.5, 1.0, 2.0}});
+    space.resolve();
     return space;
+}
+
+void
+ConfigSpace::resolve()
+{
+    // Derived power model: active (and idle) watts follow area (unit
+    // count, knob resources) linearly and voltage-frequency scaling
+    // quadratically, with a small bandwidth (PHY/IO) term. Every factor
+    // is exactly 1.0 at scale 1.0, so the base point's watts are the
+    // factory value bit-for-bit.
+    resolved_.clear();
+    size_ = 1;
+    for (const Axis &axis : axes_) {
+        ResolvedAxis &r = resolved_.emplace_back();
+        if (axis.name == "units")
+            r.field = Field::Units;
+        else if (axis.name == "freq")
+            r.field = Field::Freq;
+        else if (axis.name == "dram")
+            r.field = Field::Dram;
+        else if (axis.name == "bus")
+            r.field = Field::Bus;
+        else if (axis.name == "banks")
+            r.field = Field::Banks;
+        else
+            panic("dse: unknown axis '" + axis.name + "'");
+        for (const double scale : axis.scales) {
+            r.labels.push_back(axis.name + 'x' + json::numberToJson(scale));
+            Digit &d = r.digits.emplace_back();
+            switch (r.field) {
+              case Field::Units:
+                d.count = scaleCount(base_.computeUnits, scale);
+                d.power = 1.0 + 0.65 * (scale - 1.0);
+                break;
+              case Field::Freq:
+                d.value = base_.freqGhz * scale;
+                d.power = scale * scale;
+                break;
+              case Field::Dram:
+                d.value = base_.dramGBs * scale;
+                d.power = 1.0 + 0.1 * (scale - 1.0);
+                break;
+              case Field::Bus:
+                d.count = scaleCount(base_.busWordsPerCycle, scale);
+                d.power = 1.0 + 0.15 * (scale - 1.0);
+                break;
+              case Field::Banks:
+                d.count = scaleCount(base_.banksPerPipe, scale);
+                d.power = 1.0 + 0.15 * (scale - 1.0);
+                break;
+            }
+        }
+        size_ *= static_cast<int64_t>(axis.scales.size());
+    }
 }
 
 int64_t
 ConfigSpace::size() const
 {
-    int64_t n = 1;
-    for (const auto &axis : axes_)
-        n *= static_cast<int64_t>(axis.scales.size());
-    return n;
+    return size_;
 }
 
 int64_t
@@ -109,7 +161,7 @@ ConfigSpace::baseIndex() const
 std::vector<int>
 ConfigSpace::coords(int64_t index) const
 {
-    checkIndex(index, size());
+    checkIndex(index, size_);
     std::vector<int> digits;
     digits.reserve(axes_.size());
     for (const auto &axis : axes_) {
@@ -123,43 +175,42 @@ ConfigSpace::coords(int64_t index) const
 target::MachineConfig
 ConfigSpace::machineAt(int64_t index) const
 {
-    checkIndex(index, size());
+    checkIndex(index, size_);
     target::MachineConfig m = base_;
-    double su = 1.0, sf = 1.0, sd = 1.0, sk = 1.0;
+    // Each axis's power factor; 1.0 for an axis the space lacks.
+    double pu = 1.0, pf = 1.0, pd = 1.0, pk = 1.0;
     // Mixed-radix digits, peeled off the index one axis at a time.
     int64_t rest = index;
-    for (const Axis &axis : axes_) {
-        const auto radix = static_cast<int64_t>(axis.scales.size());
-        const double scale = axis.scales[static_cast<size_t>(rest % radix)];
+    for (const ResolvedAxis &axis : resolved_) {
+        const auto radix = static_cast<int64_t>(axis.digits.size());
+        const Digit &d = axis.digits[static_cast<size_t>(rest % radix)];
         rest /= radix;
-        if (axis.name == "units") {
-            m.computeUnits = scaleCount(base_.computeUnits, scale);
-            su = scale;
-        } else if (axis.name == "freq") {
-            m.freqGhz = base_.freqGhz * scale;
-            sf = scale;
-        } else if (axis.name == "dram") {
-            m.dramGBs = base_.dramGBs * scale;
-            sd = scale;
-        } else if (axis.name == "bus") {
-            m.busWordsPerCycle =
-                scaleCount(base_.busWordsPerCycle, scale);
-            sk = scale;
-        } else if (axis.name == "banks") {
-            m.banksPerPipe = scaleCount(base_.banksPerPipe, scale);
-            sk = scale;
-        } else {
-            panic("dse: unknown axis '" + axis.name + "'");
+        switch (axis.field) {
+          case Field::Units:
+            m.computeUnits = d.count;
+            pu = d.power;
+            break;
+          case Field::Freq:
+            m.freqGhz = d.value;
+            pf = d.power;
+            break;
+          case Field::Dram:
+            m.dramGBs = d.value;
+            pd = d.power;
+            break;
+          case Field::Bus:
+            m.busWordsPerCycle = d.count;
+            pk = d.power;
+            break;
+          case Field::Banks:
+            m.banksPerPipe = d.count;
+            pk = d.power;
+            break;
         }
     }
-    // Derived power model: active (and idle) watts follow area (unit
-    // count, knob resources) linearly and voltage-frequency scaling
-    // quadratically, with a small bandwidth (PHY/IO) term. Every factor
-    // is exactly 1.0 at scale 1.0, so the base point's watts are the
-    // factory value bit-for-bit.
-    const double watts_scale = (1.0 + 0.65 * (su - 1.0)) * (sf * sf) *
-                               (1.0 + 0.1 * (sd - 1.0)) *
-                               (1.0 + 0.15 * (sk - 1.0));
+    // The derived power model (resolve()), multiplied in its formula's
+    // order so the watts are the same to the bit.
+    const double watts_scale = pu * pf * pd * pk;
     m.watts = base_.watts * watts_scale;
     m.idleWatts = base_.idleWatts * watts_scale;
     m.validate();
@@ -169,38 +220,39 @@ ConfigSpace::machineAt(int64_t index) const
 std::string
 ConfigSpace::label(int64_t index) const
 {
-    const auto digits = coords(index);
+    checkIndex(index, size_);
     std::string text;
-    for (size_t a = 0; a < axes_.size(); ++a) {
+    int64_t rest = index;
+    for (const ResolvedAxis &axis : resolved_) {
+        const auto radix = static_cast<int64_t>(axis.labels.size());
         if (!text.empty())
             text += ' ';
-        text += axes_[a].name;
-        text += 'x';
-        text += json::numberToJson(
-            axes_[a].scales[static_cast<size_t>(digits[a])]);
+        text += axis.labels[static_cast<size_t>(rest % radix)];
+        rest /= radix;
     }
     return text;
 }
 
-std::vector<int64_t>
-ConfigSpace::neighbors(int64_t index) const
+void
+ConfigSpace::neighbors(int64_t index, std::vector<int64_t> &out) const
 {
-    checkIndex(index, size());
-    std::vector<int64_t> out;
-    int64_t stride = 1;
-    int64_t rest = index;
+    checkIndex(index, size_);
+    out.clear();
+    // The -1 moves, outermost axis (largest stride) first, then the +1
+    // moves, innermost first: ascending without a sort.
+    int64_t stride = size_;
+    for (size_t a = axes_.size(); a-- > 0;) {
+        const auto radix = static_cast<int64_t>(axes_[a].scales.size());
+        stride /= radix;
+        if (index / stride % radix > 0)
+            out.push_back(index - stride);
+    }
     for (const Axis &axis : axes_) {
         const auto radix = static_cast<int64_t>(axis.scales.size());
-        const int64_t digit = rest % radix;
-        rest /= radix;
-        if (digit > 0)
-            out.push_back(index - stride);
-        if (digit + 1 < radix)
+        if (index / stride % radix + 1 < radix)
             out.push_back(index + stride);
         stride *= radix;
     }
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 } // namespace polymath::dse

@@ -19,6 +19,12 @@
  * base point, so machineAt(baseIndex()) is byte-identical to the factory
  * config — the baseline row of every study is the shipped Table VI
  * machine, not a rounded cousin.
+ *
+ * A space resolves its axes once, when it is made: each axis becomes the
+ * machine field it sets plus, per digit, that field's value and the
+ * axis's factor of the derived power and its label text. machineAt()
+ * and label() are then table lookups, with no axis name compared or
+ * number printed per point.
  */
 #ifndef POLYMATH_DSE_CONFIG_SPACE_H_
 #define POLYMATH_DSE_CONFIG_SPACE_H_
@@ -79,18 +85,50 @@ class ConfigSpace
      *  index is out of range. */
     target::MachineConfig machineAt(int64_t index) const;
 
-    /** Human-readable point label, e.g. "units x2 freq x1.25". */
+    /** Human-readable point label, e.g. "unitsx2 freqx1.25". */
     std::string label(int64_t index) const;
 
-    /** Indices one axis step away from @p index (the +-1 moves along
-     *  every axis), ascending. */
-    std::vector<int64_t> neighbors(int64_t index) const;
+    /** Replaces @p out with the indices one axis step away from
+     *  @p index (the +-1 moves along every axis), ascending. The search
+     *  passes one buffer for all its calls. */
+    void neighbors(int64_t index, std::vector<int64_t> &out) const;
 
   private:
+    /** The machine field an axis scales. */
+    enum class Field : uint8_t
+    {
+        Units, ///< computeUnits
+        Freq,  ///< freqGhz
+        Dram,  ///< dramGBs
+        Bus,   ///< busWordsPerCycle
+        Banks, ///< banksPerPipe
+    };
+
+    /** One digit of a resolved axis. */
+    struct Digit
+    {
+        double value = 0.0; ///< Freq/Dram: the base value x the scale
+        int64_t count = 0;  ///< Units/Bus/Banks: the scaled count
+        double power = 1.0; ///< this axis's factor of the derived watts
+    };
+
+    /** An axis as machineAt() and label() read it. */
+    struct ResolvedAxis
+    {
+        Field field = Field::Units;
+        std::vector<Digit> digits;       ///< indexed like Axis::scales
+        std::vector<std::string> labels; ///< "<name>x<scale>", likewise
+    };
+
+    /** Builds resolved_ and size_ from axes_ and base_. */
+    void resolve();
+
     std::string backend_;
     Kind kind_ = Kind::Small;
     target::MachineConfig base_;
     std::vector<Axis> axes_;
+    std::vector<ResolvedAxis> resolved_; ///< indexed like axes_
+    int64_t size_ = 1;
 };
 
 } // namespace polymath::dse

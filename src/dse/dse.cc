@@ -114,7 +114,7 @@ attribute(EvalPoint &point, const ConfigSpace &space,
     if (point.overheadSeconds > dominant)
         point.dominantPhase = "overhead";
     if (top)
-        point.topCost = top->label;
+        point.topCost.assign(top->label);
 }
 
 /** Survivor ranking score for successive halving: the energy-delay
@@ -245,7 +245,7 @@ explore(const std::string &workload_id, const std::string &backend,
         // far and explores the unvisited neighbors of the survivors.
         auto frontier =
             sampleIndices(space, options.samples, options.seed);
-        std::vector<int64_t> ranked;
+        std::vector<int64_t> ranked, near;
         for (int64_t round = 0; round < options.rounds; ++round) {
             if (frontier.empty())
                 break;
@@ -258,15 +258,21 @@ explore(const std::string &workload_id, const std::string &backend,
                 if (books[static_cast<size_t>(index)].evaluated)
                     ranked.push_back(index);
             }
-            std::sort(ranked.begin(), ranked.end(),
-                      [&](int64_t a, int64_t b) {
-                          return scoreLess(books, a, b);
-                      });
-            const auto keep = static_cast<size_t>(std::max<int64_t>(
-                2, options.samples >> (round + 1)));
+            // Only the survivors need their order: scoreLess is a strict
+            // total order, so the first `keep` equal a full sort's.
+            const auto keep = std::min(
+                ranked.size(), static_cast<size_t>(std::max<int64_t>(
+                                   2, options.samples >> (round + 1))));
+            std::partial_sort(ranked.begin(),
+                              ranked.begin() +
+                                  static_cast<std::ptrdiff_t>(keep),
+                              ranked.end(), [&](int64_t a, int64_t b) {
+                                  return scoreLess(books, a, b);
+                              });
             frontier.clear();
-            for (size_t i = 0; i < ranked.size() && i < keep; ++i) {
-                for (const int64_t n : space.neighbors(ranked[i])) {
+            for (size_t i = 0; i < keep; ++i) {
+                space.neighbors(ranked[i], near);
+                for (const int64_t n : near) {
                     if (!books[static_cast<size_t>(n)].evaluated)
                         frontier.push_back(n);
                 }

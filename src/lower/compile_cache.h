@@ -49,10 +49,10 @@ namespace polymath::lower {
  * compilations with equal keys produce bit-identical CompiledPrograms.
  *
  * @p salt distinguishes compilations whose inputs are identical but
- * whose downstream processing differs — e.g. the pmcd optimize flag or
- * a DSE machine-config signature. A non-empty salt is appended as one
- * more '\x1f'-separated field; the default empty salt keeps keys
- * byte-identical to the pre-salt rendering.
+ * whose downstream processing differs — e.g. the pmcd optimize flag. A
+ * non-empty salt is appended as one more '\x1f'-separated field; the
+ * default empty salt keeps keys byte-identical to the pre-salt
+ * rendering.
  */
 std::string compileCacheKey(const std::string &source,
                             const ir::BuildOptions &opts,

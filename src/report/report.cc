@@ -1,5 +1,6 @@
 #include "report/report.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.h"
@@ -29,22 +30,26 @@ Table::str() const
         for (size_t c = 0; c < row.size(); ++c)
             widths[c] = std::max(widths[c], row[c].size());
     }
-    auto render_row = [&](const std::vector<std::string> &row) {
-        std::string line;
-        for (size_t c = 0; c < row.size(); ++c) {
-            line += row[c];
-            if (c + 1 < row.size())
-                line += std::string(widths[c] - row[c].size() + 2, ' ');
-        }
-        return line + "\n";
-    };
-    std::string out = render_row(headers_);
+    // Every line but the last cell is padded to its column width plus a
+    // two-space gutter.
     size_t total = 0;
     for (size_t c = 0; c < widths.size(); ++c)
         total += widths[c] + (c + 1 < widths.size() ? 2 : 0);
-    out += std::string(total, '-') + "\n";
+    std::string out;
+    out.reserve((total + 1) * (rows_.size() + 2));
+    auto render_row = [&](const std::vector<std::string> &row) {
+        for (size_t c = 0; c < row.size(); ++c) {
+            out += row[c];
+            if (c + 1 < row.size())
+                out.append(widths[c] - row[c].size() + 2, ' ');
+        }
+        out += '\n';
+    };
+    render_row(headers_);
+    out.append(total, '-');
+    out += '\n';
     for (const auto &row : rows_)
-        out += render_row(row);
+        render_row(row);
     return out;
 }
 

@@ -71,18 +71,15 @@ opsPerPoint(const lower::IrFragment &frag)
     return static_cast<double>(frag.flops) / points;
 }
 
-/** Max/mean work of the levels that have work; 1.0 when none has. */
+/** Max/mean of the positive entries of @p level_work; 1.0 when none
+ *  is positive. */
 double
-stageImbalance(const PartitionAnalysis &a)
+stageImbalance(const std::vector<double> &level_work)
 {
     double max_work = 0.0;
     double total = 0.0;
     int64_t stages = 0;
-    for (const auto &level : a.levels) {
-        double w = 0.0;
-        for (const int index : level)
-            w += static_cast<double>(
-                a.fragments[static_cast<size_t>(index)].work);
+    for (const double w : level_work) {
         if (w <= 0)
             continue;
         max_work = std::max(max_work, w);
@@ -94,6 +91,84 @@ stageImbalance(const PartitionAnalysis &a)
     return max_work / (total / static_cast<double>(stages));
 }
 
+/** Each fragment's dependence level (fragmentLevels()), -1 for tload/
+ *  tstore; @p count receives the number of levels. */
+std::vector<int>
+levelOfFragments(const lower::Partition &partition, size_t &count)
+{
+    // Dataflow by tensor name: a fragment depends on the latest earlier
+    // fragment writing any of its inputs.
+    std::unordered_map<std::string_view, size_t> last_writer_level;
+    std::vector<int> level_of(partition.fragments.size(), -1);
+    count = 0;
+    for (size_t i = 0; i < partition.fragments.size(); ++i) {
+        const lower::IrFragment &frag = partition.fragments[i];
+        if (isMove(frag))
+            continue;
+        size_t level = 0;
+        for (const auto &in : frag.inputs) {
+            auto it = last_writer_level.find(in.name);
+            if (it != last_writer_level.end())
+                level = std::max(level, it->second + 1);
+        }
+        level_of[i] = static_cast<int>(level);
+        count = std::max(count, level + 1);
+        for (const auto &out : frag.outputs) {
+            auto [it, inserted] = last_writer_level.emplace(out.name, level);
+            if (!inserted)
+                it->second = std::max(it->second, level);
+        }
+    }
+    return level_of;
+}
+
+/** Fills @p a's levels, invariantWorks and (needs.imbalance)
+ *  stageImbalance from its fragments' work, invariance and reduce
+ *  flags, each level's sums taken in fragment order. */
+void
+analyzeLevels(const lower::Partition &partition, PartitionAnalysis &a)
+{
+    size_t count = 0;
+    const std::vector<int> level_of = levelOfFragments(partition, count);
+    a.levels.resize(count);
+    std::vector<double> level_work(count, 0.0);
+    std::vector<std::pair<int, double>> invariant;
+    for (size_t i = 0; i < a.fragments.size(); ++i) {
+        if (level_of[i] < 0)
+            continue;
+        const PartitionAnalysis::Fragment &f = a.fragments[i];
+        const auto l = static_cast<size_t>(level_of[i]);
+        PartitionAnalysis::Level &level = a.levels[l];
+        const auto work = static_cast<double>(f.work);
+        if (f.invariant) {
+            level.invariantWork += work;
+            invariant.emplace_back(level_of[i], work);
+        } else {
+            level.work += work;
+        }
+        level.reduce = level.reduce || f.reduce;
+        level_work[l] += work;
+    }
+    std::stable_sort(invariant.begin(), invariant.end(),
+                     [](const auto &x, const auto &y) {
+                         return x.first < y.first;
+                     });
+    a.invariantWorks.reserve(invariant.size());
+    for (const auto &[l, work] : invariant) {
+        a.invariantWorks.push_back(work);
+        a.levels[static_cast<size_t>(l)].invariantEnd =
+            a.invariantWorks.size();
+    }
+    // A level without invariant fragments ends its (empty) run where
+    // the previous level's ended.
+    for (size_t l = 1; l < count; ++l) {
+        a.levels[l].invariantEnd = std::max(a.levels[l].invariantEnd,
+                                            a.levels[l - 1].invariantEnd);
+    }
+    if (a.needs.imbalance)
+        a.stageImbalance = stageImbalance(level_work);
+}
+
 } // namespace
 
 bool
@@ -101,9 +176,31 @@ AnalysisNeeds::covers(const AnalysisNeeds &wanted) const
 {
     return (work || !wanted.work) && (invariance || !wanted.invariance) &&
            (reduce || !wanted.reduce) && (levels || !wanted.levels) &&
-           (layers || !wanted.layers) && (points || !wanted.points) &&
+           (tasks || !wanted.tasks) && (layers || !wanted.layers) &&
+           (points || !wanted.points) &&
            (elements || !wanted.elements) &&
            (imbalance || !wanted.imbalance);
+}
+
+bool
+PartitionAnalysis::operator==(const PartitionAnalysis &other) const
+{
+    const bool same_facts =
+        ledgerFacts == other.ledgerFacts ||
+        (ledgerFacts && other.ledgerFacts &&
+         *ledgerFacts == *other.ledgerFacts);
+    return same_facts && needs == other.needs && ledger == other.ledger &&
+           fragmentCount == other.fragmentCount &&
+           fragments == other.fragments && levels == other.levels &&
+           invariantWorks == other.invariantWorks &&
+           taskWorks == other.taskWorks &&
+           invariantTaskWorks == other.invariantTaskWorks &&
+           layers == other.layers && dma == other.dma &&
+           flops == other.flops && weightBytes == other.weightBytes &&
+           activationBytes == other.activationBytes &&
+           opsPerEdge == other.opsPerEdge &&
+           opsPerVertex == other.opsPerVertex &&
+           stageImbalance == other.stageImbalance;
 }
 
 PartitionAnalysis
@@ -115,11 +212,14 @@ Backend::analyze(const lower::Partition &partition) const
     a.fragmentCount = partition.fragments.size();
     a.dma = dmaBreakdown(partition);
     a.flops = partition.flops();
-    if (a.needs.levels)
-        a.levels = fragmentLevels(partition);
     a.fragments.resize(partition.fragments.size());
-    if (a.ledger)
-        a.ledgerFacts.resize(partition.fragments.size());
+    std::shared_ptr<std::vector<LedgerFacts>> facts;
+    if (a.ledger) {
+        facts = std::make_shared<std::vector<LedgerFacts>>(
+            partition.fragments.size());
+    }
+    if (a.needs.layers)
+        a.layers.reserve(partition.fragments.size());
     std::vector<bool> invariant;
     if (a.needs.invariance)
         invariant = invariantFragments(partition);
@@ -143,6 +243,7 @@ Backend::analyze(const lower::Partition &partition) const
         }
         if (a.needs.layers && !f.move) {
             f.gemm = isGemmLayer(frag.opcode);
+            a.layers.push_back({static_cast<double>(f.flops), f.gemm});
             for (const auto &in : frag.inputs) {
                 (in.kind == ir::EdgeKind::Param ? weight_bytes
                                                 : activation_bytes) +=
@@ -156,8 +257,8 @@ Backend::analyze(const lower::Partition &partition) const
             f.opsPerPoint = opsPerPoint(frag);
             (f.edge ? ops_per_edge : ops_per_vertex) += f.opsPerPoint;
         }
-        if (a.ledger) {
-            PartitionAnalysis::LedgerFacts &l = a.ledgerFacts[i];
+        if (facts) {
+            LedgerFacts &l = (*facts)[i];
             l.label = frag.opcode;
             if (!frag.outputs.empty()) {
                 l.label += '(';
@@ -170,12 +271,28 @@ Backend::analyze(const lower::Partition &partition) const
                 l.touchedBytes += static_cast<double>(out.accelBytes());
         }
     }
+    a.ledgerFacts = std::move(facts);
     a.weightBytes = weight_bytes;
     a.activationBytes = activation_bytes;
     a.opsPerEdge = ops_per_edge;
     a.opsPerVertex = ops_per_vertex;
-    if (a.needs.imbalance)
-        a.stageImbalance = stageImbalance(a);
+    if (a.needs.tasks) {
+        size_t invariant_tasks = 0, tasks = 0;
+        for (const PartitionAnalysis::Fragment &f : a.fragments) {
+            if (!f.move && f.work > 0)
+                ++(f.invariant ? invariant_tasks : tasks);
+        }
+        a.taskWorks.reserve(tasks);
+        a.invariantTaskWorks.reserve(invariant_tasks);
+        for (const PartitionAnalysis::Fragment &f : a.fragments) {
+            if (!f.move && f.work > 0) {
+                (f.invariant ? a.invariantTaskWorks : a.taskWorks)
+                    .push_back(static_cast<double>(f.work));
+            }
+        }
+    }
+    if (a.needs.levels)
+        analyzeLevels(partition, a);
     return a;
 }
 
@@ -194,7 +311,8 @@ Backend::simulate(const lower::Partition &partition,
                        "partition or backend");
     }
     if (analysis.ledger &&
-        analysis.ledgerFacts.size() != analysis.fragmentCount)
+        (!analysis.ledgerFacts ||
+         analysis.ledgerFacts->size() != analysis.fragmentCount))
         panic(name() + ": simulate() asked for a ledger of an analysis "
                        "made without ledger facts");
     simulate_calls_.add(1);
@@ -308,28 +426,13 @@ invariantFragments(const lower::Partition &partition)
 std::vector<std::vector<int>>
 fragmentLevels(const lower::Partition &partition)
 {
-    // Dataflow by tensor name: a fragment depends on the latest earlier
-    // fragment writing any of its inputs.
-    std::unordered_map<std::string_view, size_t> last_writer_level;
-    std::vector<std::vector<int>> levels;
-    for (size_t i = 0; i < partition.fragments.size(); ++i) {
-        const lower::IrFragment &frag = partition.fragments[i];
-        if (isMove(frag))
-            continue;
-        size_t level = 0;
-        for (const auto &in : frag.inputs) {
-            auto it = last_writer_level.find(in.name);
-            if (it != last_writer_level.end())
-                level = std::max(level, it->second + 1);
-        }
-        if (levels.size() <= level)
-            levels.resize(level + 1);
-        levels[level].push_back(static_cast<int>(i));
-        for (const auto &out : frag.outputs) {
-            auto [it, inserted] = last_writer_level.emplace(out.name, level);
-            if (!inserted)
-                it->second = std::max(it->second, level);
-        }
+    size_t count = 0;
+    const std::vector<int> level_of = levelOfFragments(partition, count);
+    std::vector<std::vector<int>> levels(count);
+    for (size_t i = 0; i < level_of.size(); ++i) {
+        if (level_of[i] >= 0)
+            levels[static_cast<size_t>(level_of[i])].push_back(
+                static_cast<int>(i));
     }
     return levels;
 }

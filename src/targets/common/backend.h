@@ -12,11 +12,13 @@
 #ifndef POLYMATH_TARGETS_COMMON_BACKEND_H_
 #define POLYMATH_TARGETS_COMMON_BACKEND_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "lower/compile.h"
+#include "targets/common/cost_ledger.h"
 #include "targets/common/machine_config.h"
 #include "targets/common/perf_report.h"
 #include "targets/common/workload_cost.h"
@@ -81,8 +83,13 @@ struct AnalysisNeeds
     bool work = false;       ///< per-fragment fragmentWork()
     bool invariance = false; ///< per-fragment invariantFragments() mark
     bool reduce = false;     ///< per-fragment `reduce_extent` flag
-    bool levels = false;     ///< fragmentLevels()
-    bool layers = false;     ///< GEMM class + weight/activation bytes
+    /** Per-level sums over fragmentLevels() (needs work and
+     *  invariance; reduce for the reduce flags). */
+    bool levels = false;
+    /** The work lists of the non-move fragments (needs work and
+     *  invariance). */
+    bool tasks = false;
+    bool layers = false;     ///< per-layer flops, GEMM class, byte counts
     bool points = false;     ///< ops per domain point + edge/vertex domain
     bool elements = false;   ///< per-fragment `elements` attribute
     bool imbalance = false;  ///< stage imbalance (needs work + levels)
@@ -100,6 +107,11 @@ struct AnalysisNeeds
  * that partition — the design-space autotuner prices one analysis under
  * many MachineConfigs. Immutable once built, so concurrent pricings may
  * share it.
+ *
+ * A pricing loop reads the compact tables (levels, invariantWorks,
+ * taskWorks, layers): flat arrays, each entry summed in the order the
+ * cost model used to sum it per fragment, so the prices are the same to
+ * the bit. Cost-ledger attribution reads the per-fragment facts.
  */
 struct PartitionAnalysis
 {
@@ -126,21 +138,33 @@ struct PartitionAnalysis
         bool operator==(const Fragment &) const = default;
     };
 
-    /** What a cost ledger entry says about one fragment: its label
-     *  "opcode(first output)" and the accelerator-side operand plus
-     *  result footprint. */
-    struct LedgerFacts
+    /** One dependence level of fragmentLevels() (needs.levels), its
+     *  fragments' facts summed in fragment order. */
+    struct Level
     {
-        std::string label;
-        double touchedBytes = 0.0;
+        double work = 0.0;          ///< work of the non-invariant ones
+        double invariantWork = 0.0; ///< work of the invariant ones
+        bool reduce = false;        ///< one carries `reduce_extent`
+        /** End of this level's run in invariantWorks; the run starts
+         *  where the previous level's ends. */
+        size_t invariantEnd = 0;
 
-        bool operator==(const LedgerFacts &) const = default;
+        bool operator==(const Level &) const = default;
+    };
+
+    /** One non-move fragment as TVM-VTA prices it (needs.layers). */
+    struct Layer
+    {
+        double flops = 0.0;
+        bool gemm = false; ///< Fragment::gemm
+
+        bool operator==(const Layer &) const = default;
     };
 
     /** What was computed; a pricing may read only these facts. */
     AnalysisNeeds needs;
 
-    /** Whether profiling was on at analysis time: ledgerFacts is filled,
+    /** Whether profiling was on at analysis time: ledgerFacts is set,
      *  and pricing opens a cost ledger (beginLedger) if and only if this
      *  is set. */
     bool ledger = false;
@@ -152,11 +176,26 @@ struct PartitionAnalysis
     std::vector<Fragment> fragments;
 
     /** Indexed like partition.fragments when profiling was on at
-     *  analysis time; empty otherwise. */
-    std::vector<LedgerFacts> ledgerFacts;
+     *  analysis time; null otherwise. Shared, not copied: every cost
+     *  ledger priced from this analysis holds it, because its fragment
+     *  entries' labels are views into it. */
+    std::shared_ptr<const std::vector<LedgerFacts>> ledgerFacts;
 
-    /** fragmentLevels(), as indices into partition.fragments. */
-    std::vector<std::vector<int>> levels;
+    /** needs.levels: fragmentLevels() in level order. */
+    std::vector<Level> levels;
+
+    /** needs.levels: the work of each invariant fragment, by level in
+     *  level order and by fragment order within a level. */
+    std::vector<double> invariantWorks;
+
+    /** needs.tasks: the work of each non-move fragment with positive
+     *  work, in fragment order, split into the non-invariant fragments
+     *  and the invariant ones. */
+    std::vector<double> taskWorks;
+    std::vector<double> invariantTaskWorks;
+
+    /** needs.layers: the non-move fragments, in fragment order. */
+    std::vector<Layer> layers;
 
     DmaBreakdown dma;
 
@@ -178,7 +217,8 @@ struct PartitionAnalysis
      *  perfectly balanced, and when no level has work). */
     double stageImbalance = 1.0;
 
-    bool operator==(const PartitionAnalysis &) const = default;
+    /** Field by field; the ledger facts by value, not by pointer. */
+    bool operator==(const PartitionAnalysis &other) const;
 };
 
 /**

@@ -82,21 +82,20 @@ CostEntry::intensity() const
 }
 
 CostEntry &
-CostLedger::add(std::string label, CostPhase phase, int fragment)
+CostLedger::add(std::string_view label, CostPhase phase, int fragment)
 {
-    CostEntry entry;
-    entry.label = std::move(label);
+    CostEntry &entry = entries.emplace_back();
+    entry.label = label;
     entry.phase = phase;
     entry.fragment = fragment;
-    entries.push_back(std::move(entry));
-    return entries.back();
+    return entry;
 }
 
 CostEntry &
 CostLedger::addFragment(const PartitionAnalysis &analysis, size_t index,
                         double flops, double raw_seconds)
 {
-    const PartitionAnalysis::LedgerFacts &facts = analysis.ledgerFacts[index];
+    const LedgerFacts &facts = (*analysis.ledgerFacts)[index];
     CostEntry &entry =
         add(facts.label, CostPhase::Compute, static_cast<int>(index));
     entry.seconds = raw_seconds;
@@ -163,9 +162,14 @@ void
 CostLedger::append(const CostLedger &other)
 {
     const int base = partitionCount;
-    for (CostEntry entry : other.entries) {
-        entry.partition = base + std::max(0, entry.partition);
-        entries.push_back(std::move(entry));
+    for (const CostEntry &entry : other.entries) {
+        entries.push_back(entry);
+        entries.back().partition = base + std::max(0, entry.partition);
+    }
+    for (const auto &source : other.labelSources) {
+        if (std::find(labelSources.begin(), labelSources.end(), source) ==
+            labelSources.end())
+            labelSources.push_back(source);
     }
     partitionCount += std::max(1, other.partitionCount);
 }
@@ -177,6 +181,7 @@ beginLedger(PerfReport &report, const PartitionAnalysis &analysis)
         return nullptr;
     report.ledger = std::make_shared<CostLedger>();
     report.ledger->machine = report.machine;
+    report.ledger->labelSources.push_back(analysis.ledgerFacts);
     // One entry per fragment at most, plus a few phase-level ones.
     report.ledger->entries.reserve(analysis.fragmentCount + 4);
     return report.ledger.get();

@@ -30,7 +30,9 @@
 #define POLYMATH_TARGETS_COMMON_COST_LEDGER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "targets/common/machine_config.h"
@@ -89,12 +91,26 @@ enum class CostPhase : uint8_t
  *  table and the `phase` field of polymath-profile/1. */
 const char *toString(CostPhase phase);
 
+/** What a cost ledger entry says about one fragment, gathered by
+ *  Backend::analyze() when profiling is on: its label "opcode(first
+ *  output)" and the accelerator-side operand plus result footprint. */
+struct LedgerFacts
+{
+    std::string label;
+    double touchedBytes = 0.0;
+
+    bool operator==(const LedgerFacts &) const = default;
+};
+
 /** One attributed slice of a partition's simulated cost. */
 struct CostEntry
 {
     /** Human-readable source: "mul(y_next)" for fragments, or the phase
-     *  cost it represents ("dma:per-run", "launch", "reduce-tree+bus"). */
-    std::string label;
+     *  cost it represents ("dma:per-run", "launch", "reduce-tree+bus").
+     *  A view, not a copy: it points at a string literal or at a label
+     *  in one of its ledger's labelSources, so it stays valid for as
+     *  long as the ledger does. */
+    std::string_view label;
 
     CostPhase phase = CostPhase::Compute;
 
@@ -140,8 +156,16 @@ struct CostLedger
 
     std::vector<CostEntry> entries;
 
-    /** Appends a raw entry (backend population API). */
-    CostEntry &add(std::string label, CostPhase phase, int fragment = -1);
+    /** The analyses' ledger facts the fragment entries' labels point
+     *  into, each held once: the ledger keeps them alive, so it may
+     *  outlive the analyses it was priced from. */
+    std::vector<std::shared_ptr<const std::vector<LedgerFacts>>>
+        labelSources;
+
+    /** Appends a raw entry (backend population API). @p label must be a
+     *  string literal or a label in labelSources (CostEntry::label). */
+    CostEntry &add(std::string_view label, CostPhase phase,
+                   int fragment = -1);
 
     /** Raw-entry helper for fragment @p index of a partition, labelled
      *  from the ledger facts Backend::analyze() gathered in @p analysis
@@ -176,12 +200,14 @@ struct CostLedger
     /** Merges @p other (used by PerfReport::operator+= for sequential
      *  composition): entries are copied with partition tags offset so a
      *  merged ledger still identifies which schedule slot each entry
-     *  came from, and the sums-to-totals invariant is preserved. */
+     *  came from, and the sums-to-totals invariant is preserved. Takes
+     *  a share of @p other's labelSources; copies no label. */
     void append(const CostLedger &other);
 };
 
 /**
- * Attaches a fresh ledger (labelled report.machine) to @p report when
+ * Attaches a fresh ledger (labelled report.machine, holding
+ * @p analysis's ledger facts in labelSources) to @p report when
  * @p analysis carries ledger facts — i.e. profiling was enabled when the
  * partition was analysed — and returns it; returns nullptr (and leaves
  * the report untouched) otherwise. Deciding from the analysis, not the

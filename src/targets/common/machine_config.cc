@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/error.h"
-#include "core/json.h"
 #include "core/strings.h"
 
 namespace polymath::target {
@@ -34,29 +33,6 @@ MachineConfig::validate() const
     non_negative("idleWatts", idleWatts);
     non_negative("onChipBytes", static_cast<double>(onChipBytes));
     non_negative("launchOverheadUs", launchOverheadUs);
-}
-
-std::string
-MachineConfig::signature() const
-{
-    // '\x1f' separators, same convention as lower::compileCacheKey: no
-    // field can run into its neighbor and alias another signature.
-    std::string sig = name;
-    auto num = [&sig](double value) {
-        sig += '\x1f';
-        sig += json::numberToJson(value);
-    };
-    num(freqGhz);
-    num(watts);
-    num(idleWatts);
-    num(static_cast<double>(computeUnits));
-    num(flopsPerUnitCycle);
-    num(dramGBs);
-    num(static_cast<double>(onChipBytes));
-    num(launchOverheadUs);
-    num(static_cast<double>(busWordsPerCycle));
-    num(static_cast<double>(banksPerPipe));
-    return sig;
 }
 
 double

@@ -57,15 +57,9 @@ struct MachineConfig
      */
     void validate() const;
 
-    /**
-     * Canonical one-line rendering of every field (shortest round-trip
-     * number emission, '\x1f'-separated). Two configs with equal
-     * signatures are behaviorally identical to every cost model, which
-     * is what makes the signature usable as a cache-key salt for
-     * machine-config-dependent results (the DSE evaluation memo; see
-     * lower::compileCacheKey for the compile-side convention).
-     */
-    std::string signature() const;
+    /** Field by field: equal configs price identically on every cost
+     *  model. */
+    bool operator==(const MachineConfig &) const = default;
 };
 
 /**

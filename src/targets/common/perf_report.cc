@@ -34,6 +34,8 @@ PerfReport::operator+=(const PerfReport &other)
         // copies of this report (and `other`'s is immutable by contract).
         auto merged = std::make_shared<CostLedger>();
         merged->machine = machine;
+        merged->entries.reserve((ledger ? ledger->entries.size() : 0) +
+                                other.ledger->entries.size());
         if (ledger)
             merged->append(*ledger);
         else

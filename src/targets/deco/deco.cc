@@ -42,19 +42,15 @@ DecoBackend::simulateImpl(const PartitionAnalysis &analysis,
     const double lanes = static_cast<double>(m.computeUnits);
     double cycles = 0.0;
     double fill_cycles = 0.0;
+    size_t next_invariant = 0;
     for (const auto &level : analysis.levels) {
-        double level_flops = 0.0;
-        for (const int index : level) {
-            const auto &f = analysis.fragments[static_cast<size_t>(index)];
-            if (f.invariant)
-                fill_cycles +=
-                    std::ceil(static_cast<double>(f.work) / lanes);
-            else
-                level_flops += static_cast<double>(f.work);
+        for (; next_invariant < level.invariantEnd; ++next_invariant) {
+            fill_cycles += std::ceil(
+                analysis.invariantWorks[next_invariant] / lanes);
         }
-        if (level_flops <= 0)
+        if (level.work <= 0)
             continue;
-        cycles += std::ceil(level_flops / lanes);
+        cycles += std::ceil(level.work / lanes);
         fill_cycles += kPipelineDepth;
     }
     const double imbalance = analysis.stageImbalance;

@@ -49,20 +49,14 @@ RoboxBackend::simulateImpl(const PartitionAnalysis &analysis,
     // The macro-DFG sequencer issues one fragment (task op) at a time;
     // each spreads its elements across the 256 lanes.
     const double lanes = static_cast<double>(m.computeUnits);
+    // Param/state-derived fragments (e.g. hoisted concatenations of cost
+    // matrices) run once and stay in local memory.
     double cycles = 0.0;
     double once_cycles = 0.0;
-    for (const auto &f : analysis.fragments) {
-        if (f.move || f.work <= 0)
-            continue;
-        const double c =
-            std::ceil(static_cast<double>(f.work) / lanes) + 8.0;
-        // Param/state-derived fragments (e.g. hoisted concatenations of
-        // cost matrices) run once and stay in local memory.
-        if (f.invariant)
-            once_cycles += c;
-        else
-            cycles += c;
-    }
+    for (const double work : analysis.taskWorks)
+        cycles += std::ceil(work / lanes) + 8.0;
+    for (const double work : analysis.invariantTaskWorks)
+        once_cycles += std::ceil(work / lanes) + 8.0;
     cycles *= profile.scale;
 
     const double hz = m.freqGhz * 1e9;

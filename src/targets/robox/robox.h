@@ -23,7 +23,7 @@ class RoboxBackend : public Backend
   protected:
     AnalysisNeeds analysisNeeds() const override
     {
-        return {.work = true, .invariance = true};
+        return {.work = true, .invariance = true, .tasks = true};
     }
     PerfReport simulateImpl(const PartitionAnalysis &analysis,
                             const MachineConfig &machine,

@@ -35,33 +35,25 @@ TablaBackend::simulateImpl(const PartitionAnalysis &analysis,
 
     // List schedule: each dependency level spreads its scalar work over
     // the PE array; group reductions pay a log-depth tree latency.
+    // Param/state-derived fragments run once; their results stay in the
+    // PEs' register files / on-chip buffers.
     double cycles = 0.0;
     double once_cycles = 0.0;
     const double pes = static_cast<double>(m.computeUnits);
+    const double reduce_tree = std::log2(pes); // PU reduction-tree latency
+    // Bus turnaround between dependence levels: 4 cycles at the baseline
+    // 64-words/cycle operand bus, scaling inversely with bus width
+    // (exactly 4.0 at the Table VI default).
+    const double turnaround =
+        4.0 * (64.0 / static_cast<double>(m.busWordsPerCycle));
     for (const auto &level : analysis.levels) {
-        double level_flops = 0.0;
-        double level_once = 0.0;
-        bool has_reduce = false;
-        for (const int index : level) {
-            const auto &f = analysis.fragments[static_cast<size_t>(index)];
-            // Param/state-derived fragments run once; their results stay
-            // in the PEs' register files / on-chip buffers.
-            if (f.invariant)
-                level_once += static_cast<double>(f.work);
-            else
-                level_flops += static_cast<double>(f.work);
-            has_reduce |= f.reduce;
-        }
-        once_cycles += std::ceil(level_once / pes);
-        if (level_flops <= 0)
+        once_cycles += std::ceil(level.invariantWork / pes);
+        if (level.work <= 0)
             continue;
-        cycles += std::ceil(level_flops / pes);
-        if (has_reduce)
-            cycles += std::log2(pes); // PU reduction-tree latency
-        // Bus turnaround between dependence levels: 4 cycles at the
-        // baseline 64-words/cycle operand bus, scaling inversely with
-        // bus width (exactly 4.0 at the Table VI default).
-        cycles += 4.0 * (64.0 / static_cast<double>(m.busWordsPerCycle));
+        cycles += std::ceil(level.work / pes);
+        if (level.reduce)
+            cycles += reduce_tree;
+        cycles += turnaround;
     }
     cycles *= profile.scale;
 

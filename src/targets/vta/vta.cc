@@ -53,14 +53,9 @@ VtaBackend::simulateImpl(const PartitionAnalysis &analysis,
     const double vector_rate = peak * kVectorEff;
 
     double compute_s = 0.0;
-    int64_t layers = 0;
-    for (const auto &f : analysis.fragments) {
-        if (f.move)
-            continue;
-        compute_s +=
-            static_cast<double>(f.flops) / (f.gemm ? gemm_rate : vector_rate);
-        ++layers;
-    }
+    for (const auto &layer : analysis.layers)
+        compute_s += layer.flops / (layer.gemm ? gemm_rate : vector_rate);
+    const auto layers = static_cast<int64_t>(analysis.layers.size());
     // int8 datapath: one byte per element, so the analysis's element
     // counts are bytes.
     const double weight_bytes = analysis.weightBytes;

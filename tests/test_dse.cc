@@ -8,14 +8,16 @@
  * point, as concurrent pmcd `dse` requests must), staged pricing (one
  * analysis per partition, priced per point) equal to one-shot
  * simulation, cost-model monotonicity in every machine axis, a
- * bit-for-bit pin of every full-space pricing, and lazy
+ * bit-for-bit pin of every full-space pricing, lazy
  * attribution (only the printed points are priced with cost ledgers)
- * printing exactly what ledgering every point printed.
+ * printing exactly what ledgering every point printed, and the random
+ * driver's partial ranking searching exactly what a full sort searched.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cstdlib>
 #include <limits>
 #include <random>
 #include <set>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "core/error.h"
+#include "core/rng.h"
 #include "dse/config_space.h"
 #include "dse/dse.h"
 #include "dse/pareto.h"
@@ -313,9 +316,9 @@ TEST(ConfigSpace, BasePointIsTheFactoryConfig)
             const auto space = ConfigSpace::forBackend(backend, kind);
             ASSERT_GT(space.size(), 1);
             const auto base = space.machineAt(space.baseIndex());
-            // Byte-identical to the shipped Table VI machine: every
-            // axis scale is exactly 1.0 at the base point.
-            EXPECT_EQ(base.signature(), space.base().signature());
+            // Identical to the shipped Table VI machine: every axis
+            // scale is exactly 1.0 at the base point.
+            EXPECT_EQ(base, space.base());
         }
     }
     EXPECT_FALSE(ConfigSpace::searchable("Xeon E-2176G"));
@@ -330,14 +333,24 @@ TEST(ConfigSpace, IndexingRoundTripsAndValidates)
     const auto space =
         ConfigSpace::forBackend("TABLA", ConfigSpace::Kind::Full);
     std::set<std::string> labels;
+    std::vector<int64_t> near;
     for (int64_t i = 0; i < space.size(); ++i) {
         EXPECT_NO_THROW(space.machineAt(i).validate());
         labels.insert(space.label(i));
-        for (const int64_t n : space.neighbors(i)) {
-            EXPECT_GE(n, 0);
-            EXPECT_LT(n, space.size());
-            EXPECT_NE(n, i);
+        // Neighbors are exactly the indices one digit step away, in
+        // ascending order.
+        std::vector<int64_t> expected;
+        for (int64_t n = 0; n < space.size(); ++n) {
+            const auto from = space.coords(i);
+            const auto to = space.coords(n);
+            int steps = 0;
+            for (size_t a = 0; a < from.size(); ++a)
+                steps += std::abs(from[a] - to[a]);
+            if (steps == 1)
+                expected.push_back(n);
         }
+        space.neighbors(i, near);
+        EXPECT_EQ(near, expected) << space.label(i);
     }
     // Labels are unique: they name distinct scale tuples.
     EXPECT_EQ(static_cast<int64_t>(labels.size()), space.size());
@@ -621,9 +634,11 @@ TEST_P(Monotonicity, RaisingAMachineAxisNeverAddsSeconds)
                                                 profile, space.machineAt(i))
                                       .seconds);
             }
+            std::vector<int64_t> near;
             for (int64_t i = 0; i < space.size(); ++i) {
                 const std::vector<int> from = space.coords(i);
-                for (const int64_t n : space.neighbors(i)) {
+                space.neighbors(i, near);
+                for (const int64_t n : near) {
                     const std::vector<int> to = space.coords(n);
                     size_t axis = 0;
                     while (from[axis] == to[axis])
@@ -987,6 +1002,199 @@ TEST(LazyAttribution, BaselineOffTheFrontIsStillAttributed)
         EXPECT_TRUE(study.points[pos].label.empty());
         EXPECT_TRUE(study.points[pos].dominantPhase.empty());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Random-driver ranking: each halving round orders only the survivors it
+// keeps (std::partial_sort). scoreLess is a strict total order, so that
+// must visit, keep and print exactly what the old full sort of every
+// evaluated point did.
+// ---------------------------------------------------------------------------
+
+/** What a search chose, by space index. */
+struct SearchOutcome
+{
+    std::vector<int64_t> evaluated; ///< ascending
+    std::vector<int64_t> front;     ///< in WorkloadStudy::front order
+    int64_t best = -1;
+};
+
+SearchOutcome
+outcomeOf(const WorkloadStudy &study)
+{
+    SearchOutcome out;
+    for (const EvalPoint &p : study.points)
+        out.evaluated.push_back(p.index);
+    for (const size_t pos : study.front)
+        out.front.push_back(study.points[pos].index);
+    out.best = study.best().index;
+    return out;
+}
+
+/** The random driver as it ranked before partial sorting, kept as the
+ *  reference: every round fully sorts all evaluated points by
+ *  energy-delay product (ties to the lower index). */
+SearchOutcome
+fullSortRandomSearch(const ConfigSpace &space,
+                     const std::vector<const lower::Partition *> &partitions,
+                     const target::WorkloadProfile &profile,
+                     const SearchOptions &opts)
+{
+    const target::Backend &backend = *target::findBackend(space.backend());
+    std::vector<target::PartitionAnalysis> analyses;
+    for (const lower::Partition *partition : partitions)
+        analyses.push_back(backend.analyze(*partition));
+    const auto n = static_cast<size_t>(space.size());
+    std::vector<bool> evaluated(n, false);
+    std::vector<double> seconds(n), joules(n), ppw(n);
+    const auto evaluate = [&](int64_t index) {
+        const auto machine = space.machineAt(index);
+        target::PerfReport total;
+        for (size_t i = 0; i < partitions.size(); ++i) {
+            const auto report = backend.simulate(*partitions[i], analyses[i],
+                                                 profile, machine);
+            if (i == 0)
+                total = report;
+            else
+                total += report;
+        }
+        const auto k = static_cast<size_t>(index);
+        evaluated[k] = true;
+        seconds[k] = total.seconds;
+        joules[k] = total.joules;
+        ppw[k] = total.joules > 0.0
+                     ? static_cast<double>(total.flops) / total.joules
+                     : 0.0;
+    };
+
+    // First round: seeded rejection sampling around the base index.
+    std::vector<bool> picked(n, false);
+    picked[static_cast<size_t>(space.baseIndex())] = true;
+    int64_t distinct = 1;
+    Rng rng(opts.seed);
+    const int64_t want = std::min(opts.samples, space.size());
+    for (int64_t attempts = 0;
+         distinct < want && attempts < 64 * opts.samples; ++attempts)
+    {
+        const auto index = static_cast<size_t>(rng.uniformInt(space.size()));
+        if (!picked[index]) {
+            picked[index] = true;
+            ++distinct;
+        }
+    }
+    std::vector<int64_t> frontier;
+    for (size_t i = 0; i < n; ++i) {
+        if (picked[i])
+            frontier.push_back(static_cast<int64_t>(i));
+    }
+
+    std::vector<int64_t> near;
+    for (int64_t round = 0; round < opts.rounds && !frontier.empty();
+         ++round)
+    {
+        for (const int64_t index : frontier)
+            evaluate(index);
+        if (round + 1 >= opts.rounds)
+            break;
+        std::vector<int64_t> ranked;
+        for (size_t i = 0; i < n; ++i) {
+            if (evaluated[i])
+                ranked.push_back(static_cast<int64_t>(i));
+        }
+        std::sort(ranked.begin(), ranked.end(), [&](int64_t a, int64_t b) {
+            const double sa = seconds[static_cast<size_t>(a)] *
+                              joules[static_cast<size_t>(a)];
+            const double sb = seconds[static_cast<size_t>(b)] *
+                              joules[static_cast<size_t>(b)];
+            return sa != sb ? sa < sb : a < b;
+        });
+        const auto keep = static_cast<size_t>(
+            std::max<int64_t>(2, opts.samples >> (round + 1)));
+        frontier.clear();
+        for (size_t i = 0; i < ranked.size() && i < keep; ++i) {
+            space.neighbors(ranked[i], near);
+            for (const int64_t m : near) {
+                if (!evaluated[static_cast<size_t>(m)])
+                    frontier.push_back(m);
+            }
+        }
+        std::sort(frontier.begin(), frontier.end());
+        frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                       frontier.end());
+    }
+
+    SearchOutcome out;
+    std::vector<Objective> objectives;
+    for (size_t i = 0; i < n; ++i) {
+        if (!evaluated[i])
+            continue;
+        out.evaluated.push_back(static_cast<int64_t>(i));
+        objectives.push_back({seconds[i], ppw[i]});
+    }
+    for (const size_t pos : paretoFront(objectives))
+        out.front.push_back(out.evaluated[pos]);
+    std::sort(out.front.begin(), out.front.end(), [&](int64_t a, int64_t b) {
+        const double sa = seconds[static_cast<size_t>(a)];
+        const double sb = seconds[static_cast<size_t>(b)];
+        return sa != sb ? sa < sb : a < b;
+    });
+    const auto base = static_cast<size_t>(space.baseIndex());
+    out.best = space.baseIndex();
+    double best_gain = 1.0;
+    for (const int64_t index : out.front) {
+        const auto k = static_cast<size_t>(index);
+        if (seconds[k] <= 0.0 || ppw[base] <= 0.0)
+            continue;
+        const double gain =
+            (seconds[base] / seconds[k]) * (ppw[k] / ppw[base]);
+        if (gain > best_gain || (gain == best_gain && index < out.best)) {
+            best_gain = gain;
+            out.best = index;
+        }
+    }
+    return out;
+}
+
+TEST(RandomDriver, PartialRankingSearchesWhatAFullSortSearched)
+{
+    const auto &registry = target::standardRegistry();
+    const target::WorkloadProfile profile;
+    int64_t searches = 0;
+    for (const auto &bench : wl::tableIII()) {
+        const auto compiled = wl::compileBenchmark(
+            bench.source, bench.buildOpts, registry, bench.domain);
+        std::set<std::string> swept;
+        for (const auto &partition : compiled.partitions) {
+            if (!ConfigSpace::searchable(partition.accel) ||
+                !swept.insert(partition.accel).second)
+                continue;
+            const auto partitions = partitionsFor(compiled, partition.accel);
+            for (const auto kind :
+                 {ConfigSpace::Kind::Small, ConfigSpace::Kind::Full})
+            {
+                const auto space =
+                    ConfigSpace::forBackend(partition.accel, kind);
+                for (uint64_t seed = 1; seed <= 8; ++seed) {
+                    SCOPED_TRACE(bench.id + " on " + partition.accel +
+                                 " seed " + std::to_string(seed));
+                    SearchOptions opts;
+                    opts.space = kind;
+                    opts.driver = SearchOptions::Driver::Random;
+                    opts.seed = seed;
+                    const SearchOutcome got = outcomeOf(explore(
+                        bench.id, partition.accel, partitions, profile,
+                        opts));
+                    const SearchOutcome want = fullSortRandomSearch(
+                        space, partitions, profile, opts);
+                    EXPECT_EQ(got.evaluated, want.evaluated);
+                    EXPECT_EQ(got.front, want.front);
+                    EXPECT_EQ(got.best, want.best);
+                    ++searches;
+                }
+            }
+        }
+    }
+    EXPECT_GE(searches, 15 * 2 * 8);
 }
 
 } // namespace

@@ -4,17 +4,21 @@
  * (monotonicity in work, profile scaling, DMA classification), and
  * per-target behaviors (TABLA level scheduling, DECO imbalance,
  * Graphicionado dataset scaling, VTA weight streaming, HyperStreams II=1,
- * CPU/GPU baseline properties), and the simulate-call counter under
- * concurrent callers.
+ * CPU/GPU baseline properties), the simulate-call counter under
+ * concurrent callers, and cost-ledger labels outliving the analyses
+ * they view.
  */
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <thread>
 
 #include "core/error.h"
 #include "dse/config_space.h"
 #include "obs/metrics.h"
+#include "soc/soc.h"
 #include "targets/common/backend.h"
+#include "targets/common/cost_ledger.h"
 #include "targets/cpu/cpu_model.h"
 #include "targets/gpu/gpu_model.h"
 #include "workloads/suite.h"
@@ -504,6 +508,68 @@ TEST(GpuModel, JetsonSaturatesEarlierThanTitan)
     // per-flop gap narrows well below the 9x peak ratio.
     EXPECT_LT(titan.seconds, jetson.seconds);
     EXPECT_GT(titan.seconds, jetson.seconds / 9.0);
+}
+
+/** FNV-1a 64 of @p bytes. */
+uint64_t
+fnv1a(std::string_view bytes)
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+TEST(CostLedger, LabelsOutliveTheirAnalysesAndReports)
+{
+    // A ledger entry's label views its analysis's ledger facts. Every
+    // analysis here is a temporary inside SocRuntime::execute, and the
+    // programs and per-run reports are gone before rendering: the merged
+    // ledger alone must keep every label alive. The digests are of the
+    // renders made when labels were still owned strings.
+    constexpr uint64_t kTable = 0x272ef20e02526e35ull;
+    constexpr uint64_t kJson = 0xe289eac451137663ull;
+    PerfReport merged;
+    for (const auto &bench : wl::tableIII()) {
+        const auto program = wl::compileBenchmark(
+            bench.source, bench.buildOpts, standardRegistry(), bench.domain);
+        soc::SocResult result;
+        {
+            const ProfilingScope profiling;
+            result = soc::SocRuntime().execute(program, bench.profile);
+        }
+        for (const auto &part : result.partitions)
+            merged += part;
+    }
+    ASSERT_NE(merged.ledger, nullptr);
+    EXPECT_GT(merged.ledger->labelSources.size(), 1u);
+    const std::string table = profileTable(merged, 0);
+    const std::string json = profileJson(merged);
+    EXPECT_EQ(fnv1a(table), kTable) << std::hex << "0x" << fnv1a(table);
+    EXPECT_EQ(fnv1a(json), kJson) << std::hex << "0x" << fnv1a(json);
+}
+
+TEST(PartitionAnalysis, ComparesLedgerFactsByValue)
+{
+    const Backend *tabla = findBackend("TABLA");
+    const auto p = syntheticPartition("TABLA", 4, 1000);
+    const auto q = syntheticPartition("TABLA", 5, 1000);
+    PartitionAnalysis a, b, c;
+    {
+        const ProfilingScope profiling;
+        a = tabla->analyze(p);
+        b = tabla->analyze(p);
+        c = tabla->analyze(q);
+    }
+    ASSERT_NE(a.ledgerFacts, b.ledgerFacts);
+    EXPECT_TRUE(a == b);
+    EXPECT_FALSE(a == c);
+    PartitionAnalysis plain = tabla->analyze(p);
+    EXPECT_FALSE(a == plain);
+    plain.ledger = true;
+    EXPECT_FALSE(a == plain) << "null facts equal non-null ones";
 }
 
 TEST(PerfReport, SpeedupEnergyAndPpwHelpers)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build + ctest under the default (Release) configuration,
 # again under ASan/UBSan, a focused standalone-UBSan pass over the SoC
-# scheduler/fault tests (recovery disabled, so findings fail instead of
-# logging), and a focused ThreadSanitizer pass (see CMakePresets.json).
+# scheduler/fault tests and the backend cost models (test_targets,
+# test_dse; recovery disabled, so findings fail instead of logging),
+# and a focused ThreadSanitizer pass (see CMakePresets.json).
 # Run from anywhere; operates on the repo root. `tools/check.sh
 # default`, `tools/check.sh asan`, `tools/check.sh ubsan`, or
 # `tools/check.sh tsan` runs a single configuration.
@@ -91,13 +92,18 @@ for preset in "${presets[@]}"; do
         # Standalone UBSan (no ASan shadow memory, recovery disabled):
         # focused on the SoC scheduler and fault-model arithmetic —
         # virtual-time accumulation, exponential backoff shifts, and the
-        # seeded hash draws are the paths most likely to hide UB.
-        echo "== [$preset] build (test_soc test_resilience test_stream) =="
+        # seeded hash draws are the paths most likely to hide UB — and
+        # on the backend cost models, which cast doubles to int64_t: the
+        # design spaces' extreme corners (test_dse prices every
+        # full-space point) are where such a cast would overflow.
+        echo "== [$preset] build (test_soc test_resilience test_stream" \
+             "test_targets test_dse) =="
         cmake --build --preset ubsan -j "$jobs" \
-            --target test_soc test_resilience test_stream
+            --target test_soc test_resilience test_stream test_targets \
+            test_dse
         echo "== [$preset] test =="
         ctest --test-dir build-ubsan -j "$jobs" --output-on-failure \
-            -R '^(test_soc|test_resilience|test_stream)$'
+            -R '^(test_soc|test_resilience|test_stream|test_targets|test_dse)$'
         continue
     fi
     if [ "$preset" = tsan ]; then
