@@ -87,7 +87,6 @@ main(int argc, char **argv)
             // backends saturate and start dropping work.
             config.deadlineFactor = 10.0;
             config.deadlinePolicy = soc::DeadlinePolicy::Shed;
-            config.workers = 1; // the outer sweep already uses the pool
             if (cell.faultRate > 0.0)
                 config.faults =
                     soc::FaultConfig::forRate(cell.faultRate, kSeed);

@@ -1,11 +1,11 @@
 #include "driver.h"
 
 #include <charconv>
+#include <cstdio>
 #include <cstring>
 #include <exception>
 
 #include "core/error.h"
-#include "core/logging.h"
 #include "core/strings.h"
 #include "obs/export.h"
 #include "report/artifact.h"
@@ -106,7 +106,8 @@ Driver::~Driver()
             }
             artifact.write(options_.jsonPath);
         } catch (const std::exception &e) {
-            warn(std::string("driver: cannot write artifact: ") + e.what());
+            std::fprintf(stderr, "warn: driver: cannot write artifact: %s\n",
+                         e.what());
         }
     }
     if (options_.tracePath.empty())
@@ -115,7 +116,8 @@ Driver::~Driver()
         obs::writeChromeTrace(obs::TraceRecorder::global(),
                               options_.tracePath);
     } catch (const std::exception &e) {
-        warn(std::string("driver: cannot write trace: ") + e.what());
+        std::fprintf(stderr, "warn: driver: cannot write trace: %s\n",
+                     e.what());
     }
 }
 

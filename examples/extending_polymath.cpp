@@ -68,8 +68,8 @@ class Systolic256 : public target::Backend
   protected:
     // Pricing reads only the machine-independent facts analyze()
     // gathered about the partition: this model needs each fragment's
-    // flops and the DMA split, which every analysis carries, so
-    // analysisNeeds() keeps its default.
+    // flops and the DMA split, which every analysis carries, so it does
+    // not override analyzeImpl().
     target::PerfReport simulateImpl(
         const target::PartitionAnalysis &analysis,
         const target::MachineConfig &m,

@@ -1,9 +1,5 @@
 #include "lower/compile_cache.h"
 
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
-
 #include "core/error.h"
 #include "core/strings.h"
 #include "obs/metrics.h"
@@ -258,20 +254,6 @@ CompileCache &
 CompileCache::global()
 {
     static CompileCache cache;
-    // Daemon lifetimes need a bound; batch runs default to unbounded.
-    // Seeded once, thread-safely, on first use.
-    static const bool seeded = [] {
-        const char *env = std::getenv("POLYMATH_CACHE_ENTRIES");
-        if (env != nullptr && *env != '\0') {
-            int64_t value = 0;
-            const char *end = env + std::strlen(env);
-            const auto [ptr, ec] = std::from_chars(env, end, value);
-            if (ec == std::errc{} && ptr == end && value > 0)
-                cache.setCapacity(static_cast<size_t>(value));
-        }
-        return true;
-    }();
-    (void)seeded;
     return cache;
 }
 

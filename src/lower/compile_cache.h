@@ -19,8 +19,8 @@
  * why compileProgram() must stay re-entrant (see DESIGN.md).
  *
  * Lifetime: a bench run dies with its process, but the pmcd daemon does
- * not, so the cache is optionally bounded (setCapacity() /
- * POLYMATH_CACHE_ENTRIES for the process-wide instance). Eviction is
+ * not, so the cache is optionally bounded (setCapacity(); `pmcd
+ * --cache-entries` for the process-wide instance). Eviction is
  * LRU over *finished* entries only — an in-flight compilation is never
  * dropped, because coalesced waiters hold its future and a re-request
  * must keep coalescing onto it rather than compiling again.
@@ -122,9 +122,8 @@ class CompileCache
     void clear();
 
     /**
-     * Process-wide cache shared by the bench driver, pmc, and pmcd.
-     * Its capacity is seeded once from POLYMATH_CACHE_ENTRIES (positive
-     * integer; unset/invalid/0 = unbounded).
+     * Process-wide cache shared by the bench driver, pmc, and pmcd;
+     * unbounded until setCapacity().
      */
     static CompileCache &global();
 

@@ -265,6 +265,16 @@ ComponentChecker::checkCall(const Stmt &stmt)
                           "' is not readable here",
                       actual.loc);
             }
+            // A scalar name (a dimension symbol, or a scalar argument,
+            // which may be bound to a constant) is no tensor either.
+            if (sym.rank == 0 && !formal.dims.empty()) {
+                fatal(toString(formal.mod) + " '" + formal.name +
+                          "' has rank " +
+                          std::to_string(formal.dims.size()) +
+                          ": pass a tensor by name, not the scalar '" +
+                          actual.name + "'",
+                      actual.loc);
+            }
             if (needs_write)
                 sym.assigned = true;
         } else {

@@ -11,7 +11,6 @@
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/strings.h"
-#include "core/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -78,8 +77,6 @@ StreamConfig::validate() const
     }
     if (!(deadlineSeconds >= 0.0) || !(deadlineFactor >= 0.0))
         fatal("StreamConfig deadlines must be non-negative");
-    if (workers < 0)
-        fatal("StreamConfig.workers must be non-negative (0 = all cores)");
     faults.validate();
 }
 
@@ -869,18 +866,15 @@ StreamScheduler::run(const std::vector<StreamJob> &templates) const
     }
 
     // Fault-free per-template estimates feed deadlines and per-job
-    // overhead attribution. parallelMap is index-ordered, so the report
-    // is byte-identical at any worker count; the event loop itself is
-    // strictly serial.
+    // overhead attribution.
     std::vector<SocResult> estimates;
     if (config_.deadlineFactor > 0.0 || config_.faults.anyFaults()) {
-        estimates = core::parallelMap(
-            config_.workers, static_cast<int64_t>(templates.size()),
-            [&](int64_t i) {
-                const StreamJob &tmpl = templates[static_cast<size_t>(i)];
-                return runtime_->estimate(*tmpl.program, tmpl.profile,
-                                          tmpl.accelerated, tmpl.hostEff);
-            });
+        estimates.reserve(templates.size());
+        for (const StreamJob &tmpl : templates) {
+            estimates.push_back(runtime_->estimate(
+                *tmpl.program, tmpl.profile, tmpl.accelerated,
+                tmpl.hostEff));
+        }
     }
 
     Engine engine(*runtime_, config_, specs, estimates, nullptr,

@@ -89,10 +89,6 @@ struct StreamConfig
     double deadlineFactor = 0.0;
     DeadlinePolicy deadlinePolicy = DeadlinePolicy::Continue;
 
-    /** Worker threads for the per-template cost precompute (the event
-     *  loop itself is serial; reports are identical at any setting). */
-    int workers = 1;
-
     /** @throws UserError on non-positive jobs, bad rates/counts, or a
      *  FaultConfig that fails its own validate(). */
     void validate() const;

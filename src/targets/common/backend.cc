@@ -39,60 +39,8 @@ isMove(const lower::IrFragment &frag)
     return op == "tload" || op == "tstore";
 }
 
-/** DNN layers that run on a GEMM core (TVM-VTA); the other layers are
- *  vector ops. */
-bool
-isGemmLayer(std::string_view opcode)
-{
-    return opcode == "conv2d" || opcode == "conv2d_dw" ||
-           opcode == "dense";
-}
-
-/** Edge-domain fragments iterate a (dst x src) domain or fold neighbors;
- *  vertex-domain fragments iterate one vertex axis. */
-bool
-isEdgeDomain(const lower::IrFragment &frag)
-{
-    return frag.attrs.count("dim1") > 0 ||
-           frag.attrs.count("reduce_extent") > 0;
-}
-
-/** Scalar ops per domain point of a fragment. */
-double
-opsPerPoint(const lower::IrFragment &frag)
-{
-    double points = 1.0;
-    for (const auto &[key, v] : frag.attrs) {
-        if (key.rfind("dim", 0) == 0)
-            points *= static_cast<double>(v);
-    }
-    if (points <= 0)
-        return 0.0;
-    return static_cast<double>(frag.flops) / points;
-}
-
-/** Max/mean of the positive entries of @p level_work; 1.0 when none
- *  is positive. */
-double
-stageImbalance(const std::vector<double> &level_work)
-{
-    double max_work = 0.0;
-    double total = 0.0;
-    int64_t stages = 0;
-    for (const double w : level_work) {
-        if (w <= 0)
-            continue;
-        max_work = std::max(max_work, w);
-        total += w;
-        ++stages;
-    }
-    if (stages == 0 || total <= 0)
-        return 1.0;
-    return max_work / (total / static_cast<double>(stages));
-}
-
-/** Each fragment's dependence level (fragmentLevels()), -1 for tload/
- *  tstore; @p count receives the number of levels. */
+/** Each fragment's dependence level, -1 for tload/tstore; @p count
+ *  receives the number of levels. */
 std::vector<int>
 levelOfFragments(const lower::Partition &partition, size_t &count)
 {
@@ -122,65 +70,7 @@ levelOfFragments(const lower::Partition &partition, size_t &count)
     return level_of;
 }
 
-/** Fills @p a's levels, invariantWorks and (needs.imbalance)
- *  stageImbalance from its fragments' work, invariance and reduce
- *  flags, each level's sums taken in fragment order. */
-void
-analyzeLevels(const lower::Partition &partition, PartitionAnalysis &a)
-{
-    size_t count = 0;
-    const std::vector<int> level_of = levelOfFragments(partition, count);
-    a.levels.resize(count);
-    std::vector<double> level_work(count, 0.0);
-    std::vector<std::pair<int, double>> invariant;
-    for (size_t i = 0; i < a.fragments.size(); ++i) {
-        if (level_of[i] < 0)
-            continue;
-        const PartitionAnalysis::Fragment &f = a.fragments[i];
-        const auto l = static_cast<size_t>(level_of[i]);
-        PartitionAnalysis::Level &level = a.levels[l];
-        const auto work = static_cast<double>(f.work);
-        if (f.invariant) {
-            level.invariantWork += work;
-            invariant.emplace_back(level_of[i], work);
-        } else {
-            level.work += work;
-        }
-        level.reduce = level.reduce || f.reduce;
-        level_work[l] += work;
-    }
-    std::stable_sort(invariant.begin(), invariant.end(),
-                     [](const auto &x, const auto &y) {
-                         return x.first < y.first;
-                     });
-    a.invariantWorks.reserve(invariant.size());
-    for (const auto &[l, work] : invariant) {
-        a.invariantWorks.push_back(work);
-        a.levels[static_cast<size_t>(l)].invariantEnd =
-            a.invariantWorks.size();
-    }
-    // A level without invariant fragments ends its (empty) run where
-    // the previous level's ended.
-    for (size_t l = 1; l < count; ++l) {
-        a.levels[l].invariantEnd = std::max(a.levels[l].invariantEnd,
-                                            a.levels[l - 1].invariantEnd);
-    }
-    if (a.needs.imbalance)
-        a.stageImbalance = stageImbalance(level_work);
-}
-
 } // namespace
-
-bool
-AnalysisNeeds::covers(const AnalysisNeeds &wanted) const
-{
-    return (work || !wanted.work) && (invariance || !wanted.invariance) &&
-           (reduce || !wanted.reduce) && (levels || !wanted.levels) &&
-           (tasks || !wanted.tasks) && (layers || !wanted.layers) &&
-           (points || !wanted.points) &&
-           (elements || !wanted.elements) &&
-           (imbalance || !wanted.imbalance);
-}
 
 bool
 PartitionAnalysis::operator==(const PartitionAnalysis &other) const
@@ -189,7 +79,8 @@ PartitionAnalysis::operator==(const PartitionAnalysis &other) const
         ledgerFacts == other.ledgerFacts ||
         (ledgerFacts && other.ledgerFacts &&
          *ledgerFacts == *other.ledgerFacts);
-    return same_facts && needs == other.needs && ledger == other.ledger &&
+    return same_facts && backend == other.backend &&
+           ledger == other.ledger &&
            fragmentCount == other.fragmentCount &&
            fragments == other.fragments && levels == other.levels &&
            invariantWorks == other.invariantWorks &&
@@ -207,7 +98,7 @@ PartitionAnalysis
 Backend::analyze(const lower::Partition &partition) const
 {
     PartitionAnalysis a;
-    a.needs = analysisNeeds();
+    a.backend = this;
     a.ledger = profilingEnabled() || ProfilingScope::active();
     a.fragmentCount = partition.fragments.size();
     a.dma = dmaBreakdown(partition);
@@ -218,45 +109,11 @@ Backend::analyze(const lower::Partition &partition) const
         facts = std::make_shared<std::vector<LedgerFacts>>(
             partition.fragments.size());
     }
-    if (a.needs.layers)
-        a.layers.reserve(partition.fragments.size());
-    std::vector<bool> invariant;
-    if (a.needs.invariance)
-        invariant = invariantFragments(partition);
-    double weight_bytes = 0.0, activation_bytes = 0.0;
-    double ops_per_edge = 0.0, ops_per_vertex = 0.0;
     for (size_t i = 0; i < partition.fragments.size(); ++i) {
         const lower::IrFragment &frag = partition.fragments[i];
         PartitionAnalysis::Fragment &f = a.fragments[i];
         f.flops = frag.flops;
         f.move = isMove(frag);
-        if (a.needs.work)
-            f.work = fragmentWork(frag);
-        if (a.needs.invariance)
-            f.invariant = invariant[i];
-        if (a.needs.reduce)
-            f.reduce = frag.attrs.count("reduce_extent") > 0;
-        if (a.needs.elements) {
-            auto it = frag.attrs.find("elements");
-            if (it != frag.attrs.end())
-                f.elements = it->second;
-        }
-        if (a.needs.layers && !f.move) {
-            f.gemm = isGemmLayer(frag.opcode);
-            a.layers.push_back({static_cast<double>(f.flops), f.gemm});
-            for (const auto &in : frag.inputs) {
-                (in.kind == ir::EdgeKind::Param ? weight_bytes
-                                                : activation_bytes) +=
-                    static_cast<double>(in.shape.numel());
-            }
-            for (const auto &out : frag.outputs)
-                activation_bytes += static_cast<double>(out.shape.numel());
-        }
-        if (a.needs.points && !f.move) {
-            f.edge = isEdgeDomain(frag);
-            f.opsPerPoint = opsPerPoint(frag);
-            (f.edge ? ops_per_edge : ops_per_vertex) += f.opsPerPoint;
-        }
         if (facts) {
             LedgerFacts &l = (*facts)[i];
             l.label = frag.opcode;
@@ -272,27 +129,7 @@ Backend::analyze(const lower::Partition &partition) const
         }
     }
     a.ledgerFacts = std::move(facts);
-    a.weightBytes = weight_bytes;
-    a.activationBytes = activation_bytes;
-    a.opsPerEdge = ops_per_edge;
-    a.opsPerVertex = ops_per_vertex;
-    if (a.needs.tasks) {
-        size_t invariant_tasks = 0, tasks = 0;
-        for (const PartitionAnalysis::Fragment &f : a.fragments) {
-            if (!f.move && f.work > 0)
-                ++(f.invariant ? invariant_tasks : tasks);
-        }
-        a.taskWorks.reserve(tasks);
-        a.invariantTaskWorks.reserve(invariant_tasks);
-        for (const PartitionAnalysis::Fragment &f : a.fragments) {
-            if (!f.move && f.work > 0) {
-                (f.invariant ? a.invariantTaskWorks : a.taskWorks)
-                    .push_back(static_cast<double>(f.work));
-            }
-        }
-    }
-    if (a.needs.levels)
-        analyzeLevels(partition, a);
+    analyzeImpl(partition, a);
     return a;
 }
 
@@ -302,10 +139,11 @@ Backend::simulate(const lower::Partition &partition,
                   const WorkloadProfile &profile,
                   const MachineConfig &machine) const
 {
-    // Pricing indexes the analysis by fragment: refuse one built for
-    // another partition or a backend with fewer needs.
-    if (analysis.fragmentCount != partition.fragments.size() ||
-        !analysis.needs.covers(analysisNeeds()))
+    // Pricing indexes the analysis by fragment and reads the facts its
+    // own analyzeImpl() filled: refuse one built for another partition
+    // or by another backend.
+    if (analysis.backend != this ||
+        analysis.fragmentCount != partition.fragments.size())
     {
         panic(name() + ": simulate() given an analysis of another "
                        "partition or backend");
@@ -329,16 +167,6 @@ Backend::simulate(const lower::Partition &partition,
     // at the one point all six backends pass through.
     verifyLedger(report);
     return report;
-}
-
-int64_t
-fragmentWork(const lower::IrFragment &frag)
-{
-    int64_t work = frag.flops;
-    auto it = frag.attrs.find("move_elems");
-    if (it != frag.attrs.end())
-        work += it->second;
-    return work;
 }
 
 DmaBreakdown
@@ -423,18 +251,68 @@ invariantFragments(const lower::Partition &partition)
     return out;
 }
 
-std::vector<std::vector<int>>
-fragmentLevels(const lower::Partition &partition)
+std::vector<double>
+analyzeLevels(const lower::Partition &partition, PartitionAnalysis &a)
 {
     size_t count = 0;
     const std::vector<int> level_of = levelOfFragments(partition, count);
-    std::vector<std::vector<int>> levels(count);
-    for (size_t i = 0; i < level_of.size(); ++i) {
-        if (level_of[i] >= 0)
-            levels[static_cast<size_t>(level_of[i])].push_back(
-                static_cast<int>(i));
+    a.levels.resize(count);
+    std::vector<double> level_work(count, 0.0);
+    std::vector<std::pair<int, double>> invariant;
+    for (size_t i = 0; i < a.fragments.size(); ++i) {
+        if (level_of[i] < 0)
+            continue;
+        const PartitionAnalysis::Fragment &f = a.fragments[i];
+        const auto l = static_cast<size_t>(level_of[i]);
+        PartitionAnalysis::Level &level = a.levels[l];
+        const auto work = static_cast<double>(f.work);
+        if (f.invariant) {
+            level.invariantWork += work;
+            invariant.emplace_back(level_of[i], work);
+        } else {
+            level.work += work;
+        }
+        level.reduce = level.reduce || f.reduce;
+        level_work[l] += work;
     }
-    return levels;
+    std::stable_sort(invariant.begin(), invariant.end(),
+                     [](const auto &x, const auto &y) {
+                         return x.first < y.first;
+                     });
+    a.invariantWorks.reserve(invariant.size());
+    for (const auto &[l, work] : invariant) {
+        a.invariantWorks.push_back(work);
+        a.levels[static_cast<size_t>(l)].invariantEnd =
+            a.invariantWorks.size();
+    }
+    // A level without invariant fragments ends its (empty) run where
+    // the previous level's ended.
+    for (size_t l = 1; l < count; ++l) {
+        a.levels[l].invariantEnd = std::max(a.levels[l].invariantEnd,
+                                            a.levels[l - 1].invariantEnd);
+    }
+    return level_work;
+}
+
+
+bool
+isEdgeDomain(const lower::IrFragment &frag)
+{
+    return frag.attrs.count("dim1") > 0 ||
+           frag.attrs.count("reduce_extent") > 0;
+}
+
+double
+opsPerPoint(const lower::IrFragment &frag)
+{
+    double points = 1.0;
+    for (const auto &[key, v] : frag.attrs) {
+        if (key.rfind("dim", 0) == 0)
+            points *= static_cast<double>(v);
+    }
+    if (points <= 0)
+        return 0.0;
+    return static_cast<double>(frag.flops) / points;
 }
 
 const std::vector<const Backend *> &

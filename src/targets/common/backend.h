@@ -73,33 +73,7 @@ struct DmaBreakdown
 
 DmaBreakdown dmaBreakdown(const lower::Partition &partition);
 
-/** The partition facts a backend's pricing reads; Backend::analyze()
- *  computes these and nothing else (the DMA split, the flops and each
- *  fragment's move flag and flops are always computed: the SoC runtime
- *  reads the split for every backend, and every pricing reads the
- *  rest). */
-struct AnalysisNeeds
-{
-    bool work = false;       ///< per-fragment fragmentWork()
-    bool invariance = false; ///< per-fragment invariantFragments() mark
-    bool reduce = false;     ///< per-fragment `reduce_extent` flag
-    /** Per-level sums over fragmentLevels() (needs work and
-     *  invariance; reduce for the reduce flags). */
-    bool levels = false;
-    /** The work lists of the non-move fragments (needs work and
-     *  invariance). */
-    bool tasks = false;
-    bool layers = false;     ///< per-layer flops, GEMM class, byte counts
-    bool points = false;     ///< ops per domain point + edge/vertex domain
-    bool elements = false;   ///< per-fragment `elements` attribute
-    bool imbalance = false;  ///< stage imbalance (needs work + levels)
-
-    /** Whether an analysis made with these needs carries every fact
-     *  @p wanted asks for. */
-    bool covers(const AnalysisNeeds &wanted) const;
-
-    bool operator==(const AnalysisNeeds &) const = default;
-};
+class Backend;
 
 /**
  * Machine-independent facts about one partition, computed once per
@@ -108,38 +82,37 @@ struct AnalysisNeeds
  * many MachineConfigs. Immutable once built, so concurrent pricings may
  * share it.
  *
- * A pricing loop reads the compact tables (levels, invariantWorks,
- * taskWorks, layers): flat arrays, each entry summed in the order the
- * cost model used to sum it per fragment, so the prices are the same to
- * the bit. Cost-ledger attribution reads the per-fragment facts.
+ * Every analysis carries backend, ledger, fragmentCount, fragments'
+ * flops and move flags, ledgerFacts, dma and flops; the other fields are
+ * filled by the analyzeImpl() of the backends named beside them and stay
+ * at their defaults in every other backend's analysis. A pricing loop
+ * reads the compact tables (levels, invariantWorks, taskWorks, layers):
+ * flat arrays, each entry summed in the order the cost model used to sum
+ * it per fragment, so the prices are the same to the bit. Cost-ledger
+ * attribution reads the per-fragment facts.
  */
 struct PartitionAnalysis
 {
     struct Fragment
     {
         int64_t flops = 0;      ///< IrFragment::flops
-        int64_t work = 0;       ///< fragmentWork()
-        /** The `elements` attribute (needs.elements); 0 when absent. */
+        int64_t work = 0;       ///< fragmentWork() (RoboX, TABLA, DECO)
+        /** The `elements` attribute, 0 when absent (HyperStreams). */
         int64_t elements = 0;
-        /** Scalar ops per domain point (needs.points): flops over the
-         *  product of the `dim*` attributes, 0 when that product is not
-         *  positive. */
-        double opsPerPoint = 0.0;
+        double opsPerPoint = 0.0; ///< non-move: opsPerPoint() (Graphicionado)
         bool move = false;      ///< tload/tstore: data movement, no compute
-        bool invariant = false; ///< invariantFragments()
-        bool reduce = false;    ///< carries a `reduce_extent` attribute
-        /** Layer class (needs.layers): a GEMM-core layer (conv2d,
-         *  conv2d_dw, dense) rather than a vector op. */
+        bool invariant = false; ///< invariantFragments() (RoboX, TABLA, DECO)
+        bool reduce = false;    ///< carries `reduce_extent` (TABLA)
+        /** A non-move fragment that runs on a GEMM core (conv2d,
+         *  conv2d_dw, dense) rather than as a vector op (TVM-VTA). */
         bool gemm = false;
-        /** needs.points: an edge-domain fragment (a `dim1` or
-         *  `reduce_extent` attribute) rather than a vertex-domain one. */
-        bool edge = false;
+        bool edge = false; ///< non-move: isEdgeDomain() (Graphicionado)
 
         bool operator==(const Fragment &) const = default;
     };
 
-    /** One dependence level of fragmentLevels() (needs.levels), its
-     *  fragments' facts summed in fragment order. */
+    /** One dependence level (analyzeLevels()), its fragments' facts
+     *  summed in fragment order. */
     struct Level
     {
         double work = 0.0;          ///< work of the non-invariant ones
@@ -152,7 +125,7 @@ struct PartitionAnalysis
         bool operator==(const Level &) const = default;
     };
 
-    /** One non-move fragment as TVM-VTA prices it (needs.layers). */
+    /** One non-move fragment as TVM-VTA prices it. */
     struct Layer
     {
         double flops = 0.0;
@@ -161,8 +134,8 @@ struct PartitionAnalysis
         bool operator==(const Layer &) const = default;
     };
 
-    /** What was computed; a pricing may read only these facts. */
-    AnalysisNeeds needs;
+    /** The backend that made this analysis; only it may price it. */
+    const Backend *backend = nullptr;
 
     /** Whether profiling was on at analysis time: ledgerFacts is set,
      *  and pricing opens a cost ledger (beginLedger) if and only if this
@@ -181,20 +154,20 @@ struct PartitionAnalysis
      *  entries' labels are views into it. */
     std::shared_ptr<const std::vector<LedgerFacts>> ledgerFacts;
 
-    /** needs.levels: fragmentLevels() in level order. */
+    /** The dependence levels in level order (TABLA, DECO). */
     std::vector<Level> levels;
 
-    /** needs.levels: the work of each invariant fragment, by level in
-     *  level order and by fragment order within a level. */
+    /** The work of each invariant fragment, by level in level order and
+     *  by fragment order within a level (TABLA, DECO). */
     std::vector<double> invariantWorks;
 
-    /** needs.tasks: the work of each non-move fragment with positive
-     *  work, in fragment order, split into the non-invariant fragments
-     *  and the invariant ones. */
+    /** The work of each non-move fragment with positive work, in
+     *  fragment order, split into the non-invariant fragments and the
+     *  invariant ones (RoboX). */
     std::vector<double> taskWorks;
     std::vector<double> invariantTaskWorks;
 
-    /** needs.layers: the non-move fragments, in fragment order. */
+    /** The non-move fragments, in fragment order (TVM-VTA). */
     std::vector<Layer> layers;
 
     DmaBreakdown dma;
@@ -202,19 +175,19 @@ struct PartitionAnalysis
     /** partition.flops(). */
     int64_t flops = 0;
 
-    /** needs.layers: element counts of the non-move fragments' operands
-     *  and results, summed in fragment order, split into param operands
-     *  (weights) and everything else (activations). */
+    /** Element counts of the non-move fragments' operands and results,
+     *  summed in fragment order, split into param operands (weights) and
+     *  everything else (activations) (TVM-VTA). */
     double weightBytes = 0.0;
     double activationBytes = 0.0;
 
-    /** needs.points: opsPerPoint summed, in fragment order, over the
-     *  non-move edge-domain and vertex-domain fragments. */
+    /** opsPerPoint summed, in fragment order, over the non-move
+     *  edge-domain and vertex-domain fragments (Graphicionado). */
     double opsPerEdge = 0.0;
     double opsPerVertex = 0.0;
 
-    /** needs.imbalance: max/mean work of the levels with work (1.0 =
-     *  perfectly balanced, and when no level has work). */
+    /** Max/mean work of the levels with work (DECO); 1.0 = perfectly
+     *  balanced, and when no level has work. */
     double stageImbalance = 1.0;
 
     /** Field by field; the ledger facts by value, not by pointer. */
@@ -258,20 +231,22 @@ class Backend
 
     /**
      * The machine-independent facts this backend's pricing reads about
-     * @p partition (analysisNeeds()). Never reads a machine, so one
-     * analysis prices correctly on every configuration. Whether it
-     * carries ledger facts is decided here, from profilingEnabled() or a
-     * ProfilingScope on the calling thread.
+     * @p partition: the ones every analysis carries, then analyzeImpl()'s.
+     * Never reads a machine, so one analysis prices correctly on every
+     * configuration. Whether it carries ledger facts is decided here,
+     * from profilingEnabled() or a ProfilingScope on the calling thread.
      */
     PartitionAnalysis analyze(const lower::Partition &partition) const;
 
     /**
      * Prices @p partition, analysed by this backend's analyze(), under
-     * @p machine and @p profile. Non-virtual so every scheduler/estimator
-     * invocation — from the SoC runtime, the autotuner, the benches, or
-     * tests — passes one choke point that feeds the observability layer
-     * (a `backend:simulate` span and per-accelerator call counter);
-     * backends implement simulateImpl(). @p machine must be valid
+     * @p machine and @p profile; panics on an analysis of another
+     * partition or made by another backend. Non-virtual so every
+     * scheduler/estimator invocation — from the SoC runtime, the
+     * autotuner, the benches, or tests — passes one choke point that
+     * feeds the observability layer (a `backend:simulate` span and
+     * per-accelerator call counter); backends implement simulateImpl()
+     * (and analyzeImpl()). @p machine must be valid
      * (validated where it was made: ConfigSpace::machineAt for the DSE).
      */
     PerfReport simulate(const lower::Partition &partition,
@@ -295,8 +270,13 @@ class Backend
     }
 
   protected:
-    /** The facts simulateImpl() reads; analyze() computes only these. */
-    virtual AnalysisNeeds analysisNeeds() const { return {}; }
+    /** Fills the facts of @p analysis that simulateImpl() reads beyond
+     *  the ones every analysis carries (PartitionAnalysis), and no
+     *  others. The default fills none. */
+    virtual void analyzeImpl(const lower::Partition &,
+                             PartitionAnalysis &) const
+    {
+    }
 
     /** The backend's cost model (docs/ADDING_A_BACKEND.md): prices
      *  @p analysis under @p machine and @p profile. It never sees the
@@ -330,7 +310,12 @@ WorkloadCost hostPartitionCost(const lower::Partition &partition,
 /** Cycle-relevant work of a fragment: scalar flops plus identity-move
  *  elements (copies/concats occupy lanes even though they are not
  *  arithmetic — part of PolyMath's overhead vs. hand-tuned code). */
-int64_t fragmentWork(const lower::IrFragment &frag);
+inline int64_t
+fragmentWork(const lower::IrFragment &frag)
+{
+    auto it = frag.attrs.find("move_elems");
+    return frag.flops + (it != frag.attrs.end() ? it->second : 0);
+}
 
 /** Marks fragments whose results derive only from read-only `param`
  *  data (transitively): accelerators compute those once and keep the
@@ -338,12 +323,22 @@ int64_t fragmentWork(const lower::IrFragment &frag);
  *  themselves. Indexed like partition.fragments. */
 std::vector<bool> invariantFragments(const lower::Partition &partition);
 
-/** Dependency levels of a partition's fragments, as indices into
- *  partition.fragments: fragments in the same level are independent (by
- *  tensor-name dataflow) and can run concurrently; levels run in order.
- *  tload/tstore fragments are skipped. */
-std::vector<std::vector<int>> fragmentLevels(
-    const lower::Partition &partition);
+/** Fills @p analysis's levels and invariantWorks from its fragments'
+ *  work, invariance and reduce flags. Levels group the non-move
+ *  fragments by tensor-name dataflow: fragments in one level are
+ *  independent and can run concurrently; levels run in order. Returns
+ *  each level's total work, summed in fragment order. */
+std::vector<double> analyzeLevels(const lower::Partition &partition,
+                                  PartitionAnalysis &analysis);
+
+/** Edge-domain fragments iterate a (dst x src) domain or fold neighbors
+ *  (a `dim1` or `reduce_extent` attribute); vertex-domain fragments
+ *  iterate one vertex axis. */
+bool isEdgeDomain(const lower::IrFragment &frag);
+
+/** Scalar ops per domain point of a fragment: its flops over the product
+ *  of its `dim*` attributes, 0 when that product is not positive. */
+double opsPerPoint(const lower::IrFragment &frag);
 
 /** The six DSA backends, in registration order matching Table V: one
  *  immutable set per process, built on first use and shared by every

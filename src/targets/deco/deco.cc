@@ -8,6 +8,30 @@
 
 namespace polymath::target {
 
+namespace {
+
+/** Max/mean of the positive entries of @p level_work; 1.0 when none
+ *  is positive. */
+double
+stageImbalance(const std::vector<double> &level_work)
+{
+    double max_work = 0.0;
+    double total = 0.0;
+    int64_t stages = 0;
+    for (const double w : level_work) {
+        if (w <= 0)
+            continue;
+        max_work = std::max(max_work, w);
+        total += w;
+        ++stages;
+    }
+    if (stages == 0 || total <= 0)
+        return 1.0;
+    return max_work / (total / static_cast<double>(stages));
+}
+
+} // namespace
+
 lower::AcceleratorSpec
 DecoBackend::spec() const
 {
@@ -24,6 +48,18 @@ DecoBackend::spec() const
     s.supportedOps = opsUnion(scalarAluOps(), extra);
     s.supportedOps.merge(groupOps());
     return s;
+}
+
+void
+DecoBackend::analyzeImpl(const lower::Partition &partition,
+                         PartitionAnalysis &a) const
+{
+    const std::vector<bool> invariant = invariantFragments(partition);
+    for (size_t i = 0; i < a.fragments.size(); ++i) {
+        a.fragments[i].work = fragmentWork(partition.fragments[i]);
+        a.fragments[i].invariant = invariant[i];
+    }
+    a.stageImbalance = stageImbalance(analyzeLevels(partition, a));
 }
 
 PerfReport

@@ -32,6 +32,20 @@ GraphicionadoBackend::spec() const
     return s;
 }
 
+void
+GraphicionadoBackend::analyzeImpl(const lower::Partition &partition,
+                                  PartitionAnalysis &a) const
+{
+    for (size_t i = 0; i < a.fragments.size(); ++i) {
+        PartitionAnalysis::Fragment &f = a.fragments[i];
+        if (f.move)
+            continue;
+        f.edge = isEdgeDomain(partition.fragments[i]);
+        f.opsPerPoint = opsPerPoint(partition.fragments[i]);
+        (f.edge ? a.opsPerEdge : a.opsPerVertex) += f.opsPerPoint;
+    }
+}
+
 PerfReport
 GraphicionadoBackend::simulateImpl(const PartitionAnalysis &analysis,
                                    const MachineConfig &m,

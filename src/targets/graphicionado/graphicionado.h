@@ -25,10 +25,8 @@ class GraphicionadoBackend : public Backend
     lower::AcceleratorSpec spec() const override;
 
   protected:
-    AnalysisNeeds analysisNeeds() const override
-    {
-        return {.points = true};
-    }
+    void analyzeImpl(const lower::Partition &partition,
+                     PartitionAnalysis &analysis) const override;
     PerfReport simulateImpl(const PartitionAnalysis &analysis,
                             const MachineConfig &machine,
                             const WorkloadProfile &profile) const override;

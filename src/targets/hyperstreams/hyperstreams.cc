@@ -35,6 +35,18 @@ HyperstreamsBackend::spec() const
     return s;
 }
 
+void
+HyperstreamsBackend::analyzeImpl(const lower::Partition &partition,
+                                 PartitionAnalysis &a) const
+{
+    for (size_t i = 0; i < a.fragments.size(); ++i) {
+        const auto &attrs = partition.fragments[i].attrs;
+        auto it = attrs.find("elements");
+        if (it != attrs.end())
+            a.fragments[i].elements = it->second;
+    }
+}
+
 PerfReport
 HyperstreamsBackend::simulateImpl(const PartitionAnalysis &analysis,
                                   const MachineConfig &m,

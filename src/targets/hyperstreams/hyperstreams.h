@@ -24,10 +24,8 @@ class HyperstreamsBackend : public Backend
     lower::AcceleratorSpec spec() const override;
 
   protected:
-    AnalysisNeeds analysisNeeds() const override
-    {
-        return {.elements = true};
-    }
+    void analyzeImpl(const lower::Partition &partition,
+                     PartitionAnalysis &analysis) const override;
     PerfReport simulateImpl(const PartitionAnalysis &analysis,
                             const MachineConfig &machine,
                             const WorkloadProfile &profile) const override;

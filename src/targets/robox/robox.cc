@@ -38,6 +38,30 @@ RoboxBackend::spec() const
     return s;
 }
 
+void
+RoboxBackend::analyzeImpl(const lower::Partition &partition,
+                          PartitionAnalysis &a) const
+{
+    // The sequencer issues each non-move fragment with work as one task.
+    const std::vector<bool> invariant = invariantFragments(partition);
+    size_t tasks = 0, invariant_tasks = 0;
+    for (size_t i = 0; i < a.fragments.size(); ++i) {
+        PartitionAnalysis::Fragment &f = a.fragments[i];
+        f.work = fragmentWork(partition.fragments[i]);
+        f.invariant = invariant[i];
+        if (!f.move && f.work > 0)
+            ++(f.invariant ? invariant_tasks : tasks);
+    }
+    a.taskWorks.reserve(tasks);
+    a.invariantTaskWorks.reserve(invariant_tasks);
+    for (const PartitionAnalysis::Fragment &f : a.fragments) {
+        if (!f.move && f.work > 0) {
+            (f.invariant ? a.invariantTaskWorks : a.taskWorks)
+                .push_back(static_cast<double>(f.work));
+        }
+    }
+}
+
 PerfReport
 RoboxBackend::simulateImpl(const PartitionAnalysis &analysis,
                            const MachineConfig &m,

@@ -21,10 +21,8 @@ class RoboxBackend : public Backend
     lower::AcceleratorSpec spec() const override;
 
   protected:
-    AnalysisNeeds analysisNeeds() const override
-    {
-        return {.work = true, .invariance = true, .tasks = true};
-    }
+    void analyzeImpl(const lower::Partition &partition,
+                     PartitionAnalysis &analysis) const override;
     PerfReport simulateImpl(const PartitionAnalysis &analysis,
                             const MachineConfig &machine,
                             const WorkloadProfile &profile) const override;

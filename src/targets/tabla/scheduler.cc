@@ -34,7 +34,7 @@ listSchedule(const lower::Partition &partition, const ScheduleConfig &config)
         panic("listSchedule(): bad configuration");
 
     // Collect compute fragments and their dependence structure (by
-    // tensor-name dataflow, matching fragmentLevels()).
+    // tensor-name dataflow, matching analyzeLevels()).
     struct Item
     {
         const lower::IrFragment *frag = nullptr;

@@ -25,6 +25,21 @@ TablaBackend::spec() const
     return s;
 }
 
+void
+TablaBackend::analyzeImpl(const lower::Partition &partition,
+                          PartitionAnalysis &a) const
+{
+    const std::vector<bool> invariant = invariantFragments(partition);
+    for (size_t i = 0; i < a.fragments.size(); ++i) {
+        const lower::IrFragment &frag = partition.fragments[i];
+        PartitionAnalysis::Fragment &f = a.fragments[i];
+        f.work = fragmentWork(frag);
+        f.invariant = invariant[i];
+        f.reduce = frag.attrs.count("reduce_extent") > 0;
+    }
+    analyzeLevels(partition, a);
+}
+
 PerfReport
 TablaBackend::simulateImpl(const PartitionAnalysis &analysis,
                            const MachineConfig &m,

@@ -16,6 +16,14 @@ const char *const kLayerOps[] = {
     "batchnorm", "relu_layer", "add_layer", "flatten",
 };
 
+/** Layers that run on the GEMM core; the other layers are vector ops. */
+bool
+isGemmLayer(std::string_view opcode)
+{
+    return opcode == "conv2d" || opcode == "conv2d_dw" ||
+           opcode == "dense";
+}
+
 /** Fractions of peak: GEMM-core layers run at high efficiency; vector
  *  ops (pool, activation, residual) retire one lane-row per cycle. */
 constexpr double kGemmEff = 0.35;
@@ -38,6 +46,28 @@ VtaBackend::spec() const
                           OpCode::Mul, OpCode::Sub, OpCode::Div,
                           OpCode::Sqrt, OpCode::Exp});
     return s;
+}
+
+void
+VtaBackend::analyzeImpl(const lower::Partition &partition,
+                        PartitionAnalysis &a) const
+{
+    a.layers.reserve(a.fragments.size());
+    for (size_t i = 0; i < a.fragments.size(); ++i) {
+        PartitionAnalysis::Fragment &f = a.fragments[i];
+        if (f.move)
+            continue;
+        const lower::IrFragment &frag = partition.fragments[i];
+        f.gemm = isGemmLayer(frag.opcode);
+        a.layers.push_back({static_cast<double>(f.flops), f.gemm});
+        for (const auto &in : frag.inputs) {
+            (in.kind == ir::EdgeKind::Param ? a.weightBytes
+                                            : a.activationBytes) +=
+                static_cast<double>(in.shape.numel());
+        }
+        for (const auto &out : frag.outputs)
+            a.activationBytes += static_cast<double>(out.shape.numel());
+    }
 }
 
 PerfReport

@@ -22,10 +22,8 @@ class VtaBackend : public Backend
     lower::AcceleratorSpec spec() const override;
 
   protected:
-    AnalysisNeeds analysisNeeds() const override
-    {
-        return {.layers = true};
-    }
+    void analyzeImpl(const lower::Partition &partition,
+                     PartitionAnalysis &analysis) const override;
     PerfReport simulateImpl(const PartitionAnalysis &analysis,
                             const MachineConfig &machine,
                             const WorkloadProfile &profile) const override;

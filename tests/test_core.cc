@@ -11,7 +11,6 @@
 #include "core/dtype.h"
 #include "core/error.h"
 #include "core/json.h"
-#include "core/logging.h"
 #include "core/rng.h"
 #include "core/shape.h"
 #include "core/strings.h"
@@ -241,18 +240,6 @@ TEST(Strings, CountCodeLines)
     const std::string src = "a = 1\n\n// comment\n  // also\nb = 2\n";
     EXPECT_EQ(countCodeLines(src, "//"), 2);
     EXPECT_EQ(countCodeLines("# only\n# comments\n", "#"), 0);
-}
-
-TEST(Logging, LevelGateIsHonored)
-{
-    const LogLevel saved = logLevel();
-    setLogLevel(LogLevel::Silent);
-    EXPECT_EQ(logLevel(), LogLevel::Silent);
-    inform("suppressed");
-    warn("suppressed");
-    setLogLevel(LogLevel::Info);
-    EXPECT_EQ(logLevel(), LogLevel::Info);
-    setLogLevel(saved);
 }
 
 TEST(Errors, SourceLocRendering)

@@ -587,10 +587,11 @@ TEST(Sema, IndexArithmeticRestrictedToIntParams)
  *  UserError whose message is exactly @p message at @p line:@p column. */
 void
 expectFrontendError(const std::string &src, const std::string &message,
-                    int line, int column)
+                    int line, int column,
+                    const ir::BuildOptions &options = {})
 {
     try {
-        ir::compileToSrdfg(src);
+        ir::compileToSrdfg(src, options);
         FAIL() << "expected frontend error '" << message << "'";
     } catch (const UserError &e) {
         EXPECT_EQ(e.message(), message);
@@ -617,16 +618,38 @@ TEST(Sema, NestedSameAxisReductionRejected)
                         "axis 'i' already bound", 3, 20);
 }
 
-TEST(Sema, DimensionSymbolNoShapeBindsIsAPositionedError)
+TEST(Sema, ScalarNameBoundToATensorParamIsAPositionedError)
 {
-    // w is bound to g's dimension symbol m, a constant, so no shape
-    // ever fixes n.
-    expectFrontendError("f(param float w[n], output float y) { y = n; }\n"
-                        "g(param float v[m], output float y) { f(m, y); }\n"
-                        "main(param float v[3], output float y) "
-                        "{ g(v, y); }\n",
-                        "'n' has no value: no argument's shape binds it", 1,
-                        43);
+    // A bare name passes its binding; a scalar's may be a constant,
+    // which used to be broadcast over every subscript of w (and, with
+    // no shape to unify, left w's dimension symbols unbound).
+    const std::string f =
+        "f(param float w[n][n], input float x[n], output float y[n]) {\n"
+        "    index i[0:n-1], j[0:n-1];\n"
+        "    y[i] = sum[j](w[i][j]*x[j]);\n"
+        "}\n";
+    // A caller's dimension symbol.
+    expectFrontendError(
+        f + "g(param float v[m], input float x[m], output float y[m]) "
+            "{ f(m, x, y); }\n"
+            "main(param float v[4], input float x[4], output float y[4]) "
+            "{ g(v, x, y); }\n",
+        "param 'w' has rank 2: pass a tensor by name, not the scalar 'm'",
+        5, 62);
+    // A scalar param, bound by --param or not.
+    const std::string main_s =
+        f + "main(param float s, input float x[4], output float y[4]) "
+            "{ f(s, x, y); }\n";
+    const std::string message =
+        "param 'w' has rank 2: pass a tensor by name, not the scalar 's'";
+    ir::BuildOptions bound;
+    bound.paramConsts["s"] = 3;
+    expectFrontendError(main_s, message, 5, 62, bound);
+    expectFrontendError(main_s, message, 5, 62);
+    // A dimension symbol read as data still compiles.
+    EXPECT_NO_THROW(ir::compileToSrdfg(
+        "f(param float w[n], output float y) { y = n; }\n"
+        "main(param float v[3], output float y) { f(v, y); }\n"));
 }
 
 TEST(Sema, ConstantBoundToATensorParamIsAPositionedError)

@@ -139,9 +139,6 @@ TEST_F(StreamFixture, ConfigValidationRejectsBadFields)
     bad.faults.watchdogRate = std::nan("");
     EXPECT_THROW(StreamScheduler(runtime, bad), UserError);
     bad = good;
-    bad.workers = -1;
-    EXPECT_THROW(StreamScheduler(runtime, bad), UserError);
-    bad = good;
     bad.faults.dmaFailureRate = 1.5;
     EXPECT_THROW(StreamScheduler(runtime, bad), UserError);
 }
@@ -244,10 +241,10 @@ TEST_F(StreamFixture, ContendedJobEqualsTheSameJobRunAlone)
 }
 
 // ---------------------------------------------------------------------------
-// Determinism across worker counts and reruns.
+// Determinism across reruns.
 // ---------------------------------------------------------------------------
 
-TEST_F(StreamFixture, ReportByteIdenticalAcrossWorkersAndReruns)
+TEST_F(StreamFixture, ReportByteIdenticalAcrossReruns)
 {
     StreamConfig config;
     config.arrival = ArrivalModel::Poisson;
@@ -258,26 +255,20 @@ TEST_F(StreamFixture, ReportByteIdenticalAcrossWorkersAndReruns)
     config.deadlineFactor = 20.0;
     config.deadlinePolicy = DeadlinePolicy::Shed;
 
-    auto run = [&](int workers) {
-        StreamConfig c = config;
-        c.workers = workers;
+    auto run = [&] {
         const SocRuntime runtime;
-        return StreamScheduler(runtime, c).run({makeJob("brainstimul")});
+        return StreamScheduler(runtime, config).run({makeJob("brainstimul")});
     };
-    const auto serial = run(1);
-    const auto pooled = run(4);
-    const auto again = run(4);
+    const auto first = run();
+    const auto again = run();
 
-    EXPECT_EQ(serial.str(), pooled.str());
-    EXPECT_EQ(pooled.str(), again.str());
-    ASSERT_EQ(serial.jobs.size(), pooled.jobs.size());
-    for (size_t i = 0; i < serial.jobs.size(); ++i) {
-        EXPECT_EQ(serial.jobs[i].outcome, pooled.jobs[i].outcome);
-        EXPECT_EQ(serial.jobs[i].arrivalSeconds,
-                  pooled.jobs[i].arrivalSeconds);
-        EXPECT_EQ(serial.jobs[i].latencySeconds,
-                  pooled.jobs[i].latencySeconds);
-        EXPECT_EQ(serial.jobs[i].migrations, pooled.jobs[i].migrations);
+    EXPECT_EQ(first.str(), again.str());
+    ASSERT_EQ(first.jobs.size(), again.jobs.size());
+    for (size_t i = 0; i < first.jobs.size(); ++i) {
+        EXPECT_EQ(first.jobs[i].outcome, again.jobs[i].outcome);
+        EXPECT_EQ(first.jobs[i].arrivalSeconds, again.jobs[i].arrivalSeconds);
+        EXPECT_EQ(first.jobs[i].latencySeconds, again.jobs[i].latencySeconds);
+        EXPECT_EQ(first.jobs[i].migrations, again.jobs[i].migrations);
     }
 }
 

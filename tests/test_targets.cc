@@ -5,8 +5,8 @@
  * per-target behaviors (TABLA level scheduling, DECO imbalance,
  * Graphicionado dataset scaling, VTA weight streaming, HyperStreams II=1,
  * CPU/GPU baseline properties), the simulate-call counter under
- * concurrent callers, and cost-ledger labels outliving the analyses
- * they view.
+ * concurrent callers, analyses priced only by the backend that made
+ * them, and cost-ledger labels outliving the analyses they view.
  */
 #include <gtest/gtest.h>
 
@@ -87,16 +87,17 @@ TEST(Registry, EveryDomainHasExactlyOneDefault)
     }
 }
 
-TEST(FragmentLevels, DependencyChainsSequence)
+TEST(AnalysisLevels, DependencyChainsSequence)
 {
-    // t0 -> k0 -> t1 -> k1 -> t2: two levels.
+    // t0 -> k0 -> t1 -> k1 -> t2: two levels of one fragment each.
     const auto p = syntheticPartition("TABLA", 2, 100);
-    const auto levels = fragmentLevels(p);
+    const auto levels = findBackend("TABLA")->analyze(p).levels;
     ASSERT_EQ(levels.size(), 2u);
-    EXPECT_EQ(levels[0].size(), 1u);
+    EXPECT_EQ(levels[0].work, 100.0);
+    EXPECT_EQ(levels[1].work, 100.0);
 }
 
-TEST(FragmentLevels, IndependentFragmentsShareALevel)
+TEST(AnalysisLevels, IndependentFragmentsShareALevel)
 {
     Partition p;
     for (int i = 0; i < 3; ++i) {
@@ -111,9 +112,9 @@ TEST(FragmentLevels, IndependentFragmentsShareALevel)
         f.outputs.push_back(out);
         p.fragments.push_back(std::move(f));
     }
-    const auto levels = fragmentLevels(p);
+    const auto levels = findBackend("TABLA")->analyze(p).levels;
     ASSERT_EQ(levels.size(), 1u);
-    EXPECT_EQ(levels[0].size(), 3u);
+    EXPECT_EQ(levels[0].work, 30.0);
 }
 
 TEST(DmaBreakdown, ClassifiesByTypeModifier)
@@ -208,6 +209,57 @@ TEST(BackendSimulate, RefusesALedgerWithoutLedgerFacts)
         analysis.ledger = true;
         EXPECT_THROW(backend->simulate(p, analysis, WorkloadProfile{}),
                      InternalError);
+    }
+}
+
+/** A backend whose pricing reads only the facts every analysis
+ *  carries. */
+class FlopsOnlyBackend : public Backend
+{
+  public:
+    FlopsOnlyBackend() : Backend("FlopsOnly", lang::Domain::DA, tablaConfig())
+    {
+    }
+
+    lower::AcceleratorSpec spec() const override { return {}; }
+
+  protected:
+    PerfReport simulateImpl(const PartitionAnalysis &analysis,
+                            const MachineConfig &m,
+                            const WorkloadProfile &) const override
+    {
+        PerfReport r;
+        r.machine = name();
+        r.flops = analysis.flops;
+        r.seconds = static_cast<double>(analysis.flops) / m.peakFlops();
+        return r;
+    }
+};
+
+TEST(BackendSimulate, RefusesAnAnalysisOfAnotherBackend)
+{
+    // A backend reads the facts its own analysis filled; another
+    // backend's analysis lacks them, or carries facts it would misread.
+    const auto p = syntheticPartition("TABLA", 4, 1000);
+    const FlopsOnlyBackend flops_only;
+    const PartitionAnalysis tabla = findBackend("TABLA")->analyze(p);
+    EXPECT_THROW(flops_only.simulate(p, tabla, WorkloadProfile{}),
+                 InternalError);
+    EXPECT_NO_THROW(
+        flops_only.simulate(p, flops_only.analyze(p), WorkloadProfile{}));
+    for (const Backend *maker : standardBackends()) {
+        const PartitionAnalysis analysis = maker->analyze(p);
+        for (const Backend *pricer : standardBackends()) {
+            SCOPED_TRACE(maker->name() + " priced by " + pricer->name());
+            if (pricer == maker) {
+                EXPECT_NO_THROW(
+                    pricer->simulate(p, analysis, WorkloadProfile{}));
+            } else {
+                EXPECT_THROW(
+                    pricer->simulate(p, analysis, WorkloadProfile{}),
+                    InternalError);
+            }
+        }
     }
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build + ctest under the default (Release) configuration,
 # again under ASan/UBSan, a focused standalone-UBSan pass over the SoC
-# scheduler/fault tests and the backend cost models (test_targets,
-# test_dse; recovery disabled, so findings fail instead of logging),
+# scheduler/fault tests, the backend cost models (test_targets,
+# test_dse) and the PMLang frontend (test_pmlang; recovery disabled, so
+# findings fail instead of logging),
 # and a focused ThreadSanitizer pass (see CMakePresets.json).
 # Run from anywhere; operates on the repo root. `tools/check.sh
 # default`, `tools/check.sh asan`, `tools/check.sh ubsan`, or
@@ -32,8 +33,7 @@
 # test_obs_service, test_driver, test_service, test_dse, test_targets,
 # test_stream, test_soc, pmc), runs those tests with POLYMATH_JOBS=4 so
 # the pool, compile cache, service server, trace recorder, and the
-# process-wide backends every thread shares (the stream scheduler's
-# parallel estimates included) race under the sanitizer, and
+# process-wide backends every thread shares race under the sanitizer, and
 # smoke-checks that `pmc --trace` emits loadable Chrome-trace JSON.
 set -euo pipefail
 
@@ -95,15 +95,18 @@ for preset in "${presets[@]}"; do
         # seeded hash draws are the paths most likely to hide UB — and
         # on the backend cost models, which cast doubles to int64_t: the
         # design spaces' extreme corners (test_dse prices every
-        # full-space point) are where such a cast would overflow.
+        # full-space point) are where such a cast would overflow; and on
+        # the PMLang frontend, whose sema numbers every symbol with a
+        # slot the srDFG builder indexes by (test_pmlang feeds it the
+        # programs sema must refuse).
         echo "== [$preset] build (test_soc test_resilience test_stream" \
-             "test_targets test_dse) =="
+             "test_targets test_dse test_pmlang) =="
         cmake --build --preset ubsan -j "$jobs" \
             --target test_soc test_resilience test_stream test_targets \
-            test_dse
+            test_dse test_pmlang
         echo "== [$preset] test =="
         ctest --test-dir build-ubsan -j "$jobs" --output-on-failure \
-            -R '^(test_soc|test_resilience|test_stream|test_targets|test_dse)$'
+            -R '^(test_soc|test_resilience|test_stream|test_targets|test_dse|test_pmlang)$'
         continue
     fi
     if [ "$preset" = tsan ]; then

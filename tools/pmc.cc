@@ -625,7 +625,6 @@ runFile(const Options &opts, const std::string &file, std::string &out,
             stream.deadlineFactor = opts.deadlineFactor;
             stream.deadlinePolicy =
                 parseDeadlinePolicy(opts.deadlinePolicy);
-            stream.workers = opts.jobs;
             parseArrival(opts.arrival, stream);
             if (opts.faultRate != 0) { // negative => validation error
                 stream.faults = soc::FaultConfig::forRate(opts.faultRate,

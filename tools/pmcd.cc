@@ -59,8 +59,7 @@ usage()
         "                        accounted, structured response\n"
         "                        (default 256; 0 = unbounded)\n"
         "  --cache-entries <n>   LRU-bound the shared compile cache to\n"
-        "                        n programs (default\n"
-        "                        POLYMATH_CACHE_ENTRIES or unbounded)\n"
+        "                        n programs (default unbounded)\n"
         "  --flight-entries <n>  keep the last n request records for\n"
         "                        the dump verb / SIGUSR1 / shutdown\n"
         "                        dumps (default 256; 0 disables\n"
