@@ -8,6 +8,10 @@
  * a pure representation change — spellings, ordering, and structure of
  * all user-visible output stay identical.
  *
+ * A second set pins Algorithm 2's listing (CompiledProgram::str(): every
+ * program πd and the schedule) of the same programs compiled against the
+ * standard registry, under goldens/listing.
+ *
  * Regenerate (only when an intentional IR change lands) with:
  *   POLYMATH_UPDATE_GOLDENS=1 build/tests/test_golden_ir
  */
@@ -18,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "passes/pass.h"
+#include "targets/common/backend.h"
 #include "srdfg/printer.h"
 #include "srdfg/serialize.h"
 #include "workloads/suite.h"
@@ -26,9 +31,9 @@ namespace polymath {
 namespace {
 
 std::string
-goldenPath(const std::string &id)
+goldenPath(const char *dir, const std::string &id)
 {
-    return std::string(POLYMATH_GOLDEN_DIR) + "/" + id + ".golden";
+    return std::string(dir) + "/" + id + ".golden";
 }
 
 std::string
@@ -77,10 +82,11 @@ captureById(const std::string &id)
     return captureProgram(bench.id, bench.source, bench.buildOpts);
 }
 
-TEST_P(GoldenIr, PrintedAndSerializedFormsMatchCapture)
+/** Compares @p actual with the golden at @p path, or rewrites the golden
+ *  under POLYMATH_UPDATE_GOLDENS. */
+void
+expectMatchesGolden(const std::string &actual, const std::string &path)
 {
-    const std::string actual = captureById(GetParam());
-    const std::string path = goldenPath(GetParam());
     if (std::getenv("POLYMATH_UPDATE_GOLDENS") != nullptr) {
         std::ofstream out(path, std::ios::binary);
         ASSERT_TRUE(out) << "cannot write " << path;
@@ -109,6 +115,37 @@ TEST_P(GoldenIr, PrintedAndSerializedFormsMatchCapture)
         FAIL() << path << ": actual output has trailing data past line "
                << line;
     }
+}
+
+TEST_P(GoldenIr, PrintedAndSerializedFormsMatchCapture)
+{
+    expectMatchesGolden(captureById(GetParam()),
+                        goldenPath(POLYMATH_GOLDEN_DIR, GetParam()));
+}
+
+/** Algorithm 2's listing of the Table III benchmark or Table IV app named
+ *  @p id, compiled against the standard registry. */
+std::string
+listingById(const std::string &id)
+{
+    const auto &registry = target::standardRegistry();
+    for (const auto &app : wl::tableIV()) {
+        if (app.id == id) {
+            return wl::compileBenchmark(app.source, app.buildOpts, registry,
+                                        lang::Domain::None)
+                .str();
+        }
+    }
+    const auto &bench = wl::benchmarkById(id);
+    return wl::compileBenchmark(bench.source, bench.buildOpts, registry,
+                                bench.domain)
+        .str();
+}
+
+TEST_P(GoldenIr, ListingMatchesCapture)
+{
+    expectMatchesGolden(listingById(GetParam()),
+                        goldenPath(POLYMATH_LISTING_GOLDEN_DIR, GetParam()));
 }
 
 std::vector<std::string>
