@@ -91,10 +91,10 @@ main(int argc, char **argv)
             int64_t groups = 0;
             for (const auto &partition : compiled.partitions) {
                 for (const auto &frag : partition.fragments) {
-                    if (frag.opcode == "tload" || frag.opcode == "tstore")
+                    if (frag.isTransfer())
                         continue;
                     ++frags;
-                    if (frag.attrs.count("reduce_extent"))
+                    if (frag.attrs.reduceExtent)
                         ++groups;
                 }
             }

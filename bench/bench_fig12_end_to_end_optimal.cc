@@ -38,9 +38,9 @@ expertPartition(const lower::Partition &compiled)
     int fused = 0;
     lower::IrFragment pending;
     for (const auto &frag : compiled.fragments) {
-        if (frag.opcode == "tload" || frag.opcode == "tstore")
+        if (frag.isTransfer())
             continue;
-        if (frag.attrs.count("move_elems"))
+        if (frag.attrs.moveElems)
             continue; // experts do not materialize copies
         if (pending.opcode.empty()) {
             pending = frag;

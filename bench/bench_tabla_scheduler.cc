@@ -49,7 +49,7 @@ main(int argc, char **argv)
 
             int64_t frags = 0;
             for (const auto &f : partition.fragments)
-                frags += f.opcode != "tload" && f.opcode != "tstore";
+                frags += !f.isTransfer();
 
             const double ratio =
                 static_cast<double>(schedule.cycles) / analytic_cycles;

@@ -1,5 +1,7 @@
 #include "lower/accel_spec.h"
 
+#include <algorithm>
+
 #include "core/strings.h"
 
 namespace polymath::lower {
@@ -18,23 +20,68 @@ appendArgs(std::string &out, const std::vector<TensorArg> &args)
     }
 }
 
+/** " key=v" per present attribute, in the order of the keys' spellings. */
+void
+appendAttrs(std::string &out, const FragmentAttrs &attrs)
+{
+    const auto put = [&](std::string_view key, int64_t v) {
+        out += ' ';
+        out += key;
+        out += '=';
+        appendInt(out, v);
+    };
+    const auto put_dim = [&](size_t i) {
+        out += " dim";
+        appendInt(out, static_cast<int64_t>(i));
+        out += '=';
+        appendInt(out, attrs.dims[i]);
+    };
+    if (attrs.bytes)
+        put("bytes", *attrs.bytes);
+    if (attrs.constBits)
+        put("const_bits", *attrs.constBits);
+    if (attrs.dims.size() <= 10) {
+        for (size_t i = 0; i < attrs.dims.size(); ++i)
+            put_dim(i);
+    } else { // in the order of their spellings: dim10 precedes dim2
+        std::vector<std::pair<std::string, size_t>> keyed;
+        for (size_t i = 0; i < attrs.dims.size(); ++i)
+            keyed.emplace_back(std::to_string(i), i);
+        std::sort(keyed.begin(), keyed.end());
+        for (const auto &[key, i] : keyed)
+            put_dim(i);
+    }
+    if (attrs.elements)
+        put("elements", *attrs.elements);
+    if (attrs.guarded)
+        put("guarded", 1);
+    if (attrs.moveElems)
+        put("move_elems", *attrs.moveElems);
+    if (attrs.reduceExtent)
+        put("reduce_extent", *attrs.reduceExtent);
+}
+
 } // namespace
 
-void
-IrFragment::appendTo(std::string &out) const
+std::string_view
+IrFragment::mnemonic() const
 {
-    out += opcode;
+    if (kind == FragmentKind::Compute)
+        return opcode;
+    return kind == FragmentKind::Load ? "tload" : "tstore";
+}
+
+void
+IrFragment::appendTo(std::string &out, std::string_view tag) const
+{
+    out += tag;
+    out += mnemonic();
     out += '(';
     appendArgs(out, inputs);
     out += " -> ";
     appendArgs(out, outputs);
     out += ')';
-    for (const auto &[k, v] : attrs) {
-        out += ' ';
-        out += k;
-        out += '=';
-        appendInt(out, v);
-    }
+    appendAttrs(out, attrs);
     if (flops) {
         out += " flops=";
         appendInt(out, flops);
@@ -47,6 +94,34 @@ IrFragment::str() const
     std::string out;
     appendTo(out);
     return out;
+}
+
+IrFragment
+transferFragment(FragmentKind kind, TensorArg tensor)
+{
+    IrFragment frag;
+    frag.kind = kind;
+    frag.attrs.bytes = tensor.bytes();
+    (kind == FragmentKind::Load ? frag.inputs : frag.outputs)
+        .push_back(std::move(tensor));
+    return frag;
+}
+
+TensorArg
+tensorArg(const ir::Graph &graph, ir::ValueId v)
+{
+    const auto &md = graph.value(v).md;
+    TensorArg arg;
+    if (md.name.empty()) {
+        arg.name += '%';
+        arg.name += std::to_string(v);
+    } else {
+        arg.name = md.name;
+    }
+    arg.shape = md.shape;
+    arg.dtype = md.dtype;
+    arg.kind = md.kind;
+    return arg;
 }
 
 void
@@ -112,47 +187,30 @@ genericTranslate(const ir::Graph &graph, const ir::Node &node)
     frag.opcode = node.op.str();
     frag.flops = node.scalarOpCount(graph);
 
-    auto arg_of = [&](ir::ValueId v) {
-        const auto &md = graph.value(v).md;
-        TensorArg arg;
-        if (md.name.empty()) {
-            arg.name += '%';
-            arg.name += std::to_string(v);
-        } else {
-            arg.name = md.name;
-        }
-        arg.shape = md.shape;
-        arg.dtype = md.dtype;
-        arg.kind = md.kind;
-        return arg;
-    };
-
     for (const auto &in : graph.ins(node)) {
         if (in.isIndexOperand())
             continue; // compile-time address streams need no operand slot
-        frag.inputs.push_back(arg_of(in.value));
+        frag.inputs.push_back(tensorArg(graph, in.value));
     }
     if (node.base >= 0)
-        frag.inputs.push_back(arg_of(node.base));
+        frag.inputs.push_back(tensorArg(graph, node.base));
     for (const auto &out : graph.outs(node))
-        frag.outputs.push_back(arg_of(out.value));
+        frag.outputs.push_back(tensorArg(graph, out.value));
 
     // Shape/iteration attributes for the target's scheduler.
-    int64_t i = 0;
-    for (const auto &v : graph.domainVars(node)) {
-        frag.attrs["dim" + std::to_string(i++)] = v.extent;
+    FragmentAttrs &attrs = frag.attrs;
+    const auto vars = graph.domainVars(node);
+    attrs.dims.reserve(vars.size());
+    for (const auto &v : vars) {
+        attrs.dims.push_back(v.extent);
         if (v.reduced)
-            frag.attrs["reduce_extent"] =
-                frag.attrs.count("reduce_extent")
-                    ? frag.attrs["reduce_extent"] * v.extent
-                    : v.extent;
+            attrs.reduceExtent = attrs.reduceExtent.value_or(1) * v.extent;
     }
-    if (node.hasPredicate)
-        frag.attrs["guarded"] = 1;
+    attrs.guarded = node.hasPredicate;
     if (ir::isMoveOp(node.op))
-        frag.attrs["move_elems"] = node.domainSize(graph);
+        attrs.moveElems = node.domainSize(graph);
     if (node.kind == ir::NodeKind::Constant)
-        frag.attrs["const_bits"] = 64;
+        attrs.constBits = 64;
     return frag;
 }
 

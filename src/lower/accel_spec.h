@@ -4,21 +4,30 @@
  *
  * A specification for domain d is the pair (md, +d) of the paper: `md` maps
  * srDFG operation names to translation functions producing accelerator-IR
- * fragments, and `+d` combines fragments into the accumulated program πd.
+ * fragments, and `+d` accumulates them into the program πd.
  * The supported-operation set Ot drives Algorithm 1's lowering.
  *
- * Fragments are a schema-free (opcode, operands, attributes) record: each
- * backend's translate functions produce fragments its own
- * scheduler/simulator understands, so adding an accelerator requires no
- * change to the compilation algorithms.
+ * A fragment is typed: its kind says whether it computes or moves one
+ * tensor across the accelerator boundary (tload/tstore), and its
+ * attributes are the fixed FragmentAttrs record (bytes, const_bits, the
+ * dims, elements, guarded, move_elems, reduce_extent). A compute
+ * fragment's opcode is free text each backend's translate functions
+ * choose for its own scheduler/simulator, so adding an accelerator
+ * requires no change to the compilation algorithms. +d is a listing
+ * rule: each fragment is stored once, in its partition, and
+ * CompiledProgram::render() derives πd from the partitions, applying the
+ * spec's listingTag to every compute fragment it prints.
  */
 #ifndef POLYMATH_LOWER_ACCEL_SPEC_H_
 #define POLYMATH_LOWER_ACCEL_SPEC_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "srdfg/graph.h"
@@ -48,35 +57,66 @@ struct TensorArg
     }
 };
 
+/** What a fragment does: compute, or move one tensor across the
+ *  accelerator boundary (the data-transfer rule of Section IV-C). */
+enum class FragmentKind : uint8_t { Compute, Load, Store };
+
+/** The attributes a fragment carries for its target's scheduler. An absent
+ *  value is distinct from a zero one (`elements` may be present as 0). */
+struct FragmentAttrs
+{
+    std::optional<int64_t> bytes;        ///< tload/tstore: bytes moved
+    std::optional<int64_t> constBits;    ///< constant: on-chip width
+    std::vector<int64_t> dims;           ///< iteration-domain extents
+    std::optional<int64_t> elements;     ///< elements streamed
+    bool guarded = false;                ///< predicated node
+    std::optional<int64_t> moveElems;    ///< identity-move elements
+    std::optional<int64_t> reduceExtent; ///< product of reduced extents
+};
+
 /** One accelerator-IR fragment: a basic operator plus its arguments. */
 struct IrFragment
 {
+    FragmentKind kind = FragmentKind::Compute;
+    /** A compute fragment's operator text; empty for transfers. */
     std::string opcode;
     std::vector<TensorArg> inputs;
     std::vector<TensorArg> outputs;
-    std::map<std::string, int64_t> attrs;
+    FragmentAttrs attrs;
 
     /** Scalar-op work this fragment represents (from the srDFG node). */
     int64_t flops = 0;
 
-    /** Appends "opcode(a[..], b[..] -> c[..]) attr=v flops=n" to @p out:
-     *  operands as name plus Shape::str(), attrs in key order, and flops
-     *  only when non-zero. Integers go through appendInt(), so a listing
-     *  of many fragments grows one buffer instead of a temporary per
-     *  operand and attribute. */
-    void appendTo(std::string &out) const;
+    bool isTransfer() const { return kind != FragmentKind::Compute; }
+
+    /** "tload", "tstore", or a compute fragment's opcode. */
+    std::string_view mnemonic() const;
+
+    /** Appends "mnemonic(a[..], b[..] -> c[..]) attr=v flops=n" to @p out,
+     *  @p tag before the mnemonic: operands as name plus Shape::str(),
+     *  each present attribute in the order of its key's spelling (bytes,
+     *  const_bits, dimN with dim10 before dim2, elements, guarded=1,
+     *  move_elems, reduce_extent), and flops only when non-zero.
+     *  Integers go through appendInt(), so a listing of many fragments
+     *  grows one buffer instead of a temporary per operand and
+     *  attribute. */
+    void appendTo(std::string &out, std::string_view tag = {}) const;
 
     /** appendTo() into a fresh string. */
     std::string str() const;
 };
 
-/** πd: the accumulated accelerator program for one domain. */
-struct AccelProgram
-{
-    std::string accel;
-    Domain domain = Domain::None;
-    std::vector<IrFragment> fragments;
-};
+/** The tload (@p kind Load) or tstore (Store) fragment of @p tensor. */
+IrFragment transferFragment(FragmentKind kind, TensorArg tensor);
+
+/** The operand for value @p v of @p graph: its name ('%' and the id when
+ *  unnamed), shape, dtype and edge kind. */
+TensorArg tensorArg(const ir::Graph &graph, ir::ValueId v);
+
+/** +d as a listing rule: the prefix render() prints before a compute
+ *  fragment's opcode in πd (RoboX's "vector/", ...). A function of the
+ *  fragment alone; it never reaches pricing or ledger labels. */
+using ListingTag = std::string_view (*)(const IrFragment &);
 
 /** Translation function: given the graph and one supported node, produce
  *  the accelerator-IR fragment for it. */
@@ -97,8 +137,9 @@ struct AcceleratorSpec
      *  entry use the generic structural translator. */
     std::map<ir::Op, TranslateFn> translators;
 
-    /** +d: fragment combiner; default appends. */
-    std::function<void(AccelProgram &, IrFragment)> combine;
+    /** +d: the listing tag of this accelerator's fragments; none when
+     *  null. */
+    ListingTag listingTag = nullptr;
 
     /** Component ops this accelerator should be chosen for, when several
      *  accelerators serve the same domain (e.g. Black-Scholes on
@@ -163,8 +204,9 @@ class AcceleratorRegistry
 /** Builds the generic structural fragment for @p node (used when a spec
  *  lists an op as supported without a custom translator). Applies the
  *  argument-assignment steps of Section IV-C: operand tensors become
- *  inputs/outputs with their type modifiers, shapes are attached as
- *  attributes, and state edges are marked for on-chip initialization. */
+ *  inputs/outputs with their type modifiers, the iteration domain is
+ *  attached as the dims (and reduce_extent), identity moves carry
+ *  move_elems, predicated nodes guarded, and constants const_bits. */
 IrFragment genericTranslate(const ir::Graph &graph, const ir::Node &node);
 
 } // namespace polymath::lower

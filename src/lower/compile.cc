@@ -1,5 +1,7 @@
 #include "lower/compile.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "core/strings.h"
@@ -27,8 +29,8 @@ int64_t
 Partition::storeBytes() const
 {
     int64_t n = 0;
-    for (const auto &t : stores)
-        n += t.bytes();
+    for (const auto &s : stores)
+        n += s.tensor.bytes();
     return n;
 }
 
@@ -53,20 +55,80 @@ CompiledProgram::transferBytes() const
 std::string
 CompiledProgram::render() const
 {
+    // Every tstore at the point Algorithm 2 emitted it: (q, j) just before
+    // fragment j of partition q, (partitions.size(), k) for graph output
+    // k, after every partition.
+    struct StoreLine
+    {
+        std::pair<size_t, size_t> at;
+        const Partition *producer;
+        const TensorArg *tensor;
+    };
+    std::vector<StoreLine> stores;
+    std::vector<std::string_view> accels;
+    for (const auto &p : partitions) {
+        accels.push_back(p.accel);
+        for (const auto &s : p.stores) {
+            const size_t q = s.consumer == StoredTensor::kGraphOutput
+                                 ? partitions.size()
+                                 : static_cast<size_t>(s.consumer);
+            stores.push_back({{q, static_cast<size_t>(s.at)}, &p, &s.tensor});
+        }
+    }
+    std::sort(stores.begin(), stores.end(),
+              [](const StoreLine &a, const StoreLine &b) {
+                  return a.at < b.at;
+              });
+    std::sort(accels.begin(), accels.end());
+    accels.erase(std::unique(accels.begin(), accels.end()), accels.end());
+
+    // πd per accelerator, in name order: its partitions' fragments with
+    // its partitions' stores merged in, headed by its first partition's
+    // domain.
     std::string out;
-    for (const auto &[accel, prog] : programs) {
+    for (const std::string_view accel : accels) {
+        const Partition *first = nullptr;
+        size_t count = 0;
+        for (const auto &p : partitions) {
+            if (p.accel != accel)
+                continue;
+            if (!first)
+                first = &p;
+            count += p.fragments.size() + p.stores.size();
+        }
         out += "program ";
-        out += lang::toString(prog.domain);
+        out += lang::toString(first->domain);
         out += " on ";
         out += accel;
         out += " (";
-        appendInt(out, static_cast<int64_t>(prog.fragments.size()));
+        appendInt(out, static_cast<int64_t>(count));
         out += " fragments)\n";
-        for (const auto &f : prog.fragments) {
-            out += "  ";
-            f.appendTo(out);
-            out += '\n';
+        auto next = stores.begin();
+        const auto list_stores_through = [&](std::pair<size_t, size_t> at) {
+            for (; next != stores.end() && next->at <= at; ++next) {
+                if (next->producer->accel != accel)
+                    continue;
+                out += "  ";
+                transferFragment(FragmentKind::Store, *next->tensor)
+                    .appendTo(out);
+                out += '\n';
+            }
+        };
+        for (size_t q = 0; q < partitions.size(); ++q) {
+            const Partition &p = partitions[q];
+            if (p.accel != accel)
+                continue;
+            for (size_t j = 0; j < p.fragments.size(); ++j) {
+                list_stores_through({q, j});
+                const IrFragment &f = p.fragments[j];
+                out += "  ";
+                f.appendTo(out, p.listingTag && !f.isTransfer()
+                                    ? p.listingTag(f)
+                                    : std::string_view());
+                out += '\n';
+            }
         }
+        list_stores_through({partitions.size(), SIZE_MAX});
     }
     out += "schedule: ";
     appendInt(out, static_cast<int64_t>(partitions.size()));
@@ -98,36 +160,6 @@ CompiledProgram::render() const
 }
 
 namespace {
-
-TensorArg
-argOf(const Graph &graph, ValueId v)
-{
-    const auto &md = graph.value(v).md;
-    TensorArg arg;
-    if (md.name.empty()) {
-        arg.name += '%';
-        arg.name += std::to_string(v);
-    } else {
-        arg.name = md.name;
-    }
-    arg.shape = md.shape;
-    arg.dtype = md.dtype;
-    arg.kind = md.kind;
-    return arg;
-}
-
-IrFragment
-transferFragment(const Graph &graph, ValueId v, bool is_load)
-{
-    IrFragment frag;
-    frag.opcode = is_load ? "tload" : "tstore";
-    if (is_load)
-        frag.inputs.push_back(argOf(graph, v));
-    else
-        frag.outputs.push_back(argOf(graph, v));
-    frag.attrs["bytes"] = argOf(graph, v).bytes();
-    return frag;
-}
 
 /**
  * Kahn scheduling with accelerator affinity: among ready nodes, stay on
@@ -238,6 +270,18 @@ compileProgram(const Graph &graph, const AcceleratorRegistry &registry,
         current_index = static_cast<int>(out.partitions.size()) - 1;
         current->domain = dom;
         current->accel = spec.name;
+        current->listingTag = spec.listingTag;
+    };
+
+    // The producing partition stores each value out once, by name.
+    auto store_once = [&](Partition &producer, const TensorArg &tensor,
+                          int consumer, size_t at) {
+        for (const auto &s : producer.stores) {
+            if (s.tensor.name == tensor.name)
+                return;
+        }
+        producer.stores.push_back(
+            StoredTensor{tensor, consumer, static_cast<int>(at)});
     };
 
     auto domain_name = [](Domain dom) {
@@ -285,12 +329,12 @@ compileProgram(const Graph &graph, const AcceleratorRegistry &registry,
         auto add_load = [&](ValueId v) {
             if (!needs_load(v) || !loaded.insert(v).second)
                 return;
-            bool already = false;
-            for (const auto &l : current->loads)
-                already = already || l.name == argOf(graph, v).name;
-            if (already)
-                return;
-            current->loads.push_back(argOf(graph, v));
+            TensorArg arg = tensorArg(graph, v);
+            for (const auto &l : current->loads) {
+                if (l.name == arg.name)
+                    return;
+            }
+            current->loads.push_back(arg);
             const int src = partition_of_value[static_cast<size_t>(v)];
             if (src >= 0) {
                 bool dep_known = false;
@@ -298,20 +342,11 @@ compileProgram(const Graph &graph, const AcceleratorRegistry &registry,
                     dep_known = dep_known || d == src;
                 if (!dep_known)
                     current->deps.push_back(src);
-                // The producing partition must store the value out.
-                auto &producer = out.partitions[static_cast<size_t>(src)];
-                bool stored = false;
-                for (const auto &s : producer.stores)
-                    stored = stored || s.name == argOf(graph, v).name;
-                if (!stored) {
-                    producer.stores.push_back(argOf(graph, v));
-                    out.programs[producer.accel].fragments.push_back(
-                        transferFragment(graph, v, false));
-                }
+                store_once(out.partitions[static_cast<size_t>(src)], arg,
+                           current_index, current->fragments.size());
             }
-            out.programs[spec->name].fragments.push_back(
-                transferFragment(graph, v, true));
-            current->fragments.push_back(transferFragment(graph, v, true));
+            current->fragments.push_back(
+                transferFragment(FragmentKind::Load, std::move(arg)));
         };
         for (const auto &in : graph.ins(node)) {
             if (!in.isIndexOperand())
@@ -321,22 +356,10 @@ compileProgram(const Graph &graph, const AcceleratorRegistry &registry,
             add_load(node.base);
 
         // Translate the node: spec override or the generic translator.
-        auto &prog = out.programs[spec->name];
-        if (prog.accel.empty()) {
-            prog.accel = spec->name;
-            prog.domain = dom;
-        }
-        IrFragment frag;
         auto t = spec->translators.find(node.op);
-        if (t != spec->translators.end())
-            frag = t->second(graph, node);
-        else
-            frag = genericTranslate(graph, node);
-        if (spec->combine)
-            spec->combine(prog, frag);
-        else
-            prog.fragments.push_back(frag);
-        current->fragments.push_back(std::move(frag));
+        current->fragments.push_back(t != spec->translators.end()
+                                         ? t->second(graph, node)
+                                         : genericTranslate(graph, node));
         current->ops.insert(node.op);
 
         for (const auto &o : graph.outs(node))
@@ -347,18 +370,12 @@ compileProgram(const Graph &graph, const AcceleratorRegistry &registry,
     close_partition_span();
 
     // Graph outputs leave the last producing partitions.
-    for (ValueId v : graph.outputs) {
+    for (size_t k = 0; k < graph.outputs.size(); ++k) {
+        const ValueId v = graph.outputs[k];
         const int src = partition_of_value[static_cast<size_t>(v)];
-        if (src < 0)
-            continue;
-        auto &producer = out.partitions[static_cast<size_t>(src)];
-        bool stored = false;
-        for (const auto &s : producer.stores)
-            stored = stored || s.name == argOf(graph, v).name;
-        if (!stored) {
-            producer.stores.push_back(argOf(graph, v));
-            out.programs[producer.accel].fragments.push_back(
-                transferFragment(graph, v, false));
+        if (src >= 0) {
+            store_once(out.partitions[static_cast<size_t>(src)],
+                       tensorArg(graph, v), StoredTensor::kGraphOutput, k);
         }
     }
 

@@ -3,14 +3,14 @@
  * Algorithm 2: compilation from a lowered srDFG to accelerator IR.
  *
  * Walks the lowered graph in dataflow order, applies each node's
- * translation function t from the domain's AcceleratorSpec, accumulates
- * fragments into per-domain programs πd with +d, and inserts tload/tstore
- * fragments wherever an edge crosses a domain boundary (the data-transfer
- * rule at the end of Section IV-C).
+ * translation function t from the domain's AcceleratorSpec, and inserts
+ * tload/tstore transfers wherever an edge crosses a domain boundary (the
+ * data-transfer rule at the end of Section IV-C).
  *
- * The result also carries an execution partitioning — maximal same-domain
- * runs of the schedule with their DMA sets — which is what the SoC runtime
- * consumes for multi-acceleration.
+ * Fragments land once, in an execution partitioning — maximal
+ * same-domain runs of the schedule with their DMA sets — which is what
+ * the SoC runtime consumes for multi-acceleration. The per-accelerator
+ * programs πd are a view of the partitions that render() prints.
  */
 #ifndef POLYMATH_LOWER_COMPILE_H_
 #define POLYMATH_LOWER_COMPILE_H_
@@ -29,12 +29,30 @@ namespace polymath::lower {
  *  runtime has no backend of this name, so they always run on the host). */
 inline constexpr const char *kHostAccel = "host-cpu";
 
+/** A tensor DMA'd out of a partition, and where Algorithm 2 emitted its
+ *  tstore (render() lists it there): just before fragment `at` of
+ *  partition `consumer`, or, when `consumer` is kGraphOutput, as entry
+ *  `at` of graph.outputs. */
+struct StoredTensor
+{
+    static constexpr int kGraphOutput = -1;
+
+    TensorArg tensor;
+    int consumer = kGraphOutput;
+    int at = 0;
+};
+
 /** One schedulable unit: a maximal same-domain run of the lowered graph. */
 struct Partition
 {
     Domain domain = Domain::None;
     std::string accel;
+
+    /** Its computes and tloads, in emission order (tstores are stores). */
     std::vector<IrFragment> fragments;
+
+    /** The accelerator spec's +d listing rule (AcceleratorSpec). */
+    ListingTag listingTag = nullptr;
 
     /** Source ops of the srDFG nodes this partition was translated from
      *  (transfer fragments excluded) — the compatibility footprint for
@@ -48,7 +66,7 @@ struct Partition
 
     /** Tensors DMA'd back out (graph outputs and values consumed by later
      *  partitions). */
-    std::vector<TensorArg> stores;
+    std::vector<StoredTensor> stores;
 
     /** Indices of earlier partitions this one consumes data from. */
     std::vector<int> deps;
@@ -91,10 +109,6 @@ class RenderOnce
 /** The compiled multi-accelerator program: πd1 ... πdn plus schedule. */
 struct CompiledProgram
 {
-    /** Accumulated accelerator programs πd, keyed by accelerator name
-     *  (domains normally map 1:1 to accelerators; finance splits DA). */
-    std::map<std::string, AccelProgram> programs;
-
     /** Execution schedule for the SoC host manager. */
     std::vector<Partition> partitions;
 
@@ -104,7 +118,10 @@ struct CompiledProgram
     /** Total bytes moved across domain boundaries. */
     int64_t transferBytes() const;
 
-    /** Renders the programs and schedule afresh. */
+    /** Renders the programs and schedule afresh: one πd per accelerator
+     *  name in string order (domains normally map 1:1 to accelerators;
+     *  finance splits DA), headed by its first partition's domain, with
+     *  its partitions' fragments and tstores in emission order. */
     std::string render() const;
 
     /** The listing: render() on the first call, then the same string for

@@ -30,15 +30,6 @@ Backend::Backend(std::string name, lang::Domain domain,
 
 namespace {
 
-// Opcodes compare as string_views: lengths first, then bytes.
-
-bool
-isMove(const lower::IrFragment &frag)
-{
-    const std::string_view op = frag.opcode;
-    return op == "tload" || op == "tstore";
-}
-
 /** Each fragment's dependence level, -1 for tload/tstore; @p count
  *  receives the number of levels. */
 std::vector<int>
@@ -51,7 +42,7 @@ levelOfFragments(const lower::Partition &partition, size_t &count)
     count = 0;
     for (size_t i = 0; i < partition.fragments.size(); ++i) {
         const lower::IrFragment &frag = partition.fragments[i];
-        if (isMove(frag))
+        if (frag.isTransfer())
             continue;
         size_t level = 0;
         for (const auto &in : frag.inputs) {
@@ -113,10 +104,10 @@ Backend::analyze(const lower::Partition &partition) const
         const lower::IrFragment &frag = partition.fragments[i];
         PartitionAnalysis::Fragment &f = a.fragments[i];
         f.flops = frag.flops;
-        f.move = isMove(frag);
+        f.move = frag.isTransfer();
         if (facts) {
             LedgerFacts &l = (*facts)[i];
-            l.label = frag.opcode;
+            l.label = frag.mnemonic();
             if (!frag.outputs.empty()) {
                 l.label += '(';
                 l.label += frag.outputs.front().name;
@@ -181,8 +172,8 @@ dmaBreakdown(const lower::Partition &partition)
     };
     for (const auto &t : partition.loads)
         account(t);
-    for (const auto &t : partition.stores)
-        account(t);
+    for (const auto &s : partition.stores)
+        account(s.tensor);
     return out;
 }
 
@@ -206,7 +197,7 @@ hostPartitionCost(const lower::Partition &partition,
         double per_edge = 0.0;
         double per_vertex = 0.0;
         for (const auto &frag : partition.fragments) {
-            if (isMove(frag))
+            if (frag.isTransfer())
                 continue;
             (isEdgeDomain(frag) ? per_edge : per_vertex) +=
                 opsPerPoint(frag);
@@ -236,7 +227,7 @@ invariantFragments(const lower::Partition &partition)
     std::vector<bool> out(partition.fragments.size(), false);
     for (size_t i = 0; i < partition.fragments.size(); ++i) {
         const auto &frag = partition.fragments[i];
-        if (isMove(frag))
+        if (frag.isTransfer())
             continue;
         bool invariant = true;
         for (const auto &in : frag.inputs)
@@ -298,18 +289,15 @@ analyzeLevels(const lower::Partition &partition, PartitionAnalysis &a)
 bool
 isEdgeDomain(const lower::IrFragment &frag)
 {
-    return frag.attrs.count("dim1") > 0 ||
-           frag.attrs.count("reduce_extent") > 0;
+    return frag.attrs.dims.size() > 1 || frag.attrs.reduceExtent;
 }
 
 double
 opsPerPoint(const lower::IrFragment &frag)
 {
     double points = 1.0;
-    for (const auto &[key, v] : frag.attrs) {
-        if (key.rfind("dim", 0) == 0)
-            points *= static_cast<double>(v);
-    }
+    for (const int64_t extent : frag.attrs.dims)
+        points *= static_cast<double>(extent);
     if (points <= 0)
         return 0.0;
     return static_cast<double>(frag.flops) / points;

@@ -313,8 +313,7 @@ WorkloadCost hostPartitionCost(const lower::Partition &partition,
 inline int64_t
 fragmentWork(const lower::IrFragment &frag)
 {
-    auto it = frag.attrs.find("move_elems");
-    return frag.flops + (it != frag.attrs.end() ? it->second : 0);
+    return frag.flops + frag.attrs.moveElems.value_or(0);
 }
 
 /** Marks fragments whose results derive only from read-only `param`

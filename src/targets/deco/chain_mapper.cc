@@ -61,17 +61,15 @@ mapChains(const lower::Partition &partition, const ChainConfig &config)
     std::vector<Item> items;
     std::map<std::string, size_t> writer;
     for (const auto &frag : partition.fragments) {
-        if (frag.opcode == "tload" || frag.opcode == "tstore")
+        if (frag.isTransfer())
             continue;
-        if (frag.flops <= 0 && !frag.attrs.count("move_elems"))
+        if (frag.flops <= 0 && !frag.attrs.moveElems)
             continue;
         Item item;
         item.frag = &frag;
         int64_t elements = 1;
-        for (const auto &[key, value] : frag.attrs) {
-            if (key.rfind("dim", 0) == 0)
-                elements *= value;
-        }
+        for (const int64_t extent : frag.attrs.dims)
+            elements *= extent;
         item.elements = std::max<int64_t>(elements, 1);
         for (const auto &in : frag.inputs) {
             auto it = writer.find(in.name);

@@ -29,7 +29,7 @@ HyperstreamsBackend::spec() const
                 if (in.shape.rank() >= 1)
                     options = std::max(options, in.shape.dim(0));
             }
-            frag.attrs["elements"] = options;
+            frag.attrs.elements = options;
             return frag;
         };
     return s;
@@ -40,10 +40,8 @@ HyperstreamsBackend::analyzeImpl(const lower::Partition &partition,
                                  PartitionAnalysis &a) const
 {
     for (size_t i = 0; i < a.fragments.size(); ++i) {
-        const auto &attrs = partition.fragments[i].attrs;
-        auto it = attrs.find("elements");
-        if (it != attrs.end())
-            a.fragments[i].elements = it->second;
+        if (const auto &elements = partition.fragments[i].attrs.elements)
+            a.fragments[i].elements = *elements;
     }
 }
 

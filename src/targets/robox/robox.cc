@@ -23,17 +23,13 @@ RoboxBackend::spec() const
     s.supportedOps = opsUnion(scalarAluOps(), extra);
     s.supportedOps.merge(groupOps());
 
-    // RoboX consumes vector/group macro-ops; tag them for its sequencer.
-    s.combine = [](lower::AccelProgram &prog, lower::IrFragment frag) {
-        if (frag.attrs.count("reduce_extent"))
-            frag.opcode = "group/" + frag.opcode;
-        else if (frag.attrs.count("dim0"))
-            frag.opcode = "vector/" + frag.opcode;
-        else if (frag.opcode != "tload" && frag.opcode != "tstore" &&
-                 frag.opcode != "const") {
-            frag.opcode = "scalar/" + frag.opcode;
-        }
-        prog.fragments.push_back(std::move(frag));
+    // RoboX consumes vector/group macro-ops; its listing tags them.
+    s.listingTag = [](const lower::IrFragment &frag) -> std::string_view {
+        if (frag.attrs.reduceExtent)
+            return "group/";
+        if (!frag.attrs.dims.empty())
+            return "vector/";
+        return frag.opcode == "const" ? "" : "scalar/";
     };
     return s;
 }

@@ -52,7 +52,7 @@ listSchedule(const lower::Partition &partition, const ScheduleConfig &config)
     std::map<std::string, size_t> last_writer;
     std::set<std::string> buffered; // tensors already on-chip
     for (const auto &frag : partition.fragments) {
-        if (frag.opcode == "tload" || frag.opcode == "tstore")
+        if (frag.isTransfer())
             continue;
         Item item;
         item.frag = &frag;
@@ -152,7 +152,7 @@ listSchedule(const lower::Partition &partition, const ScheduleConfig &config)
             if (item.work <= 0) {
                 item.done = true;
                 item.finishCycle = now + step;
-                if (item.frag->attrs.count("reduce_extent"))
+                if (item.frag->attrs.reduceExtent)
                     item.finishCycle += config.reduceTreeLatency;
                 --remaining;
                 for (size_t c : consumers[i]) {

@@ -35,7 +35,7 @@ TablaBackend::analyzeImpl(const lower::Partition &partition,
         PartitionAnalysis::Fragment &f = a.fragments[i];
         f.work = fragmentWork(frag);
         f.invariant = invariant[i];
-        f.reduce = frag.attrs.count("reduce_extent") > 0;
+        f.reduce = frag.attrs.reduceExtent.has_value();
     }
     analyzeLevels(partition, a);
 }

@@ -396,15 +396,14 @@ optimalPartition(const Benchmark &bench, const lower::Partition &compiled)
         // the native per-edge/per-vertex op counts.
         lower::IrFragment process;
         process.opcode = "process_edges/native";
-        process.attrs["dim0"] = 48;
-        process.attrs["dim1"] = 48;
-        process.attrs["reduce_extent"] = 48;
+        process.attrs.dims = {48, 48};
+        process.attrs.reduceExtent = 48;
         process.flops = static_cast<int64_t>(
             bench.optimalOpsPerEdge * 48.0 * 48.0);
         opt.fragments.push_back(process);
         lower::IrFragment apply;
         apply.opcode = "apply/native";
-        apply.attrs["dim0"] = 48;
+        apply.attrs.dims = {48};
         apply.flops =
             static_cast<int64_t>(bench.optimalOpsPerVertex * 48.0);
         opt.fragments.push_back(apply);

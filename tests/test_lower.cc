@@ -7,7 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <string_view>
 
 #include "core/strings.h"
 #include "interp/interpreter.h"
@@ -163,7 +166,7 @@ TEST(Compile, FragmentsCarryOperandsAndStats)
     for (const auto &frag : part.fragments) {
         if (frag.opcode == "sum") {
             has_reduce = true;
-            EXPECT_EQ(frag.attrs.at("reduce_extent"), 3);
+            EXPECT_EQ(frag.attrs.reduceExtent, 3);
             EXPECT_EQ(frag.flops, 8); // 4 outputs x (3-1)
         }
     }
@@ -211,7 +214,7 @@ main(input float x[8], output float z) {
     EXPECT_EQ(second.deps[0], 0);
     bool y_stored = false;
     for (const auto &s : compiled.partitions[0].stores)
-        y_stored |= s.name == "y";
+        y_stored |= s.tensor.name == "y";
     EXPECT_TRUE(y_stored);
     EXPECT_GT(compiled.transferBytes(), 0);
 }
@@ -268,13 +271,22 @@ TEST(Compile, ProgramRenderingIsStable)
 }
 
 
-// The listing renderer as it was written before it appended in place:
-// one temporary per operand, attribute and line. Kept as the byte-level
+// The listing renderer as it was written before it appended in place and
+// before πd became a view of the partitions: one temporary per operand,
+// attribute and line, attributes through a string-keyed map, and each πd
+// replayed in Algorithm 2's emission order. Kept as the byte-level
 // reference for IrFragment::str() and CompiledProgram::render().
 std::string
-referenceFragmentStr(const lower::IrFragment &f)
+referenceFragmentStr(const lower::IrFragment &f, const std::string &tag = "")
 {
-    std::string out = f.opcode + "(";
+    std::string out = tag;
+    if (f.kind == lower::FragmentKind::Load)
+        out += "tload";
+    else if (f.kind == lower::FragmentKind::Store)
+        out += "tstore";
+    else
+        out += f.opcode;
+    out += "(";
     bool first = true;
     for (const auto &in : f.inputs) {
         if (!first)
@@ -291,7 +303,23 @@ referenceFragmentStr(const lower::IrFragment &f)
         out += o.name + o.shape.str();
     }
     out += ")";
-    for (const auto &[k, v] : f.attrs)
+    const lower::FragmentAttrs &a = f.attrs;
+    std::map<std::string, int64_t> attrs;
+    if (a.bytes)
+        attrs["bytes"] = *a.bytes;
+    if (a.constBits)
+        attrs["const_bits"] = *a.constBits;
+    for (size_t i = 0; i < a.dims.size(); ++i)
+        attrs["dim" + std::to_string(i)] = a.dims[i];
+    if (a.elements)
+        attrs["elements"] = *a.elements;
+    if (a.guarded)
+        attrs["guarded"] = 1;
+    if (a.moveElems)
+        attrs["move_elems"] = *a.moveElems;
+    if (a.reduceExtent)
+        attrs["reduce_extent"] = *a.reduceExtent;
+    for (const auto &[k, v] : attrs)
         out += " " + k + "=" + std::to_string(v);
     if (f.flops)
         out += format(" flops=%lld", static_cast<long long>(f.flops));
@@ -301,13 +329,59 @@ referenceFragmentStr(const lower::IrFragment &f)
 std::string
 referenceRender(const lower::CompiledProgram &cp)
 {
+    // Replays emission: a store lands in its producer's πd just before the
+    // fragment of the consumer it was emitted for; graph outputs last, in
+    // graph.outputs order. A πd takes the domain of its first partition.
+    struct Program
+    {
+        Domain domain = Domain::None;
+        std::vector<std::string> lines;
+    };
+    std::map<std::string, Program> programs;
+    auto emit = [&](const lower::Partition &p, const std::string &line) {
+        auto [it, fresh] = programs.try_emplace(p.accel);
+        if (fresh)
+            it->second.domain = p.domain;
+        it->second.lines.push_back(line);
+    };
+    auto emit_stores = [&](int consumer, int at) {
+        for (const auto &p : cp.partitions) {
+            for (const auto &s : p.stores) {
+                if (s.consumer != consumer || s.at != at)
+                    continue;
+                lower::IrFragment store;
+                store.kind = lower::FragmentKind::Store;
+                store.outputs = {s.tensor};
+                store.attrs.bytes = s.tensor.bytes();
+                emit(p, referenceFragmentStr(store));
+            }
+        }
+    };
+    int outputs = 0;
+    for (size_t q = 0; q < cp.partitions.size(); ++q) {
+        const auto &p = cp.partitions[q];
+        for (size_t j = 0; j < p.fragments.size(); ++j) {
+            emit_stores(static_cast<int>(q), static_cast<int>(j));
+            const auto &f = p.fragments[j];
+            emit(p, referenceFragmentStr(
+                        f, p.listingTag && f.kind == lower::FragmentKind::Compute
+                               ? std::string(p.listingTag(f))
+                               : ""));
+        }
+        for (const auto &s : p.stores) {
+            if (s.consumer == lower::StoredTensor::kGraphOutput)
+                outputs = std::max(outputs, s.at + 1);
+        }
+    }
+    for (int k = 0; k < outputs; ++k)
+        emit_stores(lower::StoredTensor::kGraphOutput, k);
+
     std::string out;
-    for (const auto &[accel, prog] : cp.programs) {
+    for (const auto &[accel, prog] : programs) {
         out += "program " + lang::toString(prog.domain) + " on " + accel +
-               " (" + std::to_string(prog.fragments.size()) +
-               " fragments)\n";
-        for (const auto &f : prog.fragments)
-            out += "  " + referenceFragmentStr(f) + "\n";
+               " (" + std::to_string(prog.lines.size()) + " fragments)\n";
+        for (const auto &line : prog.lines)
+            out += "  " + line + "\n";
     }
     out += format("schedule: %zu partitions, %lld boundary bytes\n",
                   cp.partitions.size(),
@@ -329,6 +403,13 @@ referenceRender(const lower::CompiledProgram &cp)
     return out;
 }
 
+/** A test listing rule: tags reductions, leaves the rest bare. */
+std::string_view
+reduceTag(const lower::IrFragment &f)
+{
+    return f.attrs.reduceExtent ? "r/" : "";
+}
+
 TEST(CompiledProgram, RenderMatchesReference)
 {
     const auto &registry = target::standardRegistry();
@@ -346,38 +427,64 @@ TEST(CompiledProgram, RenderMatchesReference)
         EXPECT_EQ(compiled.render(), referenceRender(compiled));
     }
 
-    // Hand-built fragments over the corners the suite may not reach.
+    // Hand-built fragments over the corners the suite may not reach:
+    // every attribute, extreme values, and eleven dims (dim10 sorts
+    // before dim2, as the string-keyed map ordered them).
     lower::IrFragment none;
     none.opcode = "const";
     none.outputs.push_back({"c", Shape(), DType::Float, {}});
     lower::IrFragment rank3;
-    rank3.opcode = "tload";
+    rank3.kind = lower::FragmentKind::Load;
     rank3.inputs.push_back({"base", Shape({2, 30, 400}), DType::Int, {}});
     rank3.inputs.push_back({"s", Shape(), DType::Float, {}});
     rank3.outputs.push_back({"%17", Shape({2, 30, 400}), DType::Int, {}});
     rank3.outputs.push_back({"t", Shape({0}), DType::Complex, {}});
-    rank3.attrs = {{"axis", 2}, {"neg", -7}, {"min", INT64_MIN},
-                   {"max", INT64_MAX}, {"zero", 0}};
+    rank3.attrs.bytes = INT64_MIN;
+    rank3.attrs.constBits = -7;
+    rank3.attrs.dims = {2, 30, 400, 0, -1, 5, 6, 7, 8, 9, INT64_MAX};
+    rank3.attrs.elements = 0;
+    rank3.attrs.guarded = true;
+    rank3.attrs.moveElems = INT64_MAX;
+    rank3.attrs.reduceExtent = 2;
     rank3.flops = int64_t{1} << 40;
+    lower::IrFragment reduce = rank3;
+    reduce.kind = lower::FragmentKind::Compute;
+    reduce.opcode = "sum";
     lower::IrFragment empty;
     empty.flops = -3;
-    for (const auto *f : {&none, &rank3, &empty})
+    for (const auto *f : {&none, &rank3, &reduce, &empty})
         EXPECT_EQ(f->str(), referenceFragmentStr(*f));
+    EXPECT_NE(rank3.str().find(" dim1=30 dim10=9223372036854775807 dim2=400"),
+              std::string::npos);
 
+    // πd over partitions: X's second run lists under X's first domain, a
+    // store precedes the fragment it feeds, graph outputs come last in
+    // their order whichever partition made them, and the tag marks only
+    // compute fragments.
     lower::CompiledProgram cp;
-    cp.programs["X"].domain = Domain::DSP;
-    cp.programs["X"].fragments = {none, rank3, empty};
-    cp.programs["Y"].domain = Domain::None;
-    cp.partitions.resize(2);
+    cp.partitions.resize(3);
     cp.partitions[0].accel = "X";
     cp.partitions[0].domain = Domain::DSP;
-    cp.partitions[0].fragments = {rank3};
+    cp.partitions[0].fragments = {none, rank3, reduce, empty};
+    cp.partitions[0].listingTag = reduceTag;
     cp.partitions[0].loads = rank3.inputs;
+    cp.partitions[0].stores = {{rank3.outputs[0], 1, 1},
+                               {rank3.outputs[1], 2, 0},
+                               {none.outputs[0],
+                                lower::StoredTensor::kGraphOutput, 1}};
     cp.partitions[1].accel = lower::kHostAccel;
-    cp.partitions[1].stores = rank3.outputs;
+    cp.partitions[1].fragments = {empty, rank3};
+    cp.partitions[1].stores = {
+        {rank3.inputs[1], lower::StoredTensor::kGraphOutput, 0}};
     cp.partitions[1].deps = {0, 0};
+    cp.partitions[2].accel = "X";
+    cp.partitions[2].domain = Domain::DL;
+    cp.partitions[2].fragments = {rank3, reduce};
+    cp.partitions[2].listingTag = reduceTag;
+    cp.partitions[2].deps = {0};
     EXPECT_EQ(cp.render(), referenceRender(cp));
     EXPECT_EQ(cp.str(), referenceRender(cp));
+    EXPECT_EQ(cp.render().rfind("program DSP on X (9 fragments)", 0), 0u);
 }
 
 } // namespace

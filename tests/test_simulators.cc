@@ -227,7 +227,7 @@ TEST(ChainMapper, FusesLinearElementwisePipelines)
         lower::IrFragment f;
         f.opcode = op;
         f.flops = elems;
-        f.attrs["dim0"] = elems;
+        f.attrs.dims = {elems};
         lower::TensorArg a;
         a.name = in;
         lower::TensorArg b;
@@ -254,7 +254,7 @@ TEST(ChainMapper, DifferentExtentsBreakChains)
         lower::IrFragment f;
         f.opcode = "k";
         f.flops = elems;
-        f.attrs["dim0"] = elems;
+        f.attrs.dims = {elems};
         lower::TensorArg a;
         a.name = in;
         lower::TensorArg b;
@@ -290,8 +290,8 @@ TEST(ChainMapper, RealDspWorkloadsMapCompletely)
         size_t compute_frags = 0;
         for (const auto &frag : compiled.partitions.front().fragments) {
             compute_frags +=
-                frag.opcode != "tload" && frag.opcode != "tstore" &&
-                (frag.flops > 0 || frag.attrs.count("move_elems"));
+                !frag.isTransfer() &&
+                (frag.flops > 0 || frag.attrs.moveElems.has_value());
         }
         EXPECT_EQ(mapped_ops, compute_frags) << id;
     }

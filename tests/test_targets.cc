@@ -335,12 +335,61 @@ TEST(BackendSimulate, CallCounterCountsEveryConcurrentCall)
     }
 }
 
+TEST(TransferKind, ReductionNamedLikeATransferIsPricedAsCompute)
+{
+    // A transfer is a fragment kind, not an opcode spelling: a user
+    // reduction named `tload` or `tstore` keeps its ledger entry and is
+    // priced exactly as the same reduction under any other name.
+    auto program = [](const std::string &name) {
+        return "reduction " + name +
+               "(a, b) = a < b ? a : b;\n"
+               "main(input float x[64][64], output float m[64]) {\n"
+               "    index i[0:63], j[0:63];\n"
+               "    m[i] = " + name + "[j](x[i][j]);\n"
+               "}\n";
+    };
+    const auto &registry = standardRegistry();
+    for (const lang::Domain dom : {lang::Domain::DA, lang::Domain::RBT}) {
+        const auto plain =
+            wl::compileBenchmark(program("mymin"), {}, registry, dom);
+        for (const std::string alias : {"tload", "tstore"}) {
+            SCOPED_TRACE(lang::toString(dom) + " " + alias);
+            const auto aliased =
+                wl::compileBenchmark(program(alias), {}, registry, dom);
+            ASSERT_EQ(aliased.partitions.size(), plain.partitions.size());
+            for (size_t i = 0; i < plain.partitions.size(); ++i) {
+                const Partition &p = plain.partitions[i];
+                const Partition &a = aliased.partitions[i];
+                const Backend &b = *findBackend(p.accel);
+                const ProfilingScope profiling;
+                const PerfReport rp = b.simulate(p, b.analyze(p), {});
+                const PerfReport ra = b.simulate(a, b.analyze(a), {});
+                EXPECT_EQ(ra.seconds, rp.seconds);
+                EXPECT_EQ(ra.joules, rp.joules);
+                EXPECT_EQ(ra.flops, rp.flops);
+                ASSERT_NE(rp.ledger, nullptr);
+                ASSERT_NE(ra.ledger, nullptr);
+                ASSERT_EQ(ra.ledger->entries.size(),
+                          rp.ledger->entries.size());
+                for (size_t k = 0; k < rp.ledger->entries.size(); ++k) {
+                    std::string label(rp.ledger->entries[k].label);
+                    if (label.rfind("mymin(", 0) == 0)
+                        label.replace(0, 5, alias);
+                    EXPECT_EQ(ra.ledger->entries[k].label, label);
+                    EXPECT_EQ(ra.ledger->entries[k].seconds,
+                              rp.ledger->entries[k].seconds);
+                }
+            }
+        }
+    }
+}
+
 TEST(FragmentWork, CountsFlopsPlusMoveElements)
 {
     lower::IrFragment frag;
     frag.flops = 100;
     EXPECT_EQ(fragmentWork(frag), 100);
-    frag.attrs["move_elems"] = 40;
+    frag.attrs.moveElems = 40;
     EXPECT_EQ(fragmentWork(frag), 140);
 }
 
@@ -394,7 +443,7 @@ TEST(InvariantFragments, RoboxChargesThemOnce)
     IrFragment concat;
     concat.opcode = "identity";
     concat.flops = 0;
-    concat.attrs["move_elems"] = 100000;
+    concat.attrs.moveElems = 100000;
     TensorArg w;
     w.name = "W";
     w.shape = Shape{100000};
@@ -443,9 +492,8 @@ TEST(Graphicionado, ScalesWithDatasetNotInstance)
     Partition p;
     IrFragment process;
     process.opcode = "process_edges/sum";
-    process.attrs["dim0"] = 48;
-    process.attrs["dim1"] = 48;
-    process.attrs["reduce_extent"] = 48;
+    process.attrs.dims = {48, 48};
+    process.attrs.reduceExtent = 48;
     process.flops = 48 * 48 * 3;
     p.fragments.push_back(process);
 
@@ -496,7 +544,7 @@ TEST(HyperStreams, InitiationIntervalOne)
         Partition p;
         IrFragment f;
         f.opcode = "pipeline/black_scholes";
-        f.attrs["elements"] = options;
+        f.attrs.elements = options;
         f.flops = options * 24;
         p.fragments.push_back(std::move(f));
         return p;

@@ -12,6 +12,12 @@ reported when all of these hold:
     own file, a vtable slot);
   - its unqualified name appears only once in its own source file, so a
     caller in the same file that the optimiser inlined still counts.
+An object whose source file no longer exists (a reused build tree keeps
+the objects of deleted sources) is skipped, as a definition and as a
+reference, so its stale references cannot keep dead code alive. Its
+source is the first prerequisite of the depfile the compiler wrote next
+to it, or, without one, the path that mirrors an object under
+<build-dir>/src.
 What the scan cannot see: header-only inline functions and template
 instances (nm type W) are not definitions here, so an unused one
 escapes it; so does a function whose only caller is itself.
@@ -47,9 +53,18 @@ def merged(symbol):
 
 
 def source_of(tree, obj):
-    """build/src/x/CMakeFiles/t.dir/y.cc.o -> src/x/y.cc"""
-    directory, rest = os.path.relpath(obj, tree).split(os.sep + 'CMakeFiles'
-                                                       + os.sep, 1)
+    """The source @obj was compiled from: the first prerequisite of its
+    depfile (y.cc.o.d), else build/src/x/CMakeFiles/t.dir/y.cc.o ->
+    src/x/y.cc for an object under <tree>/src; None when unknown."""
+    try:
+        with open(obj + '.d', encoding='utf-8') as f:
+            return f.read().split(':', 1)[1].replace('\\\n', ' ').split()[0]
+    except (FileNotFoundError, IndexError):
+        pass
+    relative = os.path.relpath(obj, tree)
+    if not relative.startswith('src' + os.sep):
+        return None
+    directory, rest = relative.split(os.sep + 'CMakeFiles' + os.sep, 1)
     return os.path.join(directory, rest.split('.dir' + os.sep, 1)[1][:-2])
 
 
@@ -71,9 +86,14 @@ def unqualified(demangled):
 def main(trees):
     library = os.path.join(trees[0], 'src')
     defined = {}
+    sources = {}
     referenced = collections.defaultdict(set)
     for tree in trees:
         for obj in objects(tree):
+            source = source_of(tree, obj)
+            if source is not None and not os.path.exists(source):
+                continue  # stale: its source was deleted
+            sources[obj] = source
             for line in run('nm', obj).splitlines():
                 fields = line.split()
                 if (len(fields) == 3 and fields[1] == 'T' and
@@ -98,13 +118,13 @@ def main(trees):
         demangled = run('c++filt', symbol).strip()
         if any(demangled.startswith(p) for p in ALLOWED):
             continue
-        source = source_of(trees[0], obj)
+        source = sources[obj]
         with open(source, encoding='utf-8') as f:
             text = f.read()
         name = unqualified(demangled)
         if len(re.findall(r'(?<![\w~])' + re.escape(name) + r'\b',
                           text)) < 2:
-            unused.append(f'{source}: {demangled}')
+            unused.append(f'{os.path.relpath(source)}: {demangled}')
 
     for line in unused:
         print(f'dead API: {line}', file=sys.stderr)
