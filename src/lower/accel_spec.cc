@@ -96,17 +96,6 @@ IrFragment::str() const
     return out;
 }
 
-IrFragment
-transferFragment(FragmentKind kind, TensorArg tensor)
-{
-    IrFragment frag;
-    frag.kind = kind;
-    frag.attrs.bytes = tensor.bytes();
-    (kind == FragmentKind::Load ? frag.inputs : frag.outputs)
-        .push_back(std::move(tensor));
-    return frag;
-}
-
 TensorArg
 tensorArg(const ir::Graph &graph, ir::ValueId v)
 {

@@ -106,9 +106,6 @@ struct IrFragment
     std::string str() const;
 };
 
-/** The tload (@p kind Load) or tstore (Store) fragment of @p tensor. */
-IrFragment transferFragment(FragmentKind kind, TensorArg tensor);
-
 /** The operand for value @p v of @p graph: its name ('%' and the id when
  *  unnamed), shape, dtype and edge kind. */
 TensorArg tensorArg(const ir::Graph &graph, ir::ValueId v);

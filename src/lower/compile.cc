@@ -16,6 +16,22 @@ using ir::Node;
 using ir::NodeId;
 using ir::ValueId;
 
+namespace {
+
+/** The tload (@p kind Load) or tstore (Store) fragment of @p tensor. */
+IrFragment
+transferFragment(FragmentKind kind, TensorArg tensor)
+{
+    IrFragment frag;
+    frag.kind = kind;
+    frag.attrs.bytes = tensor.bytes();
+    (kind == FragmentKind::Load ? frag.inputs : frag.outputs)
+        .push_back(std::move(tensor));
+    return frag;
+}
+
+} // namespace
+
 int64_t
 Partition::loadBytes() const
 {
