@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
 
 #include "core/strings.h"
@@ -81,9 +82,7 @@ CompiledProgram::render() const
         const TensorArg *tensor;
     };
     std::vector<StoreLine> stores;
-    std::vector<std::string_view> accels;
     for (const auto &p : partitions) {
-        accels.push_back(p.accel);
         for (const auto &s : p.stores) {
             const size_t q = s.consumer == StoredTensor::kGraphOutput
                                  ? partitions.size()
@@ -95,56 +94,50 @@ CompiledProgram::render() const
               [](const StoreLine &a, const StoreLine &b) {
                   return a.at < b.at;
               });
-    std::sort(accels.begin(), accels.end());
-    accels.erase(std::unique(accels.begin(), accels.end()), accels.end());
 
-    // πd per accelerator, in name order: its partitions' fragments with
-    // its partitions' stores merged in, headed by its first partition's
-    // domain.
-    std::string out;
-    for (const std::string_view accel : accels) {
-        const Partition *first = nullptr;
-        size_t count = 0;
-        for (const auto &p : partitions) {
-            if (p.accel != accel)
-                continue;
-            if (!first)
-                first = &p;
-            count += p.fragments.size() + p.stores.size();
+    // Replays the emission into πd per accelerator, which takes the
+    // domain of its first partition and prints in name order.
+    struct Program
+    {
+        Domain domain = Domain::None;
+        int64_t fragments = 0;
+        std::string body;
+    };
+    std::map<std::string_view, Program> programs;
+    const auto list = [&](const Partition &p, const IrFragment &f) {
+        Program &prog = programs.try_emplace(p.accel, Program{p.domain, 0, {}})
+                            .first->second;
+        ++prog.fragments;
+        prog.body += "  ";
+        f.appendTo(prog.body, p.listingTag && !f.isTransfer()
+                                  ? p.listingTag(f)
+                                  : std::string_view());
+        prog.body += '\n';
+    };
+    auto next = stores.begin();
+    const auto list_stores_through = [&](std::pair<size_t, size_t> at) {
+        for (; next != stores.end() && next->at <= at; ++next)
+            list(*next->producer,
+                 transferFragment(FragmentKind::Store, *next->tensor));
+    };
+    for (size_t q = 0; q < partitions.size(); ++q) {
+        for (size_t j = 0; j < partitions[q].fragments.size(); ++j) {
+            list_stores_through({q, j});
+            list(partitions[q], partitions[q].fragments[j]);
         }
+    }
+    list_stores_through({partitions.size(), SIZE_MAX});
+
+    std::string out;
+    for (const auto &[accel, prog] : programs) {
         out += "program ";
-        out += lang::toString(first->domain);
+        out += lang::toString(prog.domain);
         out += " on ";
         out += accel;
         out += " (";
-        appendInt(out, static_cast<int64_t>(count));
+        appendInt(out, prog.fragments);
         out += " fragments)\n";
-        auto next = stores.begin();
-        const auto list_stores_through = [&](std::pair<size_t, size_t> at) {
-            for (; next != stores.end() && next->at <= at; ++next) {
-                if (next->producer->accel != accel)
-                    continue;
-                out += "  ";
-                transferFragment(FragmentKind::Store, *next->tensor)
-                    .appendTo(out);
-                out += '\n';
-            }
-        };
-        for (size_t q = 0; q < partitions.size(); ++q) {
-            const Partition &p = partitions[q];
-            if (p.accel != accel)
-                continue;
-            for (size_t j = 0; j < p.fragments.size(); ++j) {
-                list_stores_through({q, j});
-                const IrFragment &f = p.fragments[j];
-                out += "  ";
-                f.appendTo(out, p.listingTag && !f.isTransfer()
-                                    ? p.listingTag(f)
-                                    : std::string_view());
-                out += '\n';
-            }
-        }
-        list_stores_through({partitions.size(), SIZE_MAX});
+        out += prog.body;
     }
     out += "schedule: ";
     appendInt(out, static_cast<int64_t>(partitions.size()));
