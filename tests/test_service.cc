@@ -709,14 +709,24 @@ TEST(ServiceServer, SimulateHitTakesThePool)
     ASSERT_TRUE(warm.ok) << warm.error;
     EXPECT_FALSE(warm.cacheHit);
 
+    // The slow miss must be seen holding the one worker. One that
+    // finished before this thread looked shows nothing: its reply is
+    // drained and a fresh program (another miss) is sent instead.
     service::Client slow(config.socketPath);
-    slow.send(compileRequest(wideSource(44, 16), 2));
-    for (;;) {
-        const auto stats = server.stats();
-        if (stats.accepted == 2 && stats.pending == 0 &&
-            stats.executing == 1)
-            break;
-        std::this_thread::yield();
+    for (int retry = 0;; ++retry) {
+        slow.send(compileRequest(wideSource(44 + 100 * retry, 16), 2));
+        const int64_t misses = 2 + retry; // the warm-up and each slow one
+        service::ServerStats stats;
+        do {
+            std::this_thread::yield();
+            stats = server.stats();
+        } while (stats.completed < misses &&
+                 !(stats.accepted == misses && stats.pending == 0 &&
+                   stats.executing == 1));
+        if (stats.completed < misses)
+            break; // it holds the worker
+        service::Response drained;
+        ASSERT_TRUE(slow.recv(drained));
     }
 
     // A simulation computes even on a hit, so it is not run on its
