@@ -115,9 +115,7 @@ struct Expr
     // Ref / Call / Reduce: name of variable, function, or reduction op
     std::string name;
 
-    /** Ref: the symbol's slot in its component; set by analyze(). Stays
-     *  -1 for a subscripted name in an argument's dimension that names
-     *  no arg or dimension symbol. */
+    /** Ref: the symbol's slot in its component; set by analyze(). */
     mutable int slot = -1;
 
     // Ref: index expressions; Call: arguments
