@@ -2,8 +2,6 @@
 
 namespace polymath::lang {
 
-namespace {
-
 std::string
 dimsText(const std::vector<ExprPtr> &dims)
 {
@@ -15,8 +13,6 @@ dimsText(const std::vector<ExprPtr> &dims)
     }
     return out;
 }
-
-} // namespace
 
 std::string
 formatStmt(const Stmt &stmt, int indent)

@@ -25,6 +25,9 @@ std::string formatComponent(const ComponentDecl &component);
 /** Renders one statement at @p indent spaces. */
 std::string formatStmt(const Stmt &stmt, int indent = 4);
 
+/** Renders declared dimensions as source text: `[m][n + 1]`. */
+std::string dimsText(const std::vector<ExprPtr> &dims);
+
 } // namespace polymath::lang
 
 #endif // POLYMATH_PMLANG_FORMAT_H_
